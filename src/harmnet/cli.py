@@ -142,7 +142,7 @@ def _write_invocation(out_dir: Path, record: dict) -> None:
 
 def _invocation(args, argv, model_cfg, tcfg=None, **extra) -> dict:
     rec = {"command": args.command, "argv": list(argv),
-           "config_hash": hm.config_hash(model_cfg), "jobs": args.jobs}
+           "config_hash": hm.config_hash(model_cfg)}
     if tcfg is not None:
         rec["train_config_hash"] = hm.config_hash(tcfg)
         rec["seeds"] = [tcfg["seed"] + i for i in range(tcfg["runs"])]
@@ -383,8 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--data-root", help="dataset directory "
                         "(or HARM_DATA_ROOT)")
     common.add_argument("--out", help="output directory for artifacts")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="worker cap (single-process: recorded only)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 

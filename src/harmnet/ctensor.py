@@ -265,6 +265,22 @@ def conj_transpose(a: CTensor) -> CTensor:
     return _make(data, (a,), backward)
 
 
+def expand(a: CTensor, axis: int, n: int) -> CTensor:
+    """Repeat `a` n times along a new axis (a read-only broadcast view).
+
+    The n gradients arrive in a's dtype and are summed last copy first: the
+    rounding and order the tape gives n separate uses of `a`, so one tensor
+    shared across n slices has bit-identical gradients to n separate uses.
+    """
+    data = np.expand_dims(a.data, axis)
+    data = np.broadcast_to(data, data.shape[:axis] + (n,) + data.shape[axis + 1:])
+
+    def backward(g):
+        return (np.flip(g, axis).sum(axis=axis),)
+
+    return _make(data, (a,), backward)
+
+
 def transpose(a: CTensor, axes: tuple) -> CTensor:
     data = np.transpose(a.data, axes)
     inv = np.argsort(axes)
@@ -334,8 +350,9 @@ def mean(a: CTensor, axis=None, keepdims: bool = False) -> CTensor:
     return _make(data, (a,), backward)
 
 
-def take(table: CTensor, indices: np.ndarray) -> CTensor:
-    """Gather table[indices]; backward scatter-adds (indices are untracked)."""
+def take(table: CTensor, indices) -> CTensor:
+    """Gather table[indices] (an index array, or a tuple of them for several
+    axes); backward scatter-adds (indices are untracked)."""
     data = table.data[indices]
 
     def backward(g):
@@ -619,14 +636,15 @@ def conv2d(x: CTensor, kernel: CTensor, pad: int) -> CTensor:
 
 
 def avg_pool2(x: CTensor) -> CTensor:
-    """2x2 mean pooling over complex or real values; H and W must be even."""
-    b, c, h, w = x.shape
+    """2x2 mean pooling over the last two axes (H, W), which must be even;
+    any leading axes are carried through."""
+    *lead, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"avg_pool2 requires even spatial dims, got {h}x{w}")
-    data = x.data.reshape(b, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+    data = x.data.reshape(*lead, h // 2, 2, w // 2, 2).mean(axis=(-3, -1))
 
     def backward(g):
-        gx = np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) / 4.0
+        gx = np.repeat(np.repeat(g, 2, axis=-2), 2, axis=-1) / 4.0
         return (gx.astype(x.data.dtype),)
 
     return _make(data, (x,), backward)
@@ -687,15 +705,15 @@ def finite_difference_check(f, params: dict, step: float = 1e-5, sample: int | N
     # private contiguous copies: perturbation goes through flat views
     params = {k: np.ascontiguousarray(v).copy() for k, v in params.items()}
 
-    def run(ps):
+    def run(grad: bool):
         tape = GradTape()
-        leaves = {k: tape.parameter(k, v) for k, v in ps.items()}
+        leaves = {k: tape.parameter(k, v) for k, v in params.items()}
         loss = f(leaves)
         if not np.isfinite(loss.data):
             raise NumericError("non-finite loss during finite-difference check")
-        return float(loss.data), backward(tape, loss)
+        return backward(tape, loss) if grad else float(loss.data)
 
-    _, grads = run(params)
+    grads = run(grad=True)
     rng = make_rng(seed)
     worst = 0.0
     for name, base in params.items():
@@ -709,20 +727,11 @@ def finite_difference_check(f, params: dict, step: float = 1e-5, sample: int | N
         for i in idxs:
             orig = view[i]
             view[i] = orig + step
-            up, _grads_unused = _eval_only(f, params)
+            up = run(grad=False)
             view[i] = orig - step
-            dn, _grads_unused = _eval_only(f, params)
+            dn = run(grad=False)
             view[i] = orig
             fd = (up - dn) / (2 * step)
             err = abs(ga[i] - fd) / max(1e-8, abs(ga[i]) + abs(fd))
             worst = max(worst, err)
     return worst
-
-
-def _eval_only(f, params):
-    tape = GradTape()
-    leaves = {k: tape.parameter(k, v) for k, v in params.items()}
-    loss = f(leaves)
-    if not np.isfinite(loss.data):
-        raise NumericError("non-finite loss during finite-difference check")
-    return float(loss.data), None

@@ -1,9 +1,9 @@
 """Equivariant transformer encoder over rotation-order patch stacks.
 
-The stem output is reshaped into three (n x d) complex matrices, one per
-rotation order.  Rotating the source image by 90 degrees acts on each matrix
-as a fixed row permutation times the phase e^{i m alpha}; every layer here
-commutes with that action.  The attention order laws: a dot product of
+The stem output is reshaped into one (B, O, n, d) tensor: an (n x d) complex
+matrix per rotation order.  Rotating the source image by 90 degrees acts on
+each matrix as a fixed row permutation times the phase e^{i m alpha}; every
+layer here commutes with that action.  The attention order laws: a dot product of
 orders (m1, m2) produces order m1 - m2, a matmul sums orders, so strategies
 only ever combine triples whose output order lands back in {-1, 0, +1}.
 """
@@ -15,71 +15,58 @@ from functools import lru_cache
 import numpy as np
 
 from . import ctensor as ct
+from . import stem as hs
 from .constants import EPS
 from .errors import ConfigError, ShapeError
-from .stem import ORDERS, StreamedFeatureMap
 
 STRATEGIES = ("harmformer_default", "mixing_all", "cross_values")
 
 
-class PatchStack:
-    """Per rotation order a complex (B, n, d) patch matrix, n = h*w patches.
+class PatchStack(hs.OrderStack):
+    """Rotation-order patch matrices as one complex (B, O, n, d) tensor,
+    n = h*w patches in row-major grid order.
 
     The grid shape is recorded so position-dependent layers (RPE) and grid
     rotations know the spatial layout the rows came from.
     """
 
-    def __init__(self, streams: dict, grid_shape: tuple):
-        orders = tuple(sorted(streams))
-        shapes = {streams[m].shape for m in orders}
-        if len(shapes) != 1:
-            raise ShapeError(f"patch matrix shapes differ: {sorted(shapes)}")
+    layout = ("B", "O", "n", "d")
+
+    def __init__(self, tensor: ct.CTensor, orders, grid_shape: tuple):
+        super().__init__(tensor, orders)
         h, w = grid_shape
-        shape = next(iter(shapes))
-        if len(shape) != 3 or shape[1] != h * w:
-            raise ShapeError(f"expected (B, {h * w}, d) matrices for grid {grid_shape}, got {shape}")
-        self.orders = orders
-        self.streams = {m: streams[m] for m in orders}
+        if tensor.shape[2] != h * w:
+            raise ShapeError(f"expected {h * w} patch rows for grid {grid_shape}, "
+                             f"got {tensor.shape}")
         self.grid_shape = (h, w)
 
     @property
     def n(self):
-        return self.shape[1]
-
-    @property
-    def d(self):
         return self.shape[2]
 
     @property
-    def shape(self):
-        return self.streams[self.orders[0]].shape
-
-    def map(self, fn) -> "PatchStack":
-        return PatchStack({m: fn(s) for m, s in self.streams.items()}, self.grid_shape)
+    def d(self):
+        return self.shape[3]
 
 
-def patchify(x: StreamedFeatureMap) -> PatchStack:
-    """(B, C, H, W) streams -> (B, H*W, C) matrices, rows in row-major order."""
-    b, c, h, w = x.shape
-    out = {}
-    for m, s in x.streams.items():
-        out[m] = ct.reshape(ct.transpose(s, (0, 2, 3, 1)), (b, h * w, c))
-    return PatchStack(out, (h, w))
+def patchify(x: hs.StreamedFeatureMap) -> PatchStack:
+    """(B, O, C, H, W) streams -> (B, O, H*W, C) matrices, rows in row-major order."""
+    b, o, c, h, w = x.shape
+    t = ct.reshape(ct.transpose(x.tensor, (0, 1, 3, 4, 2)), (b, o, h * w, c))
+    return PatchStack(t, x.orders, (h, w))
 
 
-def unpatchify(p: PatchStack) -> StreamedFeatureMap:
+def unpatchify(p: PatchStack) -> hs.StreamedFeatureMap:
     h, w = p.grid_shape
-    b, n, d = p.shape
-    out = {}
-    for m, s in p.streams.items():
-        out[m] = ct.transpose(ct.reshape(s, (b, h, w, d)), (0, 3, 1, 2))
-    return StreamedFeatureMap(out)
+    b, o, n, d = p.shape
+    t = ct.transpose(ct.reshape(p.tensor, (b, o, h, w, d)), (0, 1, 4, 2, 3))
+    return hs.StreamedFeatureMap(t, p.orders)
 
 
 def stack_add(a: PatchStack, b: PatchStack) -> PatchStack:
     if a.orders != b.orders or a.shape != b.shape:
         raise ShapeError("patch stacks are not aligned")
-    return PatchStack({m: ct.add(a.streams[m], b.streams[m]) for m in a.orders}, a.grid_shape)
+    return a.with_tensor(ct.add(a.tensor, b.tensor))
 
 
 def equi_linear(p: PatchStack, w: ct.CTensor) -> PatchStack:
@@ -90,7 +77,7 @@ def equi_linear(p: PatchStack, w: ct.CTensor) -> PatchStack:
     """
     if w.shape[0] != p.d:
         raise ShapeError(f"weight rows {w.shape[0]} != patch dim {p.d}")
-    return p.map(lambda s: ct.complex_matmul(s, w))
+    return p.with_tensor(ct.complex_matmul(p.tensor, ct.expand(w, 0, len(p.orders))))
 
 
 def he_layer_norm(p: PatchStack, eps: float = EPS, mode: str = "std") -> PatchStack:
@@ -105,19 +92,7 @@ def he_layer_norm(p: PatchStack, eps: float = EPS, mode: str = "std") -> PatchSt
         raise ShapeError("layer norm needs at least 2 patches")
     if mode not in ("std", "rms"):
         raise ConfigError(f"unknown layer-norm mode {mode!r}")
-    out = {}
-    for m, s in p.streams.items():
-        mu = ct.mean(s, axis=1, keepdims=True)
-        c = ct.sub(s, mu)
-        mag = ct.magnitude(c)
-        if mode == "std":
-            dev = ct.sub(mag, ct.mean(mag, axis=1, keepdims=True))
-            var = ct.mean(ct.mul(dev, dev), axis=1, keepdims=True)
-        else:
-            var = ct.mean(ct.mul(mag, mag), axis=1, keepdims=True)
-        sigma = ct.sqrt(var)
-        out[m] = ct.div(c, ct.add(sigma, ct.CTensor(np.asarray(eps))))
-    return PatchStack(out, p.grid_shape)
+    return p.with_tensor(hs.normalize_over(p.tensor, 2, eps, mode))
 
 
 def order_dot(q: ct.CTensor, k: ct.CTensor) -> ct.CTensor:
@@ -131,11 +106,12 @@ def order_dot(q: ct.CTensor, k: ct.CTensor) -> ct.CTensor:
 def magnitude_softmax(s: ct.CTensor, rpe_bias: ct.CTensor | None = None,
                       keep_phase: bool = True) -> ct.CTensor:
     """Row softmax over |s| + bias; phases pass through untouched (or are
-    dropped when keep_phase is false).  Row magnitude sums are exactly 1."""
+    dropped when keep_phase is false).  Row magnitude sums are exactly 1.
+    The bias broadcasts against the trailing axes of s."""
     mag, unit = ct.magnitude_phase_split(s)
     if rpe_bias is not None:
-        if rpe_bias.shape != s.shape[-2:]:
-            raise ShapeError(f"rpe bias shape {rpe_bias.shape} != attention {s.shape[-2:]}")
+        if rpe_bias.shape != s.shape[s.data.ndim - rpe_bias.data.ndim:]:
+            raise ShapeError(f"rpe bias shape {rpe_bias.shape} does not end attention {s.shape}")
         mag = ct.add(mag, rpe_bias)
     w = ct.softmax(mag, axis=-1)
     wc = ct.as_complex(w)
@@ -170,60 +146,57 @@ class RpeTable:
         self.bucket_of = _bucket_map(grid_shape[0], grid_shape[1], num_buckets)
         self.params = {f"{name}.bias": np.zeros((heads, num_buckets))}
 
-    def bias_matrix(self, leaves: dict, head: int) -> ct.CTensor:
-        table = leaves[f"{self.name}.bias"]
-        row = ct.reshape(ct.narrow(table, 0, head, 1), (self.num_buckets,))
-        return ct.take(row, self.bucket_of)
+    def bias_matrix(self, leaves: dict) -> ct.CTensor:
+        """(heads, n, n) attention bias, one distance-bucket lookup per head."""
+        heads = np.arange(self.heads)[:, None, None]
+        return ct.take(leaves[f"{self.name}.bias"], (heads, self.bucket_of))
 
 
 # ---------------------------------------------------------------------------
 # multi-head self-attention with order mixing
 # ---------------------------------------------------------------------------
 
-def _mix_heads(qh: dict, kh: dict, vh: dict, strategy: str, bias, keep_phase: bool) -> dict:
-    orders = sorted(qh)
+def _mix_heads(q: ct.CTensor, k: ct.CTensor, v: ct.CTensor, orders: tuple, strategy: str,
+               bias, keep_phase: bool) -> ct.CTensor:
+    """Attention over (B, O, heads, n, d_h) queries, keys and values."""
     if strategy == "harmformer_default":
         # matched-order dot products summed into a single order-0 matrix
-        s = None
-        for m in orders:
-            t = order_dot(qh[m], kh[m])
-            s = t if s is None else ct.add(s, t)
-        a = magnitude_softmax(s, bias, keep_phase)
-        return {m: ct.complex_matmul(a, vh[m]) for m in orders}
+        s = ct.sum_(order_dot(q, k), axis=1, keepdims=True)
+        return ct.complex_matmul(magnitude_softmax(s, bias, keep_phase), v)
     if strategy == "cross_values":
         # queries/keys from the order-0 stream only; all value orders attended
-        a = magnitude_softmax(order_dot(qh[0], kh[0]), bias, keep_phase)
-        return {m: ct.complex_matmul(a, vh[m]) for m in orders}
+        i0 = orders.index(0)
+        s = order_dot(ct.narrow(q, 1, i0, 1), ct.narrow(k, 1, i0, 1))
+        return ct.complex_matmul(magnitude_softmax(s, bias, keep_phase), v)
     if strategy == "mixing_all":
         # every (m_q, m_k, m_v) triple whose output order stays in range;
         # dot products grouped by their order m_q - m_k before the softmax
         # (the default strategy is exactly the m_dot = 0 group).  Nonzero
         # groups always keep phase — their order lives in it.
         groups: dict = {}
-        for mq in orders:
-            for mk in orders:
-                t = order_dot(qh[mq], kh[mk])
+        for iq, mq in enumerate(orders):
+            for ik, mk in enumerate(orders):
+                t = order_dot(ct.narrow(q, 1, iq, 1), ct.narrow(k, 1, ik, 1))
                 md = mq - mk
                 groups[md] = t if md not in groups else ct.add(groups[md], t)
-        amats = {md: magnitude_softmax(s, bias, keep_phase if md == 0 else True)
-                 for md, s in groups.items()}
-        out = {m: None for m in orders}
-        for md, a in amats.items():
-            for mv in orders:
-                mo = md + mv
-                if mo not in out:
+        out = [None] * len(orders)
+        for md, s in groups.items():
+            a = magnitude_softmax(s, bias, keep_phase if md == 0 else True)
+            for iv, mv in enumerate(orders):
+                if md + mv not in orders:
                     continue
-                t = ct.complex_matmul(a, vh[mv])
-                out[mo] = t if out[mo] is None else ct.add(out[mo], t)
-        return out
+                io = orders.index(md + mv)
+                t = ct.complex_matmul(a, ct.narrow(v, 1, iv, 1))
+                out[io] = t if out[io] is None else ct.add(out[io], t)
+        return ct.concat(out, axis=1)
     raise ConfigError(f"unknown mixing strategy {strategy!r}; valid: {STRATEGIES}")
 
 
 def msa_forward(p: PatchStack, leaves: dict, name: str, heads: int,
                 strategy: str = "harmformer_default", rpe: RpeTable | None = None,
                 keep_phase: bool = True, head_dim: int | None = None) -> PatchStack:
-    """Self-attention per head with order-aware stream mixing, heads
-    concatenated then linearly projected.
+    """Self-attention with order-aware stream mixing, all heads batched, then
+    heads concatenated and linearly projected.
 
     Each head projects to head_dim channels (Q, K, V weights are
     (d, heads*head_dim)); the output projection maps heads*head_dim back to
@@ -232,19 +205,17 @@ def msa_forward(p: PatchStack, leaves: dict, name: str, heads: int,
         if p.d % heads:
             raise ConfigError(f"patch dim {p.d} not divisible by {heads} heads")
         head_dim = p.d // heads
-    d_h = head_dim
-    q = equi_linear(p, leaves[f"{name}.wq"])
-    k = equi_linear(p, leaves[f"{name}.wk"])
-    v = equi_linear(p, leaves[f"{name}.wv"])
-    per_head = []
-    for h in range(heads):
-        qh = {m: ct.narrow(q.streams[m], 2, h * d_h, d_h) for m in p.orders}
-        kh = {m: ct.narrow(k.streams[m], 2, h * d_h, d_h) for m in p.orders}
-        vh = {m: ct.narrow(v.streams[m], 2, h * d_h, d_h) for m in p.orders}
-        bias = rpe.bias_matrix(leaves, h) if rpe is not None else None
-        per_head.append(_mix_heads(qh, kh, vh, strategy, bias, keep_phase))
-    merged = {m: ct.concat([ho[m] for ho in per_head], axis=2) for m in p.orders}
-    return equi_linear(PatchStack(merged, p.grid_shape), leaves[f"{name}.wo"])
+    b, o, n, _ = p.shape
+
+    def split_heads(w):   # (B, O, n, heads*d_h) -> (B, O, heads, n, d_h)
+        t = ct.reshape(equi_linear(p, w).tensor, (b, o, n, heads, head_dim))
+        return ct.transpose(t, (0, 1, 3, 2, 4))
+
+    q, k, v = (split_heads(leaves[f"{name}.w{x}"]) for x in "qkv")
+    bias = rpe.bias_matrix(leaves) if rpe is not None else None
+    out = _mix_heads(q, k, v, p.orders, strategy, bias, keep_phase)
+    merged = ct.reshape(ct.transpose(out, (0, 1, 3, 2, 4)), (b, o, n, heads * head_dim))
+    return equi_linear(p.with_tensor(merged), leaves[f"{name}.wo"])
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +224,9 @@ def msa_forward(p: PatchStack, leaves: dict, name: str, heads: int,
 
 def crelu_ab(p: PatchStack, a: ct.CTensor, b: ct.CTensor) -> PatchStack:
     """ReLU(a|z| + b) e^{i theta} with learnable per-channel a, b."""
-    out = {}
-    for m, s in p.streams.items():
-        mag, unit = ct.magnitude_phase_split(s)
-        out[m] = ct.mul(ct.as_complex(ct.relu(ct.add(ct.mul(mag, a), b))), unit)
-    return PatchStack(out, p.grid_shape)
+    a, b = (ct.expand(ct.reshape(v, (1, v.shape[0])), 0, len(p.orders)) for v in (a, b))
+    mag, unit = ct.magnitude_phase_split(p.tensor)
+    return p.with_tensor(ct.mul(ct.as_complex(ct.relu(ct.add(ct.mul(mag, a), b))), unit))
 
 
 def magnitude_dropout(p: PatchStack, rate: float, rng: np.random.Generator,
@@ -265,9 +234,9 @@ def magnitude_dropout(p: PatchStack, rate: float, rng: np.random.Generator,
     """Elementwise dropout on magnitudes; one mask shared by all streams."""
     if not train or rate == 0.0:
         return p
-    mask = (rng.random(p.shape) >= rate).astype(np.float64) / (1.0 - rate)
-    keep = ct.CTensor(mask)
-    return p.map(lambda s: ct.mul(s, keep))
+    b, _, n, d = p.shape
+    mask = (rng.random((b, n, d)) >= rate).astype(np.float64) / (1.0 - rate)
+    return p.with_tensor(ct.mul(p.tensor, ct.CTensor(mask.reshape(b, 1, n, d))))
 
 
 # ---------------------------------------------------------------------------

@@ -107,24 +107,8 @@ def phase_preservation_error(before: np.ndarray, after: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# synthesized inputs (independent of stem correctness)
+# the group action on per-order arrays
 # ---------------------------------------------------------------------------
-
-def synth_sfm(rng, b, c, h, w, precision="f64") -> hs.StreamedFeatureMap:
-    _, cdt = ct.DTYPES[precision]
-    return hs.StreamedFeatureMap(
-        {m: ct.CTensor((rng.standard_normal((b, c, h, w))
-                        + 1j * rng.standard_normal((b, c, h, w))).astype(cdt))
-         for m in hs.ORDERS})
-
-
-def synth_stack(rng, b, h, w, d, precision="f64") -> enc.PatchStack:
-    _, cdt = ct.DTYPES[precision]
-    return enc.PatchStack(
-        {m: ct.CTensor((rng.standard_normal((b, h * w, d))
-                        + 1j * rng.standard_normal((b, h * w, d))).astype(cdt))
-         for m in hs.ORDERS}, (h, w))
-
 
 def rotate_sfm_arrays(arrays: dict, q: int) -> dict:
     """Group action on raw stream arrays: spatial rotation + phase."""
@@ -181,8 +165,8 @@ def verify_all_lemmas(seed: int = 0, precision: str = "f64",
                  + 1j * rng.standard_normal((1, c_in, 8, 8))) for m in in_orders}
 
         def conv_m(arrays, m_out, bank=bank, leaves=leaves):
-            sfm = hs.StreamedFeatureMap({m: ct.CTensor(a) for m, a in arrays.items()})
-            return hs.harmonic_conv(sfm, bank, leaves).streams[m_out].data
+            sfm = hs.StreamedFeatureMap.from_streams(arrays)
+            return hs.harmonic_conv(sfm, bank, leaves).stream(m_out).data
 
         for q in quarters:
             for m_out in hs.ORDERS:
@@ -213,8 +197,8 @@ def verify_all_lemmas(seed: int = 0, precision: str = "f64",
     w = ct.CTensor(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
 
     def stack_fn(arrays, fn, m_out):
-        stack = enc.PatchStack({m: ct.CTensor(v) for m, v in arrays.items()}, (3, 3))
-        return fn(stack).streams[m_out].data
+        stack = enc.PatchStack.from_streams(arrays, (3, 3))
+        return fn(stack).stream(m_out).data
 
     for fn, name in ((lambda s: enc.equi_linear(s, w), "lemma3_equi_linear"),
                      (enc.he_layer_norm, "lemma4_layer_norm")):
@@ -251,10 +235,10 @@ def verify_all_lemmas(seed: int = 0, precision: str = "f64",
     # and the legacy norm with a negative scale flips them (the witness)
     rng = ct.derive_rng(seed, "phase")
     z = rng.standard_normal((4, 2, 4, 4)) + 1j * rng.standard_normal((4, 2, 4, 4))
-    sfm = hs.StreamedFeatureMap({0: ct.CTensor(z)})
+    sfm = hs.StreamedFeatureMap.from_streams({0: z})
     state = hs.HBatchNormState("pp", 2, orders=(0,))
     leaves = {"pp.a": ct.CTensor(np.ones(2)), "pp.b": ct.CTensor(np.full(2, 0.1))}
-    out = hs.hbn_crelu(sfm, state, leaves, train=True).streams[0].data
+    out = hs.hbn_crelu(sfm, state, leaves, train=True).stream(0).data
     entries.append(_entry("phase_hbn_crelu", 0, 0.0,
                           phase_preservation_error(z, out),
                           TOLERANCES["phase_preservation"]))
@@ -264,7 +248,7 @@ def verify_all_lemmas(seed: int = 0, precision: str = "f64",
                           phase_preservation_error(s.data, a_mat),
                           TOLERANCES["phase_preservation"]))
     neg = {"pp.a": ct.CTensor(np.full(2, -1.0)), "pp.b": ct.CTensor(np.zeros(2))}
-    flipped = hs.legacy_cbn(sfm, state, neg, train=True).streams[0].data
+    flipped = hs.legacy_cbn(sfm, state, neg, train=True).stream(0).data
     entries.append(_entry("phase_witness_legacy_cbn", 0, 0.0,
                           phase_preservation_error(z, flipped),
                           TOLERANCES["witness_min"], witness=True))
@@ -279,9 +263,9 @@ def verify_all_lemmas(seed: int = 0, precision: str = "f64",
           for m in hs.ORDERS}
     for strategy in enc.STRATEGIES:
         def msa_m(arrays, m_out, strategy=strategy):
-            stack = enc.PatchStack({m: ct.CTensor(v) for m, v in arrays.items()}, (3, 3))
+            stack = enc.PatchStack.from_streams(arrays, (3, 3))
             out = enc.msa_forward(stack, leaves, "vb", 2, strategy, blk.rpe, True, 2)
-            return out.streams[m_out].data
+            return out.stream(m_out).data
         for q in quarters:
             perm = rot90_rows(3, 3, q)
             for m in hs.ORDERS:
@@ -302,7 +286,7 @@ def verify_all_lemmas(seed: int = 0, precision: str = "f64",
 
     def stem_m(image, m_out):
         x = model.stem.forward(ct.CTensor(image), leaves)
-        return model._complete_orders(x).streams[m_out].data
+        return hs.embed_orders(x).stream(m_out).data
 
     for q in quarters:
         for m in hs.ORDERS:
@@ -318,8 +302,8 @@ def verify_all_lemmas(seed: int = 0, precision: str = "f64",
              for m in hs.ORDERS}
 
     def encoder_m(arrays, m_out):
-        p = enc.PatchStack({m: ct.CTensor(v) for m, v in arrays.items()}, (gh, gw))
-        return model.encoder.forward(p, leaves).streams[m_out].data
+        p = enc.PatchStack.from_streams(arrays, (gh, gw))
+        return model.encoder.forward(p, leaves).stream(m_out).data
 
     for q in quarters:
         perm = rot90_rows(gh, gw, q)
@@ -389,7 +373,7 @@ def stem_continuous_check(seed: int = 0, precision: str = "f64",
 
     def stem_m(x, m_out):
         f = model.stem.forward(ct.CTensor(x), leaves)
-        return model._complete_orders(f).streams[m_out].data
+        return hs.embed_orders(f).stream(m_out).data
 
     def rotate_input(x):
         return np.stack([hdata.rotate_image(i, spec) for i in x])

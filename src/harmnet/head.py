@@ -15,10 +15,10 @@ from harmnet.errors import ShapeError
 
 
 def invariant_readout(p: PatchStack) -> ct.CTensor:
-    """(B, n, d) streams -> real (B, 3d): per-order magnitudes concatenated
-    along the channel axis, then averaged over the n patches."""
-    mags = [ct.magnitude(p.streams[m]) for m in p.orders]
-    return ct.mean(ct.concat(mags, axis=2), axis=1)
+    """(B, O, n, d) streams -> real (B, O*d): per-order magnitudes averaged
+    over the n patches, orders laid side by side along the feature axis."""
+    b, o, _, d = p.shape
+    return ct.reshape(ct.mean(ct.magnitude(p.tensor), axis=2), (b, o * d))
 
 
 def classify(feat: ct.CTensor, w: ct.CTensor, b: ct.CTensor) -> ct.CTensor:

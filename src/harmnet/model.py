@@ -228,21 +228,9 @@ class Model:
         if leaves is None:
             leaves = self.leaves()
         x = self.stem.forward(img, leaves, train=train, rng=rng)
-        x = self._complete_orders(x)
-        p = enc.patchify(x)
+        p = enc.patchify(hs.embed_orders(x))
         p = self.encoder.forward(p, leaves, train=train, rng=rng)
         return self.head.forward(p, leaves)
-
-    @staticmethod
-    def _complete_orders(x: hs.StreamedFeatureMap) -> hs.StreamedFeatureMap:
-        if x.orders == hs.ORDERS:
-            return x
-        ref = x.streams[x.orders[0]]
-        streams = dict(x.streams)
-        for m in hs.ORDERS:
-            if m not in streams:
-                streams[m] = ct.CTensor(np.zeros_like(ref.data))
-        return hs.StreamedFeatureMap(streams)
 
 
 def build(config: dict, seed: int, precision: str = "f32") -> Model:

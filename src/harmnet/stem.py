@@ -1,10 +1,11 @@
 """Steerable convolution stem over rotation-order streams.
 
-Features are carried as one complex map per rotation order m in {-1, 0, +1}.
-Rotating the input image by alpha rotates each stream spatially and shifts
-its phase by m*alpha.  Every layer here preserves that law: convolution
-kernels are synthesized circular harmonics R(r)e^{i(m theta + beta)}, and all
-pointwise nonlinearities act on magnitudes only, leaving phases untouched.
+Features are carried as one complex tensor with an axis over rotation orders
+m in {-1, 0, +1}.  Rotating the input image by alpha rotates each order's
+stream spatially and shifts its phase by m*alpha.  Every layer here
+preserves that law: convolution kernels are synthesized circular harmonics
+R(r)e^{i(m theta + beta)}, and all pointwise nonlinearities act on
+magnitudes only, leaving phases untouched.
 
 Kernel grid convention: kernel[y][x] with offsets (dy, dx) from the center
 pixel, theta = atan2(dy, dx), r = hypot(dy, dx).  Under numpy's rot90 a
@@ -13,6 +14,7 @@ synthesized order-m kernel picks up exactly the factor e^{i m pi/2}.
 
 from __future__ import annotations
 
+import copy
 from functools import lru_cache
 
 import numpy as np
@@ -24,35 +26,72 @@ from .errors import ConfigError, ShapeError
 ORDERS = (-1, 0, 1)
 
 
-class StreamedFeatureMap:
-    """Ordered map rotation order -> complex feature tensor.
+class OrderStack:
+    """A tensor whose axis 1 indexes rotation orders `orders` (ascending),
+    next to the batch axis 0; `layout` names every axis."""
 
-    Streams are stored batched as (B, C, H, W); the per-sample unit is a
-    (C, H, W) map.  All present streams share channel count and spatial size.
-    """
+    layout = ()
 
-    def __init__(self, streams: dict):
+    def __init__(self, tensor: ct.CTensor, orders):
+        orders = tuple(orders)
+        if orders != tuple(m for m in ORDERS if m in orders):
+            raise ShapeError(f"orders must be an ascending subset of {ORDERS}, got {orders}")
+        if tensor.data.ndim != len(self.layout) or tensor.shape[1] != len(orders):
+            raise ShapeError(f"expected a ({', '.join(self.layout)}) tensor with "
+                             f"O={len(orders)} for orders {orders}, got {tensor.shape}")
+        self.tensor = tensor
+        self.orders = orders
+
+    @classmethod
+    def from_streams(cls, streams: dict, *args):
+        """Stack per-order arrays {m: array} along the order axis; `args`
+        follow the tensor and orders in the class's constructor."""
         orders = tuple(sorted(streams))
-        shapes = {streams[m].shape for m in orders}
+        shapes = {np.shape(streams[m]) for m in orders}
         if len(shapes) != 1:
             raise ShapeError(f"stream shapes differ: {sorted(shapes)}")
-        for m in orders:
-            if m not in ORDERS:
-                raise ConfigError(f"rotation order {m} outside {ORDERS}")
-        self.orders = orders
-        self.streams = {m: streams[m] for m in orders}
+        return cls(ct.CTensor(np.stack([streams[m] for m in orders], axis=1)), orders, *args)
 
     @property
     def shape(self):
-        return self.streams[self.orders[0]].shape
+        return self.tensor.shape
 
-    def map(self, fn) -> "StreamedFeatureMap":
-        return StreamedFeatureMap({m: fn(s) for m, s in self.streams.items()})
+    def stream(self, m: int) -> ct.CTensor:
+        """The order-m stream, without the order axis (tracked)."""
+        t = ct.narrow(self.tensor, 1, self.orders.index(m), 1)
+        return ct.reshape(t, t.shape[:1] + t.shape[2:])
+
+    def with_tensor(self, tensor: ct.CTensor):
+        """The same orders (and layout metadata) around a new tensor."""
+        out = copy.copy(self)
+        out.tensor = tensor
+        return out
+
+
+class StreamedFeatureMap(OrderStack):
+    """Rotation-order streams carried as one complex (B, O, C, H, W) tensor.
+
+    Layers act on the whole tensor at once; order arithmetic happens only
+    where orders mix (harmonic convolution, attention).
+    """
+
+    layout = ("B", "O", "C", "H", "W")
 
 
 def lift_image(img: ct.CTensor) -> StreamedFeatureMap:
     """Wrap a real image batch (B, C, H, W) as a pure order-0 stream."""
-    return StreamedFeatureMap({0: ct.as_complex(img)})
+    b, c, h, w = img.shape
+    return StreamedFeatureMap(ct.reshape(ct.as_complex(img), (b, 1, c, h, w)), (0,))
+
+
+def embed_orders(x: StreamedFeatureMap) -> StreamedFeatureMap:
+    """Place x's streams at their slots in ORDERS; absent orders are zero."""
+    if x.orders == ORDERS:
+        return x
+    zero = ct.CTensor(np.zeros_like(x.tensor.data[:, :1]))
+    padded = ct.concat([x.tensor, zero], axis=1)
+    slots = [x.orders.index(m) if m in x.orders else len(x.orders) for m in ORDERS]
+    return StreamedFeatureMap(ct.take(padded, (slice(None), slots)), ORDERS)
 
 
 # ---------------------------------------------------------------------------
@@ -198,23 +237,22 @@ def harmonic_conv(x: StreamedFeatureMap, bank: HarmonicFilterBank, leaves: dict,
                   stride: int = 1, padding: int | None = None) -> StreamedFeatureMap:
     """Order-mixing convolution: out_m = sum over m1+m2=m of in_{m1} * W_{m2}.
 
-    Streams are concatenated channelwise and convolved once with the
-    block-structured kernel, then split back per output order.  Convolution
-    convention is cross-correlation (no kernel flip).
+    The order axis is folded into channels, (B, O*C, H, W), convolved once
+    with the block-structured kernel, and unfolded per output order.
+    Convolution convention is cross-correlation (no kernel flip).
     """
     if stride != 1:
         raise ConfigError("strided harmonic convolution is not supported")
     if x.orders != bank.in_orders:
         raise ShapeError(f"input orders {x.orders} != bank orders {bank.in_orders}")
-    if x.shape[1] != bank.c_in:
-        raise ShapeError(f"channel mismatch: input {x.shape[1]}, bank {bank.c_in}")
+    b, o, c, h, w = x.shape
+    if c != bank.c_in:
+        raise ShapeError(f"channel mismatch: input {c}, bank {bank.c_in}")
     pad = bank.k // 2 if padding is None else padding
-    xin = ct.concat([x.streams[m] for m in bank.in_orders], axis=1)
+    xin = ct.reshape(x.tensor, (b, o * c, h, w))
     y = ct.conv2d(xin, bank.kernel_block(leaves), pad=pad)
-    out = {}
-    for i, m_out in enumerate(bank.out_orders):
-        out[m_out] = ct.narrow(y, 1, i * bank.c_out, bank.c_out)
-    return StreamedFeatureMap(out)
+    shape = (b, len(bank.out_orders), bank.c_out) + y.shape[2:]
+    return StreamedFeatureMap(ct.reshape(y, shape), bank.out_orders)
 
 
 # ---------------------------------------------------------------------------
@@ -242,11 +280,40 @@ class HBatchNormState:
             self.buffers[f"{name}.var{m:+d}"] = np.ones(channels)
 
 
-def _batch_stats(mag: ct.CTensor):
-    mu = ct.mean(mag, axis=(0, 2, 3), keepdims=True)
-    d = ct.sub(mag, mu)
-    var = ct.mean(ct.mul(d, d), axis=(0, 2, 3), keepdims=True)
-    return mu, var
+def _channel_vector(v: ct.CTensor, x: StreamedFeatureMap) -> ct.CTensor:
+    """Per-channel parameter (C,) shared by every order of x, shaped
+    (1, O, C, 1, 1) to broadcast over its (B, O, C, H, W) tensor."""
+    return ct.expand(ct.reshape(v, (1, v.shape[0], 1, 1)), 1, len(x.orders))
+
+
+def _affine_norm(x: StreamedFeatureMap, state: HBatchNormState, leaves: dict,
+                 train: bool, track: bool):
+    """a * (|X| - mu)/sqrt(var + eps) + b per (order, channel), and the
+    phases of X.  Train mode pools magnitudes over batch and space (and
+    updates the running buffers when `track`); eval mode reads the buffers."""
+    if x.shape[2] != state.channels:
+        raise ShapeError(f"channel mismatch: input {x.shape[2]}, norm {state.channels}")
+    name = state.name
+    mag, unit = ct.magnitude_phase_split(x.tensor)
+    if train:
+        mu = ct.mean(mag, axis=(0, 3, 4), keepdims=True)
+        d = ct.sub(mag, mu)
+        var = ct.mean(ct.mul(d, d), axis=(0, 3, 4), keepdims=True)
+        if track:
+            mom = state.momentum
+            for i, m in enumerate(x.orders):
+                for stat, batch in (("mean", mu), ("var", var)):
+                    buf = state.buffers[f"{name}.{stat}{m:+d}"]
+                    buf[:] = (1 - mom) * buf + mom * batch.data[0, i].reshape(-1)
+    else:
+        shape = (1, len(x.orders), state.channels, 1, 1)
+        mu, var = (ct.CTensor(np.stack([state.buffers[f"{name}.{stat}{m:+d}"]
+                                        for m in x.orders]).reshape(shape))
+                   for stat in ("mean", "var"))
+    norm = ct.div(ct.sub(mag, mu), ct.sqrt(ct.add(var, ct.CTensor(np.float64(EPS)))))
+    scaled = ct.add(ct.mul(_channel_vector(leaves[f"{name}.a"], x), norm),
+                    _channel_vector(leaves[f"{name}.b"], x))
+    return scaled, unit
 
 
 def hbn_crelu(x: StreamedFeatureMap, state: HBatchNormState, leaves: dict,
@@ -258,27 +325,8 @@ def hbn_crelu(x: StreamedFeatureMap, state: HBatchNormState, leaves: dict,
     mode uses the stored running statistics.  Codomain of the magnitude path
     is non-negative, which is what keeps the layer equivariant.
     """
-    if x.shape[1] != state.channels:
-        raise ShapeError(f"channel mismatch: input {x.shape[1]}, norm {state.channels}")
-    a = ct.reshape(leaves[f"{state.name}.a"], (1, state.channels, 1, 1))
-    b = ct.reshape(leaves[f"{state.name}.b"], (1, state.channels, 1, 1))
-    out = {}
-    for m, s in x.streams.items():
-        mag, unit = ct.magnitude_phase_split(s)
-        if train:
-            mu, var = _batch_stats(mag)
-            mom = state.momentum
-            state.buffers[f"{state.name}.mean{m:+d}"][:] = (
-                (1 - mom) * state.buffers[f"{state.name}.mean{m:+d}"] + mom * mu.data.reshape(-1))
-            state.buffers[f"{state.name}.var{m:+d}"][:] = (
-                (1 - mom) * state.buffers[f"{state.name}.var{m:+d}"] + mom * var.data.reshape(-1))
-        else:
-            mu = ct.CTensor(state.buffers[f"{state.name}.mean{m:+d}"].reshape(1, -1, 1, 1))
-            var = ct.CTensor(state.buffers[f"{state.name}.var{m:+d}"].reshape(1, -1, 1, 1))
-        norm = ct.div(ct.sub(mag, mu), ct.sqrt(ct.add(var, ct.CTensor(np.float64(EPS)))))
-        out_mag = ct.relu(ct.add(ct.mul(a, norm), b))
-        out[m] = ct.mul(ct.as_complex(out_mag), unit)
-    return StreamedFeatureMap(out)
+    scaled, unit = _affine_norm(x, state, leaves, train, track=True)
+    return x.with_tensor(ct.mul(ct.as_complex(ct.relu(scaled)), unit))
 
 
 def legacy_cbn(x: StreamedFeatureMap, state: HBatchNormState, leaves: dict,
@@ -288,45 +336,34 @@ def legacy_cbn(x: StreamedFeatureMap, state: HBatchNormState, leaves: dict,
     With gamma < 0 the magnitude path goes negative, flipping phases; kept
     exactly so the normalization ablation can exhibit the equivariance break.
     """
-    a = ct.reshape(leaves[f"{state.name}.a"], (1, state.channels, 1, 1))
-    b = ct.reshape(leaves[f"{state.name}.b"], (1, state.channels, 1, 1))
-    out = {}
-    for m, s in x.streams.items():
-        mag, unit = ct.magnitude_phase_split(s)
-        if train:
-            mu, var = _batch_stats(mag)
-        else:
-            mu = ct.CTensor(state.buffers[f"{state.name}.mean{m:+d}"].reshape(1, -1, 1, 1))
-            var = ct.CTensor(state.buffers[f"{state.name}.var{m:+d}"].reshape(1, -1, 1, 1))
-        norm = ct.div(ct.sub(mag, mu), ct.sqrt(ct.add(var, ct.CTensor(np.float64(EPS)))))
-        out[m] = ct.mul(ct.as_complex(ct.add(ct.mul(a, norm), b)), unit)
-    return StreamedFeatureMap(out)
+    scaled, unit = _affine_norm(x, state, leaves, train, track=False)
+    return x.with_tensor(ct.mul(ct.as_complex(scaled), unit))
+
+
+def normalize_over(t: ct.CTensor, axis, eps: float = EPS, mode: str = "std") -> ct.CTensor:
+    """Subtract the complex mean over `axis`, then divide by sigma + eps,
+    where sigma is the standard deviation ("std") or the root mean square
+    ("rms") over `axis` of the centered magnitudes.  No learnable affine."""
+    c = ct.sub(t, ct.mean(t, axis=axis, keepdims=True))
+    mag = ct.magnitude(c)
+    if mode == "std":
+        mag = ct.sub(mag, ct.mean(mag, axis=axis, keepdims=True))
+    var = ct.mean(ct.mul(mag, mag), axis=axis, keepdims=True)
+    return ct.div(c, ct.add(ct.sqrt(var), ct.CTensor(np.asarray(eps))))
 
 
 def layer_norm_streams(x: StreamedFeatureMap, eps: float = EPS) -> StreamedFeatureMap:
     """Encoder-style layer norm on spatial feature maps: per (sample, channel,
-    stream), subtract the complex mean over space and divide by the standard
-    deviation of the centered magnitudes.  No learnable affine."""
-    out = {}
-    for m, s in x.streams.items():
-        mu = ct.mean(s, axis=(2, 3), keepdims=True)
-        c = ct.sub(s, mu)
-        mag = ct.magnitude(c)
-        dev = ct.sub(mag, ct.mean(mag, axis=(2, 3), keepdims=True))
-        var = ct.mean(ct.mul(dev, dev), axis=(2, 3), keepdims=True)
-        out[m] = ct.div(c, ct.add(ct.sqrt(var), ct.CTensor(np.asarray(eps))))
-    return StreamedFeatureMap(out)
+    stream), normalize over space with the standard deviation of the
+    centered magnitudes."""
+    return x.with_tensor(normalize_over(x.tensor, (3, 4), eps))
 
 
 def legacy_crelu(x: StreamedFeatureMap, bias: ct.CTensor) -> StreamedFeatureMap:
     """Original C-ReLU: ReLU(|X| + b) e^{i theta} with a per-channel bias."""
-    c = x.shape[1]
-    b = ct.reshape(bias, (1, c, 1, 1))
-    out = {}
-    for m, s in x.streams.items():
-        mag, unit = ct.magnitude_phase_split(s)
-        out[m] = ct.mul(ct.as_complex(ct.relu(ct.add(mag, b))), unit)
-    return StreamedFeatureMap(out)
+    mag, unit = ct.magnitude_phase_split(x.tensor)
+    out = ct.relu(ct.add(mag, _channel_vector(bias, x)))
+    return x.with_tensor(ct.mul(ct.as_complex(out), unit))
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +375,11 @@ def residual_add(a: StreamedFeatureMap, b: StreamedFeatureMap) -> StreamedFeatur
         raise ShapeError(f"order sets differ: {a.orders} vs {b.orders}")
     if a.shape != b.shape:
         raise ShapeError(f"stream shapes differ: {a.shape} vs {b.shape}")
-    return StreamedFeatureMap({m: ct.add(a.streams[m], b.streams[m]) for m in a.orders})
+    return a.with_tensor(ct.add(a.tensor, b.tensor))
 
 
 def avg_pool_streams(x: StreamedFeatureMap) -> StreamedFeatureMap:
-    return x.map(ct.avg_pool2)
+    return x.with_tensor(ct.avg_pool2(x.tensor))
 
 
 def channel_dropout(x: StreamedFeatureMap, p: float, rng: np.random.Generator,
@@ -350,10 +387,10 @@ def channel_dropout(x: StreamedFeatureMap, p: float, rng: np.random.Generator,
     """Zero whole channels (same mask for every stream), scaled by 1/(1-p)."""
     if not train or p == 0.0:
         return x
-    b, c = x.shape[:2]
+    b, _, c = x.shape[:3]
     mask = (rng.random((b, c, 1, 1)) >= p).astype(np.float64) / (1.0 - p)
-    keep = ct.CTensor(mask)
-    return x.map(lambda s: ct.mul(s, keep))
+    keep = ct.CTensor(mask.reshape(b, 1, c, 1, 1))
+    return x.with_tensor(ct.mul(x.tensor, keep))
 
 
 # ---------------------------------------------------------------------------

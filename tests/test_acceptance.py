@@ -139,10 +139,10 @@ def test_stem_45_degree_bound_and_regression():
 # 4. gradients: finite differences on every layer type and a full model
 # ---------------------------------------------------------------------------
 
-def _sq_norm(streams) -> ct.CTensor:
+def _sq_norm(x) -> ct.CTensor:
     total = None
-    for s in streams.values():
-        mag = ct.magnitude(s)
+    for m in x.orders:
+        mag = ct.magnitude(x.stream(m))
         term = ct.sum_(ct.mul(mag, mag))
         total = term if total is None else ct.add(total, term)
     return total
@@ -160,7 +160,7 @@ def test_gradients_every_layer_type_and_full_model():
 
     def f_conv(lv):
         y = hs.harmonic_conv(hs.lift_image(ct.CTensor(x_img)), b1, lv)
-        return _sq_norm(hs.harmonic_conv(y, b2, lv).streams)
+        return _sq_norm(hs.harmonic_conv(y, b2, lv))
 
     errs["conv"] = ct.finite_difference_check(
         f_conv, {**b1.params, **b2.params}, sample=4)
@@ -168,9 +168,9 @@ def test_gradients_every_layer_type_and_full_model():
     # fused norm + activation (train-mode batch statistics)
     state = hs.HBatchNormState("g.n", 2)
     nrm = {"g.n.a": np.full(2, 0.9), "g.n.b": np.full(2, 0.1)}
-    sfm = hs.StreamedFeatureMap({m: ct.CTensor(v) for m, v in sfm_in.items()})
+    sfm = hs.StreamedFeatureMap.from_streams(sfm_in)
     errs["hbn_crelu"] = ct.finite_difference_check(
-        lambda lv: _sq_norm(hs.hbn_crelu(sfm, state, lv, True).streams), nrm)
+        lambda lv: _sq_norm(hs.hbn_crelu(sfm, state, lv, True)), nrm)
 
     # legacy norm + activation
     leg = {"g.l.a": np.full(2, 0.9), "g.l.b": np.full(2, 0.1),
@@ -178,19 +178,19 @@ def test_gradients_every_layer_type_and_full_model():
     lstate = hs.HBatchNormState("g.l", 2)
     errs["legacy"] = ct.finite_difference_check(
         lambda lv: _sq_norm(hs.legacy_crelu(
-            hs.legacy_cbn(sfm, lstate, lv, True), lv["g.l.bias"]).streams),
+            hs.legacy_cbn(sfm, lstate, lv, True), lv["g.l.bias"])),
         leg)
 
     # spatial layer norm (parameterless) reached through a conv; the loss
     # compares against fixed targets because the squared norm of a
     # normalized field is parameter-invariant (zero gradient by design)
-    t_ln = {m: crandn(rng, 2, 2, 6, 6) for m in hs.ORDERS}
+    t_ln = hs.StreamedFeatureMap.from_streams(
+        {m: crandn(rng, 2, 2, 6, 6) for m in hs.ORDERS})
 
     def f_ln(lv):
         y = hs.layer_norm_streams(
             hs.harmonic_conv(hs.lift_image(ct.CTensor(x_img)), b1, lv))
-        return _sq_norm({m: ct.sub(y.streams[m], ct.CTensor(t_ln[m]))
-                         for m in hs.ORDERS})
+        return _sq_norm(y.with_tensor(ct.sub(y.tensor, t_ln.tensor)))
 
     errs["layer_norm_streams"] = ct.finite_difference_check(
         f_ln, b1.params, sample=4)
@@ -198,7 +198,7 @@ def test_gradients_every_layer_type_and_full_model():
     # residual + pooling (parameterless) reached through a conv
     def f_pool(lv):
         y = hs.harmonic_conv(sfm, b2, lv)
-        return _sq_norm(hs.avg_pool_streams(hs.residual_add(y, sfm)).streams)
+        return _sq_norm(hs.avg_pool_streams(hs.residual_add(y, sfm)))
 
     errs["residual_pool"] = ct.finite_difference_check(
         f_pool, b2.params, sample=4)
@@ -208,16 +208,16 @@ def test_gradients_every_layer_type_and_full_model():
     px = {m: crandn(rng, 2, 4, 4) for m in hs.ORDERS}
 
     def f_blk(lv):
-        p = enc.PatchStack({m: ct.CTensor(v) for m, v in px.items()}, (2, 2))
-        return _sq_norm(blk.forward(p, lv).streams)
+        p = enc.PatchStack.from_streams(px, (2, 2))
+        return _sq_norm(blk.forward(p, lv))
 
     errs["encoder_block"] = ct.finite_difference_check(
         f_blk, blk.params, sample=4)
 
     # invariant head
     head = hd.Head("g.h", 4, 3, rng)
-    ph = enc.PatchStack({m: ct.CTensor(crandn(rng, 2, 4, 4))
-                         for m in hs.ORDERS}, (2, 2))
+    ph = enc.PatchStack.from_streams({m: crandn(rng, 2, 4, 4)
+                                      for m in hs.ORDERS}, (2, 2))
 
     def f_head(lv):
         out = head.forward(ph, lv)

@@ -27,7 +27,7 @@ def const_leaves(params):
 
 
 def rand_stack(rng, b, h, w, d, orders=(-1, 0, 1)):
-    return enc.PatchStack({m: ct.CTensor(crandn(rng, b, h * w, d)) for m in orders}, (h, w))
+    return enc.PatchStack.from_streams({m: crandn(rng, b, h * w, d) for m in orders}, (h, w))
 
 
 def rot_perm(h, w, quarter_turns=1):
@@ -40,15 +40,15 @@ def rot_stack(p, quarter_turns=1):
     """Group action on patches: row permutation + phase e^{i m alpha}."""
     perm = rot_perm(*p.grid_shape, quarter_turns)
     out = {}
-    for m, s in p.streams.items():
+    for m in p.orders:
         ph = np.exp(1j * m * quarter_turns * np.pi / 2)
-        out[m] = ct.CTensor(ph * s.data[:, perm, :])
-    return enc.PatchStack(out, p.grid_shape)
+        out[m] = ph * p.stream(m).data[:, perm, :]
+    return enc.PatchStack.from_streams(out, p.grid_shape)
 
 
 def stack_error(a, b):
-    num = max(np.linalg.norm(a.streams[m].data - b.streams[m].data) for m in a.orders)
-    den = max(np.linalg.norm(b.streams[m].data) for m in b.orders)
+    num = max(np.linalg.norm(a.stream(m).data - b.stream(m).data) for m in a.orders)
+    den = max(np.linalg.norm(b.stream(m).data) for m in b.orders)
     return num / max(den, 1e-12)
 
 
@@ -58,26 +58,26 @@ def stack_error(a, b):
 
 def test_patchify_roundtrip_and_rows():
     rng = ct.make_rng(40)
-    x = hs.StreamedFeatureMap({m: ct.CTensor(crandn(rng, 2, 3, 2, 2)) for m in (-1, 0, 1)})
+    x = hs.StreamedFeatureMap.from_streams({m: crandn(rng, 2, 3, 2, 2) for m in (-1, 0, 1)})
     p = enc.patchify(x)
-    assert p.shape == (2, 4, 3)
+    assert p.shape == (2, 3, 4, 3)
     # row i holds the channel vector at spatial position i (row-major)
-    assert np.array_equal(p.streams[0].data[1, 3], x.streams[0].data[1, :, 1, 1])
+    assert np.array_equal(p.stream(0).data[1, 3], x.stream(0).data[1, :, 1, 1])
     back = enc.unpatchify(p)
     for m in (-1, 0, 1):
-        assert np.array_equal(back.streams[m].data, x.streams[m].data)
+        assert np.array_equal(back.stream(m).data, x.stream(m).data)
 
 
 def test_patchify_rotation_is_row_permutation():
     rng = ct.make_rng(41)
-    x = hs.StreamedFeatureMap({m: ct.CTensor(crandn(rng, 1, 2, 4, 4)) for m in (-1, 0, 1)})
-    rotated = hs.StreamedFeatureMap(
-        {m: ct.CTensor(np.rot90(x.streams[m].data, -1, axes=(2, 3)).copy()) for m in (-1, 0, 1)})
+    x = hs.StreamedFeatureMap.from_streams({m: crandn(rng, 1, 2, 4, 4) for m in (-1, 0, 1)})
+    rotated = hs.StreamedFeatureMap.from_streams(
+        {m: np.rot90(x.stream(m).data, -1, axes=(2, 3)).copy() for m in (-1, 0, 1)})
     perm = rot_perm(4, 4, 1)
     p = enc.patchify(x)
     pr = enc.patchify(rotated)
     for m in (-1, 0, 1):
-        assert np.array_equal(pr.streams[m].data, p.streams[m].data[:, perm, :])
+        assert np.array_equal(pr.stream(m).data, p.stream(m).data[:, perm, :])
 
 
 # ---------------------------------------------------------------------------
@@ -90,13 +90,13 @@ def test_equi_linear_identity_zero_and_he():
     eye = ct.CTensor(np.eye(3, dtype=np.complex128))
     same = enc.equi_linear(p, eye)
     for m in (-1, 0, 1):
-        assert np.allclose(same.streams[m].data, p.streams[m].data)
+        assert np.allclose(same.stream(m).data, p.stream(m).data)
     w = ct.CTensor(crandn(rng, 3, 5))
     lhs = enc.equi_linear(rot_stack(p), w)
     rhs = rot_stack(enc.equi_linear(p, w))
     assert stack_error(lhs, rhs) < 1e-14
-    zero = p.map(lambda s: ct.CTensor(np.zeros_like(s.data)))
-    assert np.all(enc.equi_linear(zero, w).streams[0].data == 0)
+    zero = p.with_tensor(ct.CTensor(np.zeros_like(p.tensor.data)))
+    assert np.all(enc.equi_linear(zero, w).stream(0).data == 0)
     with pytest.raises(ShapeError):
         enc.equi_linear(p, ct.CTensor(crandn(rng, 4, 5)))
 
@@ -107,9 +107,9 @@ def test_equi_linear_identity_zero_and_he():
 
 def test_layer_norm_constant_column_and_eps_guard():
     col = np.array([1.0 + 0j, -1.0 + 0j]).reshape(1, 2, 1)
-    p = enc.PatchStack({0: ct.CTensor(np.concatenate([np.full((1, 2, 1), 3.3 + 1j), col], axis=2))},
-                       (2, 1))
-    y = enc.he_layer_norm(p).streams[0].data
+    p = enc.PatchStack.from_streams(
+        {0: np.concatenate([np.full((1, 2, 1), 3.3 + 1j), col], axis=2)}, (2, 1))
+    y = enc.he_layer_norm(p).stream(0).data
     assert np.max(np.abs(y[:, :, 0])) < 1e-12          # constant column -> zero
     # column [1, -1]: mean 0, centered magnitudes both 1, their std is 0,
     # so the output is [1, -1] / (0 + eps)
@@ -118,14 +118,14 @@ def test_layer_norm_constant_column_and_eps_guard():
 
 def test_layer_norm_rms_mode_differs():
     col = np.array([1.0 + 0j, -1.0 + 0j]).reshape(1, 2, 1)
-    p = enc.PatchStack({0: ct.CTensor(col)}, (2, 1))
-    y = enc.he_layer_norm(p, mode="rms").streams[0].data
+    p = enc.PatchStack.from_streams({0: col}, (2, 1))
+    y = enc.he_layer_norm(p, mode="rms").stream(0).data
     # rms of centered magnitudes is 1 -> output ~ [1, -1] / (1 + eps)
     assert np.allclose(y[:, :, 0], col[:, :, 0] / (1.0 + EPS), rtol=1e-12)
     with pytest.raises(ConfigError):
         enc.he_layer_norm(p, mode="nope")
     with pytest.raises(ShapeError):
-        enc.he_layer_norm(enc.PatchStack({0: ct.CTensor(col[:, :1])}, (1, 1)))
+        enc.he_layer_norm(enc.PatchStack.from_streams({0: col[:, :1]}, (1, 1)))
 
 
 def test_layer_norm_he_90_and_pure_phase():
@@ -135,12 +135,12 @@ def test_layer_norm_he_90_and_pure_phase():
     rhs = rot_stack(enc.he_layer_norm(p))
     assert stack_error(lhs, rhs) < 1e-12
     alpha = 0.7
-    phased = enc.PatchStack({m: ct.CTensor(np.exp(1j * m * alpha) * p.streams[m].data)
-                             for m in p.orders}, p.grid_shape)
+    phased = enc.PatchStack.from_streams({m: np.exp(1j * m * alpha) * p.stream(m).data
+                                          for m in p.orders}, p.grid_shape)
     lhs2 = enc.he_layer_norm(phased)
     base = enc.he_layer_norm(p)
-    rhs2 = enc.PatchStack({m: ct.CTensor(np.exp(1j * m * alpha) * base.streams[m].data)
-                           for m in p.orders}, p.grid_shape)
+    rhs2 = enc.PatchStack.from_streams({m: np.exp(1j * m * alpha) * base.stream(m).data
+                                        for m in p.orders}, p.grid_shape)
     assert stack_error(lhs2, rhs2) < 1e-12
 
 
@@ -230,7 +230,7 @@ def test_rpe_buckets_symmetric_distance_only():
     rng = ct.make_rng(47)
     leaves = {"rpe.bias": ct.CTensor(rng.standard_normal((2, 16)))}
     for head in (0, 1):
-        mat = rpe.bias_matrix(leaves, head).data
+        mat = rpe.bias_matrix(leaves).data[head]
         for q in (1, 2, 3):
             perm = rot_perm(4, 4, q)
             assert np.array_equal(mat[perm][:, perm], mat)   # B = P B P^T exactly
@@ -252,7 +252,7 @@ def make_block(rng, d=4, heads=1, grid=(2, 2), **kw):
 def test_msa_single_patch_attention_is_identity_weight():
     rng = ct.make_rng(48)
     d = 3
-    p = enc.PatchStack({m: ct.CTensor(crandn(rng, 1, 1, d)) for m in (-1, 0, 1)}, (1, 1))
+    p = enc.PatchStack.from_streams({m: crandn(rng, 1, 1, d) for m in (-1, 0, 1)}, (1, 1))
     leaves = {
         "m.wq": ct.CTensor(np.eye(d, dtype=np.complex128)),
         "m.wk": ct.CTensor(np.eye(d, dtype=np.complex128)),
@@ -261,10 +261,10 @@ def test_msa_single_patch_attention_is_identity_weight():
     }
     out = enc.msa_forward(p, leaves, "m", heads=1, keep_phase=False)
     for m in (-1, 0, 1):
-        assert np.allclose(out.streams[m].data, p.streams[m].data, atol=1e-12)
+        assert np.allclose(out.stream(m).data, p.stream(m).data, atol=1e-12)
     kept = enc.msa_forward(p, leaves, "m", heads=1, keep_phase=True)
     for m in (-1, 0, 1):
-        assert np.allclose(np.abs(kept.streams[m].data), np.abs(p.streams[m].data), atol=1e-12)
+        assert np.allclose(np.abs(kept.stream(m).data), np.abs(p.stream(m).data), atol=1e-12)
 
 
 @pytest.mark.parametrize("strategy", enc.STRATEGIES)
@@ -289,7 +289,7 @@ def test_head_width_decoupled_from_model_dim():
     p = rand_stack(rng, 1, 2, 2, 4)
     leaves = const_leaves(blk.params)
     out = blk.forward(p, leaves)
-    assert out.shape == (1, 4, 4)
+    assert out.shape == (1, 3, 4, 4)
     lhs = blk.forward(rot_stack(p), leaves)
     rhs = rot_stack(blk.forward(p, leaves))
     assert stack_error(lhs, rhs) < 1e-8
@@ -318,14 +318,14 @@ def phase_np(z):
 def test_mixing_all_matches_enumeration_oracle():
     rng = ct.make_rng(51)
     n, d = 2, 2
-    p = enc.PatchStack({m: ct.CTensor(crandn(rng, 1, n, d)) for m in (-1, 0, 1)}, (2, 1))
+    p = enc.PatchStack.from_streams({m: crandn(rng, 1, n, d) for m in (-1, 0, 1)}, (2, 1))
     eye = np.eye(d, dtype=np.complex128)
     leaves = {f"m.w{x}": ct.CTensor(eye) for x in "qkvo"}
     out = enc.msa_forward(p, leaves, "m", heads=1, strategy="mixing_all")
 
     # independent enumeration: dot products grouped by m_q - m_k, softmax on
     # magnitudes per group (phases kept), every valid (group, value) pairing
-    f = {m: p.streams[m].data[0] for m in (-1, 0, 1)}
+    f = {m: p.stream(m).data[0] for m in (-1, 0, 1)}
     groups = {}
     triples = 0
     for mq in (-1, 0, 1):
@@ -342,23 +342,23 @@ def test_mixing_all_matches_enumeration_oracle():
                 expected[md + mv] += a @ f[mv]
     assert triples == 19                                # valid triples of the 27
     for m in (-1, 0, 1):
-        assert np.max(np.abs(out.streams[m].data[0] - expected[m])) < 1e-12
+        assert np.max(np.abs(out.stream(m).data[0] - expected[m])) < 1e-12
 
 
 def test_cross_values_uses_order0_attention_only():
     rng = ct.make_rng(52)
     n, d = 3, 2
-    streams = {m: ct.CTensor(crandn(rng, 1, n, d)) for m in (-1, 0, 1)}
-    p = enc.PatchStack(streams, (3, 1))
+    streams = {m: crandn(rng, 1, n, d) for m in (-1, 0, 1)}
+    p = enc.PatchStack.from_streams(streams, (3, 1))
     eye = np.eye(d, dtype=np.complex128)
     leaves = {f"m.w{x}": ct.CTensor(eye) for x in "qkvo"}
     out = enc.msa_forward(p, leaves, "m", heads=1, strategy="cross_values")
-    f0 = streams[0].data[0]
+    f0 = streams[0][0]
     s = f0 @ f0.conj().T / np.sqrt(d)
     a = softmax_np(np.abs(s)) * phase_np(s)
     for m in (-1, 0, 1):
-        expected = a @ streams[m].data[0]
-        assert np.max(np.abs(out.streams[m].data[0] - expected)) < 1e-12
+        expected = a @ streams[m][0]
+        assert np.max(np.abs(out.stream(m).data[0] - expected)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +374,7 @@ def test_block_zero_projections_is_identity():
     p = rand_stack(rng, 2, 2, 2, 4)
     out = blk.forward(p, const_leaves(params))
     for m in (-1, 0, 1):
-        assert np.array_equal(out.streams[m].data, p.streams[m].data)
+        assert np.array_equal(out.stream(m).data, p.stream(m).data)
 
 
 def test_three_stacked_blocks_he_at_90():
@@ -398,11 +398,11 @@ def test_block_gradients_match_finite_differences():
     t = {m: crandn(rng, 1, 4, 2) for m in (-1, 0, 1)}
 
     def f(leaves):
-        p = enc.PatchStack({m: ct.CTensor(x[m]) for m in (-1, 0, 1)}, (2, 2))
+        p = enc.PatchStack.from_streams(x, (2, 2))
         y = blk.forward(p, leaves)
         total = None
         for m in (-1, 0, 1):
-            dm = ct.magnitude(ct.sub(y.streams[m], ct.CTensor(t[m])))
+            dm = ct.magnitude(ct.sub(y.stream(m), ct.CTensor(t[m])))
             term = ct.sum_(ct.mul(dm, dm))
             total = term if total is None else ct.add(total, term)
         return total
@@ -415,8 +415,8 @@ def test_magnitude_dropout_shared_mask():
     rng = ct.make_rng(56)
     p = rand_stack(rng, 2, 2, 2, 4)
     out = enc.magnitude_dropout(p, 0.5, ct.make_rng(3), train=True)
-    ratio0 = out.streams[0].data / p.streams[0].data
+    ratio0 = out.stream(0).data / p.stream(0).data
     for m in (-1, 0, 1):
-        ratio = out.streams[m].data / p.streams[m].data
+        ratio = out.stream(m).data / p.stream(m).data
         assert np.allclose(ratio, ratio0)
     assert enc.magnitude_dropout(p, 0.5, ct.make_rng(3), train=False) is p

@@ -14,13 +14,13 @@ def crandn(rng, *shape):
 
 
 def rand_stack(rng, b, h, w, d):
-    return enc.PatchStack({m: ct.CTensor(crandn(rng, b, h * w, d)) for m in (-1, 0, 1)}, (h, w))
+    return enc.PatchStack.from_streams({m: crandn(rng, b, h * w, d) for m in (-1, 0, 1)}, (h, w))
 
 
 def test_readout_single_patch_magnitudes():
     vals = {-1: 1.0 + 0j, 0: 0.0 + 1j, 1: -1.0 + 0j}
-    p = enc.PatchStack({m: ct.CTensor(np.array(v).reshape(1, 1, 1)) for m, v in vals.items()},
-                       (1, 1))
+    p = enc.PatchStack.from_streams({m: np.array(v).reshape(1, 1, 1) for m, v in vals.items()},
+                                    (1, 1))
     feat = hd.invariant_readout(p).data
     assert feat.shape == (1, 3)
     assert np.allclose(feat, [[1.0, 1.0, 1.0]])
@@ -28,8 +28,8 @@ def test_readout_single_patch_magnitudes():
 
 
 def test_readout_zero_input():
-    p = enc.PatchStack({m: ct.CTensor(np.zeros((2, 4, 3), dtype=np.complex128))
-                        for m in (-1, 0, 1)}, (2, 2))
+    p = enc.PatchStack.from_streams({m: np.zeros((2, 4, 3), dtype=np.complex128)
+                                     for m in (-1, 0, 1)}, (2, 2))
     assert np.all(hd.invariant_readout(p).data == 0)
 
 
@@ -41,12 +41,12 @@ def test_readout_invariant_under_rotation_action():
     for q in (1, 2, 3):
         perm = np.rot90(idx, -q).ravel()
         # exact unit phases (1, i, -1, -i), so each magnitude is bit-identical
-        rotated = enc.PatchStack(
-            {m: ct.CTensor((1j ** (m * q % 4)) * p.streams[m].data[:, perm, :])
+        rotated = enc.PatchStack.from_streams(
+            {m: (1j ** (m * q % 4)) * p.stream(m).data[:, perm, :]
              for m in (-1, 0, 1)}, (3, 3))
         for m in (-1, 0, 1):
-            assert np.array_equal(np.abs(rotated.streams[m].data),
-                                  np.abs(p.streams[m].data)[:, perm, :])
+            assert np.array_equal(np.abs(rotated.stream(m).data),
+                                  np.abs(p.stream(m).data)[:, perm, :])
         # pooling over permuted rows differs only by summation order
         assert np.max(np.abs(hd.invariant_readout(rotated).data - feat)) < 1e-14
 

@@ -21,8 +21,8 @@ def const_leaves(params):
 
 
 def rand_sfm(rng, orders, b, c, h, w):
-    return hs.StreamedFeatureMap(
-        {m: ct.CTensor(rng.standard_normal((b, c, h, w)) + 1j * rng.standard_normal((b, c, h, w)))
+    return hs.StreamedFeatureMap.from_streams(
+        {m: rng.standard_normal((b, c, h, w)) + 1j * rng.standard_normal((b, c, h, w))
          for m in orders})
 
 
@@ -35,15 +35,15 @@ def rot_grid(arr, quarter_turns):
 def rot_sfm(x, quarter_turns=1):
     """The group action on streams: spatial rotation plus phase e^{i m alpha}."""
     out = {}
-    for m, s in x.streams.items():
+    for m in x.orders:
         ph = np.exp(1j * m * quarter_turns * np.pi / 2)
-        out[m] = ct.CTensor(ph * rot_grid(s.data, quarter_turns))
-    return hs.StreamedFeatureMap(out)
+        out[m] = ph * rot_grid(x.stream(m).data, quarter_turns)
+    return hs.StreamedFeatureMap.from_streams(out)
 
 
 def sfm_error(a, b):
-    num = max(np.linalg.norm(a.streams[m].data - b.streams[m].data) for m in a.orders)
-    den = max(np.linalg.norm(b.streams[m].data) for m in b.orders)
+    num = max(np.linalg.norm(a.stream(m).data - b.stream(m).data) for m in a.orders)
+    den = max(np.linalg.norm(b.stream(m).data) for m in b.orders)
     return num / max(den, 1e-12)
 
 
@@ -117,7 +117,7 @@ def test_impulse_response_is_point_reflected_kernel():
     for m in (-1, 0, 1):
         base = f"lift.f+0{m:+d}"
         kern = hs.synthesize_block(leaves[f"{base}.radial"], leaves[f"{base}.phase"], m, 5).data[0, 0]
-        assert np.max(np.abs(y.streams[m].data[0, 0] - kern[::-1, ::-1])) < 1e-14
+        assert np.max(np.abs(y.stream(m).data[0, 0] - kern[::-1, ::-1])) < 1e-14
 
 
 def test_lemma1_rot90_equivariance_full_streams():
@@ -147,16 +147,16 @@ def test_harmonic_conv_zero_input_and_shape_errors():
     rng = ct.make_rng(24)
     bank = hs.HarmonicFilterBank("hc", (-1, 0, 1), (-1, 0, 1), 2, 2, 3, rng)
     leaves = const_leaves(bank.params)
-    zero = hs.StreamedFeatureMap(
-        {m: ct.CTensor(np.zeros((1, 2, 6, 6), dtype=np.complex128)) for m in (-1, 0, 1)})
+    zero = hs.StreamedFeatureMap.from_streams(
+        {m: np.zeros((1, 2, 6, 6), dtype=np.complex128) for m in (-1, 0, 1)})
     y = hs.harmonic_conv(zero, bank, leaves)
     for m in (-1, 0, 1):
-        assert np.all(y.streams[m].data == 0)
-    bad_ch = hs.StreamedFeatureMap(
-        {m: ct.CTensor(np.zeros((1, 3, 6, 6), dtype=np.complex128)) for m in (-1, 0, 1)})
+        assert np.all(y.stream(m).data == 0)
+    bad_ch = hs.StreamedFeatureMap.from_streams(
+        {m: np.zeros((1, 3, 6, 6), dtype=np.complex128) for m in (-1, 0, 1)})
     with pytest.raises(ShapeError):
         hs.harmonic_conv(bad_ch, bank, leaves)
-    lone = hs.StreamedFeatureMap({0: ct.CTensor(np.zeros((1, 2, 6, 6), dtype=np.complex128))})
+    lone = hs.StreamedFeatureMap.from_streams({0: np.zeros((1, 2, 6, 6), dtype=np.complex128)})
     with pytest.raises(ShapeError):
         hs.harmonic_conv(lone, bank, leaves)
     with pytest.raises(ConfigError):
@@ -177,8 +177,8 @@ def test_projection_bank_restricted_to_order_zero_filters():
     leaves = const_leaves(proj.params)
     x = rand_sfm(rng, (0,), 1, 2, 4, 4)
     y = hs.harmonic_conv(x, proj, leaves, padding=0)
-    assert np.all(y.streams[-1].data == 0) and np.all(y.streams[1].data == 0)
-    assert np.any(y.streams[0].data != 0)
+    assert np.all(y.stream(-1).data == 0) and np.all(y.stream(1).data == 0)
+    assert np.any(y.stream(0).data != 0)
     with pytest.raises(ConfigError):
         hs.HarmonicFilterBank("q", (0,), (1,), 1, 1, 1, rng, filter_orders=(0,))
 
@@ -189,11 +189,11 @@ def test_projection_bank_restricted_to_order_zero_filters():
 
 def test_hbn_crelu_hand_computed_batch():
     # batch magnitudes {1, 3}: mean 2, population variance 1
-    x = hs.StreamedFeatureMap(
-        {0: ct.CTensor(np.array([1.0 * np.exp(1j * 0.2), 3.0 * np.exp(1j * np.pi / 3)]).reshape(2, 1, 1, 1))})
+    x = hs.StreamedFeatureMap.from_streams(
+        {0: np.array([1.0 * np.exp(1j * 0.2), 3.0 * np.exp(1j * np.pi / 3)]).reshape(2, 1, 1, 1)})
     state = hs.HBatchNormState("bn", 1, orders=(0,))
     y = hs.hbn_crelu(x, state, const_leaves(state.params), train=True)
-    out = y.streams[0].data.reshape(2)
+    out = y.stream(0).data.reshape(2)
     expected_hi = (1.0 / np.sqrt(1.0 + EPS)) * np.exp(1j * np.pi / 3)
     assert out[0] == 0.0                            # ReLU((1-2)/...) = 0
     assert abs(out[1] - expected_hi) < 1e-12
@@ -210,11 +210,11 @@ def test_hbn_crelu_nonnegative_and_phase_preserving():
     params["bn.b"] = np.full(4, -0.3)               # force some clipping
     y = hs.hbn_crelu(x, state, const_leaves(params), train=True)
     for m in (-1, 0, 1):
-        mag = np.abs(y.streams[m].data)
+        mag = np.abs(y.stream(m).data)
         assert np.min(mag) >= 0
         keep = mag > 1e-9
-        pin = x.streams[m].data / np.abs(x.streams[m].data)
-        pout = np.where(keep, y.streams[m].data / np.where(keep, mag, 1.0), pin)
+        pin = x.stream(m).data / np.abs(x.stream(m).data)
+        pout = np.where(keep, y.stream(m).data / np.where(keep, mag, 1.0), pin)
         assert np.max(np.abs(pout - pin)) < 1e-12
         assert np.any(~keep)                        # clipping actually happened
 
@@ -226,15 +226,15 @@ def test_hbn_crelu_kill_all_with_large_negative_shift():
     params = dict(state.params)
     params["bn.b"] = np.full(2, -10.0)
     y = hs.hbn_crelu(x, state, const_leaves(params), train=True)
-    assert np.all(y.streams[0].data == 0)
+    assert np.all(y.stream(0).data == 0)
 
 
 def test_hbn_crelu_eval_uses_initial_stats():
-    x = hs.StreamedFeatureMap({0: ct.CTensor(np.full((1, 1, 1, 1), 2.0 + 0j))})
+    x = hs.StreamedFeatureMap.from_streams({0: np.full((1, 1, 1, 1), 2.0 + 0j)})
     state = hs.HBatchNormState("bn", 1, orders=(0,))
     y = hs.hbn_crelu(x, state, const_leaves(state.params), train=False)
     # initialized stats mu=0, var=1: ReLU(2/sqrt(1+eps))
-    assert y.streams[0].data.reshape(()) == pytest.approx(2.0 / np.sqrt(1 + EPS), rel=1e-12)
+    assert y.stream(0).data.reshape(()) == pytest.approx(2.0 / np.sqrt(1 + EPS), rel=1e-12)
 
 
 def test_hbn_crelu_rot90_he():
@@ -254,19 +254,19 @@ def test_hbn_crelu_rot90_he():
 # ---------------------------------------------------------------------------
 
 def test_legacy_crelu_kills_small_magnitudes():
-    x = hs.StreamedFeatureMap({0: ct.CTensor(np.full((1, 1, 1, 1), 2.0 * np.exp(1j * 0.4)))})
+    x = hs.StreamedFeatureMap.from_streams({0: np.full((1, 1, 1, 1), 2.0 * np.exp(1j * 0.4))})
     y = hs.legacy_crelu(x, ct.CTensor(np.array([-3.0])))
-    assert y.streams[0].data.reshape(()) == 0.0
+    assert y.stream(0).data.reshape(()) == 0.0
 
 
 def test_legacy_cbn_negative_gamma_flips_phase():
-    x = hs.StreamedFeatureMap(
-        {0: ct.CTensor(np.array([1.0, 3.0]).astype(np.complex128).reshape(2, 1, 1, 1) * np.exp(1j * 0.7))})
+    x = hs.StreamedFeatureMap.from_streams(
+        {0: np.array([1.0, 3.0]).astype(np.complex128).reshape(2, 1, 1, 1) * np.exp(1j * 0.7)})
     state = hs.HBatchNormState("bn", 1, orders=(0,))
     params = dict(state.params)
     params["bn.a"] = np.array([-1.0])               # gamma < 0
     y = hs.legacy_cbn(x, state, const_leaves(params), train=True)
-    out = y.streams[0].data.reshape(2)
+    out = y.stream(0).data.reshape(2)
     # element with magnitude 3 normalizes to +1, gamma flips it to -1:
     # the "magnitude" path went negative -> phase rotated by pi
     assert out[1].real < 0 or out[1].imag < 0
@@ -281,29 +281,29 @@ def test_legacy_cbn_negative_gamma_flips_phase():
 def test_residual_add_laws():
     rng = ct.make_rng(28)
     a = rand_sfm(rng, (-1, 0, 1), 1, 2, 3, 3)
-    zero = a.map(lambda s: ct.CTensor(np.zeros_like(s.data)))
+    zero = a.with_tensor(ct.CTensor(np.zeros_like(a.tensor.data)))
     same = hs.residual_add(a, zero)
     twice = hs.residual_add(a, a)
     for m in (-1, 0, 1):
-        assert np.array_equal(same.streams[m].data, a.streams[m].data)
-        assert np.allclose(twice.streams[m].data, 2 * a.streams[m].data)
+        assert np.array_equal(same.stream(m).data, a.stream(m).data)
+        assert np.allclose(twice.stream(m).data, 2 * a.stream(m).data)
     lhs = hs.residual_add(rot_sfm(a), rot_sfm(a))
     rhs = rot_sfm(twice)
     assert sfm_error(lhs, rhs) < 1e-14
     with pytest.raises(ShapeError):
-        hs.residual_add(a, hs.StreamedFeatureMap({0: a.streams[0]}))
+        hs.residual_add(a, hs.StreamedFeatureMap.from_streams({0: a.stream(0).data}))
 
 
 def test_avg_pool_streams():
     rng = ct.make_rng(29)
-    const = hs.StreamedFeatureMap(
-        {m: ct.CTensor(np.full((1, 1, 4, 4), 0.3 + 0.4j)) for m in (-1, 0, 1)})
+    const = hs.StreamedFeatureMap.from_streams(
+        {m: np.full((1, 1, 4, 4), 0.3 + 0.4j) for m in (-1, 0, 1)})
     pooled = hs.avg_pool_streams(const)
     for m in (-1, 0, 1):
-        assert np.allclose(pooled.streams[m].data, 0.3 + 0.4j)
+        assert np.allclose(pooled.stream(m).data, 0.3 + 0.4j)
     checker = np.indices((4, 4)).sum(axis=0) % 2 * 2.0 - 1.0
-    x = hs.StreamedFeatureMap({0: ct.CTensor(checker[None, None].astype(np.complex128))})
-    assert np.max(np.abs(hs.avg_pool_streams(x).streams[0].data)) == 0.0
+    x = hs.StreamedFeatureMap.from_streams({0: checker[None, None].astype(np.complex128)})
+    assert np.max(np.abs(hs.avg_pool_streams(x).stream(0).data)) == 0.0
     y = rand_sfm(rng, (-1, 0, 1), 1, 2, 6, 6)
     lhs = hs.avg_pool_streams(rot_sfm(y))
     rhs = rot_sfm(hs.avg_pool_streams(y))
@@ -314,9 +314,9 @@ def test_channel_dropout_consistent_across_streams():
     rng = ct.make_rng(30)
     x = rand_sfm(rng, (-1, 0, 1), 2, 8, 3, 3)
     out = hs.channel_dropout(x, 0.5, ct.make_rng(7), train=True)
-    ref = out.streams[0].data / np.where(x.streams[0].data == 0, 1, x.streams[0].data)
+    ref = out.stream(0).data / np.where(x.stream(0).data == 0, 1, x.stream(0).data)
     for m in (-1, 0, 1):
-        ratio = out.streams[m].data / x.streams[m].data
+        ratio = out.stream(m).data / x.stream(m).data
         assert np.allclose(ratio, ref)             # same mask on every stream
         vals = np.unique(np.round(ratio.real, 9))
         assert set(vals).issubset({0.0, 2.0})      # dropped or scaled by 1/(1-p)
@@ -335,10 +335,10 @@ def test_stem_shapes_and_zero_image():
     img = ct.CTensor(rng.standard_normal((2, 1, 16, 16)))
     y = stem.forward(img, leaves, train=False)
     assert y.orders == (-1, 0, 1)
-    assert y.shape == (2, 3, 4, 4)
+    assert y.shape == (2, 3, 3, 4, 4)
     z = stem.forward(ct.CTensor(np.zeros((1, 1, 16, 16))), leaves, train=False)
     for m in (-1, 0, 1):
-        assert np.all(z.streams[m].data == 0)
+        assert np.all(z.stream(m).data == 0)
 
 
 def test_stem_rot90_he_end_to_end():
@@ -368,7 +368,7 @@ def test_stem_gradients_match_finite_differences():
         y = stem.forward(ct.CTensor(img), leaves, train=False)
         total = None
         for m in (-1, 0, 1):
-            d = ct.sub(y.streams[m], ct.CTensor(targets[m]))
+            d = ct.sub(y.stream(m), ct.CTensor(targets[m]))
             dm = ct.magnitude(d)
             term = ct.sum_(ct.mul(dm, dm))
             total = term if total is None else ct.add(total, term)
@@ -385,7 +385,7 @@ def test_stem_legacy_variant_runs():
     leaves = const_leaves(stem.params)
     img = ct.CTensor(rng.standard_normal((1, 1, 8, 8)))
     y = stem.forward(img, leaves, train=True)
-    assert y.shape == (1, 2, 4, 4)
+    assert y.shape == (1, 3, 2, 4, 4)
     assert any(k.endswith("act0.bias") for k in stem.params)
 
 
@@ -396,7 +396,7 @@ def test_layer_norm_streams_matches_encoder_norm():
     got = hs.layer_norm_streams(x)
     want = enc.unpatchify(enc.he_layer_norm(enc.patchify(x)))
     for m in (-1, 0, 1):
-        assert np.max(np.abs(got.streams[m].data - want.streams[m].data)) < 1e-13
+        assert np.max(np.abs(got.stream(m).data - want.stream(m).data)) < 1e-13
 
 
 def test_stem_layernorm_variant_he_and_params():
@@ -409,7 +409,7 @@ def test_stem_layernorm_variant_he_and_params():
     leaves = const_leaves(stem.params)
     img = rng.standard_normal((1, 1, 16, 16))
     out = stem.forward(ct.CTensor(img), leaves, train=False)
-    assert out.shape == (1, 3, 4, 4)
+    assert out.shape == (1, 3, 3, 4, 4)
     for q in (1, 2, 3):
         lhs = stem.forward(ct.CTensor(rot_grid(img, q)), leaves, train=False)
         assert sfm_error(lhs, rot_sfm(out, q)) < 1e-10, q
