@@ -496,19 +496,7 @@ def softmax(a: CTensor, axis: int = -1) -> CTensor:
 # spatial ops (NCHW layout)
 # ---------------------------------------------------------------------------
 
-_CONV_BACKEND = "auto"   # "gemm" | "fft" | "auto"
-
-
-def set_conv_backend(name: str):
-    global _CONV_BACKEND
-    if name not in ("gemm", "fft", "auto"):
-        raise ValueError(f"unknown conv backend {name!r}")
-    _CONV_BACKEND = name
-
-
 def _pick_backend(h: int, w: int) -> str:
-    if _CONV_BACKEND != "auto":
-        return _CONV_BACKEND
     # FFT wins once the spatial map is large enough to amortize transforms
     return "fft" if h * w >= 256 else "gemm"
 

@@ -88,11 +88,34 @@ def he_error(fwd, x, m: int, alpha_deg: float, rotate_features,
     """
     rotate_input = rotate_features if rotate_input is None else rotate_input
     got = np.asarray(fwd(rotate_input(x)))
-    want = np.exp(1j * m * np.deg2rad(alpha_deg)) * np.asarray(rotate_features(fwd(x)))
+    return _law_error(got, np.asarray(rotate_features(fwd(x))), m, alpha_deg, mask)
+
+
+def _law_error(got: np.ndarray, moved: np.ndarray, m: int, alpha_deg: float,
+               mask: np.ndarray | None) -> float:
+    """he_error's comparison of F_m(rot(x)) with e^{i m alpha} times the
+    rotated features `moved`."""
+    want = np.exp(1j * m * np.deg2rad(alpha_deg)) * moved
     if mask is not None:
         got, want = got[..., mask], want[..., mask]
-    num = np.linalg.norm((got - want).ravel())
-    return float(num / max(EPS, np.linalg.norm(got.ravel())))
+    return _rel(got, want)
+
+
+def _order_law(fwd, x, angles, rotate_input, rotate_features,
+               mask: np.ndarray | None = None) -> list:
+    """he_error for every order at every angle, as [(angle, m, error)], from
+    one forward of x and one forward per angle.
+
+    `fwd` maps an input to its (B, O, ...) output over ORDERS; the rotations
+    take (array, angle) and act on whole order-axis arrays.
+    """
+    base = fwd(x)
+    errors = []
+    for alpha in angles:
+        got, moved = fwd(rotate_input(x, alpha)), rotate_features(base, alpha)
+        errors += [(alpha, m, _law_error(got[:, i], moved[:, i], m, alpha, mask))
+                   for i, m in enumerate(hs.ORDERS)]
+    return errors
 
 
 def phase_preservation_error(before: np.ndarray, after: np.ndarray,
@@ -107,24 +130,41 @@ def phase_preservation_error(before: np.ndarray, after: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# the group action on per-order arrays
+# the group action on order-axis arrays
 # ---------------------------------------------------------------------------
 
-def rotate_sfm_arrays(arrays: dict, q: int) -> dict:
-    """Group action on raw stream arrays: spatial rotation + phase."""
-    return {m: np.exp(1j * m * q * np.pi / 2) * rot90_grid(a, q)
-            for m, a in arrays.items()}
+def rot90_orders(arr: np.ndarray, quarter_turns: int, grid_shape=None) -> np.ndarray:
+    """Spatial part of the action on (B, O, ...) arrays: feature maps
+    (B, O, C, H, W) rotate their last two axes; patch stacks (B, O, n, d)
+    from an (h, w) `grid_shape` permute their rows."""
+    if grid_shape is None:
+        return rot90_grid(arr, quarter_turns)
+    return np.take(arr, rot90_rows(*grid_shape, quarter_turns), axis=2)
 
 
-def rotate_stack_arrays(arrays: dict, grid_shape, q: int) -> dict:
-    perm = rot90_rows(*grid_shape, q)
-    return {m: np.exp(1j * m * q * np.pi / 2) * a[:, perm, :]
-            for m, a in arrays.items()}
+def rotate_orders(arr: np.ndarray, orders, quarter_turns: int,
+                  grid_shape=None) -> np.ndarray:
+    """Group action on an order-axis array: rotation plus the phase
+    e^{i m q pi/2} on the slice of each order m in `orders`."""
+    moved = rot90_orders(arr, quarter_turns, grid_shape)
+    return np.stack([np.exp(1j * m * quarter_turns * np.pi / 2) * moved[:, i]
+                     for i, m in enumerate(orders)], axis=1)
+
+
+def _draw(rng: np.random.Generator, shape: tuple, n: int = len(hs.ORDERS)) -> np.ndarray:
+    """n complex normal arrays of `shape`, drawn in turn, stacked on axis 1."""
+    return np.stack([rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                     for _ in range(n)], axis=1)
 
 
 # ---------------------------------------------------------------------------
 # the lemma suite
 # ---------------------------------------------------------------------------
+
+def _stem_streams(model: hm.Model, leaves: dict, image: np.ndarray) -> np.ndarray:
+    """The stem's features of an image batch as a (B, O, C, H, W) array."""
+    return hs.embed_orders(model.stem.forward(ct.CTensor(image), leaves)).tensor.data
+
 
 def _entry(check, order, angle, error, threshold, witness=False):
     passed = error >= threshold if witness else error < threshold
@@ -156,60 +196,52 @@ def verify_all_lemmas(seed: int = 0, precision: str = "f64",
     entries = []
     quarters = (1, 2, 3)
 
+    def grid_law(check, fwd, x, rotate_input, grid_shape=None,
+                 threshold=TOLERANCES["grid_lemma"]):
+        """Entries of `check` for every order at every quarter turn;
+        `rotate_input` takes (array, quarter turns)."""
+        for alpha, m, err in _order_law(
+                fwd, x, [90 * q for q in quarters],
+                lambda a, alpha: rotate_input(a, alpha // 90),
+                lambda f, alpha: rot90_orders(f, alpha // 90, grid_shape)):
+            entries.append(_entry(check, m, alpha, err, threshold))
+
+    def stack_law(check, fwd, x, grid_shape):
+        """grid_law for a map of (B, O, n, d) patch stacks over ORDERS."""
+        grid_law(check,
+                 lambda a: fwd(enc.PatchStack(ct.CTensor(a), hs.ORDERS, grid_shape)).tensor.data,
+                 x, lambda a, q: rotate_orders(a, hs.ORDERS, q, grid_shape), grid_shape)
+
     # Lemma 1: harmonic convolution sums rotation orders (lifting + full)
     rng = ct.derive_rng(seed, "lemma1")
     for tag, in_orders, c_in in (("lift", (0,), 1), ("full", hs.ORDERS, 2)):
         bank = hs.HarmonicFilterBank(f"c_{tag}", in_orders, hs.ORDERS, c_in, 2, 3, rng)
         leaves = {k: ct.CTensor(v) for k, v in bank.params.items()}
-        x = {m: (rng.standard_normal((1, c_in, 8, 8))
-                 + 1j * rng.standard_normal((1, c_in, 8, 8))) for m in in_orders}
-
-        def conv_m(arrays, m_out, bank=bank, leaves=leaves):
-            sfm = hs.StreamedFeatureMap.from_streams(arrays)
-            return hs.harmonic_conv(sfm, bank, leaves).stream(m_out).data
-
-        for q in quarters:
-            for m_out in hs.ORDERS:
-                err = he_error(lambda a, mo=m_out: conv_m(a, mo), x, m_out, 90 * q,
-                               lambda f: rot90_grid(f, q),
-                               rotate_input=lambda a: rotate_sfm_arrays(a, q))
-                entries.append(_entry(f"lemma1_conv_{tag}", m_out, 90 * q, err,
-                                      TOLERANCES["grid_conv"]))
+        x = _draw(rng, (1, c_in, 8, 8), len(in_orders))
+        grid_law(f"lemma1_conv_{tag}",
+                 lambda a: hs.harmonic_conv(hs.StreamedFeatureMap(ct.CTensor(a), in_orders),
+                                            bank, leaves).tensor.data,
+                 x, lambda a, q: rotate_orders(a, in_orders, q),
+                 threshold=TOLERANCES["grid_conv"])
 
     # Lemma 2: residual addition preserves the per-order law
     rng = ct.derive_rng(seed, "lemma2")
-    a = {m: rng.standard_normal((1, 2, 6, 6)) + 1j * rng.standard_normal((1, 2, 6, 6))
-         for m in hs.ORDERS}
-    b = {m: rng.standard_normal((1, 2, 6, 6)) + 1j * rng.standard_normal((1, 2, 6, 6))
-         for m in hs.ORDERS}
+    a = _draw(rng, (1, 2, 6, 6))
+    b = _draw(rng, (1, 2, 6, 6))
     for q in quarters:
-        ra, rb = rotate_sfm_arrays(a, q), rotate_sfm_arrays(b, q)
-        for m in hs.ORDERS:
-            err = _rel(ra[m] + rb[m],
-                       np.exp(1j * m * q * np.pi / 2) * rot90_grid(a[m] + b[m], q))
+        ra, rb = rotate_orders(a, hs.ORDERS, q), rotate_orders(b, hs.ORDERS, q)
+        for i, m in enumerate(hs.ORDERS):
+            err = _rel(ra[:, i] + rb[:, i],
+                       np.exp(1j * m * q * np.pi / 2) * rot90_grid(a[:, i] + b[:, i], q))
             entries.append(_entry("lemma2_residual", m, 90 * q, err,
                                   TOLERANCES["grid_lemma"]))
 
     # Lemmas 3/4: shared linear map and layer norm on patch stacks
     rng = ct.derive_rng(seed, "lemma34")
-    p = {m: rng.standard_normal((1, 9, 4)) + 1j * rng.standard_normal((1, 9, 4))
-         for m in hs.ORDERS}
+    p = _draw(rng, (1, 9, 4))
     w = ct.CTensor(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-
-    def stack_fn(arrays, fn, m_out):
-        stack = enc.PatchStack.from_streams(arrays, (3, 3))
-        return fn(stack).stream(m_out).data
-
-    for fn, name in ((lambda s: enc.equi_linear(s, w), "lemma3_equi_linear"),
-                     (enc.he_layer_norm, "lemma4_layer_norm")):
-        for q in quarters:
-            perm = rot90_rows(3, 3, q)
-            for m in hs.ORDERS:
-                err = he_error(
-                    lambda arr, f=fn, mo=m: stack_fn(arr, f, mo), p, m, 90 * q,
-                    lambda f: f[:, perm, :],
-                    rotate_input=lambda arr: rotate_stack_arrays(arr, (3, 3), q))
-                entries.append(_entry(name, m, 90 * q, err, TOLERANCES["grid_lemma"]))
+    stack_law("lemma3_equi_linear", lambda s: enc.equi_linear(s, w), p, (3, 3))
+    stack_law("lemma4_layer_norm", enc.he_layer_norm, p, (3, 3))
 
     # Lemma 5: dot products subtract orders; Lemma 6: matmul adds them
     rng = ct.derive_rng(seed, "lemma56")
@@ -259,22 +291,11 @@ def verify_all_lemmas(seed: int = 0, precision: str = "f64",
     params = dict(blk.params)
     params["vb.rpe.bias"] = rng.standard_normal((2, 16)) * 0.3
     leaves = {k: ct.CTensor(v) for k, v in params.items()}
-    px = {m: rng.standard_normal((1, 9, 4)) + 1j * rng.standard_normal((1, 9, 4))
-          for m in hs.ORDERS}
+    px = _draw(rng, (1, 9, 4))
     for strategy in enc.STRATEGIES:
-        def msa_m(arrays, m_out, strategy=strategy):
-            stack = enc.PatchStack.from_streams(arrays, (3, 3))
-            out = enc.msa_forward(stack, leaves, "vb", 2, strategy, blk.rpe, True, 2)
-            return out.stream(m_out).data
-        for q in quarters:
-            perm = rot90_rows(3, 3, q)
-            for m in hs.ORDERS:
-                err = he_error(
-                    lambda arr, mo=m: msa_m(arr, mo), px, m, 90 * q,
-                    lambda feat: feat[:, perm, :],
-                    rotate_input=lambda arr: rotate_stack_arrays(arr, (3, 3), q))
-                entries.append(_entry(f"msa_{strategy}", m, 90 * q, err,
-                                      TOLERANCES["grid_lemma"]))
+        stack_law(f"msa_{strategy}",
+                  lambda s: enc.msa_forward(s, leaves, "vb", 2, strategy, blk.rpe, True, 2),
+                  px, (3, 3))
 
     # full model: stem features, encoder stack on synthesized input, logits
     if model is None:
@@ -283,36 +304,10 @@ def verify_all_lemmas(seed: int = 0, precision: str = "f64",
     rng = ct.derive_rng(seed, "model")
     img = rng.random((1, config["input"]["channels"],
                       model.input_size, model.input_size))
-
-    def stem_m(image, m_out):
-        x = model.stem.forward(ct.CTensor(image), leaves)
-        return hs.embed_orders(x).stream(m_out).data
-
-    for q in quarters:
-        for m in hs.ORDERS:
-            err = he_error(lambda i, mo=m: stem_m(i, mo), img, m, 90 * q,
-                           lambda feat: rot90_grid(feat, q),
-                           rotate_input=lambda i: rot90_grid(i, q))
-            entries.append(_entry("stem_features", m, 90 * q, err,
-                                  TOLERANCES["grid_lemma"]))
-
+    grid_law("stem_features", lambda i: _stem_streams(model, leaves, i), img, rot90_grid)
     gh, gw = model.grid_shape
-    stack = {m: (rng.standard_normal((1, gh * gw, model.d))
-                 + 1j * rng.standard_normal((1, gh * gw, model.d)))
-             for m in hs.ORDERS}
-
-    def encoder_m(arrays, m_out):
-        p = enc.PatchStack.from_streams(arrays, (gh, gw))
-        return model.encoder.forward(p, leaves).stream(m_out).data
-
-    for q in quarters:
-        perm = rot90_rows(gh, gw, q)
-        for m in hs.ORDERS:
-            err = he_error(lambda arr, mo=m: encoder_m(arr, mo), stack, m, 90 * q,
-                           lambda feat: feat[:, perm, :],
-                           rotate_input=lambda arr: rotate_stack_arrays(arr, (gh, gw), q))
-            entries.append(_entry("encoder_features", m, 90 * q, err,
-                                  TOLERANCES["grid_lemma"]))
+    stack_law("encoder_features", lambda s: model.encoder.forward(s, leaves),
+              _draw(rng, (1, gh * gw, model.d)), (gh, gw))
 
     base_logits = model.forward(ct.CTensor(img), leaves).data
     for q in quarters:
@@ -371,22 +366,18 @@ def stem_continuous_check(seed: int = 0, precision: str = "f64",
     spec = hdata.RotationSpec(angle_deg, "bilinear")
     img = smooth_field(seed, size)
 
-    def stem_m(x, m_out):
-        f = model.stem.forward(ct.CTensor(x), leaves)
-        return hs.embed_orders(f).stream(m_out).data
-
-    def rotate_input(x):
+    def rotate_input(x, alpha):
         return np.stack([hdata.rotate_image(i, spec) for i in x])
 
-    def rotate_features(f):
+    def rotate_features(f, alpha):
         flat = f.reshape(-1, gh, gw)
         re = np.stack([hdata.rotate_image(c, spec) for c in flat.real])
         im = np.stack([hdata.rotate_image(c, spec) for c in flat.imag])
         return (re + 1j * im).reshape(f.shape)
 
-    errors = {m: he_error(lambda x, mo=m: stem_m(x, mo), img, m, angle_deg,
-                          rotate_features, mask=mask, rotate_input=rotate_input)
-              for m in hs.ORDERS}
+    errors = {m: err for _, m, err in _order_law(
+        lambda x: _stem_streams(model, leaves, x), img, (angle_deg,),
+        rotate_input, rotate_features, mask=mask)}
     return {
         "angle_deg": float(angle_deg),
         "seed": seed,

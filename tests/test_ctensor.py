@@ -187,20 +187,20 @@ def test_fd_polar_unit_as_complex():
     check(f, {"theta": theta, "r": r})
 
 
-@pytest.mark.parametrize("backend", ["gemm", "fft"])
-def test_fd_conv2d(backend):
+@pytest.mark.parametrize("backend, size", [pytest.param("gemm", 6, id="gemm"),
+                                           pytest.param("fft", 16, id="fft")])
+def test_fd_conv2d(backend, size):
+    # each size sits on its backend's side of the GEMM/FFT threshold
+    assert ct._pick_backend(size, size) == backend
     rng = ct.make_rng(10)
-    x = crandn(rng, 1, 2, 6, 6)
+    x = crandn(rng, 1, 2, size, size)
     k = crandn(rng, 3, 2, 3, 3)
-    t = crandn(rng, 1, 3, 6, 6)
-    ct.set_conv_backend(backend)
-    try:
-        def f(p):
-            return l2_to(t)(ct.conv2d(p["x"], p["k"], pad=1))
+    t = crandn(rng, 1, 3, size, size)
 
-        check(f, {"x": x, "k": k}, sample=40)
-    finally:
-        ct.set_conv_backend("auto")
+    def f(p):
+        return l2_to(t)(ct.conv2d(p["x"], p["k"], pad=1))
+
+    check(f, {"x": x, "k": k}, sample=40)
 
 
 def test_fd_avg_pool2():
@@ -304,12 +304,10 @@ def test_conv2d_matches_direct_reference():
             for i in range(5):
                 for j in range(6):
                     ref[b, o, i, j] = np.sum(xp[b, :, i:i + 3, j:j + 3] * k[o])
-    for backend in ("gemm", "fft"):
-        ct.set_conv_backend(backend)
-        try:
-            y = ct.conv2d(ct.CTensor(x), ct.CTensor(k), pad=pad).data
-        finally:
-            ct.set_conv_backend("auto")
+    assert ct._pick_backend(5, 6) == "gemm"
+    outputs = {"gemm": ct.conv2d(ct.CTensor(x), ct.CTensor(k), pad=pad).data,
+               "fft": ct._conv_fft(xp, k)}
+    for backend, y in outputs.items():
         assert np.max(np.abs(y - ref)) <= 1e-12, backend
 
 
@@ -318,20 +316,28 @@ def test_conv2d_backends_agree_on_gradients():
     x = crandn(rng, 2, 3, 12, 14)
     k = crandn(rng, 4, 3, 5, 5)
     g_out = crandn(rng, 2, 4, 12, 14)
-    results = {}
-    for backend in ("gemm", "fft"):
-        ct.set_conv_backend(backend)
-        try:
-            tape = ct.GradTape()
-            px = tape.parameter("x", x)
-            pk = tape.parameter("k", k)
-            y = ct.conv2d(px, pk, pad=2)
-            # project with a fixed complex field to get a real scalar
-            m = ct.magnitude(ct.sub(y, ct.CTensor(g_out)))
-            loss = ct.sum_(ct.mul(m, m))
-            results[backend] = (y.data.copy(), ct.backward(tape, loss))
-        finally:
-            ct.set_conv_backend("auto")
+
+    def loss(y):
+        # project with a fixed complex field to get a real scalar
+        m = ct.magnitude(ct.sub(y, ct.CTensor(g_out)))
+        return ct.sum_(ct.mul(m, m))
+
+    # 12x14 is below the FFT threshold: conv2d and its backward run on GEMM
+    assert ct._pick_backend(12, 14) == "gemm"
+    tape = ct.GradTape()
+    px = tape.parameter("x", x)
+    pk = tape.parameter("k", k)
+    y = ct.conv2d(px, pk, pad=2)
+    results = {"gemm": (y.data.copy(), ct.backward(tape, loss(y)))}
+    # the FFT path on the same operands, fed the same upstream gradient
+    tape = ct.GradTape()
+    g = ct.backward(tape, loss(tape.parameter("y", y.data)))["y"]
+    xp = np.pad(x, ((0, 0), (0, 0), (2, 2), (2, 2)))
+    gp = np.pad(g, ((0, 0), (0, 0), (4, 4), (4, 4)))
+    k_adj = np.conj(k).transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+    results["fft"] = (ct._conv_fft(xp, k),
+                      {"x": ct._conv_fft(gp, k_adj)[:, :, 2:14, 2:16],
+                       "k": ct._grad_kernel_fft(xp, g, k.shape)})
     yg, gg = results["gemm"]
     yf, gf = results["fft"]
     scale = np.max(np.abs(yg))

@@ -9,8 +9,10 @@ import pytest
 
 import harmnet.ctensor as ct
 import harmnet.data as hdata
+import harmnet.encoder as enc
 import harmnet.harness as hz
 import harmnet.model as hm
+import harmnet.stem as hs
 from harmnet.errors import ConfigError
 
 
@@ -162,6 +164,55 @@ def test_verify_report_deterministic_and_json_clean():
     assert json.loads(hz.report_json(a)) == a
     c = hz.verify_all_lemmas(seed=4, config=tiny_config())
     assert hz.report_json(a) != hz.report_json(c)
+
+
+def test_order_law_matches_he_error_per_order():
+    # a conv check and a patch-stack check: one forward per quarter turn must
+    # give, for every order, the bits of a separate he_error run on that order
+    rng = ct.make_rng(7)
+    bank = hs.HarmonicFilterBank("c", hs.ORDERS, hs.ORDERS, 2, 2, 3, rng)
+    leaves = {k: ct.CTensor(v) for k, v in bank.params.items()}
+    w = ct.CTensor(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+
+    def conv(a):
+        sfm = hs.StreamedFeatureMap(ct.CTensor(a), hs.ORDERS)
+        return hs.harmonic_conv(sfm, bank, leaves).tensor.data
+
+    def linear(a):
+        return enc.equi_linear(enc.PatchStack(ct.CTensor(a), hs.ORDERS, (3, 3)), w).tensor.data
+
+    cases = ((conv, hz._draw(rng, (1, 2, 8, 8)), None, lambda f, q: hz.rot90_grid(f, q)),
+             (linear, hz._draw(rng, (1, 9, 4)), (3, 3),
+              lambda f, q: f[:, hz.rot90_rows(3, 3, q)]))
+    for fwd, x, grid, rotate_stream in cases:
+        for q in (1, 2, 3):
+            law = hz._order_law(fwd, x, (90 * q,),
+                                lambda a, alpha: hz.rotate_orders(a, hs.ORDERS, q, grid),
+                                lambda f, alpha: hz.rot90_orders(f, q, grid))
+            for i, m in enumerate(hs.ORDERS):
+                err = hz.he_error(lambda a: fwd(a)[:, i], x, m, 90 * q,
+                                  lambda f: rotate_stream(f, q),
+                                  rotate_input=lambda a: hz.rotate_orders(a, hs.ORDERS, q, grid))
+                assert law[i] == (90 * q, m, err)
+
+
+def test_suite_runs_each_stage_once_per_quarter_turn(monkeypatch):
+    calls = {"stem": 0, "encoder": 0}
+
+    def counted(name, forward):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return forward(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(hs.Stem, "forward", counted("stem", hs.Stem.forward))
+    monkeypatch.setattr(enc.Encoder, "forward", counted("encoder", enc.Encoder.forward))
+    hz.verify_all_lemmas(seed=0, config=tiny_config())
+    # stage checks: identity plus 3 quarter turns; logits: the same 4 again
+    assert calls == {"stem": 8, "encoder": 8}
+    calls["stem"] = 0
+    hz.stem_continuous_check(seed=0, config=tiny_config())
+    assert calls["stem"] == 2
 
 
 def test_verify_rejects_unknown_precision():
