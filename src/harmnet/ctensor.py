@@ -507,14 +507,6 @@ def _im2col(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
     return v.transpose(0, 2, 3, 1, 4, 5)
 
 
-def _conv_gemm(xp: np.ndarray, k: np.ndarray) -> np.ndarray:
-    b, c, hp, wp = xp.shape
-    co, ci, kh, kw = k.shape
-    cols = _im2col(xp, kh, kw).reshape(b, hp - kh + 1, wp - kw + 1, ci * kh * kw)
-    y = cols @ k.reshape(co, ci * kh * kw).T
-    return y.transpose(0, 3, 1, 2)
-
-
 def _fft2(x, shape):
     from scipy import fft as sfft
     return sfft.fft2(x, s=shape, axes=(-2, -1))
@@ -535,71 +527,26 @@ def _freq_contract(xh: np.ndarray, kh_: np.ndarray) -> np.ndarray:
     return y.transpose(1, 2, 0).reshape(b, co, fh, fw)
 
 
-def _conv_fft(xp: np.ndarray, k: np.ndarray) -> np.ndarray:
-    b, c, hp, wp = xp.shape
+def _correlate(xp: np.ndarray, k: np.ndarray, fft: bool) -> np.ndarray:
+    """Valid cross-correlation (no kernel flip, stride 1) of an already
+    padded (B, Ci, Hp, Wp) input with a (Co, Ci, kh, kw) kernel: one GEMM
+    over the sliding windows, or a per-frequency product of FFTs."""
+    b, _, hp, wp = xp.shape
     co, ci, kh, kw = k.shape
+    if not fft:
+        cols = _im2col(xp, kh, kw).reshape(b, hp - kh + 1, wp - kw + 1, ci * kh * kw)
+        return (cols @ k.reshape(co, ci * kh * kw).T).transpose(0, 3, 1, 2)
     xh = _fft2(xp, (hp, wp))
-    kflip = k[:, :, ::-1, ::-1]
-    khat = _fft2(kflip, (hp, wp))
-    y = _ifft2(_freq_contract(xh, khat))
-    out = y[:, :, kh - 1: hp, kw - 1: wp]
+    khat = _fft2(k[:, :, ::-1, ::-1], (hp, wp))
+    out = _ifft2(_freq_contract(xh, khat))[:, :, kh - 1: hp, kw - 1: wp]
     want = np.result_type(xp.dtype, k.dtype)
     if not np.issubdtype(want, np.complexfloating):
         out = out.real
     return np.ascontiguousarray(out).astype(want, copy=False)
 
 
-def _conv_raw(x: np.ndarray, k: np.ndarray, pad: int) -> np.ndarray:
-    """Cross-correlation with zero padding (no kernel flip), stride 1."""
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    if _pick_backend(*x.shape[2:]) == "fft":
-        return _conv_fft(xp, k)
-    return _conv_gemm(xp, k)
-
-
-def _conv_grad_input(g: np.ndarray, k: np.ndarray, in_hw: tuple, pad: int) -> np.ndarray:
-    """Adjoint w.r.t. input: full convolution of g with conj(k), crop padding."""
-    co, ci, kh, kw = k.shape
-    h, w = in_hw
-    kc = np.conj(k).transpose(1, 0, 2, 3)        # (Ci, Co, kh, kw)
-    gp = np.pad(g, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
-    gx = _conv_fft(gp, kc[:, :, ::-1, ::-1]) if _pick_backend(h, w) == "fft" else _conv_gemm(gp, kc[:, :, ::-1, ::-1])
-    return gx[:, :, pad: pad + h, pad: pad + w]
-
-
-def _grad_kernel_gemm(xp: np.ndarray, g: np.ndarray, kshape: tuple) -> np.ndarray:
-    co, ci, kh, kw = kshape
-    b = xp.shape[0]
-    cols = _im2col(np.conj(xp), kh, kw).reshape(b * g.shape[2] * g.shape[3], ci * kh * kw)
-    gm = g.transpose(0, 2, 3, 1).reshape(-1, co)
-    return (cols.T @ gm).T.reshape(co, ci, kh, kw)
-
-
-def _grad_kernel_fft(xp: np.ndarray, g: np.ndarray, kshape: tuple) -> np.ndarray:
-    # c[o,ci,u,v] = sum_{b,i,j} conj(xp[b,ci,i+u,j+v]) g[b,o,i,j]; the
-    # correlation lands at circular index (-u mod Hp, -v mod Wp) of
-    # IFFT(conj(FFT(xp)) * FFT(g)); no wraparound since u+i <= Hp-1.
-    co, ci, kh, kw = kshape
-    b, _, hp, wp = xp.shape
-    xh = _fft2(xp, (hp, wp))
-    gh = _fft2(g, (hp, wp))
-    f = hp * wp
-    xm = np.conj(xh).reshape(b, ci, f).transpose(2, 1, 0)    # (F, Ci, B)
-    gm = gh.reshape(b, co, f).transpose(2, 0, 1)             # (F, B, Co)
-    sh = np.matmul(xm, gm)                                   # (F, Ci, Co)
-    s = _ifft2(sh.transpose(1, 2, 0).reshape(ci, co, hp, wp))
-    iu = (-np.arange(kh)) % hp
-    iv = (-np.arange(kw)) % wp
-    return s[:, :, iu[:, None], iv[None, :]].transpose(1, 0, 2, 3)
-
-
-def _conv_grad_kernel(x: np.ndarray, g: np.ndarray, kshape: tuple, pad: int) -> np.ndarray:
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    if _pick_backend(*x.shape[2:]) == "fft":
-        gk = _grad_kernel_fft(xp, g, kshape)
-    else:
-        gk = _grad_kernel_gemm(xp, g, kshape)
-    return gk
+def _pad_hw(a: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    return np.pad(a, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
 
 
 def conv2d(x: CTensor, kernel: CTensor, pad: int) -> CTensor:
@@ -607,18 +554,30 @@ def conv2d(x: CTensor, kernel: CTensor, pad: int) -> CTensor:
 
     x: (B, C_in, H, W), kernel: (C_out, C_in, kh, kw).  The convention is
     pinned by the impulse-response test: a centered delta input reproduces
-    the point-reflected kernel.
+    the point-reflected kernel.  The forward pass and both adjoints are
+    valid correlations on the GEMM or FFT side chosen by the input size.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ShapeError("conv2d expects (B,C,H,W) input and (Co,Ci,kh,kw) kernel")
     if x.shape[1] != kernel.shape[1]:
         raise ShapeError(f"conv2d: channel mismatch {x.shape[1]} vs {kernel.shape[1]}")
-    data = _conv_raw(x.data, kernel.data, pad)
+    h, w = x.shape[2:]
+    kh, kw = kernel.shape[2:]
+    fft = _pick_backend(h, w) == "fft"
+    data = _correlate(_pad_hw(x.data, pad, pad), kernel.data, fft)
 
     def backward(g):
-        gx = _conv_grad_input(g, kernel.data, x.shape[2:], pad)
-        gk = _conv_grad_kernel(x.data, g, kernel.shape, pad)
-        return _to_kind(gx, x.data), _to_kind(gk, kernel.data)
+        # input: full correlation of g with conj(k), channels swapped and
+        # flipped, cropped to the unpadded input
+        k_adj = np.conj(kernel.data).transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+        gx = _correlate(_pad_hw(g, kh - 1, kw - 1), k_adj, fft)[:, :, pad: pad + h, pad: pad + w]
+        # kernel: gk[o,c,u,v] = sum_{b,i,j} conj(xp[b,c,i+u,j+v]) g[b,o,i,j],
+        # the correlation of conj(xp) with g, batch and channel axes swapped;
+        # taken as conj(xp (x) conj(g)) so a complex64 x is transformed as
+        # is (the FFT of conj(x) rounds x differently, ~1e-7 apart)
+        xp = _pad_hw(x.data, pad, pad).transpose(1, 0, 2, 3)
+        gk = np.conj(_correlate(xp, np.conj(g).transpose(1, 0, 2, 3), fft))
+        return _to_kind(gx, x.data), _to_kind(gk.transpose(1, 0, 2, 3), kernel.data)
 
     return _make(data, (x, kernel), backward)
 

@@ -161,11 +161,6 @@ def _draw(rng: np.random.Generator, shape: tuple, n: int = len(hs.ORDERS)) -> np
 # the lemma suite
 # ---------------------------------------------------------------------------
 
-def _stem_streams(model: hm.Model, leaves: dict, image: np.ndarray) -> np.ndarray:
-    """The stem's features of an image batch as a (B, O, C, H, W) array."""
-    return hs.embed_orders(model.stem.forward(ct.CTensor(image), leaves)).tensor.data
-
-
 def _entry(check, order, angle, error, threshold, witness=False):
     passed = error >= threshold if witness else error < threshold
     return {"check": check, "order": order, "angle_deg": float(angle),
@@ -304,14 +299,19 @@ def verify_all_lemmas(seed: int = 0, precision: str = "f64",
     rng = ct.derive_rng(seed, "model")
     img = rng.random((1, config["input"]["channels"],
                       model.input_size, model.input_size))
-    grid_law("stem_features", lambda i: _stem_streams(model, leaves, i), img, rot90_grid)
+    stem_maps = []          # the stem's features of img, then of each quarter turn
+
+    def stem_streams(image):
+        stem_maps.append(model.stem_features(ct.CTensor(image), leaves))
+        return stem_maps[-1].tensor.data
+
+    grid_law("stem_features", stem_streams, img, rot90_grid)
     gh, gw = model.grid_shape
     stack_law("encoder_features", lambda s: model.encoder.forward(s, leaves),
               _draw(rng, (1, gh * gw, model.d)), (gh, gw))
 
-    base_logits = model.forward(ct.CTensor(img), leaves).data
-    for q in quarters:
-        rot = model.forward(ct.CTensor(rot90_grid(img, q)), leaves).data
+    base_logits, *turned = (model.classify(x, leaves).data for x in stem_maps)
+    for q, rot in zip(quarters, turned):
         entries.append(_entry("logits_invariance", None, 90 * q,
                               _rel(rot, base_logits), TOLERANCES["grid_logits"]))
 
@@ -376,7 +376,7 @@ def stem_continuous_check(seed: int = 0, precision: str = "f64",
         return (re + 1j * im).reshape(f.shape)
 
     errors = {m: err for _, m, err in _order_law(
-        lambda x: _stem_streams(model, leaves, x), img, (angle_deg,),
+        lambda x: model.stem_features(ct.CTensor(x), leaves).tensor.data, img, (angle_deg,),
         rotate_input, rotate_features, mask=mask)}
     return {
         "angle_deg": float(angle_deg),

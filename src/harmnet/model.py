@@ -218,6 +218,13 @@ class Model:
     def forward(self, images, leaves: dict | None = None, train: bool = False,
                 rng: np.random.Generator | None = None) -> ct.CTensor:
         """Real image batch (B, C, S, S) -> logits (B, classes)."""
+        if leaves is None:
+            leaves = self.leaves()
+        return self.classify(self.stem_features(images, leaves, train, rng), leaves, train, rng)
+
+    def stem_features(self, images, leaves: dict, train: bool = False,
+                      rng: np.random.Generator | None = None) -> hs.StreamedFeatureMap:
+        """Real image batch (B, C, S, S) -> stem features over every order."""
         img = images if isinstance(images, ct.CTensor) else ct.CTensor(np.asarray(images))
         b = img.shape
         if len(b) != 4 or b[1] != self.config["input"]["channels"] or \
@@ -225,11 +232,12 @@ class Model:
             raise ShapeError(
                 f"expected (B, {self.config['input']['channels']}, "
                 f"{self.input_size}, {self.input_size}) input, got {b}")
-        if leaves is None:
-            leaves = self.leaves()
-        x = self.stem.forward(img, leaves, train=train, rng=rng)
-        p = enc.patchify(hs.embed_orders(x))
-        p = self.encoder.forward(p, leaves, train=train, rng=rng)
+        return hs.embed_orders(self.stem.forward(img, leaves, train=train, rng=rng))
+
+    def classify(self, x: hs.StreamedFeatureMap, leaves: dict, train: bool = False,
+                 rng: np.random.Generator | None = None) -> ct.CTensor:
+        """Stem features -> logits: patches, encoder, invariant head."""
+        p = self.encoder.forward(enc.patchify(x), leaves, train=train, rng=rng)
         return self.head.forward(p, leaves)
 
 

@@ -138,30 +138,25 @@ def _angular_map(k: int, m: int) -> np.ndarray:
     return e
 
 
-def synthesize_kernel(profile, beta, m: int, k: int) -> ct.CTensor:
-    """Single k x k harmonic kernel R(r)e^{i(m theta + beta)}.
+def synthesize_block(radial: ct.CTensor, phase: ct.CTensor, m, k: int) -> ct.CTensor:
+    """Harmonic kernels R(r)e^{i(m theta + beta)}: radial (..., Co, Ci, nr),
+    phase (..., Co, Ci) -> (..., Co, Ci, k, k).
 
-    `profile` holds values of R at integer radii 0..k//2 (linear interpolation
-    in between, zero beyond); `beta` is a real scalar phase offset.
+    `radial` holds values of R at integer radii 0..k//2 (linear interpolation
+    in between, zero beyond); `phase` holds the real phase offsets beta.  `m`
+    is one filter order, or a tuple of orders, one per entry of a leading
+    connection axis (P, Co, Ci, nr).
     """
-    profile = profile if isinstance(profile, ct.CTensor) else ct.CTensor(np.asarray(profile, dtype=np.float64))
-    beta = beta if isinstance(beta, ct.CTensor) else ct.CTensor(np.asarray(beta, dtype=np.float64))
     if k % 2 == 0:
         raise ConfigError(f"kernel size must be odd, got {k}")
-    if profile.shape != (n_radii(k),):
+    if radial.shape[-1] != n_radii(k):
         raise ConfigError(f"radial profile must have length {n_radii(k)} for k={k}")
-    kern = synthesize_block(ct.reshape(profile, (1, 1, n_radii(k))), ct.reshape(beta, (1, 1)), m, k)
-    return ct.reshape(kern, (k, k))
-
-
-def synthesize_block(radial: ct.CTensor, phase: ct.CTensor, m: int, k: int) -> ct.CTensor:
-    """Batched synthesis: radial (Co,Ci,nr), phase (Co,Ci) -> (Co,Ci,k,k)."""
-    co, ci, nr = radial.shape
     basis = ct.CTensor(np.ascontiguousarray(_radial_basis(k).T))      # (nr, k2)
-    ring = ct.complex_matmul(radial, basis)                           # (Co,Ci,k2) real
-    ang = ct.mul(ring, ct.CTensor(_angular_map(k, m)))                # complex
-    unit = ct.reshape(ct.polar_unit(phase), (co, ci, 1))
-    return ct.reshape(ct.mul(ang, unit), (co, ci, k, k))
+    ring = ct.complex_matmul(radial, basis)                           # (..., Co,Ci,k2) real
+    angular = np.stack([_angular_map(k, mi) for mi in np.atleast_1d(m)])
+    ang = ct.mul(ring, ct.CTensor(angular.reshape(np.shape(m) + (1, 1, k * k))))
+    unit = ct.reshape(ct.polar_unit(phase), phase.shape + (1,))
+    return ct.reshape(ct.mul(ang, unit), phase.shape + (k, k))
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +192,9 @@ class HarmonicFilterBank:
         self.c_in = c_in
         self.c_out = c_out
         self.k = kernel_size
-        self.filter_orders = tuple(filter_orders)
         self.connections = [(m_in, m_out - m_in) for m_out in self.out_orders
                             for m_in in self.in_orders
-                            if m_out - m_in in self.filter_orders]
+                            if m_out - m_in in filter_orders]
         if not self.connections:
             raise ConfigError(f"filter bank {name} has no connections")
         nr = n_radii(kernel_size)
@@ -213,44 +207,39 @@ class HarmonicFilterBank:
             self.params[f"{base}.phase"] = rng.uniform(-np.pi, np.pi, size=(c_out, c_in))
 
     def kernel_block(self, leaves: dict) -> ct.CTensor:
-        """Assemble the block-structured kernel for one fused conv2d call."""
-        first = self.connections[0]
-        ref = leaves[f"{self.name}.f{first[0]:+d}{first[1]:+d}.radial"]
-        zdt = np.result_type(ref.data.dtype, np.complex64)
-        rows = []
-        for m_out in self.out_orders:
-            blocks = []
-            for m_in in self.in_orders:
-                m_f = m_out - m_in
-                if m_f in self.filter_orders:
-                    base = f"{self.name}.f{m_in:+d}{m_f:+d}"
-                    blocks.append(synthesize_block(leaves[f"{base}.radial"],
-                                                   leaves[f"{base}.phase"], m_f, self.k))
-                else:
-                    blocks.append(ct.CTensor(np.zeros(
-                        (self.c_out, self.c_in, self.k, self.k), dtype=zdt)))
-            rows.append(ct.concat(blocks, axis=1))
-        return ct.concat(rows, axis=0)
+        """Assemble the block-structured kernel for one fused conv2d call:
+        every connection is synthesized in one batch, then each
+        (m_out, m_in) slot takes its connection's block or a zero block."""
+        n, co, ci, k = len(self.connections), self.c_out, self.c_in, self.k
+        bases = [f"{self.name}.f{m_in:+d}{m_f:+d}" for m_in, m_f in self.connections]
+        radial = ct.concat([leaves[f"{base}.radial"] for base in bases], axis=0)
+        phase = ct.concat([leaves[f"{base}.phase"] for base in bases], axis=0)
+        blocks = synthesize_block(ct.reshape(radial, (n, co, ci, n_radii(k))),
+                                  ct.reshape(phase, (n, co, ci)),
+                                  tuple(m_f for _, m_f in self.connections), k)
+        padded = ct.concat([blocks, ct.CTensor(np.zeros_like(blocks.data[:1]))], axis=0)
+        index = {conn: i for i, conn in enumerate(self.connections)}
+        slots = np.array([[index.get((m_in, m_out - m_in), n) for m_in in self.in_orders]
+                          for m_out in self.out_orders])
+        grid = ct.transpose(ct.take(padded, (slots,)), (0, 2, 1, 3, 4, 5))
+        return ct.reshape(grid, (len(self.out_orders) * co, len(self.in_orders) * ci, k, k))
 
 
-def harmonic_conv(x: StreamedFeatureMap, bank: HarmonicFilterBank, leaves: dict,
-                  stride: int = 1, padding: int | None = None) -> StreamedFeatureMap:
+def harmonic_conv(x: StreamedFeatureMap, bank: HarmonicFilterBank,
+                  leaves: dict) -> StreamedFeatureMap:
     """Order-mixing convolution: out_m = sum over m1+m2=m of in_{m1} * W_{m2}.
 
     The order axis is folded into channels, (B, O*C, H, W), convolved once
     with the block-structured kernel, and unfolded per output order.
     Convolution convention is cross-correlation (no kernel flip).
     """
-    if stride != 1:
-        raise ConfigError("strided harmonic convolution is not supported")
     if x.orders != bank.in_orders:
         raise ShapeError(f"input orders {x.orders} != bank orders {bank.in_orders}")
     b, o, c, h, w = x.shape
     if c != bank.c_in:
         raise ShapeError(f"channel mismatch: input {c}, bank {bank.c_in}")
-    pad = bank.k // 2 if padding is None else padding
     xin = ct.reshape(x.tensor, (b, o * c, h, w))
-    y = ct.conv2d(xin, bank.kernel_block(leaves), pad=pad)
+    y = ct.conv2d(xin, bank.kernel_block(leaves), pad=bank.k // 2)
     shape = (b, len(bank.out_orders), bank.c_out) + y.shape[2:]
     return StreamedFeatureMap(ct.reshape(y, shape), bank.out_orders)
 
@@ -464,7 +453,7 @@ class Stem:
                 else:
                     x = layer_norm_streams(x)
                     x = legacy_crelu(x, leaves[f"{self.name}.b{i}.act{j}.bias"])
-            skip = inp if blk["proj"] is None else harmonic_conv(inp, blk["proj"], leaves, padding=0)
+            skip = inp if blk["proj"] is None else harmonic_conv(inp, blk["proj"], leaves)
             x = residual_add(x, skip)
             x = avg_pool_streams(x)
             if blk["dropout"] > 0.0 and train:

@@ -292,58 +292,73 @@ def test_softmax_rows_sum_to_one():
     assert np.all(s > 0)
 
 
+# one size on each side of the GEMM/FFT threshold
+CONV_SIDES = (("gemm", 5, 6), ("fft", 16, 17))
+
+
+def conv_reference(x, k, pad, g):
+    """Direct loops: the padded cross-correlation y, and the adjoints of an
+    upstream gradient g w.r.t. the input (scattered back over each window)
+    and the kernel (gk[o,c,u,v] = sum_{b,i,j} conj(xp[b,c,i+u,j+v]) g[b,o,i,j])."""
+    b, c, h, w = x.shape
+    co, _, kh, kw = k.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    y = np.zeros((b, co, h, w), dtype=np.complex128)
+    gxp = np.zeros_like(xp)
+    for n in range(b):
+        for i in range(h):
+            for j in range(w):
+                win = xp[n, :, i:i + kh, j:j + kw]
+                for o in range(co):
+                    y[n, o, i, j] = np.sum(win * k[o])
+                gxp[n, :, i:i + kh, j:j + kw] += np.einsum("o,ocuv->cuv", g[n, :, i, j], np.conj(k))
+    gk = np.zeros_like(k)
+    for u in range(kh):
+        for v in range(kw):
+            gk[:, :, u, v] = np.einsum("bcij,boij->oc", np.conj(xp[:, :, u:u + h, v:v + w]), g)
+    return y, gxp[:, :, pad:pad + h, pad:pad + w], gk
+
+
 def test_conv2d_matches_direct_reference():
     rng = ct.make_rng(15)
-    x = crandn(rng, 2, 2, 5, 6)
     k = crandn(rng, 3, 2, 3, 3)
     pad = 1
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    ref = np.zeros((2, 3, 5, 6), dtype=np.complex128)
-    for b in range(2):
-        for o in range(3):
-            for i in range(5):
-                for j in range(6):
-                    ref[b, o, i, j] = np.sum(xp[b, :, i:i + 3, j:j + 3] * k[o])
-    assert ct._pick_backend(5, 6) == "gemm"
-    outputs = {"gemm": ct.conv2d(ct.CTensor(x), ct.CTensor(k), pad=pad).data,
-               "fft": ct._conv_fft(xp, k)}
-    for backend, y in outputs.items():
+    for backend, h, w in CONV_SIDES:
+        assert ct._pick_backend(h, w) == backend
+        x = crandn(rng, 2, 2, h, w)
+        ref, _, _ = conv_reference(x, k, pad, np.zeros((2, 3, h, w)))
+        y = ct.conv2d(ct.CTensor(x), ct.CTensor(k), pad=pad).data
         assert np.max(np.abs(y - ref)) <= 1e-12, backend
 
 
 def test_conv2d_backends_agree_on_gradients():
+    # the tape's forward pass and both adjoints, on each side of the
+    # threshold, against the same direct-loop reference
     rng = ct.make_rng(16)
-    x = crandn(rng, 2, 3, 12, 14)
     k = crandn(rng, 4, 3, 5, 5)
-    g_out = crandn(rng, 2, 4, 12, 14)
+    for backend, h, w in (("gemm", 12, 14), ("fft", 16, 16)):
+        assert ct._pick_backend(h, w) == backend
+        x = crandn(rng, 2, 3, h, w)
+        g_out = crandn(rng, 2, 4, h, w)
 
-    def loss(y):
-        # project with a fixed complex field to get a real scalar
-        m = ct.magnitude(ct.sub(y, ct.CTensor(g_out)))
-        return ct.sum_(ct.mul(m, m))
+        def loss(y):
+            # project with a fixed complex field to get a real scalar
+            m = ct.magnitude(ct.sub(y, ct.CTensor(g_out)))
+            return ct.sum_(ct.mul(m, m))
 
-    # 12x14 is below the FFT threshold: conv2d and its backward run on GEMM
-    assert ct._pick_backend(12, 14) == "gemm"
-    tape = ct.GradTape()
-    px = tape.parameter("x", x)
-    pk = tape.parameter("k", k)
-    y = ct.conv2d(px, pk, pad=2)
-    results = {"gemm": (y.data.copy(), ct.backward(tape, loss(y)))}
-    # the FFT path on the same operands, fed the same upstream gradient
-    tape = ct.GradTape()
-    g = ct.backward(tape, loss(tape.parameter("y", y.data)))["y"]
-    xp = np.pad(x, ((0, 0), (0, 0), (2, 2), (2, 2)))
-    gp = np.pad(g, ((0, 0), (0, 0), (4, 4), (4, 4)))
-    k_adj = np.conj(k).transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
-    results["fft"] = (ct._conv_fft(xp, k),
-                      {"x": ct._conv_fft(gp, k_adj)[:, :, 2:14, 2:16],
-                       "k": ct._grad_kernel_fft(xp, g, k.shape)})
-    yg, gg = results["gemm"]
-    yf, gf = results["fft"]
-    scale = np.max(np.abs(yg))
-    assert np.max(np.abs(yg - yf)) / scale <= 1e-12
-    assert np.max(np.abs(gg["x"] - gf["x"])) / np.max(np.abs(gg["x"])) <= 1e-12
-    assert np.max(np.abs(gg["k"] - gf["k"])) / np.max(np.abs(gg["k"])) <= 1e-12
+        tape = ct.GradTape()
+        px = tape.parameter("x", x)
+        pk = tape.parameter("k", k)
+        y = ct.conv2d(px, pk, pad=2)
+        grads = ct.backward(tape, loss(y))
+        # the upstream gradient the conv's backward received, from a tape on y
+        tape = ct.GradTape()
+        g = ct.backward(tape, loss(tape.parameter("y", y.data)))["y"]
+        ref_y, ref_x, ref_k = conv_reference(x, k, 2, g)
+        scale = np.max(np.abs(ref_y))
+        assert np.max(np.abs(y.data - ref_y)) / scale <= 1e-12, backend
+        assert np.max(np.abs(grads["x"] - ref_x)) / np.max(np.abs(ref_x)) <= 1e-12, backend
+        assert np.max(np.abs(grads["k"] - ref_k)) / np.max(np.abs(ref_k)) <= 1e-12, backend
 
 
 def test_avg_pool2_matches_block_mean():

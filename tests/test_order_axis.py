@@ -2,9 +2,9 @@
 
 Every order-wise layer acts on the whole (B, O, ...) tensor with the same
 ops whatever O is, so recording it on a tape adds as many nodes over three
-orders as over one.  Exempt by design: mixing_all's per-order-pair grouping,
-and the harmonic convolution's kernel synthesis (one block per order pair),
-which is why the conv cases hold their parameters as constants.
+orders as over one; the harmonic convolution synthesizes its kernel for
+every order pair in one batch.  Exempt by design: mixing_all's per-order-pair
+grouping.
 """
 
 import numpy as np
@@ -37,13 +37,9 @@ def tracked(tape, params):
     return {k: tape.parameter(k, v) for k, v in params.items()}
 
 
-def constant(params):
-    return {k: ct.CTensor(v) for k, v in params.items()}
-
-
 def conv(tape, orders):
     bank = hs.HarmonicFilterBank("hc", orders, orders, 2, 2, 3, ct.make_rng(0))
-    x, leaves = feature_map(tape, orders), constant(bank.params)
+    x, leaves = feature_map(tape, orders), tracked(tape, bank.params)
     return lambda: hs.harmonic_conv(x, bank, leaves)
 
 

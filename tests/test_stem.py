@@ -51,8 +51,14 @@ def sfm_error(a, b):
 # kernel synthesis
 # ---------------------------------------------------------------------------
 
+def synthesize_one(profile, beta, m, k):
+    """One k x k kernel from a radial profile and a phase offset."""
+    radial = ct.CTensor(np.asarray(profile, dtype=np.float64).reshape(1, 1, -1))
+    return hs.synthesize_block(radial, ct.CTensor(np.full((1, 1), beta)), m, k).data[0, 0]
+
+
 def test_synthesize_order0_all_ones_profile():
-    k = hs.synthesize_kernel(np.ones(2), 0.0, m=0, k=3).data
+    k = synthesize_one(np.ones(2), 0.0, m=0, k=3)
     assert np.allclose(k.imag, 0)
     assert k[1, 1] == pytest.approx(1.0)
     for y, x in ((0, 1), (2, 1), (1, 0), (1, 2)):
@@ -64,7 +70,7 @@ def test_synthesize_order0_all_ones_profile():
 def test_synthesize_order1_reference_values():
     beta = 0.31
     prof = np.array([0.7, 1.3])
-    k = hs.synthesize_kernel(prof, beta, m=1, k=3).data
+    k = synthesize_one(prof, beta, m=1, k=3)
     assert k[1, 1] == 0.0                           # center forced to zero for m != 0
     # (dy, dx) = (0, 1): theta = 0
     assert k[1, 2] == pytest.approx(1.3 * np.exp(1j * beta), abs=1e-14)
@@ -74,7 +80,7 @@ def test_synthesize_order1_reference_values():
 
 def test_synthesize_linear_interpolation_between_radii():
     prof = np.array([0.0, 2.0, 4.0])
-    k = hs.synthesize_kernel(prof, 0.0, m=0, k=5).data
+    k = synthesize_one(prof, 0.0, m=0, k=5)
     r = np.sqrt(2.0)
     expected = 2.0 * (2.0 - r) + 4.0 * (r - 1.0)    # lerp between radii 1 and 2
     assert k[1, 1] == pytest.approx(expected, rel=1e-14)
@@ -84,9 +90,9 @@ def test_synthesize_linear_interpolation_between_radii():
 
 def test_synthesize_rejects_bad_shapes():
     with pytest.raises(ConfigError):
-        hs.synthesize_kernel(np.ones(3), 0.0, m=0, k=4)
+        synthesize_one(np.ones(3), 0.0, m=0, k=4)
     with pytest.raises(ConfigError):
-        hs.synthesize_kernel(np.ones(4), 0.0, m=0, k=5)
+        synthesize_one(np.ones(4), 0.0, m=0, k=5)
 
 
 @pytest.mark.parametrize("k", [3, 5, 7])
@@ -96,10 +102,35 @@ def test_steerability_rot90_is_phase_multiplication(k):
         for _ in range(5):
             prof = rng.uniform(-1, 1, size=hs.n_radii(k))
             beta = rng.uniform(-np.pi, np.pi)
-            w = hs.synthesize_kernel(prof, beta, m=m, k=k).data
+            w = synthesize_one(prof, beta, m=m, k=k)
             rotated = np.rot90(w)
             expected = np.exp(1j * m * np.pi / 2) * w
             assert np.max(np.abs(rotated - expected)) < 1e-12, (k, m)
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("in_orders, filter_orders, k", [
+    pytest.param((0,), hs.ALL_FILTER_ORDERS, 5, id="lift"),
+    pytest.param(hs.ORDERS, hs.ALL_FILTER_ORDERS, 3, id="full"),
+    pytest.param(hs.ORDERS, (-1, 0), 3, id="partial"),
+    pytest.param(hs.ORDERS, (0,), 1, id="proj")])
+def test_kernel_block_slots_are_their_connections_blocks(in_orders, filter_orders, k, precision):
+    rdt = ct.DTYPES[precision][0]
+    bank = hs.HarmonicFilterBank("b", in_orders, hs.ORDERS, 2, 3, k, ct.make_rng(31),
+                                 filter_orders=filter_orders)
+    leaves = {name: ct.CTensor(v.astype(rdt)) for name, v in bank.params.items()}
+    kern = bank.kernel_block(leaves).data
+    assert kern.shape == (3 * 3, len(in_orders) * 2, k, k)
+    for i, m_out in enumerate(hs.ORDERS):
+        for j, m_in in enumerate(in_orders):
+            slot = kern[3 * i: 3 * i + 3, 2 * j: 2 * j + 2]
+            m_f = m_out - m_in
+            if (m_in, m_f) not in bank.connections:
+                assert np.all(slot == 0), (m_out, m_in)
+                continue
+            base = f"b.f{m_in:+d}{m_f:+d}"
+            own = hs.synthesize_block(leaves[f"{base}.radial"], leaves[f"{base}.phase"], m_f, k).data
+            assert slot.dtype == own.dtype and np.array_equal(slot, own), (m_out, m_in)
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +190,6 @@ def test_harmonic_conv_zero_input_and_shape_errors():
     lone = hs.StreamedFeatureMap.from_streams({0: np.zeros((1, 2, 6, 6), dtype=np.complex128)})
     with pytest.raises(ShapeError):
         hs.harmonic_conv(lone, bank, leaves)
-    with pytest.raises(ConfigError):
-        hs.harmonic_conv(zero, bank, leaves, stride=2)
 
 
 def test_bank_rejects_out_of_range_orders():
@@ -176,7 +205,7 @@ def test_projection_bank_restricted_to_order_zero_filters():
     assert sum(v.size for v in proj.params.values()) == 2 * 3 * 2
     leaves = const_leaves(proj.params)
     x = rand_sfm(rng, (0,), 1, 2, 4, 4)
-    y = hs.harmonic_conv(x, proj, leaves, padding=0)
+    y = hs.harmonic_conv(x, proj, leaves)
     assert np.all(y.stream(-1).data == 0) and np.all(y.stream(1).data == 0)
     assert np.any(y.stream(0).data != 0)
     with pytest.raises(ConfigError):
