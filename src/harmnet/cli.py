@@ -17,8 +17,10 @@ from pathlib import Path
 
 from . import ctensor as ct
 from . import data as hdata
+from . import encoder as enc
 from . import harness as hz
 from . import model as hm
+from . import stem as hs
 from . import training as tr
 from .errors import (ConfigError, ContractError, DataNotFoundError,
                      IntegrityError, NumericError, ParseError, ShapeError)
@@ -26,9 +28,8 @@ from .errors import (ConfigError, ContractError, DataNotFoundError,
 _SECTIONS = ("stem", "encoder", "head", "input", "training")
 _BREAK_NORMS = ("legacy-gamma-negative",)
 _ABLATE_AXES = {
-    "norm": ("stem", "norm", ("fused", "legacy", "layernorm")),
-    "mixing": ("encoder", "strategy",
-               ("harmformer_default", "mixing_all", "cross_values")),
+    "norm": ("stem", "norm", hs.NORMS),
+    "mixing": ("encoder", "strategy", enc.STRATEGIES),
     "rpe": ("encoder", "rpe", (True, False)),
 }
 

@@ -65,7 +65,7 @@ class GradTape:
         return len(self.nodes) - 1
 
     def leaf(self, array: np.ndarray) -> "CTensor":
-        t = CTensor(np.asarray(array), tape=self, requires_grad=True)
+        t = CTensor(np.asarray(array), tape=self)
         t.node = self._append((), None)
         return t
 
@@ -78,13 +78,12 @@ class GradTape:
 class CTensor:
     """Immutable dense tensor (real or complex) optionally tracked on a tape."""
 
-    __slots__ = ("data", "tape", "node", "requires_grad")
+    __slots__ = ("data", "tape", "node")
 
-    def __init__(self, data: np.ndarray, tape: GradTape | None = None, requires_grad: bool = False):
+    def __init__(self, data: np.ndarray, tape: GradTape | None = None):
         self.data = data
         self.tape = tape
         self.node = None
-        self.requires_grad = requires_grad
 
     @property
     def shape(self):
@@ -214,9 +213,8 @@ def mul(a: CTensor, b: CTensor) -> CTensor:
     data = a.data * b.data
 
     def backward(g):
-        ga = _unbroadcast(g * np.conj(b.data), a.shape)
-        gb = _unbroadcast(g * np.conj(a.data), b.shape)
-        return _to_kind(ga, a.data), _to_kind(gb, b.data)
+        return (None if a.node is None else _to_kind(_unbroadcast(g * np.conj(b.data), a.shape), a.data),
+                None if b.node is None else _to_kind(_unbroadcast(g * np.conj(a.data), b.shape), b.data))
 
     return _make(data, (a, b), backward)
 
@@ -448,8 +446,7 @@ def as_complex(a: CTensor) -> CTensor:
 
 def magnitude(a: CTensor) -> CTensor:
     """|z| as a real tensor; subgradient 0 at z = 0."""
-    real_t = np.float64 if a.data.dtype in (np.complex128, np.float64) else np.float32
-    data = np.abs(a.data).astype(real_t)
+    data = np.abs(a.data)
 
     def backward(g):
         safe = np.where(data == 0, 1, data)
@@ -459,35 +456,32 @@ def magnitude(a: CTensor) -> CTensor:
     return _make(data, (a,), backward)
 
 
-def phase_unit(a: CTensor) -> CTensor:
-    """z / |z| with the convention 1+0i at z = 0 (and zero gradient there)."""
-    r = np.abs(a.data)
-    safe = np.where(r == 0, 1, r)
-    data = np.where(r == 0, np.ones((), dtype=a.data.dtype), a.data / safe)
+def with_magnitude(z: CTensor, r: CTensor) -> CTensor:
+    """r * z/|z| for a real r of z's shape, with phase 1+0i (and a zero
+    z-gradient) where z = 0; the unit z * (1/|z|) rounds as z / |z| does."""
+    if r.is_complex or r.shape != z.shape:
+        raise ShapeError(f"with_magnitude expects real magnitudes of shape {z.shape}, got {r}")
+    mag = np.abs(z.data)
+    zero = mag == 0
+    safe = np.where(zero, 1, mag)
+    unit = z.data * (1 / safe)
+    unit[zero] = 1
+    data = r.data * unit
 
     def backward(g):
-        # d(z/r) has no radial component: g/r - z * Re(conj(g) z) / r^3
-        mask = r != 0
-        s = np.where(mask, r, 1)
-        gz = g / s - a.data * (np.conj(g) * a.data).real / (s ** 3)
-        return (np.where(mask, gz, 0).astype(a.data.dtype),)
+        # z: the adjoint of z/|z|, which has no radial part, applied to g*r
+        gu = (g * r.data).astype(z.data.dtype, copy=False)
+        gz = gu / safe - z.data * (np.conj(gu) * z.data).real / (safe ** 3)
+        gz[zero] = 0
+        return gz, (g * np.conj(unit)).real.astype(r.data.dtype, copy=False)
 
-    return _make(data, (a,), backward)
-
-
-def magnitude_phase_split(a: CTensor) -> tuple[CTensor, CTensor]:
-    """(|z|, z/|z|) with mag >= 0 and phase_unit = 1 where the magnitude is 0.
-
-    Reconstruction mag * phase_unit == z holds elementwise.
-    """
-    return magnitude(a), phase_unit(a)
+    return _make(data, (z, r), backward)
 
 
 def softmax(a: CTensor, axis: int = -1) -> CTensor:
     """Real softmax; the max shift is detached, which is exact for softmax."""
     _require_real(a, "softmax")
-    shift = constant(np.max(a.data, axis=axis, keepdims=True), complex_=False)
-    shift.data = shift.data.astype(a.data.dtype)
+    shift = CTensor(np.max(a.data, axis=axis, keepdims=True))
     e = exp(sub(a, shift))
     return div(e, sum_(e, axis=axis, keepdims=True))
 
@@ -567,17 +561,22 @@ def conv2d(x: CTensor, kernel: CTensor, pad: int) -> CTensor:
     data = _correlate(_pad_hw(x.data, pad, pad), kernel.data, fft)
 
     def backward(g):
-        # input: full correlation of g with conj(k), channels swapped and
-        # flipped, cropped to the unpadded input
-        k_adj = np.conj(kernel.data).transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
-        gx = _correlate(_pad_hw(g, kh - 1, kw - 1), k_adj, fft)[:, :, pad: pad + h, pad: pad + w]
-        # kernel: gk[o,c,u,v] = sum_{b,i,j} conj(xp[b,c,i+u,j+v]) g[b,o,i,j],
-        # the correlation of conj(xp) with g, batch and channel axes swapped;
-        # taken as conj(xp (x) conj(g)) so a complex64 x is transformed as
-        # is (the FFT of conj(x) rounds x differently, ~1e-7 apart)
-        xp = _pad_hw(x.data, pad, pad).transpose(1, 0, 2, 3)
-        gk = np.conj(_correlate(xp, np.conj(g).transpose(1, 0, 2, 3), fft))
-        return _to_kind(gx, x.data), _to_kind(gk.transpose(1, 0, 2, 3), kernel.data)
+        gx = gk = None   # an untracked operand (the image) gets no adjoint
+        if x.node is not None:
+            # input: full correlation of g with conj(k), channels swapped and
+            # flipped, cropped to the unpadded input
+            k_adj = np.conj(kernel.data).transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+            gx = _correlate(_pad_hw(g, kh - 1, kw - 1), k_adj, fft)[:, :, pad: pad + h, pad: pad + w]
+            gx = _to_kind(gx, x.data)
+        if kernel.node is not None:
+            # kernel: gk[o,c,u,v] = sum_{b,i,j} conj(xp[b,c,i+u,j+v]) g[b,o,i,j],
+            # the correlation of conj(xp) with g, batch and channel axes swapped;
+            # taken as conj(xp (x) conj(g)) so a complex64 x is transformed as
+            # is (the FFT of conj(x) rounds x differently, ~1e-7 apart)
+            xp = _pad_hw(x.data, pad, pad).transpose(1, 0, 2, 3)
+            gk = np.conj(_correlate(xp, np.conj(g).transpose(1, 0, 2, 3), fft))
+            gk = _to_kind(gk.transpose(1, 0, 2, 3), kernel.data)
+        return gx, gk
 
     return _make(data, (x, kernel), backward)
 
@@ -585,10 +584,11 @@ def conv2d(x: CTensor, kernel: CTensor, pad: int) -> CTensor:
 def avg_pool2(x: CTensor) -> CTensor:
     """2x2 mean pooling over the last two axes (H, W), which must be even;
     any leading axes are carried through."""
-    *lead, h, w = x.shape
+    h, w = x.shape[-2:]
     if h % 2 or w % 2:
         raise ShapeError(f"avg_pool2 requires even spatial dims, got {h}x{w}")
-    data = x.data.reshape(*lead, h // 2, 2, w // 2, 2).mean(axis=(-3, -1))
+    data = ((x.data[..., 0::2, 0::2] + x.data[..., 0::2, 1::2])
+            + (x.data[..., 1::2, 0::2] + x.data[..., 1::2, 1::2])) * 0.25
 
     def backward(g):
         gx = np.repeat(np.repeat(g, 2, axis=-2), 2, axis=-1) / 4.0

@@ -20,6 +20,7 @@ from .constants import EPS
 from .errors import ConfigError, ShapeError
 
 STRATEGIES = ("harmformer_default", "mixing_all", "cross_values")
+NORM_MODES = ("std", "rms")
 
 
 class PatchStack(hs.OrderStack):
@@ -90,7 +91,7 @@ def he_layer_norm(p: PatchStack, eps: float = EPS, mode: str = "std") -> PatchSt
     """
     if p.n < 2:
         raise ShapeError("layer norm needs at least 2 patches")
-    if mode not in ("std", "rms"):
+    if mode not in NORM_MODES:
         raise ConfigError(f"unknown layer-norm mode {mode!r}")
     return p.with_tensor(hs.normalize_over(p.tensor, 2, eps, mode))
 
@@ -108,14 +109,13 @@ def magnitude_softmax(s: ct.CTensor, rpe_bias: ct.CTensor | None = None,
     """Row softmax over |s| + bias; phases pass through untouched (or are
     dropped when keep_phase is false).  Row magnitude sums are exactly 1.
     The bias broadcasts against the trailing axes of s."""
-    mag, unit = ct.magnitude_phase_split(s)
+    mag = ct.magnitude(s)
     if rpe_bias is not None:
         if rpe_bias.shape != s.shape[s.data.ndim - rpe_bias.data.ndim:]:
             raise ShapeError(f"rpe bias shape {rpe_bias.shape} does not end attention {s.shape}")
         mag = ct.add(mag, rpe_bias)
     w = ct.softmax(mag, axis=-1)
-    wc = ct.as_complex(w)
-    return ct.mul(wc, unit) if keep_phase else wc
+    return ct.with_magnitude(s, w) if keep_phase else ct.as_complex(w)
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +225,8 @@ def msa_forward(p: PatchStack, leaves: dict, name: str, heads: int,
 def crelu_ab(p: PatchStack, a: ct.CTensor, b: ct.CTensor) -> PatchStack:
     """ReLU(a|z| + b) e^{i theta} with learnable per-channel a, b."""
     a, b = (ct.expand(ct.reshape(v, (1, v.shape[0])), 0, len(p.orders)) for v in (a, b))
-    mag, unit = ct.magnitude_phase_split(p.tensor)
-    return p.with_tensor(ct.mul(ct.as_complex(ct.relu(ct.add(ct.mul(mag, a), b))), unit))
+    mag = ct.relu(ct.add(ct.mul(ct.magnitude(p.tensor), a), b))
+    return p.with_tensor(ct.with_magnitude(p.tensor, mag))
 
 
 def magnitude_dropout(p: PatchStack, rate: float, rng: np.random.Generator,

@@ -125,7 +125,7 @@ def validate_config(config: dict) -> dict:
         raise ConfigError(f"stem.kernel_size must be odd and >= 3, got {st['kernel_size']}")
     if any(c < 1 for c in st["channels"]):
         raise ConfigError("stem.channels must be positive")
-    if st["norm"] not in ("fused", "legacy", "layernorm"):
+    if st["norm"] not in hs.NORMS:
         raise ConfigError(f"stem.norm must be 'fused', 'legacy' or 'layernorm', "
                           f"got {st['norm']!r}")
     for key, lo in (("blocks", 0), ("heads", 1), ("patch_dim", 1),
@@ -134,7 +134,7 @@ def validate_config(config: dict) -> dict:
             raise ConfigError(f"encoder.{key} must be >= {lo}, got {en[key]}")
     if en["strategy"] not in enc.STRATEGIES:
         raise ConfigError(f"encoder.strategy must be one of {enc.STRATEGIES}")
-    if en["norm_mode"] not in ("std", "rms"):
+    if en["norm_mode"] not in enc.NORM_MODES:
         raise ConfigError(f"encoder.norm_mode must be 'std' or 'rms'")
     for name, rate in [("encoder.dropout", en["dropout"])] + [
             (f"stem.dropout[{i}]", r) for i, r in enumerate(st["dropout"])]:

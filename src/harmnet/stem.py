@@ -24,6 +24,7 @@ from .constants import EPS
 from .errors import ConfigError, ShapeError
 
 ORDERS = (-1, 0, 1)
+NORMS = ("fused", "legacy", "layernorm")   # Stem's per-conv normalization variants
 
 
 class OrderStack:
@@ -277,13 +278,13 @@ def _channel_vector(v: ct.CTensor, x: StreamedFeatureMap) -> ct.CTensor:
 
 def _affine_norm(x: StreamedFeatureMap, state: HBatchNormState, leaves: dict,
                  train: bool, track: bool):
-    """a * (|X| - mu)/sqrt(var + eps) + b per (order, channel), and the
-    phases of X.  Train mode pools magnitudes over batch and space (and
+    """a * (|X| - mu)/sqrt(var + eps) + b per (order, channel): the new
+    magnitudes of X.  Train mode pools magnitudes over batch and space (and
     updates the running buffers when `track`); eval mode reads the buffers."""
     if x.shape[2] != state.channels:
         raise ShapeError(f"channel mismatch: input {x.shape[2]}, norm {state.channels}")
     name = state.name
-    mag, unit = ct.magnitude_phase_split(x.tensor)
+    mag = ct.magnitude(x.tensor)
     if train:
         mu = ct.mean(mag, axis=(0, 3, 4), keepdims=True)
         d = ct.sub(mag, mu)
@@ -300,9 +301,8 @@ def _affine_norm(x: StreamedFeatureMap, state: HBatchNormState, leaves: dict,
                                         for m in x.orders]).reshape(shape))
                    for stat in ("mean", "var"))
     norm = ct.div(ct.sub(mag, mu), ct.sqrt(ct.add(var, ct.CTensor(np.float64(EPS)))))
-    scaled = ct.add(ct.mul(_channel_vector(leaves[f"{name}.a"], x), norm),
-                    _channel_vector(leaves[f"{name}.b"], x))
-    return scaled, unit
+    return ct.add(ct.mul(_channel_vector(leaves[f"{name}.a"], x), norm),
+                  _channel_vector(leaves[f"{name}.b"], x))
 
 
 def hbn_crelu(x: StreamedFeatureMap, state: HBatchNormState, leaves: dict,
@@ -314,8 +314,8 @@ def hbn_crelu(x: StreamedFeatureMap, state: HBatchNormState, leaves: dict,
     mode uses the stored running statistics.  Codomain of the magnitude path
     is non-negative, which is what keeps the layer equivariant.
     """
-    scaled, unit = _affine_norm(x, state, leaves, train, track=True)
-    return x.with_tensor(ct.mul(ct.as_complex(ct.relu(scaled)), unit))
+    scaled = _affine_norm(x, state, leaves, train, track=True)
+    return x.with_tensor(ct.with_magnitude(x.tensor, ct.relu(scaled)))
 
 
 def legacy_cbn(x: StreamedFeatureMap, state: HBatchNormState, leaves: dict,
@@ -325,8 +325,8 @@ def legacy_cbn(x: StreamedFeatureMap, state: HBatchNormState, leaves: dict,
     With gamma < 0 the magnitude path goes negative, flipping phases; kept
     exactly so the normalization ablation can exhibit the equivariance break.
     """
-    scaled, unit = _affine_norm(x, state, leaves, train, track=False)
-    return x.with_tensor(ct.mul(ct.as_complex(scaled), unit))
+    scaled = _affine_norm(x, state, leaves, train, track=False)
+    return x.with_tensor(ct.with_magnitude(x.tensor, scaled))
 
 
 def normalize_over(t: ct.CTensor, axis, eps: float = EPS, mode: str = "std") -> ct.CTensor:
@@ -350,9 +350,8 @@ def layer_norm_streams(x: StreamedFeatureMap, eps: float = EPS) -> StreamedFeatu
 
 def legacy_crelu(x: StreamedFeatureMap, bias: ct.CTensor) -> StreamedFeatureMap:
     """Original C-ReLU: ReLU(|X| + b) e^{i theta} with a per-channel bias."""
-    mag, unit = ct.magnitude_phase_split(x.tensor)
-    out = ct.relu(ct.add(mag, _channel_vector(bias, x)))
-    return x.with_tensor(ct.mul(ct.as_complex(out), unit))
+    out = ct.relu(ct.add(ct.magnitude(x.tensor), _channel_vector(bias, x)))
+    return x.with_tensor(ct.with_magnitude(x.tensor, out))
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +395,7 @@ class Stem:
                  norm: str = "fused"):
         if len(dropout) != len(channels):
             raise ConfigError("dropout list length must match channels list")
-        if norm not in ("fused", "legacy", "layernorm"):
+        if norm not in NORMS:
             raise ConfigError(f"unknown stem norm {norm!r}")
         self.name = name
         self.norm = norm

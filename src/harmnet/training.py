@@ -216,7 +216,7 @@ def train(model: hm.Model, splits: dict, tconfig: dict | None = None,
 
     def prep(images):
         return hdata.preprocess(images, inp["pad"],
-                                inp["upscale_factor"]).astype(np.float32)
+                                inp["upscale_factor"]).astype(ct.DTYPES[model.precision][0])
 
     xs = {name: prep(splits[name].images) for name in ("train", "val", "test")}
     ys = {name: splits[name].labels for name in ("train", "val", "test")}

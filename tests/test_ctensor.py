@@ -157,20 +157,21 @@ def test_fd_softmax():
     check(f, {"x": x})
 
 
-def test_fd_magnitude_and_phase_unit():
+def test_fd_magnitude_and_with_magnitude():
     rng = ct.make_rng(8)
     z = crandn(rng, 3, 3)
     z += np.sign(z.real) * 0.5 + 1j * np.sign(z.imag) * 0.5   # away from origin
     tm = rng.standard_normal((3, 3))
     tu = crandn(rng, 3, 3)
+    r = rng.standard_normal((3, 3))    # either sign: legacy_cbn's can be negative
 
     def f(p):
-        m, u = ct.magnitude_phase_split(p["z"])
+        m = ct.magnitude(p["z"])
         dm = ct.sub(m, ct.CTensor(tm))
         lm = ct.sum_(ct.mul(dm, dm))
-        return ct.add(lm, l2_to(tu)(u))
+        return ct.add(lm, l2_to(tu)(ct.with_magnitude(p["z"], p["r"])))
 
-    check(f, {"z": z})
+    check(f, {"z": z, "r": r})
 
 
 def test_fd_polar_unit_as_complex():
@@ -253,15 +254,50 @@ def test_conj_transpose_product_reversal():
     assert np.array_equal(back, a)
 
 
-def test_magnitude_phase_recombination():
+def test_with_magnitude_recombination():
     rng = ct.make_rng(13)
     z = crandn(rng, 5, 5)
     z[0, 0] = 0.0
-    m, u = ct.magnitude_phase_split(ct.CTensor(z))
+    m = ct.magnitude(ct.CTensor(z))
+    y = ct.with_magnitude(ct.CTensor(z), m)
     assert np.all(m.data >= 0)
-    assert np.max(np.abs(m.data * u.data - z)) <= EXACT_TOL
-    assert u.data[0, 0] == 1.0 + 0.0j            # phase convention at zero
-    assert np.max(np.abs(np.abs(u.data) - 1.0)) <= EXACT_TOL
+    assert np.max(np.abs(y.data - z)) <= EXACT_TOL
+    u = ct.with_magnitude(ct.CTensor(z), ct.CTensor(np.ones(z.shape))).data
+    assert u[0, 0] == 1.0 + 0.0j                 # phase convention at zero
+    assert np.max(np.abs(np.abs(u) - 1.0)) <= EXACT_TOL
+
+
+def test_with_magnitude_zero_gradient_at_origin():
+    z = np.array([0.0 + 0.0j, 1.0 - 2.0j])
+    t = np.array([0.3 + 0.4j, -1.0 + 0.5j])
+    tape = ct.GradTape()
+    pz, pr = tape.parameter("z", z), tape.parameter("r", np.array([2.0, 0.5]))
+    g = ct.backward(tape, l2_to(t)(ct.with_magnitude(pz, pr)))
+    assert g["z"][0] == 0.0 + 0.0j
+    # the r-gradient at z = 0 reads the conventional phase 1+0i
+    assert g["r"][0] == pytest.approx(2 * (2.0 - 0.3))
+
+
+@pytest.mark.parametrize("zt, rt", [(np.complex128, np.float64), (np.complex64, np.float32),
+                                    (np.complex64, np.float64)])
+def test_with_magnitude_matches_numpy_reference_bitwise(zt, rt):
+    rng = ct.make_rng(15)
+    z = crandn(rng, 4, 3, 5, 6).astype(zt)
+    z[0, 0, :2] = 0.0
+    r = rng.standard_normal(z.shape).astype(rt)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        want = r * np.where(np.abs(z) == 0, 1, z / np.abs(z))
+    got = ct.with_magnitude(ct.CTensor(z), ct.CTensor(r)).data
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_with_magnitude_rejects_complex_or_misshaped_magnitudes():
+    z = ct.CTensor(np.ones((2, 3), dtype=np.complex128))
+    with pytest.raises(ShapeError):
+        ct.with_magnitude(z, z)
+    with pytest.raises(ShapeError):
+        ct.with_magnitude(z, ct.CTensor(np.ones((1, 3))))
 
 
 def test_subgradients_at_kinks_are_zero():
@@ -361,6 +397,40 @@ def test_conv2d_backends_agree_on_gradients():
         assert np.max(np.abs(grads["k"] - ref_k)) / np.max(np.abs(ref_k)) <= 1e-12, backend
 
 
+@pytest.mark.parametrize("side", [(5, 6), (16, 16)], ids=["gemm", "fft"])
+def test_conv2d_untracked_input_gets_no_adjoint(monkeypatch, side):
+    # an untracked input (the image) costs one correlation in backward, for
+    # the kernel alone, and the kernel gradient is the one a tracked input gets
+    rng = ct.make_rng(18)
+    x, k = crandn(rng, 2, 3, *side), crandn(rng, 4, 3, 3, 3)
+    t = crandn(rng, 2, 4, *side)
+    calls, real = [], ct._correlate
+    monkeypatch.setattr(ct, "_correlate", lambda *a: calls.append(a) or real(*a))
+
+    def kernel_grad(track_x):
+        tape = ct.GradTape()
+        px = tape.parameter("x", x) if track_x else ct.CTensor(x)
+        loss = l2_to(t)(ct.conv2d(px, tape.parameter("k", k), pad=1))
+        calls.clear()
+        return ct.backward(tape, loss), len(calls)
+
+    tracked, n_tracked = kernel_grad(True)
+    untracked, n_untracked = kernel_grad(False)
+    assert (n_tracked, n_untracked) == (2, 1)
+    assert "x" not in untracked
+    assert untracked["k"].tobytes() == tracked["k"].tobytes()
+
+
+def test_mul_untracked_operand_gets_no_adjoint():
+    tape = ct.GradTape()
+    a = tape.parameter("a", np.array([1.0 + 2.0j, -0.5j]))
+    y = ct.mul(a, ct.CTensor(np.array([2.0, 3.0])))
+    _, back = tape.nodes[y.node]
+    ga, gb = back(np.ones(2, dtype=np.complex128))
+    assert gb is None
+    assert np.array_equal(ga, [2.0, 3.0])
+
+
 def test_avg_pool2_matches_block_mean():
     rng = ct.make_rng(17)
     x = crandn(rng, 1, 2, 6, 8)
@@ -369,6 +439,17 @@ def test_avg_pool2_matches_block_mean():
         for j in range(4):
             blk = x[:, :, 2 * i:2 * i + 2, 2 * j:2 * j + 2].mean(axis=(2, 3))
             assert np.max(np.abs(y[:, :, i, j] - blk)) <= EXACT_TOL
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64, np.float64, np.float32])
+def test_avg_pool2_matches_reshape_mean_bitwise(dtype):
+    rng = ct.make_rng(16)
+    x = crandn(rng, 2, 3, 4, 6, 8)
+    x = (x if np.issubdtype(dtype, np.complexfloating) else x.real).astype(dtype)
+    want = x.reshape(2, 3, 4, 3, 2, 4, 2).mean(axis=(-3, -1))
+    got = ct.avg_pool2(ct.CTensor(x)).data
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -481,9 +562,10 @@ def test_matmul_forward_property(n, k, m, seed):
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 6), st.integers(0, 2 ** 31 - 1))
-def test_split_recombination_property(n, m, seed):
+def test_with_magnitude_recombination_property(n, m, seed):
     rng = ct.make_rng(seed)
     z = crandn(rng, n, m)
-    mag, unit = ct.magnitude_phase_split(ct.CTensor(z))
+    mag = ct.magnitude(ct.CTensor(z))
+    y = ct.with_magnitude(ct.CTensor(z), mag)
     assert np.all(mag.data >= 0)
-    assert np.max(np.abs(mag.data * unit.data - z)) <= 1e-12 * max(1.0, np.max(np.abs(z)))
+    assert np.max(np.abs(y.data - z)) <= 1e-12 * max(1.0, np.max(np.abs(z)))

@@ -195,3 +195,23 @@ def test_shared_parameter_gradients_match_separate_uses():
     y = enc.equi_linear(p, tape.parameter("w", w))
     stacked = ct.backward(tape, loss(y.tensor, t))["w"]
     assert np.array_equal(stacked, separate)
+
+
+def magnitude_softmax(tape, orders):
+    s = tape.leaf(crandn(ct.make_rng(7), 2, len(orders), 4, 4))
+    return lambda: enc.magnitude_softmax(s)
+
+
+# nodes each magnitude layer records: one magnitude, its real magnitude path,
+# and one with_magnitude (the split chain recorded two more: a phase node and
+# a real-to-complex cast before the product)
+MAGNITUDE_LAYER_NODES = {
+    "hbn_crelu_train": 17, "hbn_crelu_eval": 11, "legacy_cbn_train": 16,
+    "legacy_cbn_eval": 10, "legacy_crelu": 6, "crelu_ab": 9, "magnitude_softmax": 6,
+}
+
+
+@pytest.mark.parametrize("name", sorted(MAGNITUDE_LAYER_NODES))
+def test_magnitude_layers_record_one_phase_node(name):
+    build = {**LAYERS, "magnitude_softmax": magnitude_softmax}[name]
+    assert nodes_added(build, THREE) == MAGNITUDE_LAYER_NODES[name]

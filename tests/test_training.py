@@ -265,6 +265,21 @@ def test_train_is_deterministic(tmp_path):
     assert out[0] == out[1]
 
 
+@pytest.mark.parametrize("precision, dtype", [("f32", np.float32), ("f64", np.float64)])
+def test_train_feeds_images_at_model_precision(monkeypatch, precision, dtype):
+    model = hm.build(tiny_config(), seed=0, precision=precision)
+    seen = set()
+    real = hm.Model.forward
+
+    def forward(self, images, *args, **kwargs):
+        seen.add(np.asarray(getattr(images, "data", images)).dtype)
+        return real(self, images, *args, **kwargs)
+
+    monkeypatch.setattr(hm.Model, "forward", forward)
+    tr.train(model, toy_splits(n_train=8, n_eval=3), quick_tconfig(epochs=1))
+    assert seen == {np.dtype(dtype)}
+
+
 def test_train_zero_lr_leaves_parameters_unchanged():
     model = hm.build(tiny_config(), seed=1)
     before = {k: v.copy() for k, v in model.params.items()}
