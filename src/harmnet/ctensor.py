@@ -51,7 +51,7 @@ class GradTape:
 
     Nodes are appended in execution order, so parents always precede their
     consumers and the backward pass is a single reverse sweep that visits
-    each node exactly once.  A tape is confined to one logical execution;
+    each node exactly once (and frees it: a tape serves one `backward`).  A tape is confined to one logical execution;
     parameters are registered by name so `backward` can hand gradients back
     per slot.
     """
@@ -428,6 +428,12 @@ def polar_unit(theta: CTensor) -> CTensor:
     return _make(data, (theta,), backward)
 
 
+def astype(a: CTensor, dtype) -> CTensor:
+    """a cast to another precision of its kind (real or complex); the
+    gradient returns in a's dtype."""
+    return _make(a.data.astype(dtype, copy=False), (a,), lambda g: (_to_kind(g, a.data),))
+
+
 def as_complex(a: CTensor) -> CTensor:
     """Promote a real tensor to complex with zero imaginary part."""
     _require_real(a, "as_complex")
@@ -487,23 +493,12 @@ def softmax(a: CTensor, axis: int = -1) -> CTensor:
 
 
 # ---------------------------------------------------------------------------
-# spatial ops (NCHW layout)
+# spatial ops
 # ---------------------------------------------------------------------------
 
-def _pick_backend(h: int, w: int) -> str:
-    # FFT wins once the spatial map is large enough to amortize transforms
-    return "fft" if h * w >= 256 else "gemm"
-
-
-def _im2col(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """(B, C, Hp, Wp) -> (B, H', W', C, kh, kw) sliding windows (view)."""
-    v = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    return v.transpose(0, 2, 3, 1, 4, 5)
-
-
-def _fft2(x, shape):
+def _fft2(x):
     from scipy import fft as sfft
-    return sfft.fft2(x, s=shape, axes=(-2, -1))
+    return sfft.fft2(x, axes=(-2, -1))
 
 
 def _ifft2(x):
@@ -511,74 +506,147 @@ def _ifft2(x):
     return sfft.ifft2(x, axes=(-2, -1))
 
 
-def _freq_contract(xh: np.ndarray, kh_: np.ndarray) -> np.ndarray:
-    """Per-frequency channel mixing: (B,Ci,F..) x (Co,Ci,F..) -> (B,Co,F..)."""
-    b, ci, fh, fw = xh.shape
-    co = kh_.shape[0]
-    xm = xh.reshape(b, ci, fh * fw).transpose(2, 0, 1)          # (F, B, Ci)
-    km = kh_.reshape(co, ci, fh * fw).transpose(2, 1, 0)        # (F, Ci, Co)
-    y = np.matmul(xm, km)                                        # (F, B, Co)
-    return y.transpose(1, 2, 0).reshape(b, co, fh, fw)
+def _spectrum_first(batch: int, n_radii: int, c_out: int) -> bool:
+    """Contraction order of one harmonic conv: spectrum-first multiplies the
+    input spectrum by the basis spectra and mixes channels with one GEMM per
+    output stream, which pays n_radii products per input element and batch
+    item; kernel-first builds the kernel spectra once and contracts per
+    frequency, which pays per frequency for small matrices."""
+    return n_radii * batch <= 2 * c_out
 
 
-def _correlate(xp: np.ndarray, k: np.ndarray, fft: bool) -> np.ndarray:
-    """Valid cross-correlation (no kernel flip, stride 1) of an already
-    padded (B, Ci, Hp, Wp) input with a (Co, Ci, kh, kw) kernel: one GEMM
-    over the sliding windows, or a per-frequency product of FFTs."""
-    b, _, hp, wp = xp.shape
-    co, ci, kh, kw = k.shape
-    if not fft:
-        cols = _im2col(xp, kh, kw).reshape(b, hp - kh + 1, wp - kw + 1, ci * kh * kw)
-        return (cols @ k.reshape(co, ci * kh * kw).T).transpose(0, 3, 1, 2)
-    xh = _fft2(xp, (hp, wp))
-    khat = _fft2(k[:, :, ::-1, ::-1], (hp, wp))
-    out = _ifft2(_freq_contract(xh, khat))[:, :, kh - 1: hp, kw - 1: wp]
-    want = np.result_type(xp.dtype, k.dtype)
-    if not np.issubdtype(want, np.complexfloating):
-        out = out.real
-    return np.ascontiguousarray(out).astype(want, copy=False)
+def _connections(slots: np.ndarray, o: int):
+    """Connection and input-stream indices feeding output stream o."""
+    ins = np.flatnonzero(slots[o] >= 0)
+    return slots[o, ins], ins
 
 
-def _pad_hw(a: np.ndarray, ph: int, pw: int) -> np.ndarray:
-    return np.pad(a, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+def _basis_products(xt: np.ndarray, spectra: np.ndarray, ps, ins) -> np.ndarray:
+    """(len(ps) * Ci * nr, B * F): input stream ins[j]'s spectrum (Ci, B, F)
+    times each basis spectrum of connection ps[j]."""
+    z = xt[ins][:, :, None] * spectra[ps][:, None, :, None]
+    return z.reshape(-1, z.shape[-2] * z.shape[-1])
 
 
-def conv2d(x: CTensor, kernel: CTensor, pad: int) -> CTensor:
-    """2D cross-correlation (no kernel flip) with zero padding, stride 1.
+def _mix(xh: np.ndarray, coeffs: np.ndarray, spectra: np.ndarray, slots: np.ndarray,
+         spectrum_first: bool) -> np.ndarray:
+    """Per-frequency order mixing: out[:, o] = sum over input streams i of
+    xh[:, i] times the kernel spectrum khat_p = sum_r coeffs[p, ..., r] *
+    spectra[p, r] of connection p = slots[o, i] (-1: none).
 
-    x: (B, C_in, H, W), kernel: (C_out, C_in, kh, kw).  The convention is
-    pinned by the impulse-response test: a centered delta input reproduces
-    the point-reflected kernel.  The forward pass and both adjoints are
-    valid correlations on the GEMM or FFT side chosen by the input size.
+    xh (B, I, Ci, F), coeffs (P, Co, Ci, nr), spectra (P, nr, F), slots
+    (O, I) -> (B, O, Co, F) complex128.
     """
-    if x.data.ndim != 4 or kernel.data.ndim != 4:
-        raise ShapeError("conv2d expects (B,C,H,W) input and (Co,Ci,kh,kw) kernel")
-    if x.shape[1] != kernel.shape[1]:
-        raise ShapeError(f"conv2d: channel mismatch {x.shape[1]} vs {kernel.shape[1]}")
-    h, w = x.shape[2:]
-    kh, kw = kernel.shape[2:]
-    fft = _pick_backend(h, w) == "fft"
-    data = _correlate(_pad_hw(x.data, pad, pad), kernel.data, fft)
+    b, n_in, ci, f = xh.shape
+    n, co, _, nr = coeffs.shape
+    n_out = slots.shape[0]
+    if spectrum_first:
+        xt = xh.transpose(1, 2, 0, 3)                                  # (I, Ci, B, F)
+        out = np.zeros((n_out, co, b * f), dtype=np.complex128)
+        for o in range(n_out):
+            ps, ins = _connections(slots, o)
+            if ps.size:
+                c = coeffs[ps].transpose(1, 0, 2, 3).reshape(co, -1)   # (Co, Pj*Ci*nr)
+                out[o] = c @ _basis_products(xt, spectra, ps, ins)
+        return out.reshape(n_out, co, b, f).transpose(2, 0, 1, 3)
+    kf = np.zeros((f, n_in, ci, n_out, co), dtype=np.complex128)      # kernel spectra
+    for o, i in zip(*np.nonzero(slots >= 0)):
+        p = slots[o, i]
+        kf[:, i, :, o, :] = (spectra[p].T @ coeffs[p].transpose(2, 1, 0).reshape(nr, ci * co)
+                             ).reshape(f, ci, co)
+    xf = xh.reshape(b, n_in * ci, f).transpose(2, 0, 1)                # (F, B, I*Ci)
+    y = np.matmul(xf, kf.reshape(f, n_in * ci, n_out * co))             # (F, B, O*Co)
+    return y.transpose(1, 2, 0).reshape(b, n_out, co, f)
+
+
+def _coeff_adjoint(xh: np.ndarray, gh: np.ndarray, spectra: np.ndarray, slots: np.ndarray,
+                   spectrum_first: bool) -> np.ndarray:
+    """Adjoint of `_mix` in its coefficients: out[p, o', c, r] = sum over
+    batch and frequency of gh[:, o, o'] * conj(xh[:, i, c] * spectra[p, r])
+    for each connection p = slots[o, i] -> (P, Co, Ci, nr)."""
+    b, n_in, ci, f = xh.shape
+    n_out, co = gh.shape[1:3]
+    n, nr = spectra.shape[:2]
+    out = np.zeros((n, co, ci, nr), dtype=np.complex128)
+    if spectrum_first:
+        xt = xh.transpose(1, 2, 0, 3)
+        gt = gh.transpose(1, 2, 0, 3).reshape(n_out, co, b * f)
+        for o in range(n_out):
+            ps, ins = _connections(slots, o)
+            if ps.size:
+                z = _basis_products(xt, spectra, ps, ins)
+                gc = gt[o] @ np.conj(z).T                                  # (Co, Pj*Ci*nr)
+                out[ps] = gc.reshape(co, ps.size, ci, nr).transpose(1, 0, 2, 3)
+        return out
+    xf = np.conj(xh.reshape(b, n_in * ci, f).transpose(2, 1, 0))           # (F, I*Ci, B)
+    gf = gh.reshape(b, n_out * co, f).transpose(2, 0, 1)                   # (F, B, O*Co)
+    gk = np.matmul(xf, gf).reshape(f, n_in, ci, n_out, co)
+    for o, i in zip(*np.nonzero(slots >= 0)):
+        p = slots[o, i]
+        out[p] = np.tensordot(np.conj(spectra[p]), gk[:, i, :, o, :], axes=(1, 0)).transpose(2, 1, 0)
+    return out
+
+
+def conv2d(x: CTensor, coeffs: CTensor, spectra: np.ndarray, slots: np.ndarray) -> CTensor:
+    """Order-mixing convolution as a linear map of filter coefficients.
+
+    x: (B, I, Ci, H, W) input streams; coeffs: (P, Co, Ci, nr), the weights
+    of each connection's kernel over its nr basis atoms; spectra: (P, nr,
+    Hp, Wp), each atom flipped in both axes and zero-padded to its FFT at
+    Hp = H + kh - 1 (so the atoms are kh x kw, kh and kw odd); slots: (O, I)
+    connection index per (output, input) stream pair, -1 for none.  Output
+    stream o is sum_i x[:, i] correlated (no kernel flip, zero padding
+    kh // 2, stride 1) with the kernel of connection slots[o, i], as one
+    (B, O, Co, H, W) tensor.
+
+    The input is transformed once and the output once; in between, the
+    contraction order is chosen from the shapes (`_spectrum_first`).  Both
+    adjoints recompute the spectra they need from x and coeffs, so the tape
+    keeps nothing else.
+    """
+    if x.data.ndim != 5 or coeffs.data.ndim != 4 or spectra.ndim != 4 or slots.ndim != 2:
+        raise ShapeError("conv2d expects (B,I,Ci,H,W) input, (P,Co,Ci,nr) coefficients, "
+                         "(P,nr,Hp,Wp) spectra and (O,I) slots")
+    b, n_in, ci, h, w = x.shape
+    n, co, _, nr = coeffs.shape
+    hp, wp = spectra.shape[2:]
+    if coeffs.shape[2] != ci or spectra.shape[:2] != (n, nr) or slots.shape[1] != n_in:
+        raise ShapeError(f"conv2d: input {x.shape}, coefficients {coeffs.shape}, "
+                         f"spectra {spectra.shape} and slots {slots.shape} disagree")
+    ph, pw = hp - h, wp - w
+    if ph < 0 or pw < 0 or ph % 2 or pw % 2:
+        raise ShapeError(f"conv2d: spectra {hp}x{wp} do not pad a {h}x{w} input to an odd kernel")
+    spectrum_first = _spectrum_first(b, nr, co)
+    basis = spectra.reshape(n, nr, hp * wp)
+    pad = ((0, 0),) * 3 + ((ph // 2, ph // 2), (pw // 2, pw // 2))
+
+    def input_spectrum():
+        return _fft2(np.pad(x.data, pad)).reshape(b, n_in, ci, hp * wp)
+
+    yh = _mix(input_spectrum(), coeffs.data, basis, slots, spectrum_first)
+    y = _ifft2(yh.reshape(b, -1, co, hp, wp))[..., ph:, pw:]
+    data = np.ascontiguousarray(y).astype(np.result_type(x.data, coeffs.data), copy=False)
 
     def backward(g):
-        gx = gk = None   # an untracked operand (the image) gets no adjoint
+        gx = gc = None   # an untracked operand (the image) gets no adjoint
+        full = np.zeros(g.shape[:3] + (hp, wp), dtype=g.dtype)
+        full[..., ph:, pw:] = g
+        gh = _fft2(full).reshape(b, -1, co, hp * wp)
         if x.node is not None:
-            # input: full correlation of g with conj(k), channels swapped and
-            # flipped, cropped to the unpadded input
-            k_adj = np.conj(kernel.data).transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
-            gx = _correlate(_pad_hw(g, kh - 1, kw - 1), k_adj, fft)[:, :, pad: pad + h, pad: pad + w]
+            # the adjoint conv: conjugate coefficients and spectra, channels
+            # and streams swapped, cropped back to the unpadded input
+            adj = _mix(gh, np.conj(coeffs.data).transpose(0, 2, 1, 3), np.conj(basis),
+                       slots.T, spectrum_first)
+            gx = _ifft2(adj.reshape(b, n_in, ci, hp, wp))[..., ph // 2: ph // 2 + h,
+                                                          pw // 2: pw // 2 + w]
             gx = _to_kind(gx, x.data)
-        if kernel.node is not None:
-            # kernel: gk[o,c,u,v] = sum_{b,i,j} conj(xp[b,c,i+u,j+v]) g[b,o,i,j],
-            # the correlation of conj(xp) with g, batch and channel axes swapped;
-            # taken as conj(xp (x) conj(g)) so a complex64 x is transformed as
-            # is (the FFT of conj(x) rounds x differently, ~1e-7 apart)
-            xp = _pad_hw(x.data, pad, pad).transpose(1, 0, 2, 3)
-            gk = np.conj(_correlate(xp, np.conj(g).transpose(1, 0, 2, 3), fft))
-            gk = _to_kind(gk.transpose(1, 0, 2, 3), kernel.data)
-        return gx, gk
+        if coeffs.node is not None:
+            # the adjoint of ifft2 is fft2 / (hp * wp)
+            gc = _coeff_adjoint(input_spectrum(), gh, basis, slots, spectrum_first)
+            gc = _to_kind(gc / (hp * wp), coeffs.data)
+        return gx, gc
 
-    return _make(data, (x, kernel), backward)
+    return _make(data, (x, coeffs), backward)
 
 
 def avg_pool2(x: CTensor) -> CTensor:
@@ -602,19 +670,26 @@ def avg_pool2(x: CTensor) -> CTensor:
 # ---------------------------------------------------------------------------
 
 def backward(tape: GradTape, loss: CTensor) -> dict:
-    """Gradients of a real scalar loss w.r.t. every registered parameter."""
+    """Gradients of a real scalar loss w.r.t. every registered parameter.
+
+    The reverse sweep consumes the tape: it drops each node once visited,
+    down to node 0, so the closures (and the tensors they hold) are freed by
+    reference counting as the sweep goes, not left in a cycle through the
+    tape for the garbage collector.  The node list keeps its length.
+    """
     if loss.tape is not tape or loss.node is None:
         raise ContractError("loss is not recorded on this tape")
     if loss.data.shape != () or loss.is_complex:
         raise ContractError("loss must be a real scalar")
+    if tape.nodes[0] is None:
+        raise ContractError("tape was already consumed by backward")
     grads = [None] * len(tape.nodes)
     grads[loss.node] = np.ones((), dtype=loss.data.dtype)
     for nid in range(loss.node, -1, -1):
         g = grads[nid]
-        if g is None:
-            continue
         parents, back = tape.nodes[nid]
-        if back is None:
+        tape.nodes[nid] = None
+        if g is None or back is None:
             continue
         for pid, pg in zip(parents, back(g)):
             if pid is None:

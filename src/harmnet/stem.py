@@ -174,7 +174,7 @@ class HarmonicFilterBank:
     gets the filter order m_filter = m_out - m_in, so every output stays in
     the configured order range by construction.  The first conv applied to a
     raw image (in_orders == (0,)) is the lifting convolution.  Restricting
-    filter_orders drops connections; the corresponding kernel blocks are
+    filter_orders drops connections; order pairs without one contribute
     structural zeros (no parameters), as used by the 1x1 residual projection
     which keeps only m_filter = 0.
     """
@@ -198,6 +198,10 @@ class HarmonicFilterBank:
                             if m_out - m_in in filter_orders]
         if not self.connections:
             raise ConfigError(f"filter bank {name} has no connections")
+        # connection index per (output, input) order pair, -1 for none
+        index = {conn: i for i, conn in enumerate(self.connections)}
+        self.slots = np.array([[index.get((m_in, m_out - m_in), -1) for m_in in self.in_orders]
+                               for m_out in self.out_orders])
         nr = n_radii(kernel_size)
         taps = int(np.count_nonzero(_radial_basis(kernel_size).sum(axis=1)))
         scale = np.sqrt(2.0 / (c_in * len(self.in_orders) * taps * nr))
@@ -208,41 +212,49 @@ class HarmonicFilterBank:
             self.params[f"{base}.phase"] = rng.uniform(-np.pi, np.pi, size=(c_out, c_in))
 
     def kernel_block(self, leaves: dict) -> ct.CTensor:
-        """Assemble the block-structured kernel for one fused conv2d call:
-        every connection is synthesized in one batch, then each
-        (m_out, m_in) slot takes its connection's block or a zero block."""
-        n, co, ci, k = len(self.connections), self.c_out, self.c_in, self.k
+        """The filter coefficients radial * e^{i beta} of every connection,
+        one (P, Co, Ci, n_radii) complex128 tensor in `connections` order:
+        the weights of each kernel over its basis atoms."""
+        n, co, ci = len(self.connections), self.c_out, self.c_in
         bases = [f"{self.name}.f{m_in:+d}{m_f:+d}" for m_in, m_f in self.connections]
         radial = ct.concat([leaves[f"{base}.radial"] for base in bases], axis=0)
         phase = ct.concat([leaves[f"{base}.phase"] for base in bases], axis=0)
-        blocks = synthesize_block(ct.reshape(radial, (n, co, ci, n_radii(k))),
-                                  ct.reshape(phase, (n, co, ci)),
-                                  tuple(m_f for _, m_f in self.connections), k)
-        padded = ct.concat([blocks, ct.CTensor(np.zeros_like(blocks.data[:1]))], axis=0)
-        index = {conn: i for i, conn in enumerate(self.connections)}
-        slots = np.array([[index.get((m_in, m_out - m_in), n) for m_in in self.in_orders]
-                          for m_out in self.out_orders])
-        grid = ct.transpose(ct.take(padded, (slots,)), (0, 2, 1, 3, 4, 5))
-        return ct.reshape(grid, (len(self.out_orders) * co, len(self.in_orders) * ci, k, k))
+        radial = ct.astype(ct.reshape(radial, (n, co, ci, n_radii(self.k))), np.float64)
+        return ct.mul(radial, ct.reshape(ct.polar_unit(phase), (n, co, ci, 1)))
+
+
+@lru_cache(maxsize=None)
+def basis_spectra(k: int, m: int, hp: int, wp: int) -> np.ndarray:
+    """(n_radii, hp, wp) read-only spectra of the order-m atoms: atom r is
+    the kernel `synthesize_block` gives a one-hot radial profile at radius r
+    and zero phase, flipped in both axes and zero-padded to its FFT."""
+    from scipy import fft as sfft   # deferred: slower to import than the package
+    nr = n_radii(k)
+    atoms = synthesize_block(ct.CTensor(np.eye(nr).reshape(nr, 1, nr)),
+                             ct.CTensor(np.zeros((nr, 1))), m, k).data[:, 0]
+    spectra = sfft.fft2(atoms[:, ::-1, ::-1], s=(hp, wp), axes=(-2, -1))
+    spectra.flags.writeable = False
+    return spectra
 
 
 def harmonic_conv(x: StreamedFeatureMap, bank: HarmonicFilterBank,
                   leaves: dict) -> StreamedFeatureMap:
     """Order-mixing convolution: out_m = sum over m1+m2=m of in_{m1} * W_{m2}.
 
-    The order axis is folded into channels, (B, O*C, H, W), convolved once
-    with the block-structured kernel, and unfolded per output order.
-    Convolution convention is cross-correlation (no kernel flip).
+    Each kernel W is the bank's coefficients over the basis atoms of its
+    filter order, so the convolution runs against the atoms' cached spectra
+    and never synthesizes or transforms a kernel.  Convolution convention is
+    cross-correlation (no kernel flip).
     """
     if x.orders != bank.in_orders:
         raise ShapeError(f"input orders {x.orders} != bank orders {bank.in_orders}")
-    b, o, c, h, w = x.shape
-    if c != bank.c_in:
-        raise ShapeError(f"channel mismatch: input {c}, bank {bank.c_in}")
-    xin = ct.reshape(x.tensor, (b, o * c, h, w))
-    y = ct.conv2d(xin, bank.kernel_block(leaves), pad=bank.k // 2)
-    shape = (b, len(bank.out_orders), bank.c_out) + y.shape[2:]
-    return StreamedFeatureMap(ct.reshape(y, shape), bank.out_orders)
+    h, w = x.shape[3:]
+    if x.shape[2] != bank.c_in:
+        raise ShapeError(f"channel mismatch: input {x.shape[2]}, bank {bank.c_in}")
+    hp, wp = h + bank.k - 1, w + bank.k - 1
+    spectra = np.stack([basis_spectra(bank.k, m_f, hp, wp) for _, m_f in bank.connections])
+    y = ct.conv2d(x.tensor, bank.kernel_block(leaves), spectra, bank.slots)
+    return StreamedFeatureMap(y, bank.out_orders)
 
 
 # ---------------------------------------------------------------------------

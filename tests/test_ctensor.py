@@ -7,6 +7,9 @@ must stay under 1e-6 relative error.  Exact algebraic laws (recombination,
 unitarity, row-stochasticity) are held to 1e-12.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -188,18 +191,39 @@ def test_fd_polar_unit_as_complex():
     check(f, {"theta": theta, "r": r})
 
 
-@pytest.mark.parametrize("backend, size", [pytest.param("gemm", 6, id="gemm"),
-                                           pytest.param("fft", 16, id="fft")])
-def test_fd_conv2d(backend, size):
-    # each size sits on its backend's side of the GEMM/FFT threshold
-    assert ct._pick_backend(size, size) == backend
+# (spectrum_first, batch, c_out) for a 3x3 kernel, 9 unit-impulse atoms, on
+# each side of the contraction-order rule
+CONV_ORDERS = [pytest.param(True, 1, 5, id="spectrum_first"),
+               pytest.param(False, 2, 3, id="kernel_first")]
+
+
+def impulse_spectra(kh, kw, hp, wp):
+    """(1, kh*kw, hp, wp): a plain kernel is the coefficient form over unit
+    impulses, atom u*kw + v being the impulse at (u, v), flipped and padded."""
+    atoms = np.eye(kh * kw).reshape(kh * kw, kh, kw)[:, ::-1, ::-1]
+    return np.fft.fft2(atoms, s=(hp, wp))[None]
+
+
+def plain_conv2d(x, k):
+    """conv2d of a (B, Ci, H, W) input with a plain (Co, Ci, kh, kw) kernel
+    (zero padding kh // 2), as one connection over unit-impulse atoms."""
+    b, ci, h, w = x.shape
+    co, _, kh, kw = k.shape
+    y = ct.conv2d(ct.reshape(x, (b, 1, ci, h, w)), ct.reshape(k, (1, co, ci, kh * kw)),
+                  impulse_spectra(kh, kw, h + kh - 1, w + kw - 1), np.zeros((1, 1), dtype=int))
+    return ct.reshape(y, (b, co, h, w))
+
+
+@pytest.mark.parametrize("spectrum_first, batch, c_out", CONV_ORDERS)
+def test_fd_conv2d(spectrum_first, batch, c_out):
+    assert ct._spectrum_first(batch, 9, c_out) == spectrum_first
     rng = ct.make_rng(10)
-    x = crandn(rng, 1, 2, size, size)
-    k = crandn(rng, 3, 2, 3, 3)
-    t = crandn(rng, 1, 3, size, size)
+    x = crandn(rng, batch, 2, 8, 8)
+    k = crandn(rng, c_out, 2, 3, 3)
+    t = crandn(rng, batch, c_out, 8, 8)
 
     def f(p):
-        return l2_to(t)(ct.conv2d(p["x"], p["k"], pad=1))
+        return l2_to(t)(plain_conv2d(p["x"], p["k"]))
 
     check(f, {"x": x, "k": k}, sample=40)
 
@@ -328,10 +352,6 @@ def test_softmax_rows_sum_to_one():
     assert np.all(s > 0)
 
 
-# one size on each side of the GEMM/FFT threshold
-CONV_SIDES = (("gemm", 5, 6), ("fft", 16, 17))
-
-
 def conv_reference(x, k, pad, g):
     """Direct loops: the padded cross-correlation y, and the adjoints of an
     upstream gradient g w.r.t. the input (scattered back over each window)
@@ -357,25 +377,24 @@ def conv_reference(x, k, pad, g):
 
 def test_conv2d_matches_direct_reference():
     rng = ct.make_rng(15)
-    k = crandn(rng, 3, 2, 3, 3)
-    pad = 1
-    for backend, h, w in CONV_SIDES:
-        assert ct._pick_backend(h, w) == backend
-        x = crandn(rng, 2, 2, h, w)
-        ref, _, _ = conv_reference(x, k, pad, np.zeros((2, 3, h, w)))
-        y = ct.conv2d(ct.CTensor(x), ct.CTensor(k), pad=pad).data
-        assert np.max(np.abs(y - ref)) <= 1e-12, backend
+    for spectrum_first, batch, c_out in (p.values for p in CONV_ORDERS):
+        assert ct._spectrum_first(batch, 9, c_out) == spectrum_first
+        k = crandn(rng, c_out, 2, 3, 3)
+        x = crandn(rng, batch, 2, 5, 6)
+        ref, _, _ = conv_reference(x, k, 1, np.zeros((batch, c_out, 5, 6)))
+        y = plain_conv2d(ct.CTensor(x), ct.CTensor(k)).data
+        assert np.max(np.abs(y - ref)) <= 1e-12, spectrum_first
 
 
 def test_conv2d_backends_agree_on_gradients():
-    # the tape's forward pass and both adjoints, on each side of the
-    # threshold, against the same direct-loop reference
+    # the tape's forward pass and both adjoints, in each contraction order,
+    # against the same direct-loop reference; 5x5 kernels have 25 atoms
     rng = ct.make_rng(16)
-    k = crandn(rng, 4, 3, 5, 5)
-    for backend, h, w in (("gemm", 12, 14), ("fft", 16, 16)):
-        assert ct._pick_backend(h, w) == backend
-        x = crandn(rng, 2, 3, h, w)
-        g_out = crandn(rng, 2, 4, h, w)
+    for spectrum_first, batch, c_out in ((True, 1, 13), (False, 2, 4)):
+        assert ct._spectrum_first(batch, 25, c_out) == spectrum_first
+        k = crandn(rng, c_out, 3, 5, 5)
+        x = crandn(rng, batch, 3, 12, 14)
+        g_out = crandn(rng, batch, c_out, 12, 14)
 
         def loss(y):
             # project with a fixed complex field to get a real scalar
@@ -385,38 +404,39 @@ def test_conv2d_backends_agree_on_gradients():
         tape = ct.GradTape()
         px = tape.parameter("x", x)
         pk = tape.parameter("k", k)
-        y = ct.conv2d(px, pk, pad=2)
+        y = plain_conv2d(px, pk)
         grads = ct.backward(tape, loss(y))
         # the upstream gradient the conv's backward received, from a tape on y
         tape = ct.GradTape()
         g = ct.backward(tape, loss(tape.parameter("y", y.data)))["y"]
         ref_y, ref_x, ref_k = conv_reference(x, k, 2, g)
         scale = np.max(np.abs(ref_y))
-        assert np.max(np.abs(y.data - ref_y)) / scale <= 1e-12, backend
-        assert np.max(np.abs(grads["x"] - ref_x)) / np.max(np.abs(ref_x)) <= 1e-12, backend
-        assert np.max(np.abs(grads["k"] - ref_k)) / np.max(np.abs(ref_k)) <= 1e-12, backend
+        assert np.max(np.abs(y.data - ref_y)) / scale <= 1e-12, spectrum_first
+        assert np.max(np.abs(grads["x"] - ref_x)) / np.max(np.abs(ref_x)) <= 1e-12, spectrum_first
+        assert np.max(np.abs(grads["k"] - ref_k)) / np.max(np.abs(ref_k)) <= 1e-12, spectrum_first
 
 
-@pytest.mark.parametrize("side", [(5, 6), (16, 16)], ids=["gemm", "fft"])
-def test_conv2d_untracked_input_gets_no_adjoint(monkeypatch, side):
-    # an untracked input (the image) costs one correlation in backward, for
-    # the kernel alone, and the kernel gradient is the one a tracked input gets
+@pytest.mark.parametrize("spectrum_first, batch, c_out", CONV_ORDERS)
+def test_conv2d_untracked_input_gets_no_adjoint(monkeypatch, spectrum_first, batch, c_out):
+    # an untracked input (the image) gets no adjoint transform in backward,
+    # and the kernel gradient is the one a tracked input gets
+    assert ct._spectrum_first(batch, 9, c_out) == spectrum_first
     rng = ct.make_rng(18)
-    x, k = crandn(rng, 2, 3, *side), crandn(rng, 4, 3, 3, 3)
-    t = crandn(rng, 2, 4, *side)
-    calls, real = [], ct._correlate
-    monkeypatch.setattr(ct, "_correlate", lambda *a: calls.append(a) or real(*a))
+    x, k = crandn(rng, batch, 3, 5, 6), crandn(rng, c_out, 3, 3, 3)
+    t = crandn(rng, batch, c_out, 5, 6)
+    calls, real = [], ct._ifft2
+    monkeypatch.setattr(ct, "_ifft2", lambda a: calls.append(a.shape) or real(a))
 
     def kernel_grad(track_x):
         tape = ct.GradTape()
         px = tape.parameter("x", x) if track_x else ct.CTensor(x)
-        loss = l2_to(t)(ct.conv2d(px, tape.parameter("k", k), pad=1))
+        loss = l2_to(t)(plain_conv2d(px, tape.parameter("k", k)))
         calls.clear()
         return ct.backward(tape, loss), len(calls)
 
     tracked, n_tracked = kernel_grad(True)
     untracked, n_untracked = kernel_grad(False)
-    assert (n_tracked, n_untracked) == (2, 1)
+    assert (n_tracked, n_untracked) == (1, 0)
     assert "x" not in untracked
     assert untracked["k"].tobytes() == tracked["k"].tobytes()
 
@@ -467,6 +487,29 @@ def test_backward_rejects_non_scalar_and_complex_loss():
         ct.backward(tape2, ct.sum_(pz))          # complex scalar
 
 
+def test_backward_frees_the_tape_and_runs_once():
+    # the sweep drops every node it visits, so with the cyclic collector off
+    # an intermediate dies as soon as the tape and the loss are dropped
+    gc.disable()
+    try:
+        tape = ct.GradTape()
+        p = tape.parameter("x", np.arange(3.0))
+        y = ct.mul(p, p)
+        alive = weakref.ref(y.data)
+        loss = ct.sum_(y)
+        del y
+        n = len(tape.nodes)
+        grads = ct.backward(tape, loss)
+        assert len(tape.nodes) == n
+        with pytest.raises(ContractError):
+            ct.backward(tape, loss)
+        del tape, loss
+        assert alive() is None
+    finally:
+        gc.enable()
+    assert np.array_equal(grads["x"], 2 * np.arange(3.0))
+
+
 def test_mixing_tapes_rejected():
     t1, t2 = ct.GradTape(), ct.GradTape()
     a = t1.parameter("a", np.ones(2))
@@ -504,7 +547,8 @@ def test_shape_errors():
     with pytest.raises(ShapeError):
         ct.relu(a)
     with pytest.raises(ShapeError):
-        ct.conv2d(ct.CTensor(np.ones((1, 2, 4, 4))), ct.CTensor(np.ones((1, 3, 3, 3))), pad=1)
+        ct.conv2d(ct.CTensor(np.ones((1, 1, 2, 4, 4))), ct.CTensor(np.ones((1, 3, 3, 9))),
+                  impulse_spectra(3, 3, 6, 6), np.zeros((1, 1), dtype=int))
 
 
 def test_real_parameter_receives_real_gradient():

@@ -115,22 +115,47 @@ def test_steerability_rot90_is_phase_multiplication(k):
     pytest.param(hs.ORDERS, (-1, 0), 3, id="partial"),
     pytest.param(hs.ORDERS, (0,), 1, id="proj")])
 def test_kernel_block_slots_are_their_connections_blocks(in_orders, filter_orders, k, precision):
+    # each (m_out, m_in) slot names its connection (or -1), whose coefficient
+    # block is radial * e^{i beta} formed in complex128 and weights the basis
+    # atoms into exactly the kernel synthesize_block gives
     rdt = ct.DTYPES[precision][0]
     bank = hs.HarmonicFilterBank("b", in_orders, hs.ORDERS, 2, 3, k, ct.make_rng(31),
                                  filter_orders=filter_orders)
     leaves = {name: ct.CTensor(v.astype(rdt)) for name, v in bank.params.items()}
-    kern = bank.kernel_block(leaves).data
-    assert kern.shape == (3 * 3, len(in_orders) * 2, k, k)
+    coeffs = bank.kernel_block(leaves).data
+    nr = hs.n_radii(k)
+    assert coeffs.shape == (len(bank.connections), 3, 2, nr) and coeffs.dtype == np.complex128
+    assert bank.slots.shape == (3, len(in_orders))
     for i, m_out in enumerate(hs.ORDERS):
         for j, m_in in enumerate(in_orders):
-            slot = kern[3 * i: 3 * i + 3, 2 * j: 2 * j + 2]
             m_f = m_out - m_in
             if (m_in, m_f) not in bank.connections:
-                assert np.all(slot == 0), (m_out, m_in)
+                assert bank.slots[i, j] == -1, (m_out, m_in)
                 continue
+            p = bank.slots[i, j]
+            assert bank.connections[p] == (m_in, m_f)
             base = f"b.f{m_in:+d}{m_f:+d}"
-            own = hs.synthesize_block(leaves[f"{base}.radial"], leaves[f"{base}.phase"], m_f, k).data
-            assert slot.dtype == own.dtype and np.array_equal(slot, own), (m_out, m_in)
+            radial, phase = leaves[f"{base}.radial"], leaves[f"{base}.phase"]
+            unit = ct.polar_unit(phase).data[..., None]
+            assert np.array_equal(coeffs[p], radial.data.astype(np.float64) * unit), (m_out, m_in)
+            atoms = np.stack([synthesize_one(np.eye(nr)[r], 0.0, m_f, k) for r in range(nr)])
+            kern = hs.synthesize_block(radial, phase, m_f, k).data
+            assert np.max(np.abs(np.tensordot(coeffs[p], atoms, axes=(2, 0)) - kern)) < 1e-15
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_basis_spectra_are_the_padded_ffts_of_flipped_atoms(k):
+    hp, wp = 12 + k - 1, 10 + k - 1
+    nr = hs.n_radii(k)
+    for m in hs.ALL_FILTER_ORDERS:
+        spectra = hs.basis_spectra(k, m, hp, wp)
+        assert spectra.shape == (nr, hp, wp) and not spectra.flags.writeable
+        for r in range(nr):
+            padded = np.zeros((hp, wp), dtype=np.complex128)
+            padded[:k, :k] = synthesize_one(np.eye(nr)[r], 0.0, m, k)[::-1, ::-1]
+            ref = np.fft.fft2(padded)
+            scale = max(np.max(np.abs(ref)), 1.0)   # an order-m 1x1 atom is zero
+            assert np.max(np.abs(spectra[r] - ref)) <= 1e-12 * scale, (m, r)
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +174,43 @@ def test_impulse_response_is_point_reflected_kernel():
         base = f"lift.f+0{m:+d}"
         kern = hs.synthesize_block(leaves[f"{base}.radial"], leaves[f"{base}.phase"], m, 5).data[0, 0]
         assert np.max(np.abs(y.stream(m).data[0, 0] - kern[::-1, ::-1])) < 1e-14
+
+
+@pytest.mark.parametrize("batch", [pytest.param(1, id="spectrum_first"),
+                                   pytest.param(4, id="kernel_first")])
+def test_harmonic_conv_transforms_only_the_input_and_output(monkeypatch, batch):
+    from scipy import fft as sfft
+    bank = hs.HarmonicFilterBank("hc", hs.ORDERS, hs.ORDERS, 2, 3, 5, ct.make_rng(0))
+    assert ct._spectrum_first(batch, hs.n_radii(5), 3) == (batch == 1)
+    leaves = const_leaves(bank.params)
+    x = rand_sfm(ct.make_rng(1), hs.ORDERS, batch, 2, 12, 12)
+    hs.harmonic_conv(x, bank, leaves)      # fills the basis-spectra cache
+    calls = []
+    for name in ("fft2", "ifft2"):
+        def record(a, *args, _name=name, _real=getattr(sfft, name), **kwargs):
+            calls.append((_name, a.shape))
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(sfft, name, record)
+    hs.harmonic_conv(x, bank, leaves)
+    assert calls == [("fft2", (batch, 3, 2, 16, 16)), ("ifft2", (batch, 3, 3, 16, 16))]
+
+
+@pytest.mark.parametrize("batch", [pytest.param(1, id="spectrum_first"),
+                                   pytest.param(3, id="kernel_first")])
+def test_fd_harmonic_conv_over_input_radial_and_phase(batch):
+    rng = ct.make_rng(25)
+    bank = hs.HarmonicFilterBank("hc", hs.ORDERS, hs.ORDERS, 2, 2, 3, rng)
+    assert ct._spectrum_first(batch, hs.n_radii(3), 2) == (batch == 1)
+    x = rand_sfm(rng, hs.ORDERS, batch, 2, 6, 6).tensor.data
+    target = rand_sfm(rng, hs.ORDERS, batch, 2, 6, 6).tensor
+
+    def f(p):
+        y = hs.harmonic_conv(hs.StreamedFeatureMap(p["x"], hs.ORDERS), bank, p)
+        m = ct.magnitude(ct.sub(y.tensor, target))
+        return ct.sum_(ct.mul(m, m))
+
+    err = ct.finite_difference_check(f, {"x": x, **bank.params}, sample=12)
+    assert err <= 1e-6, err
 
 
 def test_lemma1_rot90_equivariance_full_streams():
