@@ -139,14 +139,14 @@ def _angular_map(k: int, m: int) -> np.ndarray:
     return e
 
 
-def synthesize_block(radial: ct.CTensor, phase: ct.CTensor, m, k: int) -> ct.CTensor:
+def synthesize_block(radial: ct.CTensor, phase: ct.CTensor, m: int, k: int) -> ct.CTensor:
     """Harmonic kernels R(r)e^{i(m theta + beta)}: radial (..., Co, Ci, nr),
     phase (..., Co, Ci) -> (..., Co, Ci, k, k).
 
     `radial` holds values of R at integer radii 0..k//2 (linear interpolation
-    in between, zero beyond); `phase` holds the real phase offsets beta.  `m`
-    is one filter order, or a tuple of orders, one per entry of a leading
-    connection axis (P, Co, Ci, nr).
+    in between, zero beyond); `phase` holds the real phase offsets beta.
+    With a one-hot profile and zero phase this is a basis atom, whose
+    spectra `basis_spectra` caches for the convolution.
     """
     if k % 2 == 0:
         raise ConfigError(f"kernel size must be odd, got {k}")
@@ -154,8 +154,7 @@ def synthesize_block(radial: ct.CTensor, phase: ct.CTensor, m, k: int) -> ct.CTe
         raise ConfigError(f"radial profile must have length {n_radii(k)} for k={k}")
     basis = ct.CTensor(np.ascontiguousarray(_radial_basis(k).T))      # (nr, k2)
     ring = ct.complex_matmul(radial, basis)                           # (..., Co,Ci,k2) real
-    angular = np.stack([_angular_map(k, mi) for mi in np.atleast_1d(m)])
-    ang = ct.mul(ring, ct.CTensor(angular.reshape(np.shape(m) + (1, 1, k * k))))
+    ang = ct.mul(ring, ct.CTensor(_angular_map(k, m)))
     unit = ct.reshape(ct.polar_unit(phase), phase.shape + (1,))
     return ct.reshape(ct.mul(ang, unit), phase.shape + (k, k))
 
@@ -223,7 +222,7 @@ class HarmonicFilterBank:
         return ct.mul(radial, ct.reshape(ct.polar_unit(phase), (n, co, ci, 1)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)   # bounded: callers may feed any number of image sizes
 def basis_spectra(k: int, m: int, hp: int, wp: int) -> np.ndarray:
     """(n_radii, hp, wp) read-only spectra of the order-m atoms: atom r is
     the kernel `synthesize_block` gives a one-hot radial profile at radius r
