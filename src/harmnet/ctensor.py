@@ -51,9 +51,16 @@ class GradTape:
 
     Nodes are appended in execution order, so parents always precede their
     consumers and the backward pass is a single reverse sweep that visits
-    each node exactly once (and frees it: a tape serves one `backward`).  A tape is confined to one logical execution;
-    parameters are registered by name so `backward` can hand gradients back
-    per slot.
+    each node exactly once (and frees it: a tape serves one `backward`).  A
+    tape is confined to one logical execution; parameters are registered by
+    name so `backward` can hand gradients back per slot.
+
+    Each node's backward closure holds only the arrays its adjoint reads, so
+    the tape keeps no operand alive that backward never touches: structural
+    and cast ops keep shapes and dtypes; a product (`mul`, `div`,
+    `complex_matmul`, `conv2d`) keeps an operand only when the other one is
+    tracked; `relu` keeps its boolean mask; `magnitude` and
+    `with_magnitude` keep z (and r) and recompute |z| and z/|z|.
     """
 
     def __init__(self):
@@ -173,48 +180,58 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _to_kind(g: np.ndarray, like: np.ndarray) -> np.ndarray:
-    """Match the gradient's real/complex kind and precision to the input."""
-    if not np.iscomplexobj(like) and np.iscomplexobj(g):
+def _to_kind(g: np.ndarray, dtype) -> np.ndarray:
+    """Match the gradient's real/complex kind and precision to an input's
+    dtype."""
+    if not np.issubdtype(dtype, np.complexfloating) and np.iscomplexobj(g):
         g = g.real
-    return g.astype(like.dtype, copy=False)
+    return g.astype(dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------
 # elementwise and structural ops
 # ---------------------------------------------------------------------------
 
+def _kept_for(other: CTensor, a: CTensor):
+    """a's data when `other` is tracked (other's adjoint reads a), else
+    None, so the tape does not hold it."""
+    return a.data if other.node is not None else None
+
+
 def add(a: CTensor, b: CTensor) -> CTensor:
     data = a.data + b.data
+    sa, da, sb, db = a.shape, a.data.dtype, b.shape, b.data.dtype
 
     def backward(g):
-        return (_to_kind(_unbroadcast(g, a.shape), a.data),
-                _to_kind(_unbroadcast(g, b.shape), b.data))
+        return _to_kind(_unbroadcast(g, sa), da), _to_kind(_unbroadcast(g, sb), db)
 
     return _make(data, (a, b), backward)
 
 
 def sub(a: CTensor, b: CTensor) -> CTensor:
     data = a.data - b.data
+    sa, da, sb, db = a.shape, a.data.dtype, b.shape, b.data.dtype
 
     def backward(g):
-        return (_to_kind(_unbroadcast(g, a.shape), a.data),
-                _to_kind(_unbroadcast(-g, b.shape), b.data))
+        return _to_kind(_unbroadcast(g, sa), da), _to_kind(_unbroadcast(-g, sb), db)
 
     return _make(data, (a, b), backward)
 
 
 def neg(a: CTensor) -> CTensor:
-    return _make(-a.data, (a,), lambda g: (_to_kind(-g, a.data),))
+    da = a.data.dtype
+    return _make(-a.data, (a,), lambda g: (_to_kind(-g, da),))
 
 
 def mul(a: CTensor, b: CTensor) -> CTensor:
     """Elementwise product; complex×real scales magnitudes, preserving phase."""
     data = a.data * b.data
+    ad, bd = _kept_for(b, a), _kept_for(a, b)
+    sa, da, sb, db = a.shape, a.data.dtype, b.shape, b.data.dtype
 
     def backward(g):
-        return (None if a.node is None else _to_kind(_unbroadcast(g * np.conj(b.data), a.shape), a.data),
-                None if b.node is None else _to_kind(_unbroadcast(g * np.conj(a.data), b.shape), b.data))
+        return (None if bd is None else _to_kind(_unbroadcast(g * np.conj(bd), sa), da),
+                None if ad is None else _to_kind(_unbroadcast(g * np.conj(ad), sb), db))
 
     return _make(data, (a, b), backward)
 
@@ -224,17 +241,22 @@ def div(a: CTensor, b: CTensor) -> CTensor:
     if b.is_complex:
         raise ShapeError("div expects a real denominator")
     data = a.data / b.data
+    ad, bd = _kept_for(b, a), b.data
+    a_tracked = a.node is not None
+    sa, da, sb, db = a.shape, a.data.dtype, b.shape, b.data.dtype
 
     def backward(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-(g * np.conj(a.data)).real / (b.data ** 2), b.shape)
-        return _to_kind(ga, a.data), _to_kind(gb, b.data)
+        ga = _to_kind(_unbroadcast(g / bd, sa), da) if a_tracked else None
+        gb = None if ad is None else _to_kind(
+            _unbroadcast(-(g * np.conj(ad)).real / (bd ** 2), sb), db)
+        return ga, gb
 
     return _make(data, (a, b), backward)
 
 
 def conj(a: CTensor) -> CTensor:
-    return _make(np.conj(a.data), (a,), lambda g: (_to_kind(np.conj(g), a.data),))
+    da = a.data.dtype
+    return _make(np.conj(a.data), (a,), lambda g: (_to_kind(np.conj(g), da),))
 
 
 def complex_matmul(a: CTensor, b: CTensor) -> CTensor:
@@ -242,11 +264,15 @@ def complex_matmul(a: CTensor, b: CTensor) -> CTensor:
     if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
     data = np.matmul(a.data, b.data)
+    ad, bd = _kept_for(b, a), _kept_for(a, b)
+    sa, da, sb, db = a.shape, a.data.dtype, b.shape, b.data.dtype
 
     def backward(g):
-        ga = _unbroadcast(np.matmul(g, np.conj(b.data).swapaxes(-1, -2)), a.shape)
-        gb = _unbroadcast(np.matmul(np.conj(a.data).swapaxes(-1, -2), g), b.shape)
-        return _to_kind(ga, a.data), _to_kind(gb, b.data)
+        ga = None if bd is None else _to_kind(
+            _unbroadcast(np.matmul(g, np.conj(bd).swapaxes(-1, -2)), sa), da)
+        gb = None if ad is None else _to_kind(
+            _unbroadcast(np.matmul(np.conj(ad).swapaxes(-1, -2), g), sb), db)
+        return ga, gb
 
     return _make(data, (a, b), backward)
 
@@ -256,9 +282,10 @@ def conj_transpose(a: CTensor) -> CTensor:
     if a.data.ndim < 2:
         raise ShapeError("conj_transpose expects rank >= 2")
     data = np.conj(a.data).swapaxes(-1, -2)
+    da = a.data.dtype
 
     def backward(g):
-        return (_to_kind(np.conj(g).swapaxes(-1, -2), a.data),)
+        return (_to_kind(np.conj(g).swapaxes(-1, -2), da),)
 
     return _make(data, (a,), backward)
 
@@ -291,9 +318,10 @@ def transpose(a: CTensor, axes: tuple) -> CTensor:
 
 def reshape(a: CTensor, shape) -> CTensor:
     data = a.data.reshape(shape)
+    sa = a.shape
 
     def backward(g):
-        return (g.reshape(a.shape),)
+        return (g.reshape(sa),)
 
     return _make(data, (a,), backward)
 
@@ -303,9 +331,10 @@ def concat(tensors, axis: int) -> CTensor:
     data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
+    dtypes = [t.data.dtype for t in tensors]
 
     def backward(g):
-        return tuple(_to_kind(p, t.data) for p, t in zip(np.split(g, splits, axis=axis), tensors))
+        return tuple(_to_kind(p, d) for p, d in zip(np.split(g, splits, axis=axis), dtypes))
 
     return _make(data, tuple(tensors), backward)
 
@@ -316,22 +345,24 @@ def narrow(a: CTensor, axis: int, start: int, length: int) -> CTensor:
     idx[axis] = slice(start, start + length)
     idx = tuple(idx)
     data = a.data[idx]
+    sa, da = a.shape, a.data.dtype
 
     def backward(g):
-        full = np.zeros(a.shape, dtype=g.dtype)
+        full = np.zeros(sa, dtype=g.dtype)
         full[idx] = g
-        return (_to_kind(full, a.data),)
+        return (_to_kind(full, da),)
 
     return _make(data, (a,), backward)
 
 
 def sum_(a: CTensor, axis=None, keepdims: bool = False) -> CTensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
+    sa, da = a.shape, a.data.dtype
 
     def backward(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).astype(a.data.dtype),)
+        return (np.broadcast_to(g, sa).astype(da),)
 
     return _make(data, (a,), backward)
 
@@ -339,11 +370,12 @@ def sum_(a: CTensor, axis=None, keepdims: bool = False) -> CTensor:
 def mean(a: CTensor, axis=None, keepdims: bool = False) -> CTensor:
     n = a.data.size if axis is None else np.prod([a.shape[i] for i in np.atleast_1d(axis)])
     data = a.data.mean(axis=axis, keepdims=keepdims)
+    sa, da = a.shape, a.data.dtype
 
     def backward(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return ((np.broadcast_to(g, a.shape) / n).astype(a.data.dtype),)
+        return ((np.broadcast_to(g, sa) / n).astype(da),)
 
     return _make(data, (a,), backward)
 
@@ -352,11 +384,12 @@ def take(table: CTensor, indices) -> CTensor:
     """Gather table[indices] (an index array, or a tuple of them for several
     axes); backward scatter-adds (indices are untracked)."""
     data = table.data[indices]
+    st, dt = table.shape, table.data.dtype
 
     def backward(g):
-        acc = np.zeros(table.shape, dtype=g.dtype)
+        acc = np.zeros(st, dtype=g.dtype)
         np.add.at(acc, indices, g)
-        return (_to_kind(acc, table.data),)
+        return (_to_kind(acc, dt),)
 
     return _make(data, (table,), backward)
 
@@ -374,9 +407,10 @@ def relu(a: CTensor) -> CTensor:
     """max(x, 0); subgradient 0 at the kink."""
     _require_real(a, "relu")
     data = np.maximum(a.data, 0)
+    positive = a.data > 0
 
     def backward(g):
-        return (g * (a.data > 0),)
+        return (g * positive,)
 
     return _make(data, (a,), backward)
 
@@ -394,9 +428,10 @@ def exp(a: CTensor) -> CTensor:
 def log(a: CTensor) -> CTensor:
     _require_real(a, "log")
     data = np.log(a.data)
+    ad = a.data
 
     def backward(g):
-        return (g / a.data,)
+        return (g / ad,)
 
     return _make(data, (a,), backward)
 
@@ -421,9 +456,10 @@ def polar_unit(theta: CTensor) -> CTensor:
     _require_real(theta, "polar_unit")
     cplx = DTYPES["f64" if theta.data.dtype == np.float64 else "f32"][1]
     data = (np.cos(theta.data) + 1j * np.sin(theta.data)).astype(cplx)
+    dt = theta.data.dtype
 
     def backward(g):
-        return ((np.conj(data) * g).imag.astype(theta.data.dtype),)
+        return ((np.conj(data) * g).imag.astype(dt),)
 
     return _make(data, (theta,), backward)
 
@@ -431,7 +467,8 @@ def polar_unit(theta: CTensor) -> CTensor:
 def astype(a: CTensor, dtype) -> CTensor:
     """a cast to another precision of its kind (real or complex); the
     gradient returns in a's dtype."""
-    return _make(a.data.astype(dtype, copy=False), (a,), lambda g: (_to_kind(g, a.data),))
+    da = a.data.dtype
+    return _make(a.data.astype(dtype, copy=False), (a,), lambda g: (_to_kind(g, da),))
 
 
 def as_complex(a: CTensor) -> CTensor:
@@ -439,9 +476,10 @@ def as_complex(a: CTensor) -> CTensor:
     _require_real(a, "as_complex")
     cplx = DTYPES["f64" if a.data.dtype == np.float64 else "f32"][1]
     data = a.data.astype(cplx)
+    da = a.data.dtype
 
     def backward(g):
-        return (g.real.astype(a.data.dtype),)
+        return (g.real.astype(da),)
 
     return _make(data, (a,), backward)
 
@@ -451,20 +489,24 @@ def as_complex(a: CTensor) -> CTensor:
 # ---------------------------------------------------------------------------
 
 def magnitude(a: CTensor) -> CTensor:
-    """|z| as a real tensor; subgradient 0 at z = 0."""
+    """|z| as a real tensor; subgradient 0 at z = 0.  The tape keeps z only;
+    backward recomputes |z|."""
     data = np.abs(a.data)
+    z = a.data
 
     def backward(g):
-        safe = np.where(data == 0, 1, data)
-        u = np.where(data == 0, 0, a.data / safe)
-        return (_to_kind(g * u, a.data),)
+        mag = np.abs(z)
+        safe = np.where(mag == 0, 1, mag)
+        u = np.where(mag == 0, 0, z / safe)
+        return (_to_kind(g * u, z.dtype),)
 
     return _make(data, (a,), backward)
 
 
 def with_magnitude(z: CTensor, r: CTensor) -> CTensor:
     """r * z/|z| for a real r of z's shape, with phase 1+0i (and a zero
-    z-gradient) where z = 0; the unit z * (1/|z|) rounds as z / |z| does."""
+    z-gradient) where z = 0; the unit z * (1/|z|) rounds as z / |z| does.
+    The tape keeps z and r only; backward recomputes |z| and the unit."""
     if r.is_complex or r.shape != z.shape:
         raise ShapeError(f"with_magnitude expects real magnitudes of shape {z.shape}, got {r}")
     mag = np.abs(z.data)
@@ -473,13 +515,20 @@ def with_magnitude(z: CTensor, r: CTensor) -> CTensor:
     unit = z.data * (1 / safe)
     unit[zero] = 1
     data = r.data * unit
+    zd, rd = z.data, r.data
 
     def backward(g):
+        # recomputed exactly as above: the tape keeps z and r, not these
+        mag = np.abs(zd)
+        zero = mag == 0
+        safe = np.where(zero, 1, mag)
+        unit = zd * (1 / safe)
+        unit[zero] = 1
         # z: the adjoint of z/|z|, which has no radial part, applied to g*r
-        gu = (g * r.data).astype(z.data.dtype, copy=False)
-        gz = gu / safe - z.data * (np.conj(gu) * z.data).real / (safe ** 3)
+        gu = (g * rd).astype(zd.dtype, copy=False)
+        gz = gu / safe - zd * (np.conj(gu) * zd).real / (safe ** 3)
         gz[zero] = 0
-        return gz, (g * np.conj(unit)).real.astype(r.data.dtype, copy=False)
+        return gz, (g * np.conj(unit)).real.astype(rd.dtype, copy=False)
 
     return _make(data, (z, r), backward)
 
@@ -541,7 +590,7 @@ def _mix(xh: np.ndarray, coeffs: np.ndarray, spectra: np.ndarray, slots: np.ndar
     n, co, _, nr = coeffs.shape
     n_out = slots.shape[0]
     if spectrum_first:
-        xt = xh.transpose(1, 2, 0, 3)                                  # (I, Ci, B, F)
+        xt = np.ascontiguousarray(xh.transpose(1, 2, 0, 3))            # (I, Ci, B, F)
         out = np.zeros((n_out, co, b * f), dtype=np.complex128)
         for o in range(n_out):
             ps, ins = _connections(slots, o)
@@ -569,7 +618,7 @@ def _coeff_adjoint(xh: np.ndarray, gh: np.ndarray, spectra: np.ndarray, slots: n
     n, nr = spectra.shape[:2]
     out = np.zeros((n, co, ci, nr), dtype=np.complex128)
     if spectrum_first:
-        xt = xh.transpose(1, 2, 0, 3)
+        xt = np.ascontiguousarray(xh.transpose(1, 2, 0, 3))
         gt = gh.transpose(1, 2, 0, 3).reshape(n_out, co, b * f)
         for o in range(n_out):
             ps, ins = _connections(slots, o)
@@ -620,30 +669,32 @@ def conv2d(x: CTensor, coeffs: CTensor, spectra: np.ndarray, slots: np.ndarray) 
     basis = spectra.reshape(n, nr, hp * wp)
     pad = ((0, 0),) * 3 + ((ph // 2, ph // 2), (pw // 2, pw // 2))
 
-    def input_spectrum():
-        return _fft2(np.pad(x.data, pad)).reshape(b, n_in, ci, hp * wp)
+    def input_spectrum(xd):
+        return _fft2(np.pad(xd, pad)).reshape(b, n_in, ci, hp * wp)
 
-    yh = _mix(input_spectrum(), coeffs.data, basis, slots, spectrum_first)
+    yh = _mix(input_spectrum(x.data), coeffs.data, basis, slots, spectrum_first)
     y = _ifft2(yh.reshape(b, -1, co, hp, wp))[..., ph:, pw:]
     data = np.ascontiguousarray(y).astype(np.result_type(x.data, coeffs.data), copy=False)
+    xd, cd = _kept_for(coeffs, x), _kept_for(x, coeffs)
+    dx, dc = x.data.dtype, coeffs.data.dtype
 
     def backward(g):
         gx = gc = None   # an untracked operand (the image) gets no adjoint
         full = np.zeros(g.shape[:3] + (hp, wp), dtype=g.dtype)
         full[..., ph:, pw:] = g
         gh = _fft2(full).reshape(b, -1, co, hp * wp)
-        if x.node is not None:
+        if cd is not None:
             # the adjoint conv: conjugate coefficients and spectra, channels
             # and streams swapped, cropped back to the unpadded input
-            adj = _mix(gh, np.conj(coeffs.data).transpose(0, 2, 1, 3), np.conj(basis),
+            adj = _mix(gh, np.conj(cd).transpose(0, 2, 1, 3), np.conj(basis),
                        slots.T, spectrum_first)
             gx = _ifft2(adj.reshape(b, n_in, ci, hp, wp))[..., ph // 2: ph // 2 + h,
                                                           pw // 2: pw // 2 + w]
-            gx = _to_kind(gx, x.data)
-        if coeffs.node is not None:
+            gx = _to_kind(gx, dx)
+        if xd is not None:
             # the adjoint of ifft2 is fft2 / (hp * wp)
-            gc = _coeff_adjoint(input_spectrum(), gh, basis, slots, spectrum_first)
-            gc = _to_kind(gc / (hp * wp), coeffs.data)
+            gc = _coeff_adjoint(input_spectrum(xd), gh, basis, slots, spectrum_first)
+            gc = _to_kind(gc / (hp * wp), dc)
         return gx, gc
 
     return _make(data, (x, coeffs), backward)
@@ -657,10 +708,11 @@ def avg_pool2(x: CTensor) -> CTensor:
         raise ShapeError(f"avg_pool2 requires even spatial dims, got {h}x{w}")
     data = ((x.data[..., 0::2, 0::2] + x.data[..., 0::2, 1::2])
             + (x.data[..., 1::2, 0::2] + x.data[..., 1::2, 1::2])) * 0.25
+    dx = x.data.dtype
 
     def backward(g):
         gx = np.repeat(np.repeat(g, 2, axis=-2), 2, axis=-1) / 4.0
-        return (gx.astype(x.data.dtype),)
+        return (gx.astype(dx),)
 
     return _make(data, (x,), backward)
 
@@ -673,9 +725,8 @@ def backward(tape: GradTape, loss: CTensor) -> dict:
     """Gradients of a real scalar loss w.r.t. every registered parameter.
 
     The reverse sweep consumes the tape: it drops each node once visited,
-    down to node 0, so the closures (and the tensors they hold) are freed by
-    reference counting as the sweep goes, not left in a cycle through the
-    tape for the garbage collector.  The node list keeps its length.
+    down to node 0, so the arrays each closure holds are freed as the sweep
+    goes, not when the tape is dropped.  The node list keeps its length.
     """
     if loss.tape is not tape or loss.node is None:
         raise ContractError("loss is not recorded on this tape")

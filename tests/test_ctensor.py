@@ -510,6 +510,118 @@ def test_backward_frees_the_tape_and_runs_once():
     assert np.array_equal(grads["x"], 2 * np.arange(3.0))
 
 
+def test_a_tape_dropped_before_backward_needs_no_collector():
+    # closures hold arrays, never tensors (whose .tape points back), so a
+    # tape is no reference cycle: dropping it frees what its nodes hold
+    gc.disable()
+    try:
+        x = np.arange(3.0)
+        alive = weakref.ref(x)
+        tape = ct.GradTape()
+        p = tape.parameter("x", x)
+        loss = ct.sum_(ct.mul(p, p))
+        del x, p, tape, loss
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+def _held_arrays(t):
+    """The arrays that t's backward closure holds (a tensor counts as its
+    data): what the tape keeps alive for t until the reverse sweep."""
+    held = []
+
+    def visit(obj):
+        if isinstance(obj, ct.CTensor):
+            visit(obj.data)
+        elif isinstance(obj, np.ndarray):
+            held.append(obj)
+        elif isinstance(obj, (list, tuple)):
+            for o in obj:
+                visit(o)
+
+    for cell in t.tape.nodes[t.node][1].__closure__ or ():
+        visit(cell.cell_contents)
+    return held
+
+
+def _input_freed_while_tape_lives(op, x, untracked=None):
+    """Record op on an intermediate y that only op consumes; once the caller
+    drops y and op's output, y's data is gone though the tape is alive."""
+    gc.disable()
+    try:
+        tape = ct.GradTape()
+        y = tape.parameter("p", x) * 2.0     # mul keeps only its scalar
+        alive = weakref.ref(y.data)
+        out = op(y) if untracked is None else op(y, ct.CTensor(untracked))
+        assert out.node is not None
+        del y, out
+        return alive() is None
+    finally:
+        gc.enable()
+
+
+SHAPE_ONLY_OPS = {
+    "add": (lambda y: ct.add(y, y), (2, 4)),
+    "sub": (lambda y: ct.sub(y, y), (2, 4)),
+    "neg": (ct.neg, (2, 4)),
+    "conj": (ct.conj, (2, 4)),
+    "conj_transpose": (ct.conj_transpose, (2, 4)),
+    "reshape": (lambda y: ct.reshape(y, (8,)), (2, 4)),
+    "narrow": (lambda y: ct.narrow(y, 1, 1, 2), (2, 4)),
+    "concat": (lambda y: ct.concat([y, y], axis=0), (2, 4)),
+    "take": (lambda y: ct.take(y, np.array([0, 0, 1])), (2, 4)),
+    "sum_": (lambda y: ct.sum_(y, axis=1), (2, 4)),
+    "mean": (lambda y: ct.mean(y, axis=0), (2, 4)),
+    "astype": (lambda y: ct.astype(y, np.complex64), (2, 4)),
+    "avg_pool2": (ct.avg_pool2, (2, 4)),
+    "as_complex": (ct.as_complex, (3,)),
+    "polar_unit": (ct.polar_unit, (3,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHAPE_ONLY_OPS))
+def test_shape_only_adjoints_keep_no_operand(name):
+    op, shape = SHAPE_ONLY_OPS[name]
+    rng = ct.make_rng(31)
+    x = rng.standard_normal(shape) if name in ("as_complex", "polar_unit") else crandn(rng, *shape)
+    assert _input_freed_while_tape_lives(op, x)
+
+
+@pytest.mark.parametrize("op, untracked, tracked_first", [
+    (ct.mul, np.array([2.0, 3.0, -1.0]), True),
+    (ct.mul, np.array([2.0, 3.0, -1.0]), False),
+    (ct.div, np.array([2.0, 3.0, -1.0]), True),
+    (ct.complex_matmul, np.eye(3) * 2.0, True),
+    (ct.complex_matmul, np.eye(3) * 2.0, False),
+], ids=["mul_tracked_left", "mul_tracked_right", "div", "matmul_tracked_left", "matmul_tracked_right"])
+def test_products_with_an_untracked_operand_keep_only_that_operand(op, untracked, tracked_first):
+    # the tracked operand's adjoint reads only the untracked one
+    x = crandn(ct.make_rng(32), 3, 3)
+    pair = (lambda y, c: op(y, c)) if tracked_first else (lambda y, c: op(c, y))
+    assert _input_freed_while_tape_lives(pair, x, untracked)
+
+
+def test_relu_keeps_only_its_mask():
+    x = ct.make_rng(33).standard_normal((4, 5))
+    assert _input_freed_while_tape_lives(ct.relu, x)
+    tape = ct.GradTape()
+    out = ct.relu(tape.parameter("x", x))
+    assert [a.dtype for a in _held_arrays(out)] == [np.bool_]
+
+
+def test_magnitude_layers_keep_only_their_inputs():
+    # |z| and z/|z| (with its safe and zero masks) are recomputed in backward
+    rng = ct.make_rng(34)
+    tape = ct.GradTape()
+    z = tape.parameter("z", crandn(rng, 4, 5)) * 2.0
+    r = tape.parameter("r", rng.random((4, 5))) * 2.0
+    held = _held_arrays(ct.magnitude(z))
+    assert len(held) == 1 and held[0] is z.data
+    held = _held_arrays(ct.with_magnitude(z, r))
+    assert len(held) == 2 and {id(a) for a in held} == {id(z.data), id(r.data)}
+
+
 def test_mixing_tapes_rejected():
     t1, t2 = ct.GradTape(), ct.GradTape()
     a = t1.parameter("a", np.ones(2))
