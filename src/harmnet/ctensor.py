@@ -555,13 +555,13 @@ def _ifft2(x):
     return sfft.ifft2(x, axes=(-2, -1))
 
 
-def _spectrum_first(batch: int, n_radii: int, c_out: int) -> bool:
+def _spectrum_first(batch: int, n_radii: int, c_in: int, c_out: int) -> bool:
     """Contraction order of one harmonic conv: spectrum-first multiplies the
     input spectrum by the basis spectra and mixes channels with one GEMM per
     output stream, which pays n_radii products per input element and batch
     item; kernel-first builds the kernel spectra once and contracts per
-    frequency, which pays per frequency for small matrices."""
-    return n_radii * batch <= 2 * c_out
+    frequency, which pays for small matrices (outer products at C_in = 1)."""
+    return c_in == 1 or n_radii * batch <= 2 * c_out
 
 
 def _connections(slots: np.ndarray, o: int):
@@ -665,7 +665,7 @@ def conv2d(x: CTensor, coeffs: CTensor, spectra: np.ndarray, slots: np.ndarray) 
     ph, pw = hp - h, wp - w
     if ph < 0 or pw < 0 or ph % 2 or pw % 2:
         raise ShapeError(f"conv2d: spectra {hp}x{wp} do not pad a {h}x{w} input to an odd kernel")
-    spectrum_first = _spectrum_first(b, nr, co)
+    spectrum_first = _spectrum_first(b, nr, ci, co)
     basis = spectra.reshape(n, nr, hp * wp)
     pad = ((0, 0),) * 3 + ((ph // 2, ph // 2), (pw // 2, pw // 2))
 

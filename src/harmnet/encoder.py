@@ -3,9 +3,9 @@
 The stem output is reshaped into one (B, O, n, d) tensor: an (n x d) complex
 matrix per rotation order.  Rotating the source image by 90 degrees acts on
 each matrix as a fixed row permutation times the phase e^{i m alpha}; every
-layer here commutes with that action.  The attention order laws: a dot product of
-orders (m1, m2) produces order m1 - m2, a matmul sums orders, so strategies
-only ever combine triples whose output order lands back in {-1, 0, +1}.
+layer here commutes with that action.  Attention has one path: a strategy is the
+set of order pairs (m_q, m_k) it scores; the pairs of one difference m_d = m_q - m_k
+are one GEMM over folded orders, whose weights carry value order m_v to m_v + m_d.
 """
 
 from __future__ import annotations
@@ -19,7 +19,11 @@ from . import stem as hs
 from .constants import EPS
 from .errors import ConfigError, ShapeError
 
-STRATEGIES = ("harmformer_default", "mixing_all", "cross_values")
+# the (m_q, m_k) order pairs each strategy's attention score sums over
+SCORED_PAIRS = {"harmformer_default": lambda mq, mk: mq == mk,
+                "mixing_all": lambda mq, mk: True,
+                "cross_values": lambda mq, mk: mq == mk == 0}
+STRATEGIES = tuple(SCORED_PAIRS)
 NORM_MODES = ("std", "rms")
 
 
@@ -96,14 +100,6 @@ def he_layer_norm(p: PatchStack, eps: float = EPS, mode: str = "std") -> PatchSt
     return p.with_tensor(hs.normalize_over(p.tensor, 2, eps, mode))
 
 
-def order_dot(q: ct.CTensor, k: ct.CTensor) -> ct.CTensor:
-    """Q conj(K)^T / sqrt(d_h); orders subtract: (m1, m2) -> m1 - m2."""
-    if q.shape != k.shape:
-        raise ShapeError(f"query/key shapes differ: {q.shape} vs {k.shape}")
-    d_h = q.shape[-1]
-    return ct.mul(ct.complex_matmul(q, ct.conj_transpose(k)), ct.CTensor(np.asarray(1.0 / np.sqrt(d_h))))
-
-
 def magnitude_softmax(s: ct.CTensor, rpe_bias: ct.CTensor | None = None,
                       keep_phase: bool = True) -> ct.CTensor:
     """Row softmax over |s| + bias; phases pass through untouched (or are
@@ -156,40 +152,42 @@ class RpeTable:
 # multi-head self-attention with order mixing
 # ---------------------------------------------------------------------------
 
-def _mix_heads(q: ct.CTensor, k: ct.CTensor, v: ct.CTensor, orders: tuple, strategy: str,
-               bias, keep_phase: bool) -> ct.CTensor:
-    """Attention over (B, O, heads, n, d_h) queries, keys and values."""
-    if strategy == "harmformer_default":
-        # matched-order dot products summed into a single order-0 matrix
-        s = ct.sum_(order_dot(q, k), axis=1, keepdims=True)
-        return ct.complex_matmul(magnitude_softmax(s, bias, keep_phase), v)
-    if strategy == "cross_values":
-        # queries/keys from the order-0 stream only; all value orders attended
-        i0 = orders.index(0)
-        s = order_dot(ct.narrow(q, 1, i0, 1), ct.narrow(k, 1, i0, 1))
-        return ct.complex_matmul(magnitude_softmax(s, bias, keep_phase), v)
-    if strategy == "mixing_all":
-        # every (m_q, m_k, m_v) triple whose output order stays in range;
-        # dot products grouped by their order m_q - m_k before the softmax
-        # (the default strategy is exactly the m_dot = 0 group).  Nonzero
-        # groups always keep phase — their order lives in it.
-        groups: dict = {}
-        for iq, mq in enumerate(orders):
-            for ik, mk in enumerate(orders):
-                t = order_dot(ct.narrow(q, 1, iq, 1), ct.narrow(k, 1, ik, 1))
-                md = mq - mk
-                groups[md] = t if md not in groups else ct.add(groups[md], t)
-        out = [None] * len(orders)
-        for md, s in groups.items():
-            a = magnitude_softmax(s, bias, keep_phase if md == 0 else True)
-            for iv, mv in enumerate(orders):
-                if md + mv not in orders:
-                    continue
-                io = orders.index(md + mv)
-                t = ct.complex_matmul(a, ct.narrow(v, 1, iv, 1))
-                out[io] = t if out[io] is None else ct.add(out[io], t)
-        return ct.concat(out, axis=1)
-    raise ConfigError(f"unknown mixing strategy {strategy!r}; valid: {STRATEGIES}")
+@lru_cache(maxsize=None)
+def score_groups(strategy: str, orders: tuple) -> dict:
+    """The strategy's scored pairs grouped by m_d = m_q - m_k, in the order of
+    each group's first pair: {m_d: (iq, ik, count, iv, io, n_v)}.  A group
+    scores (orders[iq + j], orders[ik + j]) for j < count; its weights have
+    order m_d, so they carry value slot iv + j to output slot io + j for
+    j < n_v.  Orders ascend within hs.ORDERS, so every such set is a run."""
+    if strategy not in SCORED_PAIRS:
+        raise ConfigError(f"unknown mixing strategy {strategy!r}; valid: {STRATEGIES}")
+    pairs: dict = {}
+    for iq, mq in enumerate(orders):
+        for ik, mk in enumerate(orders):
+            if SCORED_PAIRS[strategy](mq, mk):
+                pairs.setdefault(mq - mk, []).append((iq, ik))
+    if not pairs:
+        raise ShapeError(f"{strategy!r} scores no pair of orders {orders}")
+    carried = {md: [(iv, orders.index(m + md)) for iv, m in enumerate(orders) if m + md in orders]
+               for md in pairs}
+    return {md: run[0] + (len(run),) + carried[md][0] + (len(carried[md]),)
+            for md, run in pairs.items()}
+
+
+def fold_orders(t: ct.CTensor, k: int) -> ct.CTensor:
+    """(B, A, n, k*d) -> (B, k, n, A*d): with A orders and k heads, a run of
+    orders is one slice of the last axis; with A heads and k orders, the inverse."""
+    b, a, n, kd = t.shape
+    t = ct.transpose(ct.reshape(t, (b, a, n, k, kd // k)), (0, 3, 2, 1, 4))
+    return ct.reshape(t, (b, k, n, a * (kd // k)))
+
+
+def group_score(qf: ct.CTensor, kf: ct.CTensor, d_h: int, iq: int, ik: int,
+                count: int) -> ct.CTensor:
+    """sum_j Q_{iq+j} K_{ik+j}^H over folded queries and keys, as one GEMM;
+    orders subtract, so the score has the order m_q - m_k of its pairs."""
+    return ct.complex_matmul(ct.narrow(qf, -1, iq * d_h, count * d_h),
+                             ct.conj_transpose(ct.narrow(kf, -1, ik * d_h, count * d_h)))
 
 
 def msa_forward(p: PatchStack, leaves: dict, name: str, heads: int,
@@ -200,22 +198,25 @@ def msa_forward(p: PatchStack, leaves: dict, name: str, heads: int,
 
     Each head projects to head_dim channels (Q, K, V weights are
     (d, heads*head_dim)); the output projection maps heads*head_dim back to
-    d, so the per-head width is independent of the model width."""
-    if head_dim is None:
-        if p.d % heads:
-            raise ConfigError(f"patch dim {p.d} not divisible by {heads} heads")
-        head_dim = p.d // heads
-    b, o, n, _ = p.shape
-
-    def split_heads(w):   # (B, O, n, heads*d_h) -> (B, O, heads, n, d_h)
-        t = ct.reshape(equi_linear(p, w).tensor, (b, o, n, heads, head_dim))
-        return ct.transpose(t, (0, 1, 3, 2, 4))
-
-    q, k, v = (split_heads(leaves[f"{name}.w{x}"]) for x in "qkv")
+    d, so the per-head width is independent of the model width.  Each group
+    of scored pairs is one softmax, which keeps phase when m_d != 0 (the
+    group's order lives in it), and carries a run of value orders."""
+    if head_dim is None and p.d % heads:
+        raise ConfigError(f"patch dim {p.d} not divisible by {heads} heads")
+    n_o = len(p.orders)
+    qf, kf, vf = (fold_orders(equi_linear(p, leaves[f"{name}.w{x}"]).tensor, heads) for x in "qkv")
+    d_h = qf.shape[-1] // n_o
+    qf = ct.mul(qf, ct.CTensor(np.asarray(1.0 / np.sqrt(d_h), np.finfo(qf.data.dtype).dtype)))
     bias = rpe.bias_matrix(leaves) if rpe is not None else None
-    out = _mix_heads(q, k, v, p.orders, strategy, bias, keep_phase)
-    merged = ct.reshape(ct.transpose(out, (0, 1, 3, 2, 4)), (b, o, n, heads * head_dim))
-    return equi_linear(p.with_tensor(merged), leaves[f"{name}.wo"])
+    out = None
+    for md, (iq, ik, count, iv, io, n_v) in score_groups(strategy, p.orders).items():
+        a = magnitude_softmax(group_score(qf, kf, d_h, iq, ik, count), bias, keep_phase or md != 0)
+        t = ct.complex_matmul(a, ct.narrow(vf, -1, iv * d_h, n_v * d_h))
+        left, right = (ct.CTensor(np.zeros(t.shape[:-1] + (w * d_h,), t.data.dtype))
+                       for w in (io, n_o - io - n_v))   # the other output slots
+        t = ct.concat([left, t, right], axis=-1)
+        out = t if out is None else ct.add(out, t)
+    return equi_linear(p.with_tensor(fold_orders(out, n_o)), leaves[f"{name}.wo"])
 
 
 # ---------------------------------------------------------------------------
@@ -263,14 +264,11 @@ class EncoderBlock:
                  head_dim: int | None = None):
         if strategy not in STRATEGIES:
             raise ConfigError(f"unknown mixing strategy {strategy!r}; valid: {STRATEGIES}")
-        if head_dim is None:
-            if d % heads:
-                raise ConfigError(f"patch dim {d} not divisible by {heads} heads")
-            head_dim = d // heads
+        if head_dim is None and d % heads:
+            raise ConfigError(f"patch dim {d} not divisible by {heads} heads")
         self.name = name
-        self.d = d
         self.heads = heads
-        self.head_dim = head_dim
+        self.head_dim = head_dim = head_dim or d // heads
         self.strategy = strategy
         self.keep_phase = keep_phase
         self.dropout = dropout
@@ -278,9 +276,7 @@ class EncoderBlock:
         hidden = mlp_ratio * d
         proj = heads * head_dim
         self.params = {
-            f"{name}.wq": _complex_init(rng, d, proj),
-            f"{name}.wk": _complex_init(rng, d, proj),
-            f"{name}.wv": _complex_init(rng, d, proj),
+            **{f"{name}.w{x}": _complex_init(rng, d, proj) for x in "qkv"},
             f"{name}.wo": _complex_init(rng, proj, d),
             f"{name}.mlp.w1": _complex_init(rng, d, hidden),
             f"{name}.mlp.w2": _complex_init(rng, hidden, d),
@@ -317,9 +313,7 @@ class Encoder:
                  rng: np.random.Generator, **block_kw):
         self.blocks = [EncoderBlock(f"{name}.blk{i}", d, heads, grid_shape, rng, **block_kw)
                        for i in range(blocks)]
-        self.params = {}
-        for b in self.blocks:
-            self.params.update(b.params)
+        self.params = {k: v for b in self.blocks for k, v in b.params.items()}
 
     def forward(self, p: PatchStack, leaves: dict, train: bool = False,
                 rng: np.random.Generator | None = None) -> PatchStack:

@@ -457,7 +457,7 @@ def cost_report(config: dict, measure: bool = True, seed: int = 0) -> dict:
     """
     cfg = hm.validate_config(config)
     st, en, inp = cfg["stem"], cfg["encoder"], cfg["input"]
-    size = (inp["base_size"] + 2 * inp["pad"]) * inp["upscale_factor"]
+    size = hm.input_size(inp)
     n_orders = len(hs.ORDERS)
     k2 = st["kernel_size"] ** 2
     stem_macs = 0

@@ -93,6 +93,11 @@ def _coerce(label: str, typ, v):
     raise ConfigError(f"{label} must be a {typ.__name__}, got {v!r}")
 
 
+def input_size(inp: dict) -> int:
+    """Side of a preprocessed image: base size, padded on both sides, upscaled."""
+    return (inp["base_size"] + 2 * inp["pad"]) * inp["upscale_factor"]
+
+
 def validate_config(config: dict) -> dict:
     """Return a normalized deep copy; raise ConfigError naming the violated
     constraint otherwise."""
@@ -146,7 +151,7 @@ def validate_config(config: dict) -> dict:
         raise ConfigError("input.channels and input.base_size must be positive")
     if inp["pad"] < 0 or inp["upscale_factor"] < 1:
         raise ConfigError("input.pad must be >= 0 and input.upscale_factor >= 1")
-    size = (inp["base_size"] + 2 * inp["pad"]) * inp["upscale_factor"]
+    size = input_size(inp)
     for i in range(st["blocks"]):
         if (size >> i) % 2:
             raise ConfigError(
@@ -174,7 +179,7 @@ class Model:
         self.precision = precision
         st, en = self.config["stem"], self.config["encoder"]
         inp = self.config["input"]
-        self.input_size = (inp["base_size"] + 2 * inp["pad"]) * inp["upscale_factor"]
+        self.input_size = input_size(inp)
         grid = self.input_size >> st["blocks"]
         self.grid_shape = (grid, grid)
         d = st["channels"][-1] if st["blocks"] else inp["channels"]

@@ -216,7 +216,7 @@ def plain_conv2d(x, k):
 
 @pytest.mark.parametrize("spectrum_first, batch, c_out", CONV_ORDERS)
 def test_fd_conv2d(spectrum_first, batch, c_out):
-    assert ct._spectrum_first(batch, 9, c_out) == spectrum_first
+    assert ct._spectrum_first(batch, 9, 2, c_out) == spectrum_first
     rng = ct.make_rng(10)
     x = crandn(rng, batch, 2, 8, 8)
     k = crandn(rng, c_out, 2, 3, 3)
@@ -378,7 +378,7 @@ def conv_reference(x, k, pad, g):
 def test_conv2d_matches_direct_reference():
     rng = ct.make_rng(15)
     for spectrum_first, batch, c_out in (p.values for p in CONV_ORDERS):
-        assert ct._spectrum_first(batch, 9, c_out) == spectrum_first
+        assert ct._spectrum_first(batch, 9, 2, c_out) == spectrum_first
         k = crandn(rng, c_out, 2, 3, 3)
         x = crandn(rng, batch, 2, 5, 6)
         ref, _, _ = conv_reference(x, k, 1, np.zeros((batch, c_out, 5, 6)))
@@ -391,7 +391,7 @@ def test_conv2d_backends_agree_on_gradients():
     # against the same direct-loop reference; 5x5 kernels have 25 atoms
     rng = ct.make_rng(16)
     for spectrum_first, batch, c_out in ((True, 1, 13), (False, 2, 4)):
-        assert ct._spectrum_first(batch, 25, c_out) == spectrum_first
+        assert ct._spectrum_first(batch, 25, 3, c_out) == spectrum_first
         k = crandn(rng, c_out, 3, 5, 5)
         x = crandn(rng, batch, 3, 12, 14)
         g_out = crandn(rng, batch, c_out, 12, 14)
@@ -420,7 +420,7 @@ def test_conv2d_backends_agree_on_gradients():
 def test_conv2d_untracked_input_gets_no_adjoint(monkeypatch, spectrum_first, batch, c_out):
     # an untracked input (the image) gets no adjoint transform in backward,
     # and the kernel gradient is the one a tracked input gets
-    assert ct._spectrum_first(batch, 9, c_out) == spectrum_first
+    assert ct._spectrum_first(batch, 9, 3, c_out) == spectrum_first
     rng = ct.make_rng(18)
     x, k = crandn(rng, batch, 3, 5, 6), crandn(rng, c_out, 3, 3, 3)
     t = crandn(rng, batch, c_out, 5, 6)

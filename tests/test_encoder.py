@@ -8,6 +8,8 @@ strategy is validated against a from-scratch numpy enumeration of all
 (query, key, value) order triples.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -145,14 +147,22 @@ def test_layer_norm_he_90_and_pure_phase():
 
 
 # ---------------------------------------------------------------------------
-# order_dot and magnitude_softmax
+# folded attention scores and magnitude_softmax
 # ---------------------------------------------------------------------------
 
-def test_order_dot_self_is_real_nonnegative():
-    z = ct.CTensor(np.array(2.0 * np.exp(1j * 0.9)).reshape(1, 1, 1))
-    s = enc.order_dot(z, z).data
+def test_folded_self_score_is_real_nonnegative():
+    z = ct.CTensor(np.array(2.0 * np.exp(1j * 0.9)).reshape(1, 1, 1, 1))
+    zf = enc.fold_orders(z, 1)
+    s = enc.group_score(zf, zf, 1, 0, 0, 1).data
     assert abs(s.imag.max()) < 1e-15
     assert s.reshape(()) == pytest.approx(4.0)          # |z|^2 / sqrt(1)
+    # over a run of three orders the self score sums |z_m|^2 on its diagonal
+    rng = ct.make_rng(58)
+    f = crandn(rng, 1, 3, 4, 2)
+    ff = enc.fold_orders(ct.CTensor(f), 1)
+    s = enc.group_score(ff, ff, 2, 0, 0, 3).data[0, 0]
+    assert np.max(np.abs(s - s.conj().T)) < 1e-14
+    assert np.allclose(np.diag(s), (np.abs(f[0]) ** 2).sum(axis=(0, 2)), rtol=1e-14)
 
 
 def test_order_subtraction_law_all_pairs():
@@ -161,15 +171,63 @@ def test_order_subtraction_law_all_pairs():
     n, d = h * w, 4
     perm = rot_perm(h, w, 1)
     alpha = np.pi / 2
-    f = {m: crandn(rng, 1, n, d) for m in (-1, 0, 1)}
-    for m1 in (-1, 0, 1):
-        for m2 in (-1, 0, 1):
-            s = enc.order_dot(ct.CTensor(f[m1]), ct.CTensor(f[m2])).data
-            fr1 = np.exp(1j * m1 * alpha) * f[m1][:, perm, :]
-            fr2 = np.exp(1j * m2 * alpha) * f[m2][:, perm, :]
-            sr = enc.order_dot(ct.CTensor(fr1), ct.CTensor(fr2)).data
-            expected = np.exp(1j * (m1 - m2) * alpha) * s[:, perm][:, :, perm]
+    orders = (-1, 0, 1)
+    f = crandn(rng, 1, 3, n, d)
+    phase = np.exp(1j * np.array(orders) * alpha).reshape(1, 3, 1, 1)
+    ff = enc.fold_orders(ct.CTensor(f), 1)
+    fr = enc.fold_orders(ct.CTensor(phase * f[:, :, perm, :]), 1)
+    for i1, m1 in enumerate(orders):
+        for i2, m2 in enumerate(orders):
+            s = enc.group_score(ff, ff, d, i1, i2, 1).data
+            sr = enc.group_score(fr, fr, d, i1, i2, 1).data
+            expected = np.exp(1j * (m1 - m2) * alpha) * s[..., perm, :][..., perm]
             assert np.max(np.abs(sr - expected)) < 1e-10, (m1, m2)
+            # the folded pair score is the plain per-order product
+            plain = f[0, i1] @ f[0, i2].conj().T
+            assert np.max(np.abs(s[0, 0] - plain)) < 1e-12, (m1, m2)
+    # every group of mixing_all: a run of pairs keeps the law of its m_d
+    for md, (iq, ik, count, *_) in enc.score_groups("mixing_all", orders).items():
+        s = enc.group_score(ff, ff, d, iq, ik, count).data
+        sr = enc.group_score(fr, fr, d, iq, ik, count).data
+        expected = np.exp(1j * md * alpha) * s[..., perm, :][..., perm]
+        assert np.max(np.abs(sr - expected)) < 1e-10, md
+
+
+def test_score_groups_are_the_strategies_pair_sets():
+    orders = (-1, 0, 1)
+    assert enc.score_groups("harmformer_default", orders) == {0: (0, 0, 3, 0, 0, 3)}
+    assert enc.score_groups("cross_values", orders) == {0: (1, 1, 1, 0, 0, 3)}
+    groups = enc.score_groups("mixing_all", orders)
+    assert list(groups) == [0, -1, -2, 1, 2]            # order of first pairs
+    assert sum(g[2] for g in groups.values()) == 9
+    # m_d = +1 scores (0, -1) and (+1, 0); carries values -1, 0 to 0, +1
+    assert groups[1] == (1, 0, 2, 0, 1, 2)
+    # m_d = -2 scores (-1, +1); carries value +1 to -1
+    assert groups[-2] == (0, 2, 1, 2, 0, 1)
+    assert enc.score_groups("harmformer_default", (0,)) == {0: (0, 0, 1, 0, 0, 1)}
+    with pytest.raises(ShapeError):
+        enc.score_groups("cross_values", (-1, 1))
+    with pytest.raises(ConfigError):
+        enc.score_groups("sideways", orders)
+
+
+@pytest.mark.parametrize("strategy", enc.STRATEGIES)
+def test_score_groups_runs_cover_exactly_the_scored_pairs(strategy):
+    # the runs stand for the strategy's pair set over every ascending order
+    # subset a stack can carry, and carry each value order m_v to m_v + m_d
+    subsets = [o for r in (1, 2, 3) for o in itertools.combinations(hs.ORDERS, r)]
+    for orders in subsets:
+        want = {(mq, mk) for mq in orders for mk in orders if enc.SCORED_PAIRS[strategy](mq, mk)}
+        if not want:
+            continue
+        got, carried = set(), set()
+        for md, (iq, ik, count, iv, io, n_v) in enc.score_groups(strategy, orders).items():
+            got |= {(orders[iq + j], orders[ik + j]) for j in range(count)}
+            assert all(orders[iq + j] - orders[ik + j] == md for j in range(count))
+            carried |= {(md, orders[iv + j], orders[io + j]) for j in range(n_v)}
+        assert got == want, orders
+        assert carried == {(mq - mk, mv, mv + mq - mk) for mq, mk in want for mv in orders
+                           if mv + mq - mk in orders}, orders
 
 
 def test_matmul_order_addition_law():
@@ -315,6 +373,19 @@ def phase_np(z):
     return np.where(a == 0, 1.0 + 0j, z / np.where(a == 0, 1, a))
 
 
+@pytest.mark.parametrize("strategy", enc.STRATEGIES)
+def test_f32_attention_stays_complex64(strategy):
+    rng = ct.make_rng(59)
+    d, heads = 4, 2
+    blk = make_block(rng, d=d, heads=heads, grid=(3, 3), strategy=strategy)
+    leaves = {k: ct.CTensor(v.astype(np.complex64 if np.iscomplexobj(v) else np.float32))
+              for k, v in blk.params.items()}
+    p = enc.PatchStack(ct.CTensor(crandn(rng, 2, 3, 9, d).astype(np.complex64)),
+                       (-1, 0, 1), (3, 3))
+    out = enc.msa_forward(p, leaves, "blk", heads, strategy, blk.rpe)
+    assert out.tensor.data.dtype == np.complex64
+
+
 def test_mixing_all_matches_enumeration_oracle():
     rng = ct.make_rng(51)
     n, d = 2, 2
@@ -391,9 +462,10 @@ def test_three_stacked_blocks_he_at_90():
         assert stack_error(lhs, rhs) < 1e-7, q
 
 
-def test_block_gradients_match_finite_differences():
+@pytest.mark.parametrize("strategy", enc.STRATEGIES)
+def test_block_gradients_match_finite_differences(strategy):
     rng = ct.make_rng(55)
-    blk = make_block(rng, d=2, grid=(2, 2), dropout=0.0)
+    blk = make_block(rng, d=2, grid=(2, 2), dropout=0.0, strategy=strategy)
     x = {m: crandn(rng, 1, 4, 2) for m in (-1, 0, 1)}
     t = {m: crandn(rng, 1, 4, 2) for m in (-1, 0, 1)}
 

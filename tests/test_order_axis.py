@@ -3,8 +3,9 @@
 Every order-wise layer acts on the whole (B, O, ...) tensor with the same
 ops whatever O is, so recording it on a tape adds as many nodes over three
 orders as over one; the harmonic convolution synthesizes its kernel for
-every order pair in one batch.  Exempt by design: mixing_all's per-order-pair
-grouping.
+every order pair in one batch.  Exempt by design: mixing_all, whose tape grows
+with its groups of scored pairs (5 over three orders, 1 over one), each one
+GEMM over folded orders, and not with its 9 pairs.
 """
 
 import numpy as np

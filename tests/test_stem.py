@@ -181,7 +181,7 @@ def test_impulse_response_is_point_reflected_kernel():
 def test_harmonic_conv_transforms_only_the_input_and_output(monkeypatch, batch):
     from scipy import fft as sfft
     bank = hs.HarmonicFilterBank("hc", hs.ORDERS, hs.ORDERS, 2, 3, 5, ct.make_rng(0))
-    assert ct._spectrum_first(batch, hs.n_radii(5), 3) == (batch == 1)
+    assert ct._spectrum_first(batch, hs.n_radii(5), 2, 3) == (batch == 1)
     leaves = const_leaves(bank.params)
     x = rand_sfm(ct.make_rng(1), hs.ORDERS, batch, 2, 12, 12)
     hs.harmonic_conv(x, bank, leaves)      # fills the basis-spectra cache
@@ -195,12 +195,30 @@ def test_harmonic_conv_transforms_only_the_input_and_output(monkeypatch, batch):
     assert calls == [("fft2", (batch, 3, 2, 16, 16)), ("ifft2", (batch, 3, 3, 16, 16))]
 
 
+def test_lifting_conv_goes_spectrum_first_at_batch_16(monkeypatch):
+    # one input channel: kernel-first would contract per frequency with
+    # outer products, so the lifting conv (mnist_config's stem.b0.conv0:
+    # 1 -> 8 channels, 5x5) goes spectrum-first at any batch, and agrees
+    # with the kernel-first contraction
+    bank = hs.HarmonicFilterBank("lift", (0,), hs.ORDERS, 1, 8, 5, ct.make_rng(26))
+    assert ct._spectrum_first(16, hs.n_radii(5), 1, 8)
+    leaves = const_leaves(bank.params)
+    x = hs.lift_image(ct.CTensor(ct.make_rng(27).standard_normal((16, 1, 10, 10))))
+    routes, real = [], ct._spectrum_first
+    monkeypatch.setattr(ct, "_spectrum_first", lambda *a: routes.append(real(*a)) or routes[-1])
+    y = hs.harmonic_conv(x, bank, leaves).tensor.data
+    assert routes == [True]
+    monkeypatch.setattr(ct, "_spectrum_first", lambda *a: False)
+    ref = hs.harmonic_conv(x, bank, leaves).tensor.data
+    assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("batch", [pytest.param(1, id="spectrum_first"),
                                    pytest.param(3, id="kernel_first")])
 def test_fd_harmonic_conv_over_input_radial_and_phase(batch):
     rng = ct.make_rng(25)
     bank = hs.HarmonicFilterBank("hc", hs.ORDERS, hs.ORDERS, 2, 2, 3, rng)
-    assert ct._spectrum_first(batch, hs.n_radii(3), 2) == (batch == 1)
+    assert ct._spectrum_first(batch, hs.n_radii(3), 2, 2) == (batch == 1)
     x = rand_sfm(rng, hs.ORDERS, batch, 2, 6, 6).tensor.data
     target = rand_sfm(rng, hs.ORDERS, batch, 2, 6, 6).tensor
 
