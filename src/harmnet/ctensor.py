@@ -59,8 +59,9 @@ class GradTape:
     the tape keeps no operand alive that backward never touches: structural
     and cast ops keep shapes and dtypes; a product (`mul`, `div`,
     `complex_matmul`, `conv2d`) keeps an operand only when the other one is
-    tracked; `relu` keeps its boolean mask; `magnitude` and
-    `with_magnitude` keep z (and r) and recompute |z| and z/|z|.
+    tracked; `magnitude` keeps z and recomputes |z|; `magnitude_map` (a
+    whole phase-keeping layer) keeps z, its new magnitudes and the real
+    arrays the layer's adjoint reads, and recomputes |z| and z/|z|.
     """
 
     def __init__(self):
@@ -403,18 +404,6 @@ def _require_real(a: CTensor, op: str):
         raise ShapeError(f"{op} expects a real tensor")
 
 
-def relu(a: CTensor) -> CTensor:
-    """max(x, 0); subgradient 0 at the kink."""
-    _require_real(a, "relu")
-    data = np.maximum(a.data, 0)
-    positive = a.data > 0
-
-    def backward(g):
-        return (g * positive,)
-
-    return _make(data, (a,), backward)
-
-
 def exp(a: CTensor) -> CTensor:
     _require_real(a, "exp")
     data = np.exp(a.data)
@@ -432,21 +421,6 @@ def log(a: CTensor) -> CTensor:
 
     def backward(g):
         return (g / ad,)
-
-    return _make(data, (a,), backward)
-
-
-def sqrt(a: CTensor) -> CTensor:
-    """Elementwise square root; subgradient 0 at 0 (same convention as
-    magnitude), so normalizers whose variance collapses to exactly zero
-    propagate a zero slope instead of an infinity."""
-    _require_real(a, "sqrt")
-    data = np.sqrt(a.data)
-
-    def backward(g):
-        denom = 2.0 * data
-        safe = np.where(denom == 0, 1.0, denom)
-        return (np.where(denom == 0, 0.0, g / safe),)
 
     return _make(data, (a,), backward)
 
@@ -503,34 +477,59 @@ def magnitude(a: CTensor) -> CTensor:
     return _make(data, (a,), backward)
 
 
-def with_magnitude(z: CTensor, r: CTensor) -> CTensor:
-    """r * z/|z| for a real r of z's shape, with phase 1+0i (and a zero
-    z-gradient) where z = 0; the unit z * (1/|z|) rounds as z / |z| does.
-    The tape keeps z and r only; backward recomputes |z| and the unit."""
-    if r.is_complex or r.shape != z.shape:
-        raise ShapeError(f"with_magnitude expects real magnitudes of shape {z.shape}, got {r}")
-    mag = np.abs(z.data)
+def _polar(z: np.ndarray):
+    """|z|, 1/|z| (1 where z = 0), the unit z/|z| (1+0i where z = 0) and the
+    zero mask; the unit z * (1/|z|) rounds as z / |z| does."""
+    mag = np.abs(z)
     zero = mag == 0
-    safe = np.where(zero, 1, mag)
-    unit = z.data * (1 / safe)
+    inv = np.where(zero, 1, mag)
+    np.reciprocal(inv, out=inv)
+    unit = z * inv
     unit[zero] = 1
-    data = r.data * unit
-    zd, rd = z.data, r.data
+    return mag, inv, unit, zero
 
-    def backward(g):
-        # recomputed exactly as above: the tape keeps z and r, not these
-        mag = np.abs(zd)
-        zero = mag == 0
-        safe = np.where(zero, 1, mag)
-        unit = zd * (1 / safe)
-        unit[zero] = 1
-        # z: the adjoint of z/|z|, which has no radial part, applied to g*r
-        gu = (g * rd).astype(zd.dtype, copy=False)
-        gz = gu / safe - zd * (np.conj(gu) * zd).real / (safe ** 3)
-        gz[zero] = 0
-        return gz, (g * np.conj(unit)).real.astype(rd.dtype, copy=False)
 
-    return _make(data, (z, r), backward)
+def magnitude_map(z: CTensor, params, forward, backward) -> CTensor:
+    """f(|z|) * z/|z|: a phase-keeping layer as one tape node.
+
+    `forward(mag, *param arrays) -> (r, saved)` maps the magnitudes |z| to
+    a real r of z's shape; the output is r times the unit z/|z| (phase 1+0i
+    where z = 0).  `backward(gr, saved) -> (g_mag, *g_params)` is f's
+    adjoint for the real gradient gr = Re(conj(unit) g) at r; a parameter
+    gradient may be any shape that broadcasts to the parameter's (it is
+    summed back, as the tape sums a broadcast operand).  With cu =
+    conj(unit) g, the z-gradient is unit * (g_mag + i r Im(cu)/|z|), and 0
+    where z = 0.  The tape keeps z, r and `saved`; backward recomputes |z|
+    and the unit.
+    """
+    if not z.is_complex:
+        raise ShapeError("magnitude_map expects a complex tensor")
+    params = tuple(params)
+    mag, _, unit, _ = _polar(z.data)
+    r, saved = forward(mag, *(p.data for p in params))
+    if np.iscomplexobj(r) or r.shape != z.shape:
+        raise ShapeError(f"magnitude_map expects real magnitudes of shape {z.shape}, "
+                         f"got {r.dtype} {r.shape}")
+    data = r * unit
+    zd, z_tracked = z.data, z.node is not None
+    specs = [(p.node is not None, p.shape, p.data.dtype) for p in params]
+
+    def back(g):
+        _, inv, unit, zero = _polar(zd)
+        cu = np.conj(unit) * g
+        g_mag, *g_params = backward(cu.real, saved)
+        gz = None
+        if z_tracked:
+            gz = np.empty(zd.shape, np.result_type(g_mag, r, unit))
+            gz.real = g_mag
+            gz.imag = r * cu.imag * inv
+            gz *= unit
+            gz[zero] = 0
+            gz = _to_kind(gz, zd.dtype)
+        return (gz, *(_to_kind(_unbroadcast(gp, shape), dt) if tracked else None
+                      for gp, (tracked, shape, dt) in zip(g_params, specs)))
+
+    return _make(data, (z,) + params, back)
 
 
 def softmax(a: CTensor, axis: int = -1) -> CTensor:

@@ -6,6 +6,8 @@ each matrix as a fixed row permutation times the phase e^{i m alpha}; every
 layer here commutes with that action.  Attention has one path: a strategy is the
 set of order pairs (m_q, m_k) it scores; the pairs of one difference m_d = m_q - m_k
 are one GEMM over folded orders, whose weights carry value order m_v to m_v + m_d.
+The layer norm's scaling, the magnitude softmax and the MLP's C-ReLU change
+magnitudes only, each as one `ct.magnitude_map` tape node.
 """
 
 from __future__ import annotations
@@ -102,16 +104,31 @@ def he_layer_norm(p: PatchStack, eps: float = EPS, mode: str = "std") -> PatchSt
 
 def magnitude_softmax(s: ct.CTensor, rpe_bias: ct.CTensor | None = None,
                       keep_phase: bool = True) -> ct.CTensor:
-    """Row softmax over |s| + bias; phases pass through untouched (or are
-    dropped when keep_phase is false).  Row magnitude sums are exactly 1.
-    The bias broadcasts against the trailing axes of s."""
-    mag = ct.magnitude(s)
-    if rpe_bias is not None:
-        if rpe_bias.shape != s.shape[s.data.ndim - rpe_bias.data.ndim:]:
-            raise ShapeError(f"rpe bias shape {rpe_bias.shape} does not end attention {s.shape}")
-        mag = ct.add(mag, rpe_bias)
-    w = ct.softmax(mag, axis=-1)
-    return ct.with_magnitude(s, w) if keep_phase else ct.as_complex(w)
+    """Row softmax over |s| + bias; phases pass through untouched (one
+    phase-keeping tape node) or are dropped when keep_phase is false.  Row
+    magnitude sums are exactly 1.  The bias broadcasts against the trailing
+    axes of s."""
+    if rpe_bias is not None and rpe_bias.shape != s.shape[s.data.ndim - rpe_bias.data.ndim:]:
+        raise ShapeError(f"rpe bias shape {rpe_bias.shape} does not end attention {s.shape}")
+    bias = () if rpe_bias is None else (rpe_bias,)
+    if not keep_phase:
+        mag = ct.magnitude(s)
+        if bias:
+            mag = ct.add(mag, rpe_bias)
+        return ct.as_complex(ct.softmax(mag, axis=-1))
+
+    def forward(mag, *rpe):
+        x = mag + rpe[0] if rpe else mag
+        w = np.exp(x - np.max(x, axis=-1, keepdims=True))
+        w /= w.sum(axis=-1, keepdims=True)
+        return w, w
+
+    def backward(gr, w):
+        gx = gr - (gr * w).sum(axis=-1, keepdims=True)
+        gx *= w
+        return (gx,) * (1 + len(bias))
+
+    return ct.magnitude_map(s, bias, forward, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +242,17 @@ def msa_forward(p: PatchStack, leaves: dict, name: str, heads: int,
 
 def crelu_ab(p: PatchStack, a: ct.CTensor, b: ct.CTensor) -> PatchStack:
     """ReLU(a|z| + b) e^{i theta} with learnable per-channel a, b."""
+    def forward(mag, a, b):
+        r = mag * a + b
+        return np.maximum(r, 0, out=r), (r, mag, a)
+
+    def backward(gr, saved):
+        r, mag, a = saved
+        gy = gr * (r > 0)
+        return gy * a, gy * mag, gy
+
     a, b = (ct.expand(ct.reshape(v, (1, v.shape[0])), 0, len(p.orders)) for v in (a, b))
-    mag = ct.relu(ct.add(ct.mul(ct.magnitude(p.tensor), a), b))
-    return p.with_tensor(ct.with_magnitude(p.tensor, mag))
+    return p.with_tensor(ct.magnitude_map(p.tensor, (a, b), forward, backward))
 
 
 def magnitude_dropout(p: PatchStack, rate: float, rng: np.random.Generator,
@@ -236,7 +261,8 @@ def magnitude_dropout(p: PatchStack, rate: float, rng: np.random.Generator,
     if not train or rate == 0.0:
         return p
     b, _, n, d = p.shape
-    mask = (rng.random((b, n, d)) >= rate).astype(np.float64) / (1.0 - rate)
+    real = np.finfo(p.tensor.data.dtype).dtype
+    mask = (rng.random((b, n, d)) >= rate).astype(real) / (1.0 - rate)
     return p.with_tensor(ct.mul(p.tensor, ct.CTensor(mask.reshape(b, 1, n, d))))
 
 

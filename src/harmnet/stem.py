@@ -4,8 +4,9 @@ Features are carried as one complex tensor with an axis over rotation orders
 m in {-1, 0, +1}.  Rotating the input image by alpha rotates each order's
 stream spatially and shifts its phase by m*alpha.  Every layer here
 preserves that law: convolution kernels are synthesized circular harmonics
-R(r)e^{i(m theta + beta)}, and all pointwise nonlinearities act on
-magnitudes only, leaving phases untouched.
+R(r)e^{i(m theta + beta)}, and all pointwise nonlinearities and norms act on
+magnitudes only, leaving phases untouched: each is one `ct.magnitude_map`
+tape node, a real map of |z| with its analytic adjoint.
 
 Kernel grid convention: kernel[y][x] with offsets (dy, dx) from the center
 pixel, theta = atan2(dy, dx), r = hypot(dy, dx).  Under numpy's rot90 a
@@ -288,32 +289,50 @@ def _channel_vector(v: ct.CTensor, x: StreamedFeatureMap) -> ct.CTensor:
 
 
 def _affine_norm(x: StreamedFeatureMap, state: HBatchNormState, leaves: dict,
-                 train: bool, track: bool):
-    """a * (|X| - mu)/sqrt(var + eps) + b per (order, channel): the new
-    magnitudes of X.  Train mode pools magnitudes over batch and space (and
-    updates the running buffers when `track`); eval mode reads the buffers."""
+                 train: bool, track: bool, relu: bool) -> StreamedFeatureMap:
+    """New magnitudes a * (|X| - mu)/sqrt(var + eps) + b per (order, channel),
+    through ReLU when `relu`, as one phase-keeping tape node.  Train mode
+    pools magnitudes over batch and space (and updates the running buffers
+    when `track`); eval mode reads the buffers."""
     if x.shape[2] != state.channels:
         raise ShapeError(f"channel mismatch: input {x.shape[2]}, norm {state.channels}")
-    name = state.name
-    mag = ct.magnitude(x.tensor)
-    if train:
-        mu = ct.mean(mag, axis=(0, 3, 4), keepdims=True)
-        d = ct.sub(mag, mu)
-        var = ct.mean(ct.mul(d, d), axis=(0, 3, 4), keepdims=True)
-        if track:
-            mom = state.momentum
-            for i, m in enumerate(x.orders):
-                for stat, batch in (("mean", mu), ("var", var)):
-                    buf = state.buffers[f"{name}.{stat}{m:+d}"]
-                    buf[:] = (1 - mom) * buf + mom * batch.data[0, i].reshape(-1)
-    else:
-        shape = (1, len(x.orders), state.channels, 1, 1)
-        mu, var = (ct.CTensor(np.stack([state.buffers[f"{name}.{stat}{m:+d}"]
-                                        for m in x.orders]).reshape(shape))
-                   for stat in ("mean", "var"))
-    norm = ct.div(ct.sub(mag, mu), ct.sqrt(ct.add(var, ct.CTensor(np.float64(EPS)))))
-    return ct.add(ct.mul(_channel_vector(leaves[f"{name}.a"], x), norm),
-                  _channel_vector(leaves[f"{name}.b"], x))
+    name, axes = state.name, (0, 3, 4)
+
+    def forward(mag, a, b):
+        if train:
+            mu = mag.mean(axis=axes, keepdims=True)
+            d = mag - mu
+            var = (d * d).mean(axis=axes, keepdims=True)
+            if track:
+                mom = state.momentum
+                for i, m in enumerate(x.orders):
+                    for stat, batch in (("mean", mu), ("var", var)):
+                        buf = state.buffers[f"{name}.{stat}{m:+d}"]
+                        buf[:] = (1 - mom) * buf + mom * batch[0, i].reshape(-1)
+        else:
+            shape = (1, len(x.orders), state.channels, 1, 1)
+            mu, var = (np.stack([state.buffers[f"{name}.{stat}{m:+d}"] for m in x.orders])
+                       .reshape(shape).astype(mag.dtype, copy=False) for stat in ("mean", "var"))
+            d = mag - mu
+        s = np.sqrt(var + mag.dtype.type(EPS))
+        norm = np.divide(d, s, out=d)
+        r = a * norm + b
+        if relu:
+            np.maximum(r, 0, out=r)
+        return r, (r, norm, s, a)
+
+    def backward(gr, saved):
+        r, norm, s, a = saved
+        gy = gr * (r > 0) if relu else gr
+        gn = gy * a
+        if train:   # the batch statistics depend on every magnitude
+            pull = (gn * norm).mean(axis=axes, keepdims=True)
+            gn -= gn.mean(axis=axes, keepdims=True)
+            gn -= norm * pull
+        return np.divide(gn, s, out=gn), gy * norm, gy
+
+    params = (_channel_vector(leaves[f"{name}.a"], x), _channel_vector(leaves[f"{name}.b"], x))
+    return x.with_tensor(ct.magnitude_map(x.tensor, params, forward, backward))
 
 
 def hbn_crelu(x: StreamedFeatureMap, state: HBatchNormState, leaves: dict,
@@ -325,8 +344,7 @@ def hbn_crelu(x: StreamedFeatureMap, state: HBatchNormState, leaves: dict,
     mode uses the stored running statistics.  Codomain of the magnitude path
     is non-negative, which is what keeps the layer equivariant.
     """
-    scaled = _affine_norm(x, state, leaves, train, track=True)
-    return x.with_tensor(ct.with_magnitude(x.tensor, ct.relu(scaled)))
+    return _affine_norm(x, state, leaves, train, track=True, relu=True)
 
 
 def legacy_cbn(x: StreamedFeatureMap, state: HBatchNormState, leaves: dict,
@@ -336,20 +354,33 @@ def legacy_cbn(x: StreamedFeatureMap, state: HBatchNormState, leaves: dict,
     With gamma < 0 the magnitude path goes negative, flipping phases; kept
     exactly so the normalization ablation can exhibit the equivariance break.
     """
-    scaled = _affine_norm(x, state, leaves, train, track=False)
-    return x.with_tensor(ct.with_magnitude(x.tensor, scaled))
+    return _affine_norm(x, state, leaves, train, track=False, relu=False)
 
 
 def normalize_over(t: ct.CTensor, axis, eps: float = EPS, mode: str = "std") -> ct.CTensor:
     """Subtract the complex mean over `axis`, then divide by sigma + eps,
     where sigma is the standard deviation ("std") or the root mean square
-    ("rms") over `axis` of the centered magnitudes.  No learnable affine."""
+    ("rms") over `axis` of the centered magnitudes.  No learnable affine.
+    The division scales magnitudes only, as one phase-keeping tape node."""
     c = ct.sub(t, ct.mean(t, axis=axis, keepdims=True))
-    mag = ct.magnitude(c)
-    if mode == "std":
-        mag = ct.sub(mag, ct.mean(mag, axis=axis, keepdims=True))
-    var = ct.mean(ct.mul(mag, mag), axis=axis, keepdims=True)
-    return ct.div(c, ct.add(ct.sqrt(var), ct.CTensor(np.asarray(eps))))
+
+    def forward(mag):
+        dev = mag - mag.mean(axis=axis, keepdims=True) if mode == "std" else mag
+        sigma = np.sqrt((dev * dev).mean(axis=axis, keepdims=True))
+        denom = sigma + mag.dtype.type(eps)
+        r = mag / denom
+        return r, (r, dev, sigma, denom)
+
+    def backward(gr, saved):
+        # d sigma / d mag = dev / (N sigma) (the mean of dev is 0 in "std"
+        # mode); a collapsed sigma = 0 passes a zero slope
+        r, dev, sigma, denom = saved
+        pull = np.divide((gr * r).mean(axis=axis, keepdims=True), sigma,
+                         out=np.zeros_like(sigma), where=sigma != 0)
+        g = gr - pull * dev
+        return (np.divide(g, denom, out=g),)
+
+    return ct.magnitude_map(c, (), forward, backward)
 
 
 def layer_norm_streams(x: StreamedFeatureMap, eps: float = EPS) -> StreamedFeatureMap:
@@ -361,8 +392,16 @@ def layer_norm_streams(x: StreamedFeatureMap, eps: float = EPS) -> StreamedFeatu
 
 def legacy_crelu(x: StreamedFeatureMap, bias: ct.CTensor) -> StreamedFeatureMap:
     """Original C-ReLU: ReLU(|X| + b) e^{i theta} with a per-channel bias."""
-    out = ct.relu(ct.add(ct.magnitude(x.tensor), _channel_vector(bias, x)))
-    return x.with_tensor(ct.with_magnitude(x.tensor, out))
+    def forward(mag, b):
+        r = mag + b
+        return np.maximum(r, 0, out=r), r
+
+    def backward(gr, r):
+        gy = gr * (r > 0)
+        return gy, gy
+
+    return x.with_tensor(ct.magnitude_map(x.tensor, (_channel_vector(bias, x),),
+                                          forward, backward))
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +426,8 @@ def channel_dropout(x: StreamedFeatureMap, p: float, rng: np.random.Generator,
     if not train or p == 0.0:
         return x
     b, _, c = x.shape[:3]
-    mask = (rng.random((b, c, 1, 1)) >= p).astype(np.float64) / (1.0 - p)
+    real = np.finfo(x.tensor.data.dtype).dtype
+    mask = (rng.random((b, c, 1, 1)) >= p).astype(real) / (1.0 - p)
     keep = ct.CTensor(mask.reshape(b, 1, c, 1, 1))
     return x.with_tensor(ct.mul(x.tensor, keep))
 

@@ -100,10 +100,10 @@ def cross_entropy(logits: ct.CTensor, labels: np.ndarray,
     z = ct.sub(logits, shift)
     lse = ct.log(ct.sum_(ct.exp(z), axis=1, keepdims=True))
     logp = ct.sub(z, lse)
-    target = np.full((b, c), smoothing / c)
+    target = np.full((b, c), smoothing / c, dtype=logits.data.dtype)
     target[np.arange(b), labels] += 1.0 - smoothing
     nll = ct.neg(ct.sum_(ct.mul(ct.CTensor(target), logp)))
-    return ct.div(nll, ct.CTensor(np.asarray(float(b))))
+    return ct.div(nll, ct.CTensor(np.asarray(b, logits.data.dtype)))
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +270,9 @@ def train(model: hm.Model, splits: dict, tconfig: dict | None = None,
                            tconfig["beta2"], tconfig["eps"])
             losses.append(loss_val)
 
-        val_error = error_rate(model, xs["val"], ys["val"])
+        # held-out sets go through in chunks of the training batch, so
+        # evaluation never holds more activations than a training step
+        val_error = error_rate(model, xs["val"], ys["val"], tconfig["batch_size"])
         train_loss = float(np.mean(losses)) if losses else 0.0
         history["train_loss"].append(train_loss)
         history["val_error"].append(val_error)
@@ -309,7 +311,7 @@ def train(model: hm.Model, splits: dict, tconfig: dict | None = None,
         "lr": history["lr"],
         "best_epoch": best["epoch"],
         "best_val_error": float(best["val_error"]),
-        "test_error": error_rate(model, xs["test"], ys["test"]),
+        "test_error": error_rate(model, xs["test"], ys["test"], tconfig["batch_size"]),
         "wall_seconds": time.perf_counter() - t_start,
         "param_count": hm.count_params(model),
         "config_hash": hm.config_hash(model.config),

@@ -275,6 +275,98 @@ def test_magnitude_softmax_bias_shifts_weights():
 
 
 # ---------------------------------------------------------------------------
+# fused magnitude layers: one tape node each, finite-difference checked
+# ---------------------------------------------------------------------------
+
+def l2_loss(y, target):
+    d = ct.magnitude(ct.sub(y, ct.CTensor(target)))
+    return ct.sum_(ct.mul(d, d))
+
+
+def check_fused_layer(layer, x, special, params, tol=1e-4):
+    """FD-check layer(z, leaves) -> complex tensor over x and params, where z
+    is x off the boolean `special` mask and fixed at x there (exact zeros and
+    constant-magnitude groups, whose one-sided or eps-scale slopes no central
+    difference resolves); then backward with z = x tracked.  Returns the
+    gradients, all finite."""
+    target = crandn(ct.make_rng(98), *x.shape)
+    keep, fixed = ct.CTensor((~special).astype(np.float64)), ct.CTensor(np.where(special, x, 0))
+
+    def f(p):
+        return l2_loss(layer(ct.add(ct.mul(p["x"], keep), fixed), p), target)
+
+    err = ct.finite_difference_check(f, {"x": x, **params})
+    assert err < tol, err
+    tape = ct.GradTape()
+    leaves = {k: tape.parameter(k, v) for k, v in {"x": x, **params}.items()}
+    grads = ct.backward(tape, l2_loss(layer(leaves["x"], leaves), target))
+    assert all(np.all(np.isfinite(g)) for g in grads.values())
+    return grads
+
+
+def special_scores(seed):
+    """(2, 2, 4, 4) attention scores, or a (B, O, n, d) = (2, 2, 4, 4) patch
+    stack, with an exact zero at [0, 1, 2, 3], a constant-magnitude
+    [1, 0, 1] row and a constant-magnitude [0, 0, :, 2] column; their mask."""
+    rng = ct.make_rng(seed)
+    x = crandn(rng, 2, 2, 4, 4)
+    special = np.zeros(x.shape, dtype=bool)
+    x[0, 1, 2, 3] = 0
+    x[1, 0, 1] = 0.8 * np.exp(1j * rng.uniform(-np.pi, np.pi, size=4))
+    x[0, 0, :, 2] = 1.2 * np.exp(1j * rng.uniform(-np.pi, np.pi, size=4))
+    for idx in ((0, 1, 2, 3), (1, 0, 1), (0, 0, slice(None), 2)):
+        special[idx] = True
+    return x, special
+
+
+def softmax_layer(bias):
+    def run(z, leaves):
+        return enc.magnitude_softmax(z, leaves["bias"] if bias else None)
+    return run, ({"bias": ct.make_rng(60).standard_normal((2, 4, 4))} if bias else {})
+
+
+def stack_layer(fn, **params):
+    def run(z, leaves):
+        return fn(enc.PatchStack(z, (0, 1), (2, 2)), leaves).tensor
+    return run, params
+
+
+FUSED_ENCODER_LAYERS = {
+    "magnitude_softmax": lambda: softmax_layer(False),
+    "magnitude_softmax_rpe": lambda: softmax_layer(True),
+    "crelu_ab": lambda: stack_layer(lambda p, lv: enc.crelu_ab(p, lv["a"], lv["b"]),
+                                    a=np.array([1.2, -0.7, 0.9, 0.5]),
+                                    b=np.array([-0.3, 0.4, 0.1, -0.6])),
+    "he_layer_norm_std": lambda: stack_layer(lambda p, _: enc.he_layer_norm(p)),
+    "he_layer_norm_rms": lambda: stack_layer(lambda p, _: enc.he_layer_norm(p, mode="rms")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUSED_ENCODER_LAYERS))
+def test_fd_fused_encoder_layers(name):
+    layer, params = FUSED_ENCODER_LAYERS[name]()
+    x, special = special_scores(61)
+    grads = check_fused_layer(layer, x, special, params)
+    if not name.startswith("he_layer_norm"):   # the norms center first
+        assert grads["x"][0, 1, 2, 3] == 0     # zero gradient at z = 0
+
+
+DTYPE_LAYERS = {
+    **FUSED_ENCODER_LAYERS,
+    "magnitude_dropout": lambda: stack_layer(
+        lambda p, _: enc.magnitude_dropout(p, 0.5, ct.make_rng(3), True)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DTYPE_LAYERS))
+def test_complex64_input_stays_complex64(name):
+    layer, params = DTYPE_LAYERS[name]()
+    x, _ = special_scores(62)
+    leaves = {k: ct.CTensor(v.astype(np.float32)) for k, v in params.items()}
+    assert layer(ct.CTensor(x.astype(np.complex64)), leaves).data.dtype == np.complex64
+
+
+# ---------------------------------------------------------------------------
 # RPE
 # ---------------------------------------------------------------------------
 

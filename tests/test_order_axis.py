@@ -203,12 +203,13 @@ def magnitude_softmax(tape, orders):
     return lambda: enc.magnitude_softmax(s)
 
 
-# nodes each magnitude layer records: one magnitude, its real magnitude path,
-# and one with_magnitude (the split chain recorded two more: a phase node and
-# a real-to-complex cast before the product)
+# nodes each magnitude layer records: one magnitude_map, after a reshape and
+# an expand per shared parameter, or after the complex centering of the layer
+# norms (a tape-composed real path recorded 6 to 17)
 MAGNITUDE_LAYER_NODES = {
-    "hbn_crelu_train": 17, "hbn_crelu_eval": 11, "legacy_cbn_train": 16,
-    "legacy_cbn_eval": 10, "legacy_crelu": 6, "crelu_ab": 9, "magnitude_softmax": 6,
+    "hbn_crelu_train": 5, "hbn_crelu_eval": 5, "legacy_cbn_train": 5,
+    "legacy_cbn_eval": 5, "legacy_crelu": 3, "crelu_ab": 5, "magnitude_softmax": 1,
+    "layer_norm_streams": 3, "he_layer_norm_std": 3, "he_layer_norm_rms": 3,
 }
 
 

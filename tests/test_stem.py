@@ -20,6 +20,10 @@ def const_leaves(params):
     return {k: ct.CTensor(v) for k, v in params.items()}
 
 
+def crandn(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def rand_sfm(rng, orders, b, c, h, w):
     return hs.StreamedFeatureMap.from_streams(
         {m: rng.standard_normal((b, c, h, w)) + 1j * rng.standard_normal((b, c, h, w))
@@ -381,6 +385,142 @@ def test_legacy_cbn_negative_gamma_flips_phase():
     assert out[1].real < 0 or out[1].imag < 0
     expected = -1.0 / np.sqrt(1 + EPS) * np.exp(1j * 0.7)
     assert abs(out[1] - expected) < 1e-12
+
+
+def test_legacy_crelu_subgradient_zero_at_kink():
+    # pre-activations |z| + b of 0 (the kink), -1 and 2
+    x = hs.StreamedFeatureMap(ct.CTensor(np.ones((1, 1, 3, 1, 1), dtype=np.complex128)), (0,))
+    t = np.full((1, 1, 3, 1, 1), 0.5 + 0.25j)
+    tape = ct.GradTape()
+    bias = tape.parameter("bias", np.array([-1.0, -2.0, 1.0]))
+    d = ct.magnitude(ct.sub(hs.legacy_crelu(x, bias).tensor, ct.CTensor(t)))
+    g = ct.backward(tape, ct.sum_(ct.mul(d, d)))["bias"]
+    assert g[0] == 0.0 and g[1] == 0.0 and g[2] == 2 * (2.0 - 0.5)
+
+
+# ---------------------------------------------------------------------------
+# fused magnitude layers: one tape node each, finite-difference checked
+# ---------------------------------------------------------------------------
+
+def l2_loss(y, target):
+    d = ct.magnitude(ct.sub(y, ct.CTensor(target)))
+    return ct.sum_(ct.mul(d, d))
+
+
+def check_fused_layer(layer, x, special, params, tol=1e-4):
+    """FD-check layer(z, leaves) -> complex tensor over x and params, where z
+    is x off the boolean `special` mask and fixed at x there (exact zeros and
+    constant-magnitude groups, whose one-sided or eps-scale slopes no central
+    difference resolves); then backward with z = x tracked.  Returns the
+    gradients, all finite."""
+    target = crandn(ct.make_rng(98), *x.shape)
+    keep, fixed = ct.CTensor((~special).astype(np.float64)), ct.CTensor(np.where(special, x, 0))
+
+    def f(p):
+        return l2_loss(layer(ct.add(ct.mul(p["x"], keep), fixed), p), target)
+
+    err = ct.finite_difference_check(f, {"x": x, **params})
+    assert err < tol, err
+    tape = ct.GradTape()
+    leaves = {k: tape.parameter(k, v) for k, v in {"x": x, **params}.items()}
+    grads = ct.backward(tape, l2_loss(layer(leaves["x"], leaves), target))
+    assert all(np.all(np.isfinite(g)) for g in grads.values())
+    return grads
+
+
+def special_map(seed):
+    """(2, 3, 2, 3, 3) streams with one exact zero at [0, 1, 0, 0, 0] and a
+    constant-magnitude (order +1, channel 1) group; the mask of both."""
+    rng = ct.make_rng(seed)
+    x = crandn(rng, 2, 3, 2, 3, 3)
+    special = np.zeros(x.shape, dtype=bool)
+    x[0, 1, 0, 0, 0] = 0
+    special[0, 1, 0, 0, 0] = True
+    x[:, 2, 1] = 0.7 * np.exp(1j * rng.uniform(-np.pi, np.pi, size=(2, 3, 3)))
+    special[:, 2, 1] = True
+    return x, special
+
+
+def norm_layer(layer, train):
+    state = hs.HBatchNormState("bn", 2)
+    for m in hs.ORDERS:
+        state.buffers[f"bn.mean{m:+d}"][:] = [1.1, 0.6]
+        state.buffers[f"bn.var{m:+d}"][:] = [0.5, 0.3]
+    params = {"bn.a": np.array([1.3, -0.8]), "bn.b": np.array([0.2, -0.3])}
+
+    def run(z, leaves):
+        return layer(hs.StreamedFeatureMap(z, hs.ORDERS), state, leaves, train).tensor
+    return run, params
+
+
+def crelu_layer():
+    def run(z, leaves):
+        return hs.legacy_crelu(hs.StreamedFeatureMap(z, hs.ORDERS), leaves["bias"]).tensor
+    return run, {"bias": np.array([-0.4, 0.3])}
+
+
+FUSED_STEM_LAYERS = {
+    "hbn_crelu_train": lambda: norm_layer(hs.hbn_crelu, True),
+    "hbn_crelu_eval": lambda: norm_layer(hs.hbn_crelu, False),
+    "legacy_cbn_train": lambda: norm_layer(hs.legacy_cbn, True),
+    "legacy_cbn_eval": lambda: norm_layer(hs.legacy_cbn, False),
+    "legacy_crelu": crelu_layer,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUSED_STEM_LAYERS))
+def test_fd_fused_stem_layers(name):
+    layer, params = FUSED_STEM_LAYERS[name]()
+    x, special = special_map(37)
+    grads = check_fused_layer(layer, x, special, params)
+    assert grads["x"][0, 1, 0, 0, 0] == 0                  # zero gradient at z = 0
+
+
+@pytest.mark.parametrize("mode", ["std", "rms"])
+def test_fd_normalize_over_and_collapsed_sigma(mode):
+    # over (H, W) of (B, O, C, H, W) streams: group (0, 0, 0) is constant, so
+    # it centers to exact zeros (sigma = 0 in both modes); group (0, 0, 1)
+    # alternates +-v, so its centered magnitudes are all |v| (sigma = 0 in
+    # "std" mode; |v| ~ eps keeps its outputs c/eps near 1)
+    x = crandn(ct.make_rng(38), 2, 3, 2, 8)
+    x[0, 0, 0] = 0.6 - 0.2j
+    x[0, 0, 1] = (0.5 + 0.9j) * EPS * (-1.0) ** np.arange(8)
+    special = np.zeros(x.shape, dtype=bool)
+    special[0, 0, :2] = True
+    x, special = x.reshape(2, 3, 2, 2, 4), special.reshape(2, 3, 2, 2, 4)
+
+    def layer(z, leaves):
+        return hs.normalize_over(z, (3, 4), mode=mode)
+
+    grads = check_fused_layer(layer, x, special, {})
+    g = grads["x"]
+    assert np.all(g[0, 0, 0] == 0)              # centered to 0: zero gradient
+    if mode == "std":
+        # sigma = 0: the sigma path passes a zero slope, so y = c/eps there
+        # and the gradient is the centered upstream gradient over eps
+        target = crandn(ct.make_rng(98), *x.shape)[0, 0, 1]
+        gy = 2 * (x[0, 0, 1] / EPS - target)
+        want = (gy - gy.mean()) / EPS
+        assert np.allclose(g[0, 0, 1], want, rtol=1e-10, atol=0)
+
+
+def on_streams(fn):
+    return lambda: ((lambda z, _: fn(hs.StreamedFeatureMap(z, hs.ORDERS)).tensor), {})
+
+
+DTYPE_LAYERS = {
+    **FUSED_STEM_LAYERS,
+    "layer_norm_streams": on_streams(hs.layer_norm_streams),
+    "channel_dropout": on_streams(lambda x: hs.channel_dropout(x, 0.5, ct.make_rng(3), True)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DTYPE_LAYERS))
+def test_complex64_input_stays_complex64(name):
+    layer, params = DTYPE_LAYERS[name]()
+    x, _ = special_map(39)
+    leaves = {k: ct.CTensor(v.astype(np.float32)) for k, v in params.items()}
+    assert layer(ct.CTensor(x.astype(np.complex64)), leaves).data.dtype == np.complex64
 
 
 # ---------------------------------------------------------------------------

@@ -281,6 +281,22 @@ def test_train_feeds_images_at_model_precision(monkeypatch, precision, dtype):
     assert seen == {np.dtype(dtype)}
 
 
+def test_held_out_sets_chunk_at_the_batch_size(monkeypatch):
+    # 5 images per held-out set at batch 2: 3 eval forwards each (val once per epoch)
+    model = hm.build(tiny_config(), seed=0)
+    evals = []
+    real = hm.Model.forward
+
+    def forward(self, images, leaves=None, train=False, rng=None):
+        if not train:
+            evals.append(len(getattr(images, "data", images)))
+        return real(self, images, leaves, train, rng)
+
+    monkeypatch.setattr(hm.Model, "forward", forward)
+    tr.train(model, toy_splits(n_train=4, n_eval=5), quick_tconfig(epochs=2, batch_size=2))
+    assert evals == [2, 2, 1] * 3
+
+
 def test_train_zero_lr_leaves_parameters_unchanged():
     model = hm.build(tiny_config(), seed=1)
     before = {k: v.copy() for k, v in model.params.items()}
