@@ -13,7 +13,11 @@ calculus is involved, so a central finite difference over the real components
 is a valid oracle for every gradient in this module.
 
 Two precisions are supported: "f64" (float64/complex128) for verification and
-gradient suites, "f32" (float32/complex64) for training.
+gradient suites, "f32" (float32/complex64) for training.  An f32 model's
+forward still computes in complex128 (its convolutions promote every feature
+after them), but its backward runs in complex64: a tape whose parameters are
+float32/complex64 keeps what its adjoints read, and differentiates, at that
+precision (`GradTape`), as mixed-precision training does.
 """
 
 from __future__ import annotations
@@ -62,11 +66,20 @@ class GradTape:
     tracked; `magnitude` keeps z and recomputes |z|; `magnitude_map` (a
     whole phase-keeping layer) keeps z, its new magnitudes and the real
     arrays the layer's adjoint reads, and recomputes |z| and z/|z|.
+
+    The tape stores and differentiates at the precision of its registered
+    parameters.  When every one is float32/complex64 ("f32"), each node
+    keeps its arrays cast down to float32/complex64 (`_keep`) and every
+    adjoint returns its gradient at that precision, so the reverse sweep
+    runs in complex64 even where the forward computed in complex128, and
+    the gradients come out float32/complex64.  With any float64/complex128
+    parameter ("f64"), or none, nodes keep the arrays the forward made.
     """
 
     def __init__(self):
-        self.nodes = []        # node id -> (parent ids, backward fn)
-        self.parameters = {}   # name -> node id
+        self.nodes = []          # node id -> (parent ids, backward fn)
+        self.parameters = {}     # name -> node id
+        self.precision = None    # "f32" or "f64" once a parameter is registered
 
     def _append(self, parents, backward) -> int:
         self.nodes.append((parents, backward))
@@ -80,7 +93,18 @@ class GradTape:
     def parameter(self, name: str, array: np.ndarray) -> "CTensor":
         t = self.leaf(array)
         self.parameters[name] = t.node
+        tag = "f32" if t.data.dtype in DTYPES["f32"] else "f64"
+        self.precision = tag if self.precision in (None, tag) else "f64"
         return t
+
+    def stored(self, dtype: np.dtype) -> np.dtype:
+        """The dtype in which a node keeps an array of `dtype`, and in which
+        the gradient of a tensor of `dtype` is carried."""
+        return _SINGLE.get(dtype, dtype) if self.precision == "f32" else dtype
+
+
+# double -> single precision, for an f32 tape
+_SINGLE = {np.dtype(d): np.dtype(s) for d, s in zip(DTYPES["f64"], DTYPES["f32"])}
 
 
 class CTensor:
@@ -183,7 +207,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def _to_kind(g: np.ndarray, dtype) -> np.ndarray:
     """Match the gradient's real/complex kind and precision to an input's
-    dtype."""
+    gradient dtype (`_grad_dtype`)."""
     if not np.issubdtype(dtype, np.complexfloating) and np.iscomplexobj(g):
         g = g.real
     return g.astype(dtype, copy=False)
@@ -193,15 +217,28 @@ def _to_kind(g: np.ndarray, dtype) -> np.ndarray:
 # elementwise and structural ops
 # ---------------------------------------------------------------------------
 
+def _keep(a: np.ndarray, *operands: CTensor) -> np.ndarray:
+    """a as the node over `operands` keeps it for backward: cast down to the
+    precision of their tape (`GradTape.stored`), with no copy when it is
+    already there.  Off tape (no node is recorded) a is returned as is."""
+    tape = _tape_of(*operands)
+    return a if tape is None else a.astype(tape.stored(a.dtype), copy=False)
+
+
 def _kept_for(other: CTensor, a: CTensor):
-    """a's data when `other` is tracked (other's adjoint reads a), else
-    None, so the tape does not hold it."""
-    return a.data if other.node is not None else None
+    """a's data as kept when `other` is tracked (other's adjoint reads a),
+    else None, so the tape does not hold it."""
+    return _keep(a.data, other) if other.node is not None else None
+
+
+def _grad_dtype(t: CTensor) -> np.dtype:
+    """The dtype of t's gradient: t's own, at the precision of its tape."""
+    return t.data.dtype if t.tape is None else t.tape.stored(t.data.dtype)
 
 
 def add(a: CTensor, b: CTensor) -> CTensor:
     data = a.data + b.data
-    sa, da, sb, db = a.shape, a.data.dtype, b.shape, b.data.dtype
+    sa, da, sb, db = a.shape, _grad_dtype(a), b.shape, _grad_dtype(b)
 
     def backward(g):
         return _to_kind(_unbroadcast(g, sa), da), _to_kind(_unbroadcast(g, sb), db)
@@ -211,7 +248,7 @@ def add(a: CTensor, b: CTensor) -> CTensor:
 
 def sub(a: CTensor, b: CTensor) -> CTensor:
     data = a.data - b.data
-    sa, da, sb, db = a.shape, a.data.dtype, b.shape, b.data.dtype
+    sa, da, sb, db = a.shape, _grad_dtype(a), b.shape, _grad_dtype(b)
 
     def backward(g):
         return _to_kind(_unbroadcast(g, sa), da), _to_kind(_unbroadcast(-g, sb), db)
@@ -220,7 +257,7 @@ def sub(a: CTensor, b: CTensor) -> CTensor:
 
 
 def neg(a: CTensor) -> CTensor:
-    da = a.data.dtype
+    da = _grad_dtype(a)
     return _make(-a.data, (a,), lambda g: (_to_kind(-g, da),))
 
 
@@ -228,7 +265,7 @@ def mul(a: CTensor, b: CTensor) -> CTensor:
     """Elementwise product; complex×real scales magnitudes, preserving phase."""
     data = a.data * b.data
     ad, bd = _kept_for(b, a), _kept_for(a, b)
-    sa, da, sb, db = a.shape, a.data.dtype, b.shape, b.data.dtype
+    sa, da, sb, db = a.shape, _grad_dtype(a), b.shape, _grad_dtype(b)
 
     def backward(g):
         return (None if bd is None else _to_kind(_unbroadcast(g * np.conj(bd), sa), da),
@@ -242,9 +279,9 @@ def div(a: CTensor, b: CTensor) -> CTensor:
     if b.is_complex:
         raise ShapeError("div expects a real denominator")
     data = a.data / b.data
-    ad, bd = _kept_for(b, a), b.data
+    ad, bd = _kept_for(b, a), _keep(b.data, a, b)
     a_tracked = a.node is not None
-    sa, da, sb, db = a.shape, a.data.dtype, b.shape, b.data.dtype
+    sa, da, sb, db = a.shape, _grad_dtype(a), b.shape, _grad_dtype(b)
 
     def backward(g):
         ga = _to_kind(_unbroadcast(g / bd, sa), da) if a_tracked else None
@@ -256,7 +293,7 @@ def div(a: CTensor, b: CTensor) -> CTensor:
 
 
 def conj(a: CTensor) -> CTensor:
-    da = a.data.dtype
+    da = _grad_dtype(a)
     return _make(np.conj(a.data), (a,), lambda g: (_to_kind(np.conj(g), da),))
 
 
@@ -266,7 +303,7 @@ def complex_matmul(a: CTensor, b: CTensor) -> CTensor:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
     data = np.matmul(a.data, b.data)
     ad, bd = _kept_for(b, a), _kept_for(a, b)
-    sa, da, sb, db = a.shape, a.data.dtype, b.shape, b.data.dtype
+    sa, da, sb, db = a.shape, _grad_dtype(a), b.shape, _grad_dtype(b)
 
     def backward(g):
         ga = None if bd is None else _to_kind(
@@ -283,7 +320,7 @@ def conj_transpose(a: CTensor) -> CTensor:
     if a.data.ndim < 2:
         raise ShapeError("conj_transpose expects rank >= 2")
     data = np.conj(a.data).swapaxes(-1, -2)
-    da = a.data.dtype
+    da = _grad_dtype(a)
 
     def backward(g):
         return (_to_kind(np.conj(g).swapaxes(-1, -2), da),)
@@ -332,7 +369,7 @@ def concat(tensors, axis: int) -> CTensor:
     data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
-    dtypes = [t.data.dtype for t in tensors]
+    dtypes = [_grad_dtype(t) for t in tensors]
 
     def backward(g):
         return tuple(_to_kind(p, d) for p, d in zip(np.split(g, splits, axis=axis), dtypes))
@@ -346,7 +383,7 @@ def narrow(a: CTensor, axis: int, start: int, length: int) -> CTensor:
     idx[axis] = slice(start, start + length)
     idx = tuple(idx)
     data = a.data[idx]
-    sa, da = a.shape, a.data.dtype
+    sa, da = a.shape, _grad_dtype(a)
 
     def backward(g):
         full = np.zeros(sa, dtype=g.dtype)
@@ -358,7 +395,7 @@ def narrow(a: CTensor, axis: int, start: int, length: int) -> CTensor:
 
 def sum_(a: CTensor, axis=None, keepdims: bool = False) -> CTensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
-    sa, da = a.shape, a.data.dtype
+    sa, da = a.shape, _grad_dtype(a)
 
     def backward(g):
         if axis is not None and not keepdims:
@@ -369,9 +406,9 @@ def sum_(a: CTensor, axis=None, keepdims: bool = False) -> CTensor:
 
 
 def mean(a: CTensor, axis=None, keepdims: bool = False) -> CTensor:
-    n = a.data.size if axis is None else np.prod([a.shape[i] for i in np.atleast_1d(axis)])
+    n = a.data.size if axis is None else int(np.prod([a.shape[i] for i in np.atleast_1d(axis)]))
     data = a.data.mean(axis=axis, keepdims=keepdims)
-    sa, da = a.shape, a.data.dtype
+    sa, da = a.shape, _grad_dtype(a)
 
     def backward(g):
         if axis is not None and not keepdims:
@@ -385,7 +422,7 @@ def take(table: CTensor, indices) -> CTensor:
     """Gather table[indices] (an index array, or a tuple of them for several
     axes); backward scatter-adds (indices are untracked)."""
     data = table.data[indices]
-    st, dt = table.shape, table.data.dtype
+    st, dt = table.shape, _grad_dtype(table)
 
     def backward(g):
         acc = np.zeros(st, dtype=g.dtype)
@@ -407,9 +444,10 @@ def _require_real(a: CTensor, op: str):
 def exp(a: CTensor) -> CTensor:
     _require_real(a, "exp")
     data = np.exp(a.data)
+    e = _keep(data, a)
 
     def backward(g):
-        return (g * data,)
+        return (g * e,)
 
     return _make(data, (a,), backward)
 
@@ -417,7 +455,7 @@ def exp(a: CTensor) -> CTensor:
 def log(a: CTensor) -> CTensor:
     _require_real(a, "log")
     data = np.log(a.data)
-    ad = a.data
+    ad = _keep(a.data, a)
 
     def backward(g):
         return (g / ad,)
@@ -430,18 +468,18 @@ def polar_unit(theta: CTensor) -> CTensor:
     _require_real(theta, "polar_unit")
     cplx = DTYPES["f64" if theta.data.dtype == np.float64 else "f32"][1]
     data = (np.cos(theta.data) + 1j * np.sin(theta.data)).astype(cplx)
-    dt = theta.data.dtype
+    unit, dt = _keep(data, theta), _grad_dtype(theta)
 
     def backward(g):
-        return ((np.conj(data) * g).imag.astype(dt),)
+        return ((np.conj(unit) * g).imag.astype(dt),)
 
     return _make(data, (theta,), backward)
 
 
 def astype(a: CTensor, dtype) -> CTensor:
     """a cast to another precision of its kind (real or complex); the
-    gradient returns in a's dtype."""
-    da = a.data.dtype
+    gradient returns in a's gradient dtype."""
+    da = _grad_dtype(a)
     return _make(a.data.astype(dtype, copy=False), (a,), lambda g: (_to_kind(g, da),))
 
 
@@ -450,7 +488,7 @@ def as_complex(a: CTensor) -> CTensor:
     _require_real(a, "as_complex")
     cplx = DTYPES["f64" if a.data.dtype == np.float64 else "f32"][1]
     data = a.data.astype(cplx)
-    da = a.data.dtype
+    da = _grad_dtype(a)
 
     def backward(g):
         return (g.real.astype(da),)
@@ -466,7 +504,7 @@ def magnitude(a: CTensor) -> CTensor:
     """|z| as a real tensor; subgradient 0 at z = 0.  The tape keeps z only;
     backward recomputes |z|."""
     data = np.abs(a.data)
-    z = a.data
+    z = _keep(a.data, a)
 
     def backward(g):
         mag = np.abs(z)
@@ -493,14 +531,15 @@ def magnitude_map(z: CTensor, params, forward, backward) -> CTensor:
     """f(|z|) * z/|z|: a phase-keeping layer as one tape node.
 
     `forward(mag, *param arrays) -> (r, saved)` maps the magnitudes |z| to
-    a real r of z's shape; the output is r times the unit z/|z| (phase 1+0i
-    where z = 0).  `backward(gr, saved) -> (g_mag, *g_params)` is f's
+    a real r of z's shape and names in `saved` (a tuple) the other arrays
+    its adjoint reads; the output is r times the unit z/|z| (phase 1+0i
+    where z = 0).  `backward(gr, r, saved) -> (g_mag, *g_params)` is f's
     adjoint for the real gradient gr = Re(conj(unit) g) at r; a parameter
     gradient may be any shape that broadcasts to the parameter's (it is
     summed back, as the tape sums a broadcast operand).  With cu =
     conj(unit) g, the z-gradient is unit * (g_mag + i r Im(cu)/|z|), and 0
-    where z = 0.  The tape keeps z, r and `saved`; backward recomputes |z|
-    and the unit.
+    where z = 0.  The tape keeps z, r and `saved` (each through `_keep`);
+    backward recomputes |z| and the unit.
     """
     if not z.is_complex:
         raise ShapeError("magnitude_map expects a complex tensor")
@@ -511,13 +550,14 @@ def magnitude_map(z: CTensor, params, forward, backward) -> CTensor:
         raise ShapeError(f"magnitude_map expects real magnitudes of shape {z.shape}, "
                          f"got {r.dtype} {r.shape}")
     data = r * unit
-    zd, z_tracked = z.data, z.node is not None
-    specs = [(p.node is not None, p.shape, p.data.dtype) for p in params]
+    zd, r, *saved = (_keep(a, z, *params) for a in (z.data, r, *saved))
+    z_tracked = z.node is not None
+    specs = [(p.node is not None, p.shape, _grad_dtype(p)) for p in params]
 
     def back(g):
         _, inv, unit, zero = _polar(zd)
         cu = np.conj(unit) * g
-        g_mag, *g_params = backward(cu.real, saved)
+        g_mag, *g_params = backward(cu.real, r, saved)
         gz = None
         if z_tracked:
             gz = np.empty(zd.shape, np.result_type(g_mag, r, unit))
@@ -583,21 +623,21 @@ def _mix(xh: np.ndarray, coeffs: np.ndarray, spectra: np.ndarray, slots: np.ndar
     spectra[p, r] of connection p = slots[o, i] (-1: none).
 
     xh (B, I, Ci, F), coeffs (P, Co, Ci, nr), spectra (P, nr, F), slots
-    (O, I) -> (B, O, Co, F) complex128.
+    (O, I) -> (B, O, Co, F) at the operands' result type.
     """
     b, n_in, ci, f = xh.shape
     n, co, _, nr = coeffs.shape
     n_out = slots.shape[0]
     if spectrum_first:
         xt = np.ascontiguousarray(xh.transpose(1, 2, 0, 3))            # (I, Ci, B, F)
-        out = np.zeros((n_out, co, b * f), dtype=np.complex128)
+        out = np.zeros((n_out, co, b * f), dtype=np.result_type(xh, coeffs, spectra))
         for o in range(n_out):
             ps, ins = _connections(slots, o)
             if ps.size:
                 c = coeffs[ps].transpose(1, 0, 2, 3).reshape(co, -1)   # (Co, Pj*Ci*nr)
                 out[o] = c @ _basis_products(xt, spectra, ps, ins)
         return out.reshape(n_out, co, b, f).transpose(2, 0, 1, 3)
-    kf = np.zeros((f, n_in, ci, n_out, co), dtype=np.complex128)      # kernel spectra
+    kf = np.zeros((f, n_in, ci, n_out, co), np.result_type(coeffs, spectra))   # kernel spectra
     for o, i in zip(*np.nonzero(slots >= 0)):
         p = slots[o, i]
         kf[:, i, :, o, :] = (spectra[p].T @ coeffs[p].transpose(2, 1, 0).reshape(nr, ci * co)
@@ -615,7 +655,7 @@ def _coeff_adjoint(xh: np.ndarray, gh: np.ndarray, spectra: np.ndarray, slots: n
     b, n_in, ci, f = xh.shape
     n_out, co = gh.shape[1:3]
     n, nr = spectra.shape[:2]
-    out = np.zeros((n, co, ci, nr), dtype=np.complex128)
+    out = np.zeros((n, co, ci, nr), dtype=np.result_type(xh, gh, spectra))
     if spectrum_first:
         xt = np.ascontiguousarray(xh.transpose(1, 2, 0, 3))
         gt = gh.transpose(1, 2, 0, 3).reshape(n_out, co, b * f)
@@ -649,8 +689,8 @@ def conv2d(x: CTensor, coeffs: CTensor, spectra: np.ndarray, slots: np.ndarray) 
 
     The input is transformed once and the output once; in between, the
     contraction order is chosen from the shapes (`_spectrum_first`).  Both
-    adjoints recompute the spectra they need from x and coeffs, so the tape
-    keeps nothing else.
+    adjoints recompute the spectra they need from x and coeffs, so the node
+    keeps only those and the basis spectra, each at the tape's precision.
     """
     if x.data.ndim != 5 or coeffs.data.ndim != 4 or spectra.ndim != 4 or slots.ndim != 2:
         raise ShapeError("conv2d expects (B,I,Ci,H,W) input, (P,Co,Ci,nr) coefficients, "
@@ -674,8 +714,8 @@ def conv2d(x: CTensor, coeffs: CTensor, spectra: np.ndarray, slots: np.ndarray) 
     yh = _mix(input_spectrum(x.data), coeffs.data, basis, slots, spectrum_first)
     y = _ifft2(yh.reshape(b, -1, co, hp, wp))[..., ph:, pw:]
     data = np.ascontiguousarray(y).astype(np.result_type(x.data, coeffs.data), copy=False)
-    xd, cd = _kept_for(coeffs, x), _kept_for(x, coeffs)
-    dx, dc = x.data.dtype, coeffs.data.dtype
+    xd, cd, spec = _kept_for(coeffs, x), _kept_for(x, coeffs), _keep(basis, x, coeffs)
+    dx, dc = _grad_dtype(x), _grad_dtype(coeffs)
 
     def backward(g):
         gx = gc = None   # an untracked operand (the image) gets no adjoint
@@ -685,14 +725,14 @@ def conv2d(x: CTensor, coeffs: CTensor, spectra: np.ndarray, slots: np.ndarray) 
         if cd is not None:
             # the adjoint conv: conjugate coefficients and spectra, channels
             # and streams swapped, cropped back to the unpadded input
-            adj = _mix(gh, np.conj(cd).transpose(0, 2, 1, 3), np.conj(basis),
+            adj = _mix(gh, np.conj(cd).transpose(0, 2, 1, 3), np.conj(spec),
                        slots.T, spectrum_first)
             gx = _ifft2(adj.reshape(b, n_in, ci, hp, wp))[..., ph // 2: ph // 2 + h,
                                                           pw // 2: pw // 2 + w]
             gx = _to_kind(gx, dx)
         if xd is not None:
             # the adjoint of ifft2 is fft2 / (hp * wp)
-            gc = _coeff_adjoint(input_spectrum(xd), gh, basis, slots, spectrum_first)
+            gc = _coeff_adjoint(input_spectrum(xd), gh, spec, slots, spectrum_first)
             gc = _to_kind(gc / (hp * wp), dc)
         return gx, gc
 
@@ -707,7 +747,7 @@ def avg_pool2(x: CTensor) -> CTensor:
         raise ShapeError(f"avg_pool2 requires even spatial dims, got {h}x{w}")
     data = ((x.data[..., 0::2, 0::2] + x.data[..., 0::2, 1::2])
             + (x.data[..., 1::2, 0::2] + x.data[..., 1::2, 1::2])) * 0.25
-    dx = x.data.dtype
+    dx = _grad_dtype(x)
 
     def backward(g):
         gx = np.repeat(np.repeat(g, 2, axis=-2), 2, axis=-1) / 4.0
@@ -726,6 +766,10 @@ def backward(tape: GradTape, loss: CTensor) -> dict:
     The reverse sweep consumes the tape: it drops each node once visited,
     down to node 0, so the arrays each closure holds are freed as the sweep
     goes, not when the tape is dropped.  The node list keeps its length.
+    The sweep runs at the tape's precision (`GradTape.stored`), seeded with
+    a loss gradient of 1 in it: on an f32 tape every gradient, those
+    returned included, is float32/complex64 although an f32 model's forward
+    computes in complex128.
     """
     if loss.tape is not tape or loss.node is None:
         raise ContractError("loss is not recorded on this tape")
@@ -734,7 +778,7 @@ def backward(tape: GradTape, loss: CTensor) -> dict:
     if tape.nodes[0] is None:
         raise ContractError("tape was already consumed by backward")
     grads = [None] * len(tape.nodes)
-    grads[loss.node] = np.ones((), dtype=loss.data.dtype)
+    grads[loss.node] = np.ones((), dtype=tape.stored(loss.data.dtype))
     for nid in range(loss.node, -1, -1):
         g = grads[nid]
         parents, back = tape.nodes[nid]

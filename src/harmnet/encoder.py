@@ -121,9 +121,9 @@ def magnitude_softmax(s: ct.CTensor, rpe_bias: ct.CTensor | None = None,
         x = mag + rpe[0] if rpe else mag
         w = np.exp(x - np.max(x, axis=-1, keepdims=True))
         w /= w.sum(axis=-1, keepdims=True)
-        return w, w
+        return w, ()
 
-    def backward(gr, w):
+    def backward(gr, w, _):
         gx = gr - (gr * w).sum(axis=-1, keepdims=True)
         gx *= w
         return (gx,) * (1 + len(bias))
@@ -244,10 +244,10 @@ def crelu_ab(p: PatchStack, a: ct.CTensor, b: ct.CTensor) -> PatchStack:
     """ReLU(a|z| + b) e^{i theta} with learnable per-channel a, b."""
     def forward(mag, a, b):
         r = mag * a + b
-        return np.maximum(r, 0, out=r), (r, mag, a)
+        return np.maximum(r, 0, out=r), (mag, a)
 
-    def backward(gr, saved):
-        r, mag, a = saved
+    def backward(gr, r, saved):
+        mag, a = saved
         gy = gr * (r > 0)
         return gy * a, gy * mag, gy
 

@@ -289,11 +289,11 @@ def _channel_vector(v: ct.CTensor, x: StreamedFeatureMap) -> ct.CTensor:
 
 
 def _affine_norm(x: StreamedFeatureMap, state: HBatchNormState, leaves: dict,
-                 train: bool, track: bool, relu: bool) -> StreamedFeatureMap:
+                 train: bool, relu: bool) -> StreamedFeatureMap:
     """New magnitudes a * (|X| - mu)/sqrt(var + eps) + b per (order, channel),
     through ReLU when `relu`, as one phase-keeping tape node.  Train mode
-    pools magnitudes over batch and space (and updates the running buffers
-    when `track`); eval mode reads the buffers."""
+    pools magnitudes over batch and space and updates the running buffers;
+    eval mode reads the buffers."""
     if x.shape[2] != state.channels:
         raise ShapeError(f"channel mismatch: input {x.shape[2]}, norm {state.channels}")
     name, axes = state.name, (0, 3, 4)
@@ -303,12 +303,11 @@ def _affine_norm(x: StreamedFeatureMap, state: HBatchNormState, leaves: dict,
             mu = mag.mean(axis=axes, keepdims=True)
             d = mag - mu
             var = (d * d).mean(axis=axes, keepdims=True)
-            if track:
-                mom = state.momentum
-                for i, m in enumerate(x.orders):
-                    for stat, batch in (("mean", mu), ("var", var)):
-                        buf = state.buffers[f"{name}.{stat}{m:+d}"]
-                        buf[:] = (1 - mom) * buf + mom * batch[0, i].reshape(-1)
+            mom = state.momentum
+            for i, m in enumerate(x.orders):
+                for stat, batch in (("mean", mu), ("var", var)):
+                    buf = state.buffers[f"{name}.{stat}{m:+d}"]
+                    buf[:] = (1 - mom) * buf + mom * batch[0, i].reshape(-1)
         else:
             shape = (1, len(x.orders), state.channels, 1, 1)
             mu, var = (np.stack([state.buffers[f"{name}.{stat}{m:+d}"] for m in x.orders])
@@ -319,10 +318,10 @@ def _affine_norm(x: StreamedFeatureMap, state: HBatchNormState, leaves: dict,
         r = a * norm + b
         if relu:
             np.maximum(r, 0, out=r)
-        return r, (r, norm, s, a)
+        return r, (norm, s, a)
 
-    def backward(gr, saved):
-        r, norm, s, a = saved
+    def backward(gr, r, saved):
+        norm, s, a = saved
         gy = gr * (r > 0) if relu else gr
         gn = gy * a
         if train:   # the batch statistics depend on every magnitude
@@ -344,7 +343,7 @@ def hbn_crelu(x: StreamedFeatureMap, state: HBatchNormState, leaves: dict,
     mode uses the stored running statistics.  Codomain of the magnitude path
     is non-negative, which is what keeps the layer equivariant.
     """
-    return _affine_norm(x, state, leaves, train, track=True, relu=True)
+    return _affine_norm(x, state, leaves, train, relu=True)
 
 
 def legacy_cbn(x: StreamedFeatureMap, state: HBatchNormState, leaves: dict,
@@ -354,7 +353,7 @@ def legacy_cbn(x: StreamedFeatureMap, state: HBatchNormState, leaves: dict,
     With gamma < 0 the magnitude path goes negative, flipping phases; kept
     exactly so the normalization ablation can exhibit the equivariance break.
     """
-    return _affine_norm(x, state, leaves, train, track=False, relu=False)
+    return _affine_norm(x, state, leaves, train, relu=False)
 
 
 def normalize_over(t: ct.CTensor, axis, eps: float = EPS, mode: str = "std") -> ct.CTensor:
@@ -369,12 +368,12 @@ def normalize_over(t: ct.CTensor, axis, eps: float = EPS, mode: str = "std") -> 
         sigma = np.sqrt((dev * dev).mean(axis=axis, keepdims=True))
         denom = sigma + mag.dtype.type(eps)
         r = mag / denom
-        return r, (r, dev, sigma, denom)
+        return r, (dev, sigma, denom)
 
-    def backward(gr, saved):
+    def backward(gr, r, saved):
         # d sigma / d mag = dev / (N sigma) (the mean of dev is 0 in "std"
         # mode); a collapsed sigma = 0 passes a zero slope
-        r, dev, sigma, denom = saved
+        dev, sigma, denom = saved
         pull = np.divide((gr * r).mean(axis=axis, keepdims=True), sigma,
                          out=np.zeros_like(sigma), where=sigma != 0)
         g = gr - pull * dev
@@ -394,9 +393,9 @@ def legacy_crelu(x: StreamedFeatureMap, bias: ct.CTensor) -> StreamedFeatureMap:
     """Original C-ReLU: ReLU(|X| + b) e^{i theta} with a per-channel bias."""
     def forward(mag, b):
         r = mag + b
-        return np.maximum(r, 0, out=r), r
+        return np.maximum(r, 0, out=r), ()
 
-    def backward(gr, r):
+    def backward(gr, r, _):
         gy = gr * (r > 0)
         return gy, gy
 

@@ -46,8 +46,8 @@ def check(f, params, tol=FD_TOL, **kw):
 def with_magnitude(z, r):
     """r * z/|z| for a real r of z's shape: a magnitude map whose new
     magnitudes ignore |z| and are the parameter r itself."""
-    return ct.magnitude_map(z, (r,), lambda mag, r: (r, None),
-                            lambda gr, _: (np.zeros_like(gr), gr))
+    return ct.magnitude_map(z, (r,), lambda mag, r: (r, ()),
+                            lambda gr, r, _: (np.zeros_like(gr), gr))
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +178,7 @@ def test_fd_magnitude_and_with_magnitude():
         # new magnitudes r|z|: both the radial and the phase adjoint, and a
         # parameter gradient
         return ct.magnitude_map(z, (r,), lambda mag, r: (r * mag, (r, mag)),
-                                lambda gr, saved: (gr * saved[0], gr * saved[1]))
+                                lambda gr, _, saved: (gr * saved[0], gr * saved[1]))
 
     def f(p):
         m = ct.magnitude(p["z"])
@@ -531,7 +531,9 @@ def test_a_tape_dropped_before_backward_needs_no_collector():
 
 def _held_arrays(t):
     """The arrays that t's backward closure holds (a tensor counts as its
-    data): what the tape keeps alive for t until the reverse sweep."""
+    data): what the tape keeps alive for t until the reverse sweep.  For a
+    whole tape, the arrays every node's closure holds."""
+    nodes = t.nodes if isinstance(t, ct.GradTape) else [t.tape.nodes[t.node]]
     held = []
 
     def visit(obj):
@@ -543,8 +545,9 @@ def _held_arrays(t):
             for o in obj:
                 visit(o)
 
-    for cell in t.tape.nodes[t.node][1].__closure__ or ():
-        visit(cell.cell_contents)
+    for _, back in nodes:
+        for cell in getattr(back, "__closure__", None) or ():
+            visit(cell.cell_contents)
     return held
 
 
@@ -615,6 +618,73 @@ def test_magnitude_layers_keep_only_their_inputs():
     assert len(held) == 1 and held[0] is z.data
     held = _held_arrays(with_magnitude(z, r))
     assert len(held) == 2 and {id(a) for a in held} == {id(z.data), id(r.data)}
+
+
+# ---------------------------------------------------------------------------
+# tape precision: an f32 tape keeps and differentiates in float32/complex64
+# ---------------------------------------------------------------------------
+
+def test_tape_precision_comes_from_its_parameters():
+    c128, f64 = np.dtype(np.complex128), np.dtype(np.float64)
+    tape = ct.GradTape()
+    assert tape.precision is None and tape.stored(c128) == c128
+    tape.parameter("a", np.ones(2, dtype=np.float32))
+    tape.parameter("b", np.ones(2, dtype=np.complex64))
+    assert tape.precision == "f32"
+    assert tape.stored(c128) == np.complex64 and tape.stored(f64) == np.float32
+    assert tape.stored(np.dtype(np.int64)) == np.int64 and tape.stored(np.dtype(bool)) == bool
+    tape.parameter("c", np.ones(2))      # one float64 parameter makes the tape f64
+    assert tape.precision == "f64" and tape.stored(c128) == c128
+
+
+def test_keep_copies_only_above_the_tapes_precision():
+    rng = ct.make_rng(35)
+    tape = ct.GradTape()
+    z32 = ct.conj(tape.parameter("z", crandn(rng, 4).astype(np.complex64)))
+    z128 = ct.astype(z32, np.complex128)
+    held = _held_arrays(ct.magnitude(z32))
+    assert len(held) == 1 and held[0] is z32.data             # already single: no copy
+    held = _held_arrays(ct.magnitude(z128))
+    assert len(held) == 1 and held[0].dtype == np.complex64
+    assert np.array_equal(held[0], z32.data)
+    untracked = ct.CTensor(z128.data)
+    assert ct._keep(untracked.data, untracked) is untracked.data   # off tape: as is
+
+
+def _widening_loss(p):
+    """A real loss whose forward, like an f32 model's, widens single-precision
+    parameters to float64/complex128 before the ops that keep operands: a
+    conv over coefficients radial * e^{i beta}, a magnitude map, a matmul
+    with a constant, exp, log and div."""
+    rng = ct.make_rng(36)
+    x = ct.astype(p["x"], np.complex128)                                  # (1, 2, 6, 6)
+    k = ct.mul(ct.astype(p["k"], np.float64), ct.polar_unit(p["beta"]))    # (3, 2, 3, 3)
+    y = plain_conv2d(x, k)
+    m = ct.magnitude(y)
+    one = ct.CTensor(np.ones(()))
+    y = with_magnitude(y, ct.div(ct.log(ct.add(m, one)), ct.add(ct.exp(ct.neg(m)), one)))
+    y = ct.complex_matmul(y, ct.CTensor(crandn(rng, 6, 4)))
+    return l2_to(crandn(rng, 1, 3, 6, 4))(y)
+
+
+def test_f32_tape_keeps_and_differentiates_in_single_precision():
+    rng = ct.make_rng(37)
+    params = {"x": crandn(rng, 1, 2, 6, 6).astype(np.complex64),
+              "k": rng.standard_normal((3, 2, 3, 3)).astype(np.float32),
+              "beta": rng.standard_normal((3, 2, 1, 1)).astype(np.float32)}
+    tape = ct.GradTape()
+    loss = _widening_loss({k: tape.parameter(k, v) for k, v in params.items()})
+    assert loss.data.dtype == np.float64                 # the forward ran wide
+    floats = {a.dtype for a in _held_arrays(tape) if a.dtype.kind in "fc"}
+    assert floats == {np.dtype(np.float32), np.dtype(np.complex64)}
+    grads = ct.backward(tape, loss)
+    tape = ct.GradTape()
+    wide = {k: tape.parameter(k, v.astype(np.result_type(v, np.float64)))
+            for k, v in params.items()}
+    ref = ct.backward(tape, _widening_loss(wide))
+    for k, v in params.items():
+        assert grads[k].dtype == v.dtype, k
+        assert np.max(np.abs(grads[k] - ref[k])) <= 1e-5 * np.max(np.abs(ref[k])), k
 
 
 def test_mixing_tapes_rejected():

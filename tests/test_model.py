@@ -101,6 +101,18 @@ def test_config_normalization_stabilizes_hash():
     assert hm.config_hash(hm.validate_config(a)) != hm.config_hash(hm.validate_config(c))
 
 
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
+def test_tape_does_not_change_the_forward(precision, train):
+    # an f32 tape casts only what its nodes keep: the logits computed with
+    # leaves on a tape are the untaped logits, bit for bit
+    m = hm.build(hm.mnist_config(), seed=0, precision=precision)
+    x = ct.make_rng(2).random((2, 1, 64, 64)).astype(ct.DTYPES[precision][0])
+    plain, taped = (m.forward(x, leaves, train=train, rng=ct.make_rng(3)).data
+                    for leaves in (None, m.leaves(ct.GradTape())))
+    assert plain.dtype == taped.dtype and plain.tobytes() == taped.tobytes()
+
+
 def test_forward_rejects_wrong_input_shape():
     m = hm.build(tiny_config(), seed=0)
     with pytest.raises(ShapeError):

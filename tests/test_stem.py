@@ -387,6 +387,32 @@ def test_legacy_cbn_negative_gamma_flips_phase():
     assert abs(out[1] - expected) < 1e-12
 
 
+def test_legacy_cbn_train_moves_running_stats_as_hbn_crelu_does():
+    # both norms move every (order, channel) buffer by the momentum rule
+    # buf <- (1 - momentum) buf + momentum * batch statistic of |X|
+    x = rand_sfm(ct.make_rng(28), hs.ORDERS, 3, 2, 4, 4)
+    mag = np.abs(x.tensor.data)
+    mu = mag.mean(axis=(0, 3, 4), keepdims=True)
+    var = ((mag - mu) ** 2).mean(axis=(0, 3, 4))
+    moved = []
+    for layer in (hs.hbn_crelu, hs.legacy_cbn):
+        state = hs.HBatchNormState("bn", 2)
+        for m in hs.ORDERS:
+            state.buffers[f"bn.mean{m:+d}"][:] = [0.4, -0.2]
+            state.buffers[f"bn.var{m:+d}"][:] = [0.5, 2.0]
+        layer(x, state, const_leaves(state.params), train=True)
+        mom = state.momentum
+        for i, m in enumerate(hs.ORDERS):
+            assert np.allclose(state.buffers[f"bn.mean{m:+d}"],
+                               (1 - mom) * np.array([0.4, -0.2]) + mom * mu[0, i, :, 0, 0],
+                               rtol=1e-12, atol=0)
+            assert np.allclose(state.buffers[f"bn.var{m:+d}"],
+                               (1 - mom) * np.array([0.5, 2.0]) + mom * var[i],
+                               rtol=1e-12, atol=0)
+        moved.append(state.buffers)
+    assert all(np.array_equal(moved[0][k], moved[1][k]) for k in moved[0])
+
+
 def test_legacy_crelu_subgradient_zero_at_kink():
     # pre-activations |z| + b of 0 (the kink), -1 and 2
     x = hs.StreamedFeatureMap(ct.CTensor(np.ones((1, 1, 3, 1, 1), dtype=np.complex128)), (0,))

@@ -14,6 +14,7 @@ import harmnet.harness as hz
 import harmnet.model as hm
 import harmnet.training as tr
 from harmnet.errors import ConfigError, NumericError, ShapeError
+from test_ctensor import _held_arrays
 
 
 def tiny_config():
@@ -310,27 +311,58 @@ def test_train_zero_lr_leaves_parameters_unchanged():
                                                     splits["val"].labels)
 
 
-# bytes a batch-2 mnist_config train forward leaves on its tape: 75 MiB when
-# each backward keeps only the arrays it reads, 188 MiB when closures also
-# keep operands no adjoint reads
-TAPE_BUDGET_BATCH2 = 100 * 2**20
+def taped_train_forward(model):
+    """A seeded batch-2 train-mode forward of model on a fresh tape, and its
+    loss; the images are the model's input dtype."""
+    x = ct.make_rng(1).standard_normal((2, 1, model.input_size, model.input_size))
+    x = ct.CTensor(x.astype(ct.DTYPES[model.precision][0]))
+    tape = ct.GradTape()
+    logits = model.forward(x, model.leaves(tape), train=True, rng=ct.derive_rng(0, "dropout"))
+    return tape, tr.cross_entropy(logits, np.array([3, 7]), 0.1)
+
+
+# bytes a batch-2 mnist_config train forward leaves on its tape: 35 MiB when
+# the f32 tape keeps float32/complex64 copies, 64 MiB when it keeps the
+# forward's complex128 arrays, 188 MiB when closures also keep operands no
+# adjoint reads
+TAPE_BUDGET_BATCH2 = 50 * 2**20
 
 
 def test_train_forward_tape_stays_within_budget():
     model = hm.build(hm.mnist_config(), seed=0)
-    x = ct.make_rng(1).standard_normal((2, 1, model.input_size, model.input_size))
-    x = ct.CTensor(x.astype(np.float32))
     tracemalloc.start()
     try:
-        tape = ct.GradTape()
-        logits = model.forward(x, model.leaves(tape), train=True,
-                               rng=ct.derive_rng(0, "dropout"))
-        loss = tr.cross_entropy(logits, np.array([3, 7]), 0.1)
+        tape, loss = taped_train_forward(model)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert loss.tape is tape and np.isfinite(loss.data)
     assert held < TAPE_BUDGET_BATCH2, f"tape holds {held / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_train_tape_keeps_and_differentiates_at_the_parameters_precision(precision):
+    # an f32 model's forward computes in complex128; its tape holds only
+    # float32/complex64 (boolean masks and index arrays aside) and its
+    # gradients are float32/complex64.  An f64 tape keeps double precision.
+    model = hm.build(hm.mnist_config(), seed=0, precision=precision)
+    tape, loss = taped_train_forward(model)
+    floats = {a.dtype for a in _held_arrays(tape) if a.dtype.kind in "fc"}
+    assert floats == set(map(np.dtype, ct.DTYPES[precision]))
+    grads = ct.backward(tape, loss)
+    assert grads.keys() == model.params.keys()
+    for k, g in grads.items():
+        assert g.dtype == model.params[k].dtype, k
+
+
+def test_f32_tape_gradients_match_an_f64_tape_step():
+    f32, f64 = (hm.build(hm.mnist_config(), seed=0, precision=p) for p in ("f32", "f64"))
+    for k, v in f32.params.items():
+        f64.params[k][...] = v                       # the same weights, widened exactly
+    g32, g64 = (ct.backward(*taped_train_forward(m)) for m in (f32, f64))
+    for k, ref in g64.items():
+        assert g32[k].dtype == f32.params[k].dtype, k
+        assert np.max(np.abs(g32[k] - ref)) <= 1e-4 * np.max(np.abs(ref)), k
 
 
 @pytest.mark.parametrize("seed", range(5))
