@@ -59,9 +59,15 @@ class GradTape:
     tape is confined to one logical execution; parameters are registered by
     name so `backward` can hand gradients back per slot.
 
+    A node is (parent specs, backward closure).  A parent's spec is its node
+    id, shape and gradient dtype, or None for an untracked parent; the
+    closure returns each operand's raw adjoint, and the reverse sweep alone
+    sums it back to the operand's shape, casts it to the operand's gradient
+    dtype and drops the adjoints of untracked operands (`_make`).
+
     Each node's backward closure holds only the arrays its adjoint reads, so
     the tape keeps no operand alive that backward never touches: structural
-    and cast ops keep shapes and dtypes; a product (`mul`, `div`,
+    and cast ops keep only shapes and indices; a product (`mul`, `div`,
     `complex_matmul`, `conv2d`) keeps an operand only when the other one is
     tracked; `magnitude` keeps z and recomputes |z|; `magnitude_map` (a
     whole phase-keeping layer) keeps z, its new magnitudes and the real
@@ -69,15 +75,15 @@ class GradTape:
 
     The tape stores and differentiates at the precision of its registered
     parameters.  When every one is float32/complex64 ("f32"), each node
-    keeps its arrays cast down to float32/complex64 (`_keep`) and every
-    adjoint returns its gradient at that precision, so the reverse sweep
-    runs in complex64 even where the forward computed in complex128, and
-    the gradients come out float32/complex64.  With any float64/complex128
+    keeps its arrays cast down to float32/complex64 (`_keep`) and the sweep
+    carries every gradient at that precision, so backward runs in complex64
+    even where the forward computed in complex128, and the gradients come
+    out float32/complex64.  With any float64/complex128
     parameter ("f64"), or none, nodes keep the arrays the forward made.
     """
 
     def __init__(self):
-        self.nodes = []          # node id -> (parent ids, backward fn)
+        self.nodes = []          # node id -> (parent specs, backward fn)
         self.parameters = {}     # name -> node id
         self.precision = None    # "f32" or "f64" once a parameter is registered
 
@@ -182,14 +188,21 @@ def _tape_of(*tensors) -> GradTape | None:
 def _make(data, parents, backward) -> CTensor:
     """Create the output tensor, recording a node if any parent is tracked.
 
-    `backward` receives the output gradient and returns one gradient per
-    tracked parent (aligned with `parents` order, None for untracked).
+    The node records, per parent, its node id, shape and gradient dtype (its
+    own dtype at the tape's precision, `GradTape.stored`), or None for an
+    untracked parent.  `backward` receives the output gradient and returns
+    one raw adjoint per parent, in `parents` order: real or complex, of any
+    shape the parent broadcasts to, or None where it computes nothing (an
+    untracked operand needs nothing).  The reverse sweep, not the adjoint,
+    sums it back to the parent's shape and casts it to the parent's
+    gradient dtype (`ct.backward`).
     """
     tape = _tape_of(*parents)
     out = CTensor(data, tape=tape)
     if tape is not None:
-        ids = tuple(p.node if p.tape is not None else None for p in parents)
-        out.node = tape._append(ids, backward)
+        specs = tuple(None if p.node is None else (p.node, p.shape, tape.stored(p.data.dtype))
+                      for p in parents)
+        out.node = tape._append(specs, backward)
     return out
 
 
@@ -206,8 +219,8 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _to_kind(g: np.ndarray, dtype) -> np.ndarray:
-    """Match the gradient's real/complex kind and precision to an input's
-    gradient dtype (`_grad_dtype`)."""
+    """Match the gradient's real/complex kind and precision to an operand's
+    gradient dtype."""
     if not np.issubdtype(dtype, np.complexfloating) and np.iscomplexobj(g):
         g = g.real
     return g.astype(dtype, copy=False)
@@ -231,45 +244,27 @@ def _kept_for(other: CTensor, a: CTensor):
     return _keep(a.data, other) if other.node is not None else None
 
 
-def _grad_dtype(t: CTensor) -> np.dtype:
-    """The dtype of t's gradient: t's own, at the precision of its tape."""
-    return t.data.dtype if t.tape is None else t.tape.stored(t.data.dtype)
-
-
 def add(a: CTensor, b: CTensor) -> CTensor:
-    data = a.data + b.data
-    sa, da, sb, db = a.shape, _grad_dtype(a), b.shape, _grad_dtype(b)
-
-    def backward(g):
-        return _to_kind(_unbroadcast(g, sa), da), _to_kind(_unbroadcast(g, sb), db)
-
-    return _make(data, (a, b), backward)
+    return _make(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def sub(a: CTensor, b: CTensor) -> CTensor:
-    data = a.data - b.data
-    sa, da, sb, db = a.shape, _grad_dtype(a), b.shape, _grad_dtype(b)
-
-    def backward(g):
-        return _to_kind(_unbroadcast(g, sa), da), _to_kind(_unbroadcast(-g, sb), db)
-
-    return _make(data, (a, b), backward)
+    b_tracked = b.node is not None
+    return _make(a.data - b.data, (a, b), lambda g: (g, -g if b_tracked else None))
 
 
 def neg(a: CTensor) -> CTensor:
-    da = _grad_dtype(a)
-    return _make(-a.data, (a,), lambda g: (_to_kind(-g, da),))
+    return _make(-a.data, (a,), lambda g: (-g,))
 
 
 def mul(a: CTensor, b: CTensor) -> CTensor:
     """Elementwise product; complex×real scales magnitudes, preserving phase."""
     data = a.data * b.data
     ad, bd = _kept_for(b, a), _kept_for(a, b)
-    sa, da, sb, db = a.shape, _grad_dtype(a), b.shape, _grad_dtype(b)
 
     def backward(g):
-        return (None if bd is None else _to_kind(_unbroadcast(g * np.conj(bd), sa), da),
-                None if ad is None else _to_kind(_unbroadcast(g * np.conj(ad), sb), db))
+        return (None if bd is None else g * np.conj(bd),
+                None if ad is None else g * np.conj(ad))
 
     return _make(data, (a, b), backward)
 
@@ -281,20 +276,16 @@ def div(a: CTensor, b: CTensor) -> CTensor:
     data = a.data / b.data
     ad, bd = _kept_for(b, a), _keep(b.data, a, b)
     a_tracked = a.node is not None
-    sa, da, sb, db = a.shape, _grad_dtype(a), b.shape, _grad_dtype(b)
 
     def backward(g):
-        ga = _to_kind(_unbroadcast(g / bd, sa), da) if a_tracked else None
-        gb = None if ad is None else _to_kind(
-            _unbroadcast(-(g * np.conj(ad)).real / (bd ** 2), sb), db)
-        return ga, gb
+        return (g / bd if a_tracked else None,
+                None if ad is None else -(g * np.conj(ad)).real / (bd ** 2))
 
     return _make(data, (a, b), backward)
 
 
 def conj(a: CTensor) -> CTensor:
-    da = _grad_dtype(a)
-    return _make(np.conj(a.data), (a,), lambda g: (_to_kind(np.conj(g), da),))
+    return _make(np.conj(a.data), (a,), lambda g: (np.conj(g),))
 
 
 def complex_matmul(a: CTensor, b: CTensor) -> CTensor:
@@ -303,14 +294,10 @@ def complex_matmul(a: CTensor, b: CTensor) -> CTensor:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
     data = np.matmul(a.data, b.data)
     ad, bd = _kept_for(b, a), _kept_for(a, b)
-    sa, da, sb, db = a.shape, _grad_dtype(a), b.shape, _grad_dtype(b)
 
     def backward(g):
-        ga = None if bd is None else _to_kind(
-            _unbroadcast(np.matmul(g, np.conj(bd).swapaxes(-1, -2)), sa), da)
-        gb = None if ad is None else _to_kind(
-            _unbroadcast(np.matmul(np.conj(ad).swapaxes(-1, -2), g), sb), db)
-        return ga, gb
+        return (None if bd is None else np.matmul(g, np.conj(bd).swapaxes(-1, -2)),
+                None if ad is None else np.matmul(np.conj(ad).swapaxes(-1, -2), g))
 
     return _make(data, (a, b), backward)
 
@@ -320,12 +307,7 @@ def conj_transpose(a: CTensor) -> CTensor:
     if a.data.ndim < 2:
         raise ShapeError("conj_transpose expects rank >= 2")
     data = np.conj(a.data).swapaxes(-1, -2)
-    da = _grad_dtype(a)
-
-    def backward(g):
-        return (_to_kind(np.conj(g).swapaxes(-1, -2), da),)
-
-    return _make(data, (a,), backward)
+    return _make(data, (a,), lambda g: (np.conj(g).swapaxes(-1, -2),))
 
 
 def expand(a: CTensor, axis: int, n: int) -> CTensor:
@@ -369,12 +351,7 @@ def concat(tensors, axis: int) -> CTensor:
     data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
-    dtypes = [_grad_dtype(t) for t in tensors]
-
-    def backward(g):
-        return tuple(_to_kind(p, d) for p, d in zip(np.split(g, splits, axis=axis), dtypes))
-
-    return _make(data, tuple(tensors), backward)
+    return _make(data, tuple(tensors), lambda g: np.split(g, splits, axis=axis))
 
 
 def narrow(a: CTensor, axis: int, start: int, length: int) -> CTensor:
@@ -383,24 +360,25 @@ def narrow(a: CTensor, axis: int, start: int, length: int) -> CTensor:
     idx[axis] = slice(start, start + length)
     idx = tuple(idx)
     data = a.data[idx]
-    sa, da = a.shape, _grad_dtype(a)
+    sa = a.shape
 
     def backward(g):
         full = np.zeros(sa, dtype=g.dtype)
         full[idx] = g
-        return (_to_kind(full, da),)
+        return (full,)
 
     return _make(data, (a,), backward)
 
 
 def sum_(a: CTensor, axis=None, keepdims: bool = False) -> CTensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
-    sa, da = a.shape, _grad_dtype(a)
+    sa = a.shape
 
     def backward(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, sa).astype(da),)
+        # a fresh array: later adjoints read it, never the broadcast view
+        return (np.broadcast_to(g, sa).copy(),)
 
     return _make(data, (a,), backward)
 
@@ -408,12 +386,12 @@ def sum_(a: CTensor, axis=None, keepdims: bool = False) -> CTensor:
 def mean(a: CTensor, axis=None, keepdims: bool = False) -> CTensor:
     n = a.data.size if axis is None else int(np.prod([a.shape[i] for i in np.atleast_1d(axis)]))
     data = a.data.mean(axis=axis, keepdims=keepdims)
-    sa, da = a.shape, _grad_dtype(a)
+    sa = a.shape
 
     def backward(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return ((np.broadcast_to(g, sa) / n).astype(da),)
+        return (np.broadcast_to(g, sa) / n,)
 
     return _make(data, (a,), backward)
 
@@ -422,12 +400,12 @@ def take(table: CTensor, indices) -> CTensor:
     """Gather table[indices] (an index array, or a tuple of them for several
     axes); backward scatter-adds (indices are untracked)."""
     data = table.data[indices]
-    st, dt = table.shape, _grad_dtype(table)
+    st = table.shape
 
     def backward(g):
         acc = np.zeros(st, dtype=g.dtype)
         np.add.at(acc, indices, g)
-        return (_to_kind(acc, dt),)
+        return (acc,)
 
     return _make(data, (table,), backward)
 
@@ -468,10 +446,10 @@ def polar_unit(theta: CTensor) -> CTensor:
     _require_real(theta, "polar_unit")
     cplx = DTYPES["f64" if theta.data.dtype == np.float64 else "f32"][1]
     data = (np.cos(theta.data) + 1j * np.sin(theta.data)).astype(cplx)
-    unit, dt = _keep(data, theta), _grad_dtype(theta)
+    unit = _keep(data, theta)
 
     def backward(g):
-        return ((np.conj(unit) * g).imag.astype(dt),)
+        return ((np.conj(unit) * g).imag,)
 
     return _make(data, (theta,), backward)
 
@@ -479,21 +457,14 @@ def polar_unit(theta: CTensor) -> CTensor:
 def astype(a: CTensor, dtype) -> CTensor:
     """a cast to another precision of its kind (real or complex); the
     gradient returns in a's gradient dtype."""
-    da = _grad_dtype(a)
-    return _make(a.data.astype(dtype, copy=False), (a,), lambda g: (_to_kind(g, da),))
+    return _make(a.data.astype(dtype, copy=False), (a,), lambda g: (g,))
 
 
 def as_complex(a: CTensor) -> CTensor:
     """Promote a real tensor to complex with zero imaginary part."""
     _require_real(a, "as_complex")
     cplx = DTYPES["f64" if a.data.dtype == np.float64 else "f32"][1]
-    data = a.data.astype(cplx)
-    da = _grad_dtype(a)
-
-    def backward(g):
-        return (g.real.astype(da),)
-
-    return _make(data, (a,), backward)
+    return _make(a.data.astype(cplx), (a,), lambda g: (g,))
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +481,7 @@ def magnitude(a: CTensor) -> CTensor:
         mag = np.abs(z)
         safe = np.where(mag == 0, 1, mag)
         u = np.where(mag == 0, 0, z / safe)
-        return (_to_kind(g * u, z.dtype),)
+        return (g * u,)
 
     return _make(data, (a,), backward)
 
@@ -535,8 +506,8 @@ def magnitude_map(z: CTensor, params, forward, backward) -> CTensor:
     its adjoint reads; the output is r times the unit z/|z| (phase 1+0i
     where z = 0).  `backward(gr, r, saved) -> (g_mag, *g_params)` is f's
     adjoint for the real gradient gr = Re(conj(unit) g) at r; a parameter
-    gradient may be any shape that broadcasts to the parameter's (it is
-    summed back, as the tape sums a broadcast operand).  With cu =
+    gradient may have any shape the parameter broadcasts to (the reverse
+    sweep sums it back, as for any broadcast operand).  With cu =
     conj(unit) g, the z-gradient is unit * (g_mag + i r Im(cu)/|z|), and 0
     where z = 0.  The tape keeps z, r and `saved` (each through `_keep`);
     backward recomputes |z| and the unit.
@@ -552,7 +523,6 @@ def magnitude_map(z: CTensor, params, forward, backward) -> CTensor:
     data = r * unit
     zd, r, *saved = (_keep(a, z, *params) for a in (z.data, r, *saved))
     z_tracked = z.node is not None
-    specs = [(p.node is not None, p.shape, _grad_dtype(p)) for p in params]
 
     def back(g):
         _, inv, unit, zero = _polar(zd)
@@ -565,9 +535,7 @@ def magnitude_map(z: CTensor, params, forward, backward) -> CTensor:
             gz.imag = r * cu.imag * inv
             gz *= unit
             gz[zero] = 0
-            gz = _to_kind(gz, zd.dtype)
-        return (gz, *(_to_kind(_unbroadcast(gp, shape), dt) if tracked else None
-                      for gp, (tracked, shape, dt) in zip(g_params, specs)))
+        return (gz, *g_params)
 
     return _make(data, (z,) + params, back)
 
@@ -715,7 +683,6 @@ def conv2d(x: CTensor, coeffs: CTensor, spectra: np.ndarray, slots: np.ndarray) 
     y = _ifft2(yh.reshape(b, -1, co, hp, wp))[..., ph:, pw:]
     data = np.ascontiguousarray(y).astype(np.result_type(x.data, coeffs.data), copy=False)
     xd, cd, spec = _kept_for(coeffs, x), _kept_for(x, coeffs), _keep(basis, x, coeffs)
-    dx, dc = _grad_dtype(x), _grad_dtype(coeffs)
 
     def backward(g):
         gx = gc = None   # an untracked operand (the image) gets no adjoint
@@ -729,11 +696,9 @@ def conv2d(x: CTensor, coeffs: CTensor, spectra: np.ndarray, slots: np.ndarray) 
                        slots.T, spectrum_first)
             gx = _ifft2(adj.reshape(b, n_in, ci, hp, wp))[..., ph // 2: ph // 2 + h,
                                                           pw // 2: pw // 2 + w]
-            gx = _to_kind(gx, dx)
         if xd is not None:
             # the adjoint of ifft2 is fft2 / (hp * wp)
-            gc = _coeff_adjoint(input_spectrum(xd), gh, spec, slots, spectrum_first)
-            gc = _to_kind(gc / (hp * wp), dc)
+            gc = _coeff_adjoint(input_spectrum(xd), gh, spec, slots, spectrum_first) / (hp * wp)
         return gx, gc
 
     return _make(data, (x, coeffs), backward)
@@ -747,11 +712,9 @@ def avg_pool2(x: CTensor) -> CTensor:
         raise ShapeError(f"avg_pool2 requires even spatial dims, got {h}x{w}")
     data = ((x.data[..., 0::2, 0::2] + x.data[..., 0::2, 1::2])
             + (x.data[..., 1::2, 0::2] + x.data[..., 1::2, 1::2])) * 0.25
-    dx = _grad_dtype(x)
 
     def backward(g):
-        gx = np.repeat(np.repeat(g, 2, axis=-2), 2, axis=-1) / 4.0
-        return (gx.astype(dx),)
+        return (np.repeat(np.repeat(g, 2, axis=-2), 2, axis=-1) / 4.0,)
 
     return _make(data, (x,), backward)
 
@@ -766,10 +729,13 @@ def backward(tape: GradTape, loss: CTensor) -> dict:
     The reverse sweep consumes the tape: it drops each node once visited,
     down to node 0, so the arrays each closure holds are freed as the sweep
     goes, not when the tape is dropped.  The node list keeps its length.
-    The sweep runs at the tape's precision (`GradTape.stored`), seeded with
-    a loss gradient of 1 in it: on an f32 tape every gradient, those
-    returned included, is float32/complex64 although an f32 model's forward
-    computes in complex128.
+    Each raw adjoint a node returns for a tracked parent is summed back to
+    the parent's shape and cast to its gradient dtype here, once, before it
+    is accumulated; adjoints of untracked parents are never asked for or
+    are dropped.  The sweep runs at the tape's precision (`GradTape.stored`),
+    seeded with a loss gradient of 1 in it: on an f32 tape every gradient,
+    those returned included, is float32/complex64 although an f32 model's
+    forward computes in complex128.
     """
     if loss.tape is not tape or loss.node is None:
         raise ContractError("loss is not recorded on this tape")
@@ -781,17 +747,16 @@ def backward(tape: GradTape, loss: CTensor) -> dict:
     grads[loss.node] = np.ones((), dtype=tape.stored(loss.data.dtype))
     for nid in range(loss.node, -1, -1):
         g = grads[nid]
-        parents, back = tape.nodes[nid]
+        specs, back = tape.nodes[nid]
         tape.nodes[nid] = None
         if g is None or back is None:
             continue
-        for pid, pg in zip(parents, back(g)):
-            if pid is None:
+        for spec, pg in zip(specs, back(g)):
+            if spec is None or pg is None:
                 continue
-            if grads[pid] is None:
-                grads[pid] = pg
-            else:
-                grads[pid] = grads[pid] + pg
+            pid, shape, dtype = spec
+            pg = _to_kind(_unbroadcast(pg, shape), dtype)
+            grads[pid] = pg if grads[pid] is None else grads[pid] + pg
         grads[nid] = None   # free as we go
     out = {}
     for name, nid in tape.parameters.items():

@@ -355,6 +355,30 @@ def test_train_tape_keeps_and_differentiates_at_the_parameters_precision(precisi
         assert g.dtype == model.params[k].dtype, k
 
 
+def test_f32_adjoints_are_never_widened():
+    # the reverse sweep casts each adjoint to the tape's precision, so no
+    # closure widens one, not even for an untracked operand (the zero blocks
+    # mixing_all's attention concatenates, cross_entropy's detached shift)
+    cfg = hm.mnist_config()
+    cfg["encoder"]["strategy"] = "mixing_all"
+    tape, loss = taped_train_forward(hm.build(cfg, seed=0))
+    calls, wide = [], []
+
+    def watched(back):
+        def run(g):
+            out = tuple(back(g))
+            calls.append(len(out))
+            wide.extend(a.dtype for a in out
+                        if isinstance(a, np.ndarray) and a.dtype in (np.float64, np.complex128))
+            return out
+        return run
+
+    tape.nodes[:] = [(specs, back if back is None else watched(back)) for specs, back in tape.nodes]
+    ct.backward(tape, loss)
+    assert len(calls) > 300
+    assert wide == []
+
+
 def test_f32_tape_gradients_match_an_f64_tape_step():
     f32, f64 = (hm.build(hm.mnist_config(), seed=0, precision=p) for p in ("f32", "f64"))
     for k, v in f32.params.items():
