@@ -478,9 +478,8 @@ def magnitude(a: CTensor) -> CTensor:
     z = _keep(a.data, a)
 
     def backward(g):
-        mag = np.abs(z)
-        safe = np.where(mag == 0, 1, mag)
-        u = np.where(mag == 0, 0, z / safe)
+        _, _, u, zero = _polar(z)
+        u[zero] = 0
         return (g * u,)
 
     return _make(data, (a,), backward)
@@ -758,10 +757,7 @@ def backward(tape: GradTape, loss: CTensor) -> dict:
             pg = _to_kind(_unbroadcast(pg, shape), dtype)
             grads[pid] = pg if grads[pid] is None else grads[pid] + pg
         grads[nid] = None   # free as we go
-    out = {}
-    for name, nid in tape.parameters.items():
-        out[name] = grads[nid]
-    return out
+    return {name: grads[nid] for name, nid in tape.parameters.items()}
 
 
 def _real_view(a: np.ndarray) -> np.ndarray:
