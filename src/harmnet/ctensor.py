@@ -319,31 +319,17 @@ def expand(a: CTensor, axis: int, n: int) -> CTensor:
     """
     data = np.expand_dims(a.data, axis)
     data = np.broadcast_to(data, data.shape[:axis] + (n,) + data.shape[axis + 1:])
-
-    def backward(g):
-        return (np.flip(g, axis).sum(axis=axis),)
-
-    return _make(data, (a,), backward)
+    return _make(data, (a,), lambda g: (np.flip(g, axis).sum(axis=axis),))
 
 
 def transpose(a: CTensor, axes: tuple) -> CTensor:
-    data = np.transpose(a.data, axes)
     inv = np.argsort(axes)
-
-    def backward(g):
-        return (np.transpose(g, inv),)
-
-    return _make(data, (a,), backward)
+    return _make(np.transpose(a.data, axes), (a,), lambda g: (np.transpose(g, inv),))
 
 
 def reshape(a: CTensor, shape) -> CTensor:
-    data = a.data.reshape(shape)
     sa = a.shape
-
-    def backward(g):
-        return (g.reshape(sa),)
-
-    return _make(data, (a,), backward)
+    return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(sa),))
 
 
 def concat(tensors, axis: int) -> CTensor:
@@ -370,30 +356,25 @@ def narrow(a: CTensor, axis: int, start: int, length: int) -> CTensor:
     return _make(data, (a,), backward)
 
 
+def _spread(g: np.ndarray, axis, keepdims: bool, shape: tuple) -> np.ndarray:
+    """A reduction's output gradient as a read-only view over its input's shape."""
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, shape)
+
+
 def sum_(a: CTensor, axis=None, keepdims: bool = False) -> CTensor:
-    data = a.data.sum(axis=axis, keepdims=keepdims)
     sa = a.shape
-
-    def backward(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        # a fresh array: later adjoints read it, never the broadcast view
-        return (np.broadcast_to(g, sa).copy(),)
-
-    return _make(data, (a,), backward)
+    # a fresh array: later adjoints read it, never the broadcast view
+    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,),
+                 lambda g: (_spread(g, axis, keepdims, sa).copy(),))
 
 
 def mean(a: CTensor, axis=None, keepdims: bool = False) -> CTensor:
     n = a.data.size if axis is None else int(np.prod([a.shape[i] for i in np.atleast_1d(axis)]))
-    data = a.data.mean(axis=axis, keepdims=keepdims)
     sa = a.shape
-
-    def backward(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, sa) / n,)
-
-    return _make(data, (a,), backward)
+    return _make(a.data.mean(axis=axis, keepdims=keepdims), (a,),
+                 lambda g: (_spread(g, axis, keepdims, sa) / n,))
 
 
 def take(table: CTensor, indices) -> CTensor:
@@ -423,22 +404,13 @@ def exp(a: CTensor) -> CTensor:
     _require_real(a, "exp")
     data = np.exp(a.data)
     e = _keep(data, a)
-
-    def backward(g):
-        return (g * e,)
-
-    return _make(data, (a,), backward)
+    return _make(data, (a,), lambda g: (g * e,))
 
 
 def log(a: CTensor) -> CTensor:
     _require_real(a, "log")
-    data = np.log(a.data)
     ad = _keep(a.data, a)
-
-    def backward(g):
-        return (g / ad,)
-
-    return _make(data, (a,), backward)
+    return _make(np.log(a.data), (a,), lambda g: (g / ad,))
 
 
 def polar_unit(theta: CTensor) -> CTensor:
@@ -447,11 +419,7 @@ def polar_unit(theta: CTensor) -> CTensor:
     cplx = DTYPES["f64" if theta.data.dtype == np.float64 else "f32"][1]
     data = (np.cos(theta.data) + 1j * np.sin(theta.data)).astype(cplx)
     unit = _keep(data, theta)
-
-    def backward(g):
-        return ((np.conj(unit) * g).imag,)
-
-    return _make(data, (theta,), backward)
+    return _make(data, (theta,), lambda g: ((np.conj(unit) * g).imag,))
 
 
 def astype(a: CTensor, dtype) -> CTensor:
