@@ -14,10 +14,16 @@ is a valid oracle for every gradient in this module.
 
 Two precisions are supported: "f64" (float64/complex128) for verification and
 gradient suites, "f32" (float32/complex64) for training.  An f32 model's
-forward still computes in complex128 (its convolutions promote every feature
-after them), but its backward runs in complex64: a tape whose parameters are
-float32/complex64 keeps what its adjoints read, and differentiates, at that
-precision (`GradTape`), as mixed-precision training does.
+forward computes in complex128: each convolution widens its input, the
+float32 image included, to its complex128 coefficients before the FFT.  A
+complex64 forward would miss the 1e-6 quarter-turn logit bound: the encoder
+amplifies one complex64 rounding of the stem features 4-6x at the first
+layer norm's centering and 2-3x per attention block, and the logits 4-8x
+more, so a complex64 stem, encoder or both gives errors of 1.3-3.9e-6
+(mnist_config, seeds 0-3).  The backward runs in complex64: a tape whose
+parameters are float32/complex64 keeps what its adjoints read, and
+differentiates, at that precision (`GradTape`), as mixed-precision training
+does.
 """
 
 from __future__ import annotations
@@ -646,9 +652,12 @@ def conv2d(x: CTensor, coeffs: CTensor, spectra: np.ndarray, slots: np.ndarray) 
     def input_spectrum(xd):
         return _fft2(np.pad(xd, pad)).reshape(b, n_in, ci, hp * wp)
 
-    yh = _mix(input_spectrum(x.data), coeffs.data, basis, slots, spectrum_first)
+    # a complex64 input meeting complex128 coefficients is widened before its FFT
+    dtype = np.result_type(x.data, coeffs.data)
+    yh = _mix(input_spectrum(x.data.astype(dtype, copy=False)), coeffs.data, basis, slots,
+              spectrum_first)
     y = _ifft2(yh.reshape(b, -1, co, hp, wp))[..., ph:, pw:]
-    data = np.ascontiguousarray(y).astype(np.result_type(x.data, coeffs.data), copy=False)
+    data = np.ascontiguousarray(y).astype(dtype, copy=False)
     xd, cd, spec = _kept_for(coeffs, x), _kept_for(x, coeffs), _keep(basis, x, coeffs)
 
     def backward(g):

@@ -198,3 +198,16 @@ def test_checkpoint_stores_fp32_components(tmp_path):
     for k, v in m.params.items():
         assert np.array_equal(loaded.params[k],
                               v.astype("complex64" if np.iscomplexobj(v) else "float32")), k
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_f32_logits_are_quarter_turn_invariant_to_double_rounding(seed):
+    # an f32 model's float32 image is widened before the lifting conv's FFT,
+    # so quarter turns permute complex128 features exactly as at f64
+    m = hm.build(hm.mnist_config(), seed=seed, precision="f32")
+    x = ct.make_rng(seed).random((6, 1, 64, 64)).astype(np.float32)
+    base = m.forward(x).data
+    for q in (1, 2, 3):
+        turned = m.forward(np.ascontiguousarray(np.rot90(x, q, axes=(-2, -1)))).data
+        err = np.linalg.norm(turned - base, axis=1) / np.linalg.norm(base, axis=1)
+        assert np.max(err) < 1e-12, (q, np.max(err))
