@@ -392,7 +392,13 @@ def stem_continuous_check(seed: int = 0, precision: str = "f64",
 # stability sweep
 # ---------------------------------------------------------------------------
 
-def predict(model: hm.Model, images: np.ndarray, batch: int = 256) -> np.ndarray:
+# images per inference forward unless a caller says otherwise: a chunk's
+# activations, not the dataset's size, set the memory (200 images at once
+# peaked at 2.19 GB on mnist_config)
+PREDICT_BATCH = 16
+
+
+def predict(model: hm.Model, images: np.ndarray, batch: int = PREDICT_BATCH) -> np.ndarray:
     """Argmax predictions for preprocessed images, chunked over the batch."""
     leaves = model.leaves()
     out = []
@@ -404,7 +410,7 @@ def predict(model: hm.Model, images: np.ndarray, batch: int = 256) -> np.ndarray
 
 def stability_sweep(model: hm.Model, dataset, angle_step: int = 15,
                     interpolation: str = "bilinear", limit: int | None = None,
-                    batch: int = 256) -> dict:
+                    batch: int = PREDICT_BATCH) -> dict:
     """Accuracy at every rotation angle in [0, 360) with the given step.
 
     The dataset holds raw (unpadded, unscaled) images; each angle's copy is

@@ -187,7 +187,7 @@ class PlateauSchedule:
 # ---------------------------------------------------------------------------
 
 def error_rate(model: hm.Model, images: np.ndarray, labels: np.ndarray,
-               batch: int = 256) -> float:
+               batch: int = hz.PREDICT_BATCH) -> float:
     preds = hz.predict(model, images, batch)
     return float(np.mean(preds != labels)) if len(labels) else 0.0
 

@@ -13,6 +13,7 @@ import harmnet.encoder as enc
 import harmnet.harness as hz
 import harmnet.model as hm
 import harmnet.stem as hs
+import harmnet.training as tr
 from harmnet.errors import ConfigError
 
 
@@ -283,6 +284,26 @@ def test_predict_batching_consistent():
     imgs = toy_dataset(5).images
     assert np.array_equal(hz.predict(model, imgs, batch=2),
                           hz.predict(model, imgs, batch=64))
+
+
+def test_inference_defaults_to_bounded_chunks(monkeypatch):
+    # predict, stability_sweep and error_rate (harmnet eval / sweep) forward
+    # at most 16 images at once unless told otherwise, however many they get
+    model = hm.build(tiny_config(), seed=0)
+    rows = []
+    real = hm.Model.forward
+
+    def forward(self, images, leaves=None, train=False, rng=None):
+        rows.append(len(getattr(images, "data", images)))
+        return real(self, images, leaves, train, rng)
+
+    monkeypatch.setattr(hm.Model, "forward", forward)
+    ds = toy_dataset(40)
+    hz.predict(model, ds.images)
+    assert rows == [16, 16, 8]
+    hz.stability_sweep(model, ds, angle_step=180)
+    tr.error_rate(model, ds.images, ds.labels)
+    assert max(rows) == 16 and sum(rows) == 40 * 4
 
 
 def test_curve_csv_format():
