@@ -84,8 +84,8 @@ class GradTape:
     keeps its arrays cast down to float32/complex64 (`_keep`) and the sweep
     carries every gradient at that precision, so backward runs in complex64
     even where the forward computed in complex128, and the gradients come
-    out float32/complex64.  With any float64/complex128
-    parameter ("f64"), or none, nodes keep the arrays the forward made.
+    out float32/complex64.  With any float64/complex128 parameter ("f64"),
+    or none, nodes keep the arrays the forward made.
     """
 
     def __init__(self):
@@ -371,7 +371,8 @@ def _spread(g: np.ndarray, axis, keepdims: bool, shape: tuple) -> np.ndarray:
 
 def sum_(a: CTensor, axis=None, keepdims: bool = False) -> CTensor:
     sa = a.shape
-    # a fresh array: later adjoints read it, never the broadcast view
+    # a fresh array: later adjoints receive it, and a read-only zero-stride
+    # view would bar in-place updates and BLAS matmuls
     return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,),
                  lambda g: (_spread(g, axis, keepdims, sa).copy(),))
 
