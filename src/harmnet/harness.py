@@ -297,8 +297,8 @@ def verify_all_lemmas(seed: int = 0, precision: str = "f64",
         model = hm.build(config, seed, precision)
     leaves = model.leaves()
     rng = ct.derive_rng(seed, "model")
-    img = rng.random((1, config["input"]["channels"],
-                      model.input_size, model.input_size))
+    img = rng.random((1, config["input"]["channels"], model.input_size,
+                      model.input_size)).astype(ct.DTYPES[precision][0])
     stem_maps = []          # the stem's features of img, then of each quarter turn
 
     def stem_streams(image):

@@ -27,7 +27,7 @@ from . import stem as hs
 from .errors import ConfigError, IntegrityError, ShapeError
 
 CHECKPOINT_MAGIC = b"HARM"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def mnist_config() -> dict:
@@ -88,9 +88,10 @@ def _coerce(label: str, typ, v):
         elif typ is str:
             if isinstance(v, str):
                 return v
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
-    raise ConfigError(f"{label} must be a {typ.__name__}, got {v!r}")
+    kind = "an integer" if typ is int else f"a {typ.__name__}"
+    raise ConfigError(f"{label} must be {kind}, got {v!r}")
 
 
 def input_size(inp: dict) -> int:

@@ -140,7 +140,7 @@ def _angular_map(k: int, m: int) -> np.ndarray:
     return e
 
 
-def synthesize_block(radial: ct.CTensor, phase: ct.CTensor, m: int, k: int) -> ct.CTensor:
+def synthesize_block(radial: np.ndarray, phase: np.ndarray, m: int, k: int) -> np.ndarray:
     """Harmonic kernels R(r)e^{i(m theta + beta)}: radial (..., Co, Ci, nr),
     phase (..., Co, Ci) -> (..., Co, Ci, k, k).
 
@@ -153,11 +153,9 @@ def synthesize_block(radial: ct.CTensor, phase: ct.CTensor, m: int, k: int) -> c
         raise ConfigError(f"kernel size must be odd, got {k}")
     if radial.shape[-1] != n_radii(k):
         raise ConfigError(f"radial profile must have length {n_radii(k)} for k={k}")
-    basis = ct.CTensor(np.ascontiguousarray(_radial_basis(k).T))      # (nr, k2)
-    ring = ct.complex_matmul(radial, basis)                           # (..., Co,Ci,k2) real
-    ang = ct.mul(ring, ct.CTensor(_angular_map(k, m)))
-    unit = ct.reshape(ct.polar_unit(phase), phase.shape + (1,))
-    return ct.reshape(ct.mul(ang, unit), phase.shape + (k, k))
+    ring = radial @ np.ascontiguousarray(_radial_basis(k).T)         # (..., Co,Ci,k2) real
+    unit = (np.cos(phase) + 1j * np.sin(phase))[..., None]
+    return (ring * _angular_map(k, m) * unit).reshape(phase.shape + (k, k))
 
 
 # ---------------------------------------------------------------------------
@@ -205,22 +203,20 @@ class HarmonicFilterBank:
         nr = n_radii(kernel_size)
         taps = int(np.count_nonzero(_radial_basis(kernel_size).sum(axis=1)))
         scale = np.sqrt(2.0 / (c_in * len(self.in_orders) * taps * nr))
-        self.params = {}
-        for m_in, m_f in self.connections:
-            base = f"{name}.f{m_in:+d}{m_f:+d}"
-            self.params[f"{base}.radial"] = rng.uniform(-scale, scale, size=(c_out, c_in, nr))
-            self.params[f"{base}.phase"] = rng.uniform(-np.pi, np.pi, size=(c_out, c_in))
+        radial, phase = zip(*[(rng.uniform(-scale, scale, size=(c_out, c_in, nr)),
+                               rng.uniform(-np.pi, np.pi, size=(c_out, c_in)))
+                              for _ in self.connections])
+        self.params = {f"{name}.radial": np.stack(radial), f"{name}.phase": np.stack(phase)}
 
     def kernel_block(self, leaves: dict) -> ct.CTensor:
         """The filter coefficients radial * e^{i beta} of every connection,
         one (P, Co, Ci, n_radii) complex128 tensor in `connections` order:
-        the weights of each kernel over its basis atoms."""
-        n, co, ci = len(self.connections), self.c_out, self.c_in
-        bases = [f"{self.name}.f{m_in:+d}{m_f:+d}" for m_in, m_f in self.connections]
-        radial = ct.concat([leaves[f"{base}.radial"] for base in bases], axis=0)
-        phase = ct.concat([leaves[f"{base}.phase"] for base in bases], axis=0)
-        radial = ct.astype(ct.reshape(radial, (n, co, ci, n_radii(self.k))), np.float64)
-        return ct.mul(radial, ct.reshape(ct.polar_unit(phase), (n, co, ci, 1)))
+        the weights of each kernel over its basis atoms.  The bank stores
+        them as `{name}.radial` (P, Co, Ci, n_radii) and `{name}.phase`
+        (P, Co, Ci)."""
+        radial = ct.astype(leaves[f"{self.name}.radial"], np.float64)
+        phase = leaves[f"{self.name}.phase"]
+        return ct.mul(radial, ct.reshape(ct.polar_unit(phase), phase.shape + (1,)))
 
 
 @lru_cache(maxsize=128)   # bounded: callers may feed any number of image sizes
@@ -229,9 +225,7 @@ def basis_spectra(k: int, m: int, hp: int, wp: int) -> np.ndarray:
     the kernel `synthesize_block` gives a one-hot radial profile at radius r
     and zero phase, flipped in both axes and zero-padded to its FFT."""
     from scipy import fft as sfft   # deferred: slower to import than the package
-    nr = n_radii(k)
-    atoms = synthesize_block(ct.CTensor(np.eye(nr).reshape(nr, 1, nr)),
-                             ct.CTensor(np.zeros((nr, 1))), m, k).data[:, 0]
+    atoms = (_radial_basis(k).T * _angular_map(k, m)).reshape(n_radii(k), k, k)
     spectra = sfft.fft2(atoms[:, ::-1, ::-1], s=(hp, wp), axes=(-2, -1))
     spectra.flags.writeable = False
     return spectra
@@ -265,7 +259,8 @@ class HBatchNormState:
     """Running magnitude statistics per (stream, channel) + learnable a, b.
 
     The scale/shift pair is shared across streams; running mean/variance are
-    tracked per stream so streams stay statistically independent.
+    tracked per stream so streams stay statistically independent: buffers
+    `{name}.mean` and `{name}.var`, each (O, C) over `orders`.
     """
 
     def __init__(self, name: str, channels: int, orders=ORDERS, momentum: float = 0.1):
@@ -276,10 +271,8 @@ class HBatchNormState:
         self.orders = tuple(orders)
         self.momentum = momentum
         self.params = {f"{name}.a": np.ones(channels), f"{name}.b": np.zeros(channels)}
-        self.buffers = {}
-        for m in self.orders:
-            self.buffers[f"{name}.mean{m:+d}"] = np.zeros(channels)
-            self.buffers[f"{name}.var{m:+d}"] = np.ones(channels)
+        shape = (len(self.orders), channels)
+        self.buffers = {f"{name}.mean": np.zeros(shape), f"{name}.var": np.ones(shape)}
 
 
 def _channel_vector(v: ct.CTensor, x: StreamedFeatureMap) -> ct.CTensor:
@@ -296,6 +289,8 @@ def _affine_norm(x: StreamedFeatureMap, state: HBatchNormState, leaves: dict,
     eval mode reads the buffers."""
     if x.shape[2] != state.channels:
         raise ShapeError(f"channel mismatch: input {x.shape[2]}, norm {state.channels}")
+    if x.orders != state.orders:
+        raise ShapeError(f"order mismatch: input {x.orders}, norm {state.orders}")
     name, axes = state.name, (0, 3, 4)
 
     def forward(mag, a, b):
@@ -304,14 +299,12 @@ def _affine_norm(x: StreamedFeatureMap, state: HBatchNormState, leaves: dict,
             d = mag - mu
             var = (d * d).mean(axis=axes, keepdims=True)
             mom = state.momentum
-            for i, m in enumerate(x.orders):
-                for stat, batch in (("mean", mu), ("var", var)):
-                    buf = state.buffers[f"{name}.{stat}{m:+d}"]
-                    buf[:] = (1 - mom) * buf + mom * batch[0, i].reshape(-1)
+            for stat, batch in (("mean", mu), ("var", var)):
+                buf = state.buffers[f"{name}.{stat}"]
+                buf[:] = (1 - mom) * buf + mom * batch.reshape(buf.shape)
         else:
-            shape = (1, len(x.orders), state.channels, 1, 1)
-            mu, var = (np.stack([state.buffers[f"{name}.{stat}{m:+d}"] for m in x.orders])
-                       .reshape(shape).astype(mag.dtype, copy=False) for stat in ("mean", "var"))
+            mu, var = (state.buffers[f"{name}.{stat}"][None, :, :, None, None]
+                       .astype(mag.dtype, copy=False) for stat in ("mean", "var"))
             d = mag - mu
         s = np.sqrt(var + mag.dtype.type(EPS))
         norm = np.divide(d, s, out=d)

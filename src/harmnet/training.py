@@ -48,17 +48,8 @@ def validate_train_config(config: dict) -> dict:
         extra = set(config) - set(ref)
         raise ConfigError(f"training config keys: missing {sorted(missing)}, "
                           f"unknown {sorted(extra)}")
-    cfg = {}
-    for key, default in ref.items():
-        v = config[key]
-        if isinstance(default, int) and not isinstance(default, bool):
-            if isinstance(v, bool) or v != int(v):
-                raise ConfigError(f"training.{key} must be an integer, got {v!r}")
-            cfg[key] = int(v)
-        elif isinstance(default, float):
-            cfg[key] = float(v)
-        else:
-            cfg[key] = v
+    cfg = {key: hm._coerce(f"training.{key}", type(default), config[key])
+           for key, default in ref.items()}
     for key in ("epochs", "batch_size", "runs"):
         if cfg[key] < 1:
             raise ConfigError(f"training.{key} must be >= 1, got {cfg[key]}")

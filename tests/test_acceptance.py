@@ -106,11 +106,9 @@ def test_kernel_steerability_100_random_banks():
         c_in, c_out = int(rng.integers(1, 3)), int(rng.integers(1, 3))
         bank = hs.HarmonicFilterBank(f"b{b}", in_orders, hs.ORDERS,
                                      c_in, c_out, k, rng)
-        leaves = {n: ct.CTensor(v) for n, v in bank.params.items()}
-        for m_in, m_f in bank.connections:
-            base = f"{bank.name}.f{m_in:+d}{m_f:+d}"
-            w = hs.synthesize_block(leaves[f"{base}.radial"],
-                                    leaves[f"{base}.phase"], m_f, k).data
+        radial, phase = bank.params[f"{bank.name}.radial"], bank.params[f"{bank.name}.phase"]
+        for p, (_, m_f) in enumerate(bank.connections):
+            w = hs.synthesize_block(radial[p], phase[p], m_f, k)
             rotated = np.rot90(w, 1, axes=(2, 3))
             expected = np.exp(1j * m_f * np.pi / 2) * w
             assert np.max(np.abs(rotated - expected)) < 1e-12, (b, m_f, k)
@@ -162,8 +160,10 @@ def test_gradients_every_layer_type_and_full_model():
         y = hs.harmonic_conv(hs.lift_image(ct.CTensor(x_img)), b1, lv)
         return _sq_norm(hs.harmonic_conv(y, b2, lv))
 
+    # banks store their connections stacked: sample 4 components per
+    # connection of the widest bank checked
     errs["conv"] = ct.finite_difference_check(
-        f_conv, {**b1.params, **b2.params}, sample=4)
+        f_conv, {**b1.params, **b2.params}, sample=4 * len(b2.connections))
 
     # fused norm + activation (train-mode batch statistics)
     state = hs.HBatchNormState("g.n", 2)
@@ -193,7 +193,7 @@ def test_gradients_every_layer_type_and_full_model():
         return _sq_norm(y.with_tensor(ct.sub(y.tensor, t_ln.tensor)))
 
     errs["layer_norm_streams"] = ct.finite_difference_check(
-        f_ln, b1.params, sample=4)
+        f_ln, b1.params, sample=4 * len(b1.connections))
 
     # residual + pooling (parameterless) reached through a conv
     def f_pool(lv):
@@ -201,7 +201,7 @@ def test_gradients_every_layer_type_and_full_model():
         return _sq_norm(hs.avg_pool_streams(hs.residual_add(y, sfm)))
 
     errs["residual_pool"] = ct.finite_difference_check(
-        f_pool, b2.params, sample=4)
+        f_pool, b2.params, sample=4 * len(b2.connections))
 
     # encoder block: attention, rpe, equi-linear, layer norm, mlp
     blk = enc.EncoderBlock("g.vb", 4, 2, (2, 2), rng)
@@ -233,8 +233,9 @@ def test_gradients_every_layer_type_and_full_model():
     def f_model(lv):
         return tr.cross_entropy(model.forward(ct.CTensor(x2), lv), labels, 0.1)
 
+    lift = model.stem.blocks[0]["convs"][0][0]
     errs["full_model"] = ct.finite_difference_check(
-        f_model, model.params, sample=2)
+        f_model, model.params, sample=2 * len(lift.connections))
 
     for name, err in errs.items():
         assert err < 1e-4, (name, err)

@@ -2,7 +2,9 @@
 nearest-key suggestions, and artifact plumbing of every subcommand on a
 small synthetic benchmark."""
 
+import binascii
 import json
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +14,7 @@ import harmnet.cli as cli
 import harmnet.data as hdata
 import harmnet.harness as hz
 import harmnet.model as hm
-from harmnet.errors import ConfigError
+from harmnet.errors import ConfigError, IntegrityError
 
 
 def tiny_config():
@@ -168,6 +170,15 @@ def test_bad_override_exits_2_with_suggestion(capsys):
     assert "stem.kernel_size" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", ["training.epochs=abc", "training.epochs=null",
+                                      "training.epochs=1e999", "training.learning_rate=abc",
+                                      "training.seed=[1]"])
+def test_bad_training_override_exits_2(capsys, override):
+    rc = cli.main(["cost", "--no-measure", "--override", override])
+    assert rc == 2
+    assert override.split("=")[0] in capsys.readouterr().err
+
+
 def test_missing_data_exits_2_with_hint(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("HARM_DATA_ROOT", raising=False)
     rc = cli.main(["train", "--data-root", str(tmp_path), "--out",
@@ -243,6 +254,21 @@ def test_eval_checkpoint(workdir, tmp_path, capsys):
     assert result["split"] == "test" and result["samples"] == 6
     assert 0.0 <= result["error_rate"] <= 1.0
     assert result == json.loads((out / "eval.json").read_text())
+
+
+def test_eval_version_1_checkpoint_exits_2(workdir, tmp_path, capsys):
+    # version 1 stored each filter-bank connection and each order's
+    # batch-norm statistics as separate records
+    body = bytearray(workdir.checkpoint.read_bytes()[:-4])
+    assert body[4:8] == struct.pack("<I", hm.CHECKPOINT_VERSION) and hm.CHECKPOINT_VERSION == 2
+    body[4:8] = struct.pack("<I", 1)
+    old = tmp_path / "v1.ckpt"
+    old.write_bytes(bytes(body) + struct.pack("<I", binascii.crc32(body)))
+    with pytest.raises(IntegrityError, match="version 1"):
+        hm.load(old)
+    rc = cli.main(["eval", "--checkpoint", str(old), "--data-root", str(workdir.data)])
+    assert rc == 2
+    assert "version 1" in capsys.readouterr().err
 
 
 def test_eval_missing_checkpoint_exits_2(workdir, capsys):

@@ -217,6 +217,20 @@ def test_suite_runs_each_stage_once_per_quarter_turn(monkeypatch):
     assert calls["stem"] == 2
 
 
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_suite_feeds_the_model_images_at_its_precision(monkeypatch, precision):
+    dtypes = []
+    stem_features = hm.Model.stem_features
+
+    def recorded(self, images, *args, **kwargs):
+        dtypes.append(images.data.dtype)
+        return stem_features(self, images, *args, **kwargs)
+
+    monkeypatch.setattr(hm.Model, "stem_features", recorded)
+    assert hz.verify_all_lemmas(seed=0, precision=precision, config=tiny_config())["all_pass"]
+    assert dtypes == [ct.DTYPES[precision][0]] * 4
+
+
 def test_verify_rejects_unknown_precision():
     with pytest.raises(ConfigError, match="precision"):
         hz.verify_all_lemmas(precision="f16")

@@ -130,6 +130,21 @@ def test_tape_nodes_do_not_grow_with_orders(name):
     assert one == three, (name, one, three)
 
 
+def test_bank_nodes_do_not_grow_with_connections():
+    # a bank's coefficients are two stacked leaves whatever its connection
+    # count, so its leaves plus its kernel block add a fixed number of nodes
+    counts = {}
+    for in_orders, filter_orders in (((0,), (0,)), ((0,), hs.ALL_FILTER_ORDERS),
+                                     (THREE, hs.ALL_FILTER_ORDERS)):
+        bank = hs.HarmonicFilterBank("hc", in_orders, THREE, 2, 2, 3, ct.make_rng(0),
+                                     filter_orders=filter_orders)
+        tape = ct.GradTape()
+        bank.kernel_block(tracked(tape, bank.params))
+        counts[len(bank.connections)] = len(tape.nodes)
+    assert sorted(counts) == [1, 3, 9]
+    assert len(set(counts.values())) == 1, counts
+
+
 def test_embed_orders_nodes_do_not_grow_with_orders():
     # completing a partial order set to all three; identity when already full
     counts = {orders: nodes_added(on_map(hs.embed_orders), orders)

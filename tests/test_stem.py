@@ -57,8 +57,8 @@ def sfm_error(a, b):
 
 def synthesize_one(profile, beta, m, k):
     """One k x k kernel from a radial profile and a phase offset."""
-    radial = ct.CTensor(np.asarray(profile, dtype=np.float64).reshape(1, 1, -1))
-    return hs.synthesize_block(radial, ct.CTensor(np.full((1, 1), beta)), m, k).data[0, 0]
+    radial = np.asarray(profile, dtype=np.float64).reshape(1, 1, -1)
+    return hs.synthesize_block(radial, np.full((1, 1), beta), m, k)[0, 0]
 
 
 def test_synthesize_order0_all_ones_profile():
@@ -129,6 +129,9 @@ def test_kernel_block_slots_are_their_connections_blocks(in_orders, filter_order
     coeffs = bank.kernel_block(leaves).data
     nr = hs.n_radii(k)
     assert coeffs.shape == (len(bank.connections), 3, 2, nr) and coeffs.dtype == np.complex128
+    assert sorted(bank.params) == ["b.phase", "b.radial"]
+    assert bank.params["b.radial"].shape == coeffs.shape
+    assert bank.params["b.phase"].shape == coeffs.shape[:3]
     assert bank.slots.shape == (3, len(in_orders))
     for i, m_out in enumerate(hs.ORDERS):
         for j, m_in in enumerate(in_orders):
@@ -138,12 +141,11 @@ def test_kernel_block_slots_are_their_connections_blocks(in_orders, filter_order
                 continue
             p = bank.slots[i, j]
             assert bank.connections[p] == (m_in, m_f)
-            base = f"b.f{m_in:+d}{m_f:+d}"
-            radial, phase = leaves[f"{base}.radial"], leaves[f"{base}.phase"]
-            unit = ct.polar_unit(phase).data[..., None]
-            assert np.array_equal(coeffs[p], radial.data.astype(np.float64) * unit), (m_out, m_in)
+            radial, phase = leaves["b.radial"].data[p], leaves["b.phase"].data[p]
+            unit = ct.polar_unit(ct.CTensor(phase)).data[..., None]
+            assert np.array_equal(coeffs[p], radial.astype(np.float64) * unit), (m_out, m_in)
             atoms = np.stack([synthesize_one(np.eye(nr)[r], 0.0, m_f, k) for r in range(nr)])
-            kern = hs.synthesize_block(radial, phase, m_f, k).data
+            kern = hs.synthesize_block(radial, phase, m_f, k)
             assert np.max(np.abs(np.tensordot(coeffs[p], atoms, axes=(2, 0)) - kern)) < 1e-15
 
 
@@ -175,8 +177,9 @@ def test_impulse_response_is_point_reflected_kernel():
     leaves = const_leaves(bank.params)
     y = hs.harmonic_conv(x, bank, leaves)
     for m in (-1, 0, 1):
-        base = f"lift.f+0{m:+d}"
-        kern = hs.synthesize_block(leaves[f"{base}.radial"], leaves[f"{base}.phase"], m, 5).data[0, 0]
+        p = bank.connections.index((0, m))
+        kern = hs.synthesize_block(bank.params["lift.radial"][p], bank.params["lift.phase"][p],
+                                   m, 5)[0, 0]
         assert np.max(np.abs(y.stream(m).data[0, 0] - kern[::-1, ::-1])) < 1e-14
 
 
@@ -231,7 +234,9 @@ def test_fd_harmonic_conv_over_input_radial_and_phase(batch):
         m = ct.magnitude(ct.sub(y.tensor, target))
         return ct.sum_(ct.mul(m, m))
 
-    err = ct.finite_difference_check(f, {"x": x, **bank.params}, sample=12)
+    # a bank stores its connections stacked: 12 components per connection
+    err = ct.finite_difference_check(f, {"x": x, **bank.params},
+                                     sample=12 * len(bank.connections))
     assert err <= 1e-6, err
 
 
@@ -311,8 +316,19 @@ def test_hbn_crelu_hand_computed_batch():
     assert out[0] == 0.0                            # ReLU((1-2)/...) = 0
     assert abs(out[1] - expected_hi) < 1e-12
     # running stats picked up the batch statistics
-    assert state.buffers["bn.mean+0"][0] == pytest.approx(0.9 * 0 + 0.1 * 2.0)
-    assert state.buffers["bn.var+0"][0] == pytest.approx(0.9 * 1 + 0.1 * 1.0)
+    assert state.buffers["bn.mean"][0, 0] == pytest.approx(0.9 * 0 + 0.1 * 2.0)
+    assert state.buffers["bn.var"][0, 0] == pytest.approx(0.9 * 1 + 0.1 * 1.0)
+
+
+def test_norms_reject_streams_of_other_orders():
+    # the running statistics are one (O, C) array per statistic, row i for
+    # the state's i-th order
+    x = rand_sfm(ct.make_rng(24), (0,), 2, 1, 2, 2)
+    state = hs.HBatchNormState("bn", 1)
+    for layer in (hs.hbn_crelu, hs.legacy_cbn):
+        for train in (True, False):
+            with pytest.raises(ShapeError, match="order"):
+                layer(x, state, const_leaves(state.params), train)
 
 
 def test_hbn_crelu_nonnegative_and_phase_preserving():
@@ -397,16 +413,16 @@ def test_legacy_cbn_train_moves_running_stats_as_hbn_crelu_does():
     moved = []
     for layer in (hs.hbn_crelu, hs.legacy_cbn):
         state = hs.HBatchNormState("bn", 2)
-        for m in hs.ORDERS:
-            state.buffers[f"bn.mean{m:+d}"][:] = [0.4, -0.2]
-            state.buffers[f"bn.var{m:+d}"][:] = [0.5, 2.0]
+        assert state.buffers["bn.mean"].shape == state.buffers["bn.var"].shape == (3, 2)
+        state.buffers["bn.mean"][:] = [0.4, -0.2]
+        state.buffers["bn.var"][:] = [0.5, 2.0]
         layer(x, state, const_leaves(state.params), train=True)
         mom = state.momentum
-        for i, m in enumerate(hs.ORDERS):
-            assert np.allclose(state.buffers[f"bn.mean{m:+d}"],
+        for i in range(len(hs.ORDERS)):
+            assert np.allclose(state.buffers["bn.mean"][i],
                                (1 - mom) * np.array([0.4, -0.2]) + mom * mu[0, i, :, 0, 0],
                                rtol=1e-12, atol=0)
-            assert np.allclose(state.buffers[f"bn.var{m:+d}"],
+            assert np.allclose(state.buffers["bn.var"][i],
                                (1 - mom) * np.array([0.5, 2.0]) + mom * var[i],
                                rtol=1e-12, atol=0)
         moved.append(state.buffers)
@@ -469,9 +485,8 @@ def special_map(seed):
 
 def norm_layer(layer, train):
     state = hs.HBatchNormState("bn", 2)
-    for m in hs.ORDERS:
-        state.buffers[f"bn.mean{m:+d}"][:] = [1.1, 0.6]
-        state.buffers[f"bn.var{m:+d}"][:] = [0.5, 0.3]
+    state.buffers["bn.mean"][:] = [1.1, 0.6]
+    state.buffers["bn.var"][:] = [0.5, 0.3]
     params = {"bn.a": np.array([1.3, -0.8]), "bn.b": np.array([0.2, -0.3])}
 
     def run(z, leaves):
@@ -649,7 +664,8 @@ def test_stem_gradients_match_finite_differences():
             total = term if total is None else ct.add(total, term)
         return total
 
-    err = ct.finite_difference_check(f, stem.params, sample=4)
+    # 4 components per connection of the widest (9-connection) bank
+    err = ct.finite_difference_check(f, stem.params, sample=4 * 9)
     assert err < 1e-4
 
 
