@@ -483,18 +483,30 @@ def magnitude_map(z: CTensor, params, forward, backward) -> CTensor:
     gradient may have any shape the parameter broadcasts to (the reverse
     sweep sums it back, as for any broadcast operand).  With cu =
     conj(unit) g, the z-gradient is unit * (g_mag + i r Im(cu)/|z|), and 0
-    where z = 0.  The tape keeps z, r and `saved` (each through `_keep`);
-    backward recomputes |z| and the unit.
+    where z = 0.  The forward forms no unit: it divides z by |z| and scales
+    the quotient by r in place, and writes r where z = 0.  The tape keeps z,
+    r and `saved` (each through `_keep`); backward recomputes |z| and the
+    unit (`_polar`).
     """
     if not z.is_complex:
         raise ShapeError("magnitude_map expects a complex tensor")
     params = tuple(params)
-    mag, _, unit, _ = _polar(z.data)
+    mag = np.abs(z.data)
     r, saved = forward(mag, *(p.data for p in params))
     if np.iscomplexobj(r) or r.shape != z.shape:
         raise ShapeError(f"magnitude_map expects real magnitudes of shape {z.shape}, "
                          f"got {r.dtype} {r.shape}")
-    data = r * unit
+    # z / |z| multiplies by the reciprocal, so this rounds as r * (z * (1/|z|));
+    # where z = 0 it is not finite, and the phase 1+0i is written instead
+    with np.errstate(divide="ignore", invalid="ignore"):
+        data = z.data / mag
+        if np.result_type(data, r) == data.dtype:
+            data *= r
+        else:   # a complex64 z under float64 magnitudes
+            data = data * r
+    if not mag.all():
+        zero = mag == 0
+        data[zero] = r[zero]
     zd, r, *saved = (_keep(a, z, *params) for a in (z.data, r, *saved))
     z_tracked = z.node is not None
 
@@ -551,6 +563,12 @@ def _connections(slots: np.ndarray, o: int):
     return slots[o, ins], ins
 
 
+def _all_connections(slots: np.ndarray):
+    """Connection, output-stream and input-stream indices of every connection."""
+    os_, is_ = np.nonzero(slots >= 0)
+    return slots[os_, is_], os_, is_
+
+
 def _basis_products(xt: np.ndarray, spectra: np.ndarray, ps, ins) -> np.ndarray:
     """(len(ps) * Ci * nr, B * F): input stream ins[j]'s spectrum (Ci, B, F)
     times each basis spectrum of connection ps[j]."""
@@ -565,7 +583,10 @@ def _mix(xh: np.ndarray, coeffs: np.ndarray, spectra: np.ndarray, slots: np.ndar
     spectra[p, r] of connection p = slots[o, i] (-1: none).
 
     xh (B, I, Ci, F), coeffs (P, Co, Ci, nr), spectra (P, nr, F), slots
-    (O, I) -> (B, O, Co, F) at the operands' result type.
+    (O, I) -> (B, O, Co, F) at the operands' result type.  Kernel-first
+    builds every kernel spectrum in one GEMM: the (F, P*nr) basis spectra
+    times a block-sparse (P*nr, I*Ci*O*Co) matrix that holds each
+    connection's coefficients at its (i, o) block and zeros elsewhere.
     """
     b, n_in, ci, f = xh.shape
     n, co, _, nr = coeffs.shape
@@ -579,11 +600,10 @@ def _mix(xh: np.ndarray, coeffs: np.ndarray, spectra: np.ndarray, slots: np.ndar
                 c = coeffs[ps].transpose(1, 0, 2, 3).reshape(co, -1)   # (Co, Pj*Ci*nr)
                 out[o] = c @ _basis_products(xt, spectra, ps, ins)
         return out.reshape(n_out, co, b, f).transpose(2, 0, 1, 3)
-    kf = np.zeros((f, n_in, ci, n_out, co), np.result_type(coeffs, spectra))   # kernel spectra
-    for o, i in zip(*np.nonzero(slots >= 0)):
-        p = slots[o, i]
-        kf[:, i, :, o, :] = (spectra[p].T @ coeffs[p].transpose(2, 1, 0).reshape(nr, ci * co)
-                             ).reshape(f, ci, co)
+    ps, os_, is_ = _all_connections(slots)
+    blocks = np.zeros((n, nr, n_in, ci, n_out, co), coeffs.dtype)      # block-sparse
+    blocks[ps, :, is_, :, os_, :] = coeffs[ps].transpose(0, 3, 2, 1)
+    kf = spectra.reshape(n * nr, f).T @ blocks.reshape(n * nr, -1)      # kernel spectra
     xf = xh.reshape(b, n_in * ci, f).transpose(2, 0, 1)                # (F, B, I*Ci)
     y = np.matmul(xf, kf.reshape(f, n_in * ci, n_out * co))             # (F, B, O*Co)
     return y.transpose(1, 2, 0).reshape(b, n_out, co, f)
@@ -593,7 +613,9 @@ def _coeff_adjoint(xh: np.ndarray, gh: np.ndarray, spectra: np.ndarray, slots: n
                    spectrum_first: bool) -> np.ndarray:
     """Adjoint of `_mix` in its coefficients: out[p, o', c, r] = sum over
     batch and frequency of gh[:, o, o'] * conj(xh[:, i, c] * spectra[p, r])
-    for each connection p = slots[o, i] -> (P, Co, Ci, nr)."""
+    for each connection p = slots[o, i] -> (P, Co, Ci, nr).  Kernel-first
+    mirrors `_mix`: one GEMM of the conjugate basis spectra with the kernel
+    spectra's gradient, from which each connection reads its (i, o) block."""
     b, n_in, ci, f = xh.shape
     n_out, co = gh.shape[1:3]
     n, nr = spectra.shape[:2]
@@ -610,10 +632,10 @@ def _coeff_adjoint(xh: np.ndarray, gh: np.ndarray, spectra: np.ndarray, slots: n
         return out
     xf = np.conj(xh.reshape(b, n_in * ci, f).transpose(2, 1, 0))           # (F, I*Ci, B)
     gf = gh.reshape(b, n_out * co, f).transpose(2, 0, 1)                   # (F, B, O*Co)
-    gk = np.matmul(xf, gf).reshape(f, n_in, ci, n_out, co)
-    for o, i in zip(*np.nonzero(slots >= 0)):
-        p = slots[o, i]
-        out[p] = np.tensordot(np.conj(spectra[p]), gk[:, i, :, o, :], axes=(1, 0)).transpose(2, 1, 0)
+    gk = np.matmul(xf, gf).reshape(f, -1)                                  # (F, I*Ci*O*Co)
+    blocks = (np.conj(spectra.reshape(n * nr, f)) @ gk).reshape(n, nr, n_in, ci, n_out, co)
+    ps, os_, is_ = _all_connections(slots)
+    out[ps] = blocks[ps, :, is_, :, os_, :].transpose(0, 3, 2, 1)
     return out
 
 
@@ -630,7 +652,10 @@ def conv2d(x: CTensor, coeffs: CTensor, spectra: np.ndarray, slots: np.ndarray) 
     (B, O, Co, H, W) tensor.
 
     The input is transformed once and the output once; in between, the
-    contraction order is chosen from the shapes (`_spectrum_first`).  Both
+    contraction order is chosen from the shapes (`_spectrum_first`), and
+    kernel-first builds its kernel spectra in one GEMM (`_mix`).  A 1x1
+    kernel needs no transform: `stem.harmonic_conv` runs such a bank as a
+    channel matmul and never calls this.  Both
     adjoints recompute the spectra they need from x and coeffs, so the node
     keeps only those and the basis spectra, each at the tape's precision.
     """

@@ -454,7 +454,7 @@ def curve_csv(curve: dict) -> str:
 
 def cost_report(config: dict, measure: bool = True, seed: int = 0) -> dict:
     """Analytic complex multiply-add counts per stage plus (optionally) the
-    measured wall time of one forward pass.
+    measured wall time of one batch-1 forward pass, after an untimed one.
 
     Convolution at spatial size N with kernel size n over |o| stream orders
     costs N^2 * n^2 * |o|^2 * c_in * c_out; self-attention over N^2 patches
@@ -499,6 +499,9 @@ def cost_report(config: dict, measure: bool = True, seed: int = 0) -> dict:
         model = hm.build(cfg, seed)
         x = ct.derive_rng(seed, "cost").random(
             (1, inp["channels"], size, size))
+        # untimed: the first forward also imports scipy.fft and fills the
+        # basis-spectra cache
+        model.forward(x)
         t0 = time.perf_counter()
         model.forward(x)
         report["forward_seconds"] = time.perf_counter() - t0

@@ -219,14 +219,19 @@ class HarmonicFilterBank:
         return ct.mul(radial, ct.reshape(ct.polar_unit(phase), phase.shape + (1,)))
 
 
+def _atoms(k: int, m: int) -> np.ndarray:
+    """(n_radii, k, k) order-m basis atoms: the kernels `synthesize_block`
+    gives one-hot radial profiles at zero phase."""
+    return (_radial_basis(k).T * _angular_map(k, m)).reshape(n_radii(k), k, k)
+
+
 @lru_cache(maxsize=128)   # bounded: callers may feed any number of image sizes
 def basis_spectra(k: int, m: int, hp: int, wp: int) -> np.ndarray:
     """(n_radii, hp, wp) read-only spectra of the order-m atoms: atom r is
     the kernel `synthesize_block` gives a one-hot radial profile at radius r
     and zero phase, flipped in both axes and zero-padded to its FFT."""
     from scipy import fft as sfft   # deferred: slower to import than the package
-    atoms = (_radial_basis(k).T * _angular_map(k, m)).reshape(n_radii(k), k, k)
-    spectra = sfft.fft2(atoms[:, ::-1, ::-1], s=(hp, wp), axes=(-2, -1))
+    spectra = sfft.fft2(_atoms(k, m)[:, ::-1, ::-1], s=(hp, wp), axes=(-2, -1))
     spectra.flags.writeable = False
     return spectra
 
@@ -237,7 +242,9 @@ def harmonic_conv(x: StreamedFeatureMap, bank: HarmonicFilterBank,
 
     Each kernel W is the bank's coefficients over the basis atoms of its
     filter order, so the convolution runs against the atoms' cached spectra
-    and never synthesizes or transforms a kernel.  Convolution convention is
+    and never synthesizes or transforms a kernel.  A 1x1 bank (the residual
+    projections) needs no transform at all: it is one matmul over the
+    channel axis (`_channel_matmul`).  Convolution convention is
     cross-correlation (no kernel flip).
     """
     if x.orders != bank.in_orders:
@@ -245,10 +252,31 @@ def harmonic_conv(x: StreamedFeatureMap, bank: HarmonicFilterBank,
     h, w = x.shape[3:]
     if x.shape[2] != bank.c_in:
         raise ShapeError(f"channel mismatch: input {x.shape[2]}, bank {bank.c_in}")
+    if bank.k == 1:
+        return StreamedFeatureMap(_channel_matmul(x.tensor, bank, bank.kernel_block(leaves)),
+                                  bank.out_orders)
     hp, wp = h + bank.k - 1, w + bank.k - 1
     spectra = np.stack([basis_spectra(bank.k, m_f, hp, wp) for _, m_f in bank.connections])
     y = ct.conv2d(x.tensor, bank.kernel_block(leaves), spectra, bank.slots)
     return StreamedFeatureMap(y, bank.out_orders)
+
+
+def _channel_matmul(x: ct.CTensor, bank: HarmonicFilterBank, coeffs: ct.CTensor) -> ct.CTensor:
+    """A 1x1 bank's convolution of x (B, I, Ci, H, W) -> (B, O, Co, H, W) as
+    one (O*Co, I*Ci) matrix times the channels at every pixel.  Block (o, i)
+    of the matrix is connection slots[o, i]'s coefficients (P, Co, Ci, 1)
+    times its atom's single value (1 for filter order 0, exactly 0 for any
+    other), and zero where there is no connection."""
+    b, n_in, ci, h, w = x.shape
+    n_out, co = bank.slots.shape[0], bank.c_out
+    centre = np.array([_atoms(1, m_f)[0, 0, 0].real for _, m_f in bank.connections])
+    o, c_o = np.divmod(np.arange(n_out * co), co)
+    i, c_i = np.divmod(np.arange(n_in * ci), ci)
+    p = bank.slots[o[:, None], i]                          # (O*Co, I*Ci) connection per entry
+    weight = ct.CTensor(np.where(p >= 0, centre[p], 0.0))
+    mat = ct.mul(ct.take(coeffs, (np.maximum(p, 0), c_o[:, None], c_i, 0)), weight)
+    y = ct.complex_matmul(mat, ct.reshape(x, (b, n_in * ci, h * w)))
+    return ct.reshape(y, (b, n_out, co, h, w))
 
 
 # ---------------------------------------------------------------------------

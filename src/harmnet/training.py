@@ -9,6 +9,7 @@ stream and the final checkpoint byte-identically in single-threaded mode.
 from __future__ import annotations
 
 import json
+import math
 import time
 import warnings
 from pathlib import Path
@@ -53,6 +54,9 @@ def validate_train_config(config: dict) -> dict:
     for key in ("epochs", "batch_size", "runs"):
         if cfg[key] < 1:
             raise ConfigError(f"training.{key} must be >= 1, got {cfg[key]}")
+    for key in ("learning_rate", "weight_decay", "eps"):
+        if not math.isfinite(cfg[key]):
+            raise ConfigError(f"training.{key} must be finite, got {cfg[key]}")
     if cfg["learning_rate"] < 0:
         raise ConfigError(f"training.learning_rate must be >= 0")
     if not 0.0 <= cfg["label_smoothing"] < 1.0:

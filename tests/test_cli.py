@@ -172,7 +172,10 @@ def test_bad_override_exits_2_with_suggestion(capsys):
 
 @pytest.mark.parametrize("override", ["training.epochs=abc", "training.epochs=null",
                                       "training.epochs=1e999", "training.learning_rate=abc",
-                                      "training.seed=[1]"])
+                                      "training.seed=[1]", "training.learning_rate=nan",
+                                      "training.learning_rate=inf", "training.weight_decay=nan",
+                                      "training.weight_decay=inf", "training.eps=nan",
+                                      "training.eps=inf"])
 def test_bad_training_override_exits_2(capsys, override):
     rc = cli.main(["cost", "--no-measure", "--override", override])
     assert rc == 2

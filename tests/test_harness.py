@@ -363,6 +363,17 @@ def test_cost_report_measures_forward_time():
     assert rep["forward_seconds"] > 0.0
 
 
+def test_cost_report_times_a_warm_forward(monkeypatch):
+    # the model's first forward imports scipy.fft and fills the basis-spectra
+    # cache, so the timed one must come after it
+    events, forward, clock = [], hm.Model.forward, hz.time.perf_counter
+    monkeypatch.setattr(hm.Model, "forward",
+                        lambda self, *a, **k: events.append("forward") or forward(self, *a, **k))
+    monkeypatch.setattr(hz.time, "perf_counter", lambda: events.append("clock") or clock())
+    hz.cost_report(tiny_config(), measure=True)
+    assert events == ["forward", "clock", "forward", "clock"]
+
+
 def test_mnist_cost_head_term():
     rep = hz.cost_report(hm.mnist_config(), measure=False)
     assert rep["head_macs"] == 3 * 16 * 10

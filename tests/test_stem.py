@@ -202,6 +202,67 @@ def test_harmonic_conv_transforms_only_the_input_and_output(monkeypatch, batch):
     assert calls == [("fft2", (batch, 3, 2, 16, 16)), ("ifft2", (batch, 3, 3, 16, 16))]
 
 
+def conv2d_reference(x, bank, coeffs):
+    """A bank's convolution through `ct.conv2d` against its basis spectra."""
+    h, w = x.shape[3:]
+    hp, wp = h + bank.k - 1, w + bank.k - 1
+    spectra = np.stack([hs.basis_spectra(bank.k, m_f, hp, wp) for _, m_f in bank.connections])
+    return ct.conv2d(x, coeffs, spectra, bank.slots)
+
+
+ONE_BY_ONE_BANKS = {
+    "lifted_projection": ((0,), (0,)),        # stem.b0.proj
+    "projection": (hs.ORDERS, (0,)),          # stem.b1.proj
+    "all_filter_orders": (hs.ORDERS, hs.ALL_FILTER_ORDERS),
+}
+
+
+@pytest.mark.parametrize("batch", [1, 16])
+@pytest.mark.parametrize("name", sorted(ONE_BY_ONE_BANKS))
+def test_1x1_bank_is_a_channel_matmul_without_transforms(monkeypatch, name, batch):
+    from scipy import fft as sfft
+    in_orders, filter_orders = ONE_BY_ONE_BANKS[name]
+    bank = hs.HarmonicFilterBank("p", in_orders, hs.ORDERS, 3, 4, 1, ct.make_rng(40),
+                                 filter_orders=filter_orders)
+    params = {"x": rand_sfm(ct.make_rng(41), in_orders, batch, 3, 5, 6).tensor.data,
+              **bank.params}
+    target = ct.CTensor(crandn(ct.make_rng(42), batch, 3, 4, 5, 6))
+
+    def run(conv):
+        tape = ct.GradTape()
+        p = {k: tape.parameter(k, v) for k, v in params.items()}
+        y = conv(p)
+        m = ct.magnitude(ct.sub(y, target))
+        return y.data, ct.backward(tape, ct.sum_(ct.mul(m, m)))
+
+    ref, ref_grads = run(lambda p: conv2d_reference(p["x"], bank, bank.kernel_block(p)))
+    calls = []
+    for fn in ("fft2", "ifft2"):
+        monkeypatch.setattr(sfft, fn, lambda *a, _fn=fn, **k: calls.append(_fn))
+    y, grads = run(lambda p: hs.harmonic_conv(hs.StreamedFeatureMap(p["x"], in_orders),
+                                              bank, p).tensor)
+    assert calls == []
+    for got, want in [(y, ref)] + [(grads[k], ref_grads[k]) for k in params]:
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_1x1_connections_of_nonzero_filter_order_contribute_exactly_zero():
+    # a 1x1 atom of order m != 0 is its centre pixel, which is exactly 0
+    bank = hs.HarmonicFilterBank("p", hs.ORDERS, hs.ORDERS, 3, 4, 1, ct.make_rng(43))
+    nonzero = np.array([m_f != 0 for _, m_f in bank.connections])
+    assert nonzero.sum() == 6
+    radial = bank.params["p.radial"] * nonzero[:, None, None, None]   # keep only m_f != 0
+    tape = ct.GradTape()
+    leaves = {"p.radial": tape.parameter("p.radial", radial),
+              "p.phase": tape.parameter("p.phase", bank.params["p.phase"])}
+    x = rand_sfm(ct.make_rng(44), hs.ORDERS, 2, 3, 5, 6)
+    y = hs.harmonic_conv(x, bank, leaves).tensor
+    assert np.all(y.data == 0)
+    g = ct.backward(tape, ct.sum_(ct.magnitude(ct.add(y, ct.CTensor(np.ones(y.shape))))))
+    assert np.all(g["p.radial"][nonzero] == 0) and np.all(g["p.phase"] == 0)
+    assert np.any(g["p.radial"][~nonzero] != 0)
+
+
 def test_lifting_conv_goes_spectrum_first_at_batch_16(monkeypatch):
     # one input channel: kernel-first would contract per frequency with
     # outer products, so the lifting conv (mnist_config's stem.b0.conv0:
