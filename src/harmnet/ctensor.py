@@ -15,7 +15,8 @@ is a valid oracle for every gradient in this module.
 Two precisions are supported: "f64" (float64/complex128) for verification and
 gradient suites, "f32" (float32/complex64) for training.  An f32 model's
 forward computes in complex128: each convolution widens its input, the
-float32 image included, to its complex128 coefficients before the FFT.  A
+float32 image included, to its complex128 coefficients, before the FFT or
+in the GEMM over its taps.  A
 complex64 forward would miss the 1e-6 quarter-turn logit bound: the encoder
 amplifies one complex64 rounding of the stem features 4-6x at the first
 layer norm's centering and 2-3x per attention block, and the logits 4-8x
@@ -28,6 +29,7 @@ does.
 
 from __future__ import annotations
 
+import weakref
 import zlib
 
 import numpy as np
@@ -92,6 +94,7 @@ class GradTape:
         self.nodes = []          # node id -> (parent specs, backward fn)
         self.parameters = {}     # name -> node id
         self.precision = None    # "f32" or "f64" once a parameter is registered
+        self._casts = {}         # id(source) -> (weak ref to source, its cast)
 
     def _append(self, parents, backward) -> int:
         self.nodes.append((parents, backward))
@@ -113,6 +116,25 @@ class GradTape:
         """The dtype in which a node keeps an array of `dtype`, and in which
         the gradient of a tensor of `dtype` is carried."""
         return _SINGLE.get(dtype, dtype) if self.precision == "f32" else dtype
+
+    def keep(self, a: np.ndarray) -> np.ndarray:
+        """a at the stored precision, with no copy when it is already there.
+        A source array is cast once per tape, however many nodes keep it:
+        the cast is looked up by the source's id and a weak reference that
+        must still name the source, so the memo never keeps a source alive
+        and a recycled id never matches.  Tape arrays are never written in
+        place, so a cast stays valid while its source lives; `backward`
+        drops the memo so the casts are freed with their nodes."""
+        dtype = self.stored(a.dtype)
+        if a.dtype == dtype:
+            return a
+        hit = self._casts.get(id(a))
+        if hit is not None and hit[0]() is a:
+            return hit[1]
+        cast = a.astype(dtype)
+        if isinstance(a, np.ndarray):   # numpy scalars take no weak reference
+            self._casts[id(a)] = (weakref.ref(a), cast)
+        return cast
 
 
 # double -> single precision, for an f32 tape
@@ -241,7 +263,7 @@ def _keep(a: np.ndarray, *operands: CTensor) -> np.ndarray:
     precision of their tape (`GradTape.stored`), with no copy when it is
     already there.  Off tape (no node is recorded) a is returned as is."""
     tape = _tape_of(*operands)
-    return a if tape is None else a.astype(tape.stored(a.dtype), copy=False)
+    return a if tape is None else tape.keep(a)
 
 
 def _kept_for(other: CTensor, a: CTensor):
@@ -653,11 +675,12 @@ def conv2d(x: CTensor, coeffs: CTensor, spectra: np.ndarray, slots: np.ndarray) 
 
     The input is transformed once and the output once; in between, the
     contraction order is chosen from the shapes (`_spectrum_first`), and
-    kernel-first builds its kernel spectra in one GEMM (`_mix`).  A 1x1
-    kernel needs no transform: `stem.harmonic_conv` runs such a bank as a
-    channel matmul and never calls this.  Both
+    kernel-first builds its kernel spectra in one GEMM (`_mix`).  Both
     adjoints recompute the spectra they need from x and coeffs, so the node
     keeps only those and the basis spectra, each at the tape's precision.
+    `stem.harmonic_conv` sends only banks with a large fan-in per output
+    pixel here; a small one (a lifting conv, a 1x1 bank) is a GEMM over the
+    input's taps (`shifted_taps`), which pays no transform.
     """
     if x.data.ndim != 5 or coeffs.data.ndim != 4 or spectra.ndim != 4 or slots.ndim != 2:
         raise ShapeError("conv2d expects (B,I,Ci,H,W) input, (P,Co,Ci,nr) coefficients, "
@@ -706,6 +729,31 @@ def conv2d(x: CTensor, coeffs: CTensor, spectra: np.ndarray, slots: np.ndarray) 
     return _make(data, (x, coeffs), backward)
 
 
+def shifted_taps(x: CTensor, offsets) -> CTensor:
+    """The taps of x under a stencil: (..., H, W) -> (..., T, H, W) with
+    out[..., t, y, x] = x[..., y + dy_t, x + dx_t], zero outside the image,
+    for offsets ((dy_0, dx_0), ...).  Backward scatter-adds each tap's
+    gradient back at its shift and crops to the image.  A lone (0, 0) tap is
+    a view of x, and its adjoint passes the gradient through."""
+    offsets = tuple(offsets)
+    h, w = x.shape[-2:]
+    c = max(max(abs(dy), abs(dx)) for dy, dx in offsets)
+    if offsets == ((0, 0),):
+        return _make(x.data[..., None, :, :], (x,), lambda g: (g[..., 0, :, :],))
+    xp = np.pad(x.data, ((0, 0),) * (x.data.ndim - 2) + ((c, c), (c, c)))
+    windows = [(slice(c + dy, c + dy + h), slice(c + dx, c + dx + w)) for dy, dx in offsets]
+    data = np.stack([xp[..., ys, xs] for ys, xs in windows], axis=-3)
+    padded = xp.shape[-2:]
+
+    def backward(g):
+        gp = np.zeros(g.shape[:-3] + padded, dtype=g.dtype)
+        for t, (ys, xs) in enumerate(windows):
+            gp[..., ys, xs] += g[..., t, :, :]
+        return (gp[..., c:c + h, c:c + w],)
+
+    return _make(data, (x,), backward)
+
+
 def avg_pool2(x: CTensor) -> CTensor:
     """2x2 mean pooling over the last two axes (H, W), which must be even;
     any leading axes are carried through."""
@@ -745,6 +793,7 @@ def backward(tape: GradTape, loss: CTensor) -> dict:
         raise ContractError("loss must be a real scalar")
     if tape.nodes[0] is None:
         raise ContractError("tape was already consumed by backward")
+    tape._casts.clear()
     grads = [None] * len(tape.nodes)
     grads[loss.node] = np.ones((), dtype=tape.stored(loss.data.dtype))
     for nid in range(loss.node, -1, -1):

@@ -398,8 +398,14 @@ def stem_continuous_check(seed: int = 0, precision: str = "f64",
 PREDICT_BATCH = 16
 
 
+def _check_batch(batch: int) -> None:
+    if batch < 1:
+        raise ConfigError(f"batch must be at least 1, got {batch}")
+
+
 def predict(model: hm.Model, images: np.ndarray, batch: int = PREDICT_BATCH) -> np.ndarray:
     """Argmax predictions for preprocessed images, chunked over the batch."""
+    _check_batch(batch)
     leaves = model.leaves()
     out = []
     for i in range(0, len(images), batch):
@@ -416,8 +422,9 @@ def stability_sweep(model: hm.Model, dataset, angle_step: int = 15,
     The dataset holds raw (unpadded, unscaled) images; each angle's copy is
     rotated first, then preprocessed exactly like training inputs.
     """
-    if 360 % angle_step:
-        raise ConfigError(f"angle_step must divide 360, got {angle_step}")
+    if angle_step <= 0 or 360 % angle_step:
+        raise ConfigError(f"angle_step must be a positive divisor of 360, got {angle_step}")
+    _check_batch(batch)
     images, labels = dataset.images, dataset.labels
     if limit is not None:
         images, labels = images[:limit], labels[:limit]

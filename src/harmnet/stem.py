@@ -201,8 +201,7 @@ class HarmonicFilterBank:
         self.slots = np.array([[index.get((m_in, m_out - m_in), -1) for m_in in self.in_orders]
                                for m_out in self.out_orders])
         nr = n_radii(kernel_size)
-        taps = int(np.count_nonzero(_radial_basis(kernel_size).sum(axis=1)))
-        scale = np.sqrt(2.0 / (c_in * len(self.in_orders) * taps * nr))
+        scale = np.sqrt(2.0 / (c_in * len(self.in_orders) * len(_taps(kernel_size)) * nr))
         radial, phase = zip(*[(rng.uniform(-scale, scale, size=(c_out, c_in, nr)),
                                rng.uniform(-np.pi, np.pi, size=(c_out, c_in)))
                               for _ in self.connections])
@@ -241,42 +240,76 @@ def harmonic_conv(x: StreamedFeatureMap, bank: HarmonicFilterBank,
     """Order-mixing convolution: out_m = sum over m1+m2=m of in_{m1} * W_{m2}.
 
     Each kernel W is the bank's coefficients over the basis atoms of its
-    filter order, so the convolution runs against the atoms' cached spectra
-    and never synthesizes or transforms a kernel.  A 1x1 bank (the residual
-    projections) needs no transform at all: it is one matmul over the
-    channel axis (`_channel_matmul`).  Convolution convention is
-    cross-correlation (no kernel flip).
+    filter order, and is never synthesized.  A bank with a small fan-in per
+    output pixel (`_runs_direct`: the lifting conv and the 1x1 residual
+    projections) is one GEMM over its atoms' nonzero taps (`_tap_gemm`);
+    any other runs through `ct.conv2d` against the atoms' cached spectra.
+    Convolution convention is cross-correlation (no kernel flip).
     """
     if x.orders != bank.in_orders:
         raise ShapeError(f"input orders {x.orders} != bank orders {bank.in_orders}")
     h, w = x.shape[3:]
     if x.shape[2] != bank.c_in:
         raise ShapeError(f"channel mismatch: input {x.shape[2]}, bank {bank.c_in}")
-    if bank.k == 1:
-        return StreamedFeatureMap(_channel_matmul(x.tensor, bank, bank.kernel_block(leaves)),
-                                  bank.out_orders)
+    coeffs = bank.kernel_block(leaves)
+    if _runs_direct(bank):
+        return StreamedFeatureMap(_tap_gemm(x.tensor, bank, coeffs), bank.out_orders)
     hp, wp = h + bank.k - 1, w + bank.k - 1
     spectra = np.stack([basis_spectra(bank.k, m_f, hp, wp) for _, m_f in bank.connections])
-    y = ct.conv2d(x.tensor, bank.kernel_block(leaves), spectra, bank.slots)
-    return StreamedFeatureMap(y, bank.out_orders)
+    return StreamedFeatureMap(ct.conv2d(x.tensor, coeffs, spectra, bank.slots), bank.out_orders)
 
 
-def _channel_matmul(x: ct.CTensor, bank: HarmonicFilterBank, coeffs: ct.CTensor) -> ct.CTensor:
-    """A 1x1 bank's convolution of x (B, I, Ci, H, W) -> (B, O, Co, H, W) as
-    one (O*Co, I*Ci) matrix times the channels at every pixel.  Block (o, i)
-    of the matrix is connection slots[o, i]'s coefficients (P, Co, Ci, 1)
-    times its atom's single value (1 for filter order 0, exactly 0 for any
-    other), and zero where there is no connection."""
+@lru_cache(maxsize=None)
+def _taps(k: int) -> tuple:
+    """(dy, dx) offsets of the pixels a k x k atom can be nonzero on: the
+    rows of `_radial_basis(k)` with a weight (13 for k = 5, 5 for k = 3, 1
+    for k = 1).  The set is closed under rot90."""
+    c = k // 2
+    return tuple((int(i) // k - c, int(i) % k - c)
+                 for i in np.flatnonzero(_radial_basis(k).any(axis=1)))
+
+
+def _runs_direct(bank: HarmonicFilterBank) -> bool:
+    """Whether `harmonic_conv` runs a bank as one tap GEMM, from its shape
+    alone: with fan-in I*Ci and fan-out O*Co per pixel and T taps, the GEMM
+    does T*(I*Ci)*(O*Co) multiply-adds per pixel where the FFT path pays
+    transforms of I*Ci + O*Co maps, so it goes direct iff T * min(fan-in,
+    fan-out) <= max(fan-in, fan-out).  Any 1x1 bank goes direct.
+
+    mnist_config: the lifting conv (13 <= 24) and both projections
+    (1 <= 24, 24 <= 48) go direct; the 5x5 banks (312, 312, 624 against
+    24, 48, 48) stay on `ct.conv2d`, at any batch; shallow_config splits
+    the same way (13 and 1 <= 48; 624 > 48).  The README
+    ("A small-fan-in bank is one tap GEMM") gives the timings behind each.
+    """
+    fan_in = len(bank.in_orders) * bank.c_in
+    fan_out = len(bank.out_orders) * bank.c_out
+    return len(_taps(bank.k)) * min(fan_in, fan_out) <= max(fan_in, fan_out)
+
+
+def _tap_gemm(x: ct.CTensor, bank: HarmonicFilterBank, coeffs: ct.CTensor) -> ct.CTensor:
+    """A bank's convolution of x (B, I, Ci, H, W) -> (B, O, Co, H, W) as one
+    (O*Co, I*Ci*T) matrix times x's T taps (`ct.shifted_taps`) at every
+    pixel.  Block (o, i) of the matrix is connection slots[o, i]'s
+    coefficients (Co, Ci, nr) times its atoms' values at the taps (nr, T),
+    and zero where there is no connection.  A 1x1 atom is 1 at filter order
+    0 and exactly 0 at any other, so a 1x1 bank's matrix is its
+    coefficients.  The matrix is complex128, so a complex64 x is widened
+    exactly in the GEMM."""
     b, n_in, ci, h, w = x.shape
-    n_out, co = bank.slots.shape[0], bank.c_out
-    centre = np.array([_atoms(1, m_f)[0, 0, 0].real for _, m_f in bank.connections])
-    o, c_o = np.divmod(np.arange(n_out * co), co)
-    i, c_i = np.divmod(np.arange(n_in * ci), ci)
-    p = bank.slots[o[:, None], i]                          # (O*Co, I*Ci) connection per entry
-    weight = ct.CTensor(np.where(p >= 0, centre[p], 0.0))
-    mat = ct.mul(ct.take(coeffs, (np.maximum(p, 0), c_o[:, None], c_i, 0)), weight)
-    y = ct.complex_matmul(mat, ct.reshape(x, (b, n_in * ci, h * w)))
-    return ct.reshape(y, (b, n_out, co, h, w))
+    n_out, co, k = bank.slots.shape[0], bank.c_out, bank.k
+    offsets = _taps(k)
+    ys, xs = (np.array(offsets) + k // 2).T
+    atoms = np.stack([_atoms(k, m_f)[:, ys, xs].T for _, m_f in bank.connections])  # (P, T, nr)
+    slot = bank.slots[:, None, :, None]                                # (O, 1, I, 1)
+    conn = np.maximum(slot, 0)
+    table = np.where((slot >= 0)[..., None, None], atoms[conn], 0)     # (O, 1, I, 1, T, nr)
+    picked = ct.take(coeffs, (conn[..., None], np.arange(co)[:, None, None, None],
+                              np.arange(ci)[:, None]))                  # (O, Co, I, Ci, 1, nr)
+    kern = ct.sum_(ct.mul(picked, ct.CTensor(table)), axis=-1)          # (O, Co, I, Ci, T)
+    mat = ct.reshape(kern, (n_out * co, n_in * ci * len(offsets)))
+    taps = ct.reshape(ct.shifted_taps(x, offsets), (b, n_in * ci * len(offsets), h * w))
+    return ct.reshape(ct.complex_matmul(mat, taps), (b, n_out, co, h, w))
 
 
 # ---------------------------------------------------------------------------

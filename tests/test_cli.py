@@ -355,6 +355,14 @@ def test_sweep_bad_step_exits_2(workdir, capsys):
     assert "angle_step" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("step", ["0", "-15"])
+def test_sweep_step_below_one_exits_2(workdir, capsys, step):
+    rc = cli.main(["sweep", "--checkpoint", str(workdir.checkpoint),
+                   "--data-root", str(workdir.data), "--angle-step", step])
+    assert rc == 2
+    assert "angle_step" in capsys.readouterr().err
+
+
 def test_ablate_single_axis(workdir, tmp_path, capsys):
     out = tmp_path / "ab"
     rc = cli.main(["ablate", "--config", str(workdir.config), "--data-root",

@@ -252,6 +252,27 @@ def test_fd_avg_pool2():
     check(f, {"x": x})
 
 
+@pytest.mark.parametrize("offsets", [((0, 0),), ((0, 0), (-1, 2), (1, 0), (2, -2))])
+def test_fd_shifted_taps(offsets):
+    rng = ct.make_rng(12)
+    x = crandn(rng, 2, 3, 4, 5)
+    t = crandn(rng, 2, 3, len(offsets), 4, 5)
+
+    def f(p):
+        return l2_to(t)(ct.shifted_taps(p["x"], offsets))
+
+    check(f, {"x": x})
+
+
+def test_shifted_taps_are_zero_padded_shifts():
+    x = crandn(ct.make_rng(13), 2, 4, 5)
+    offsets = ((0, 0), (1, -1), (-2, 0))
+    y = ct.shifted_taps(ct.CTensor(x), offsets).data
+    padded = np.pad(x, ((0, 0), (2, 2), (2, 2)))
+    for t, (dy, dx) in enumerate(offsets):
+        assert np.array_equal(y[:, t], padded[:, 2 + dy:6 + dy, 2 + dx:7 + dx]), (dy, dx)
+
+
 def test_fd_rejects_bad_step():
     with pytest.raises(ContractError):
         ct.finite_difference_check(lambda p: ct.sum_(p["x"]), {"x": np.ones(2)}, step=0.0)
@@ -649,6 +670,35 @@ def test_keep_copies_only_above_the_tapes_precision():
     assert np.array_equal(held[0], z32.data)
     untracked = ct.CTensor(z128.data)
     assert ct._keep(untracked.data, untracked) is untracked.data   # off tape: as is
+
+
+def test_f32_tape_casts_a_source_kept_by_three_nodes_once():
+    # three products keep the same complex128 operand for w's adjoint: one
+    # complex64 copy serves all three, the memo does not keep the source
+    # alive, and the gradient equals that of three separately cast copies
+    rng = ct.make_rng(38)
+    w0, src = crandn(rng, 2, 3).astype(np.complex64), crandn(rng, 3, 4)
+
+    def run(sources):
+        tape = ct.GradTape()
+        w = tape.parameter("w", w0)
+        ys = [ct.complex_matmul(w, ct.CTensor(s)) for s in sources]
+        kept = [a for y in ys for a in _held_arrays(y)]
+        loss = l2_to(np.zeros((2, 4)))(ct.add(ct.add(ys[0], ys[1]), ys[2]))
+        return tape, kept, loss
+
+    values = src.copy()
+    tape, kept, loss = run([src] * 3)
+    assert len(kept) == 3 and all(a is kept[0] for a in kept)
+    assert kept[0].dtype == np.complex64 and np.array_equal(kept[0], src.astype(np.complex64))
+    probe = weakref.ref(src)
+    del src
+    assert probe() is None
+    grads = ct.backward(tape, loss)
+    tape, kept, loss = run([values.copy() for _ in range(3)])
+    assert len({id(a) for a in kept}) == 3
+    ref = ct.backward(tape, loss)
+    assert grads["w"].tobytes() == ref["w"].tobytes()
 
 
 def _widening_loss(p):

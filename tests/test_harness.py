@@ -288,9 +288,22 @@ def test_stability_sweep_deterministic_and_limited():
 
 
 def test_stability_sweep_rejects_bad_step():
+    # a step must be a positive divisor of 360: 0 would divide by zero, and
+    # a negative divisor would pass the divisibility test and sweep nothing
     model = hm.build(tiny_config(), seed=0)
-    with pytest.raises(ConfigError, match="angle_step"):
-        hz.stability_sweep(model, toy_dataset(), angle_step=100)
+    for step in (100, 0, -15, -90):
+        with pytest.raises(ConfigError, match="angle_step"):
+            hz.stability_sweep(model, toy_dataset(), angle_step=step)
+
+
+@pytest.mark.parametrize("batch", [0, -1])
+def test_inference_rejects_a_chunk_below_one(batch):
+    model = hm.build(tiny_config(), seed=0)
+    ds = toy_dataset()
+    with pytest.raises(ConfigError, match="batch"):
+        hz.predict(model, ds.images, batch)
+    with pytest.raises(ConfigError, match="batch"):
+        hz.stability_sweep(model, ds, angle_step=90, batch=batch)
 
 
 def test_predict_batching_consistent():

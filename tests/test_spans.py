@@ -37,7 +37,11 @@ def test_tracer_observes_a_train_step_and_restores_every_attribute():
     # to the node format or to conv2d's arguments must not blind them
     spans = _load_spans()
     originals = [(owner, attr, owner.__dict__[attr]) for _, owner, attr, _ in spans.LAYERS]
-    model = hm.build(tiny_config(), seed=0)
+    # tiny_config's one conv is a lifting conv, which is a tap GEMM; a
+    # second conv per block runs through conv2d
+    config = tiny_config()
+    config["stem"]["convs_per_block"] = 2
+    model = hm.build(config, seed=0)
     x = ct.make_rng(1).random((2, 1, model.input_size, model.input_size)).astype(np.float32)
     tracer = spans.Tracer()
     tracer.install()

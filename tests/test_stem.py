@@ -263,22 +263,122 @@ def test_1x1_connections_of_nonzero_filter_order_contribute_exactly_zero():
     assert np.any(g["p.radial"][~nonzero] != 0)
 
 
-def test_lifting_conv_goes_spectrum_first_at_batch_16(monkeypatch):
-    # one input channel: kernel-first would contract per frequency with
-    # outer products, so the lifting conv (mnist_config's stem.b0.conv0:
-    # 1 -> 8 channels, 5x5) goes spectrum-first at any batch, and agrees
-    # with the kernel-first contraction
+def record_transforms(monkeypatch):
+    """Replace scipy's fft2 and ifft2 by recorders; returns the call list."""
+    from scipy import fft as sfft
+    calls = []
+    for fn in ("fft2", "ifft2"):
+        monkeypatch.setattr(sfft, fn, lambda *a, _fn=fn, **k: calls.append(_fn))
+    return calls
+
+
+def test_lifting_conv_is_a_tap_gemm_at_every_batch(monkeypatch):
+    # one input channel through 13 taps against 24 output maps: the lifting
+    # conv (mnist_config's stem.b0.conv0: 1 -> 8 channels, 5x5) is one GEMM
+    # at any batch, with no transform, and agrees with conv2d in both
+    # contraction orders
     bank = hs.HarmonicFilterBank("lift", (0,), hs.ORDERS, 1, 8, 5, ct.make_rng(26))
-    assert ct._spectrum_first(16, hs.n_radii(5), 1, 8)
+    assert hs._runs_direct(bank)
     leaves = const_leaves(bank.params)
-    x = hs.lift_image(ct.CTensor(ct.make_rng(27).standard_normal((16, 1, 10, 10))))
-    routes, real = [], ct._spectrum_first
-    monkeypatch.setattr(ct, "_spectrum_first", lambda *a: routes.append(real(*a)) or routes[-1])
-    y = hs.harmonic_conv(x, bank, leaves).tensor.data
-    assert routes == [True]
-    monkeypatch.setattr(ct, "_spectrum_first", lambda *a: False)
-    ref = hs.harmonic_conv(x, bank, leaves).tensor.data
-    assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
+    coeffs = bank.kernel_block(leaves)
+    for batch in (1, 4, 16):
+        x = hs.lift_image(ct.CTensor(ct.make_rng(27).standard_normal((batch, 1, 10, 10))))
+        refs = []
+        for spectrum_first in (True, False):
+            monkeypatch.setattr(ct, "_spectrum_first", lambda *a, _s=spectrum_first: _s)
+            refs.append(conv2d_reference(x.tensor, bank, coeffs).data)
+        monkeypatch.undo()
+        calls = record_transforms(monkeypatch)
+        y = hs.harmonic_conv(x, bank, leaves).tensor.data
+        monkeypatch.undo()
+        assert calls == [], batch
+        for ref in refs:
+            assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref)), batch
+
+
+# banks that run as a tap GEMM: (in orders, C_in, C_out, kernel size)
+DIRECT_BANKS = {
+    "lift_5": ((0,), 1, 8, 5),          # mnist_config's stem.b0.conv0
+    "lift_3": ((0,), 1, 2, 3),          # the tests' tiny_config lifting conv
+    "lift_1": ((0,), 2, 3, 1),
+    "full_5": (hs.ORDERS, 1, 13, 5),
+    "full_3": (hs.ORDERS, 2, 10, 3),
+    "full_1": (hs.ORDERS, 3, 4, 1),
+    "narrowing_1": (hs.ORDERS, 5, 2, 1),
+}
+
+
+def direct_bank(name):
+    in_orders, c_in, c_out, k = DIRECT_BANKS[name]
+    return hs.HarmonicFilterBank("d", in_orders, hs.ORDERS, c_in, c_out, k, ct.make_rng(50))
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("name", sorted(DIRECT_BANKS))
+def test_direct_bank_matches_conv2d_without_transforms(monkeypatch, name, batch):
+    bank = direct_bank(name)
+    assert hs._runs_direct(bank)
+    x0 = rand_sfm(ct.make_rng(51), bank.in_orders, batch, bank.c_in, 7, 6).tensor.data
+    params = {"x": x0, **bank.params}
+    target = ct.CTensor(crandn(ct.make_rng(52), batch, 3, bank.c_out, 7, 6))
+
+    def run(conv):
+        tape = ct.GradTape()
+        p = {k: tape.parameter(k, v) for k, v in params.items()}
+        y = conv(p)
+        m = ct.magnitude(ct.sub(y, target))
+        return y.data, ct.backward(tape, ct.sum_(ct.mul(m, m)))
+
+    ref, ref_grads = run(lambda p: conv2d_reference(p["x"], bank, bank.kernel_block(p)))
+    calls = record_transforms(monkeypatch)
+    y, grads = run(lambda p: hs.harmonic_conv(hs.StreamedFeatureMap(p["x"], bank.in_orders),
+                                              bank, p).tensor)
+    assert calls == []
+    for got, want in [(y, ref)] + [(grads[k], ref_grads[k]) for k in params]:
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", ["lift_5", "full_3", "narrowing_1"])
+def test_fd_direct_bank_over_input_radial_and_phase(name):
+    bank = direct_bank(name)
+    rng = ct.make_rng(53)
+    x = rand_sfm(rng, bank.in_orders, 2, bank.c_in, 5, 6).tensor.data
+    target = rand_sfm(rng, hs.ORDERS, 2, bank.c_out, 5, 6).tensor
+
+    def f(p):
+        y = hs.harmonic_conv(hs.StreamedFeatureMap(p["x"], bank.in_orders), bank, p)
+        m = ct.magnitude(ct.sub(y.tensor, target))
+        return ct.sum_(ct.mul(m, m))
+
+    err = ct.finite_difference_check(f, {"x": x, **bank.params}, sample=40)
+    assert err <= 1e-6, err
+
+
+@pytest.mark.parametrize("name", sorted(DIRECT_BANKS))
+def test_direct_bank_of_an_f32_model_outputs_complex128(name):
+    # the GEMM's matrix is complex128, so a complex64 input is widened in it,
+    # as conv2d widens its input before the FFT
+    bank = direct_bank(name)
+    leaves = {k: ct.CTensor(v.astype(np.float32)) for k, v in bank.params.items()}
+    x = rand_sfm(ct.make_rng(54), bank.in_orders, 2, bank.c_in, 5, 6).tensor.data
+    y = hs.harmonic_conv(hs.StreamedFeatureMap(ct.CTensor(x.astype(np.complex64)),
+                                               bank.in_orders), bank, leaves).tensor
+    assert y.data.dtype == np.complex128
+
+
+@pytest.mark.parametrize("config, direct", [
+    ("mnist_config", {"b0.conv0": True, "b0.conv1": False, "b0.proj": True,
+                      "b1.conv0": False, "b1.conv1": False, "b1.proj": True}),
+    ("shallow_config", {"b0.conv0": True, "b0.conv1": False, "b0.conv2": False,
+                        "b0.proj": True})])
+def test_reference_configs_run_small_fan_in_banks_direct(config, direct):
+    # the lifting conv and the 1x1 projections are tap GEMMs; every 5x5 bank
+    # with more than one input map stays on conv2d, whatever the batch
+    import harmnet.model as hm
+    stem = hm.build(getattr(hm, config)(), seed=0).stem
+    banks = [bank for blk in stem.blocks
+             for bank in [b for b, _ in blk["convs"]] + [blk["proj"]]]
+    assert {b.name.removeprefix("stem."): hs._runs_direct(b) for b in banks} == direct
 
 
 @pytest.mark.parametrize("batch", [pytest.param(1, id="spectrum_first"),
