@@ -94,7 +94,7 @@ class GradTape:
         self.nodes = []          # node id -> (parent specs, backward fn)
         self.parameters = {}     # name -> node id
         self.precision = None    # "f32" or "f64" once a parameter is registered
-        self._casts = {}         # id(source) -> (weak ref to source, its cast)
+        self._casts = {}         # source key -> (weak ref to its base, its cast)
 
     def _append(self, parents, backward) -> int:
         self.nodes.append((parents, backward))
@@ -119,21 +119,30 @@ class GradTape:
 
     def keep(self, a: np.ndarray) -> np.ndarray:
         """a at the stored precision, with no copy when it is already there.
-        A source array is cast once per tape, however many nodes keep it:
-        the cast is looked up by the source's id and a weak reference that
-        must still name the source, so the memo never keeps a source alive
-        and a recycled id never matches.  Tape arrays are never written in
-        place, so a cast stays valid while its source lives; `backward`
-        drops the memo so the casts are freed with their nodes."""
+        A source buffer is cast once per tape, however many nodes keep it
+        and through whichever views: the cast is looked up by a's base
+        array, start address and dtype, plus its element count when a is
+        C-contiguous (every reshape of it reads the same elements in the
+        same order, so its cast is reshaped) or else its shape and strides.
+        A weak reference must still name the base, so the memo never keeps
+        a source alive and a recycled id never matches.  Tape arrays are
+        never written in place, so a cast stays valid while its source
+        lives; `backward` drops the memo so the casts are freed with their
+        nodes."""
         dtype = self.stored(a.dtype)
         if a.dtype == dtype:
             return a
-        hit = self._casts.get(id(a))
-        if hit is not None and hit[0]() is a:
-            return hit[1]
+        if not isinstance(a, np.ndarray):   # numpy scalars take no weak reference
+            return a.astype(dtype)
+        base = a.base if isinstance(a.base, np.ndarray) else a
+        flat = a.flags.c_contiguous
+        key = (id(base), a.__array_interface__["data"][0], a.dtype,
+               a.size if flat else (a.shape, a.strides))
+        hit = self._casts.get(key)
+        if hit is not None and hit[0]() is base:
+            return hit[1] if hit[1].shape == a.shape else hit[1].reshape(a.shape)
         cast = a.astype(dtype)
-        if isinstance(a, np.ndarray):   # numpy scalars take no weak reference
-            self._casts[id(a)] = (weakref.ref(a), cast)
+        self._casts[key] = (weakref.ref(base), cast)
         return cast
 
 
@@ -560,6 +569,12 @@ def softmax(a: CTensor, axis: int = -1) -> CTensor:
 # spatial ops
 # ---------------------------------------------------------------------------
 
+# frequencies per block of `_mix`'s contraction (README, "Frequency
+# blocks"); a multiple of 4, the width of OpenBLAS's complex GEMM kernels,
+# so each frequency's sums run as they would in one unblocked GEMM
+FREQ_BLOCK = 512
+
+
 def _fft2(x):
     from scipy import fft as sfft
     return sfft.fft2(x, axes=(-2, -1))
@@ -598,6 +613,14 @@ def _basis_products(xt: np.ndarray, spectra: np.ndarray, ps, ins) -> np.ndarray:
     return z.reshape(-1, z.shape[-2] * z.shape[-1])
 
 
+def _frequency_blocks(f: int) -> list:
+    """Slices of FREQ_BLOCK frequencies that cover range(f).  A last block
+    of one frequency joins the block before it: numpy runs a product with
+    one row or column as a matrix-vector call, which sums in another order."""
+    edges = list(range(0, max(f - 1, 1), FREQ_BLOCK)) + [f]
+    return [slice(s, e) for s, e in zip(edges, edges[1:])]
+
+
 def _mix(xh: np.ndarray, coeffs: np.ndarray, spectra: np.ndarray, slots: np.ndarray,
          spectrum_first: bool) -> np.ndarray:
     """Per-frequency order mixing: out[:, o] = sum over input streams i of
@@ -605,30 +628,45 @@ def _mix(xh: np.ndarray, coeffs: np.ndarray, spectra: np.ndarray, slots: np.ndar
     spectra[p, r] of connection p = slots[o, i] (-1: none).
 
     xh (B, I, Ci, F), coeffs (P, Co, Ci, nr), spectra (P, nr, F), slots
-    (O, I) -> (B, O, Co, F) at the operands' result type.  Kernel-first
-    builds every kernel spectrum in one GEMM: the (F, P*nr) basis spectra
-    times a block-sparse (P*nr, I*Ci*O*Co) matrix that holds each
-    connection's coefficients at its (i, o) block and zeros elsewhere.
+    (O, I) -> (B, O, Co, F), contiguous, at the operands' result type, so
+    the inverse FFT reads unit-stride frequencies.  The frequency axis is
+    walked in blocks of FREQ_BLOCK, each written straight into its slice of
+    the output: no intermediate spans all F frequencies.  Spectrum-first
+    forms a block's input-times-basis products and mixes channels with one
+    GEMM per output stream; kernel-first forms a block's kernel spectra as
+    the block's (f, P*nr) basis spectra times one block-sparse (P*nr,
+    I*Ci*O*Co) matrix that holds each connection's coefficients at its
+    (i, o) block and zeros elsewhere, then contracts channels per
+    frequency.  An output stream with no connection stays exactly zero.
     """
     b, n_in, ci, f = xh.shape
     n, co, _, nr = coeffs.shape
     n_out = slots.shape[0]
+    out = np.zeros((b, n_out, co, f), dtype=np.result_type(xh, coeffs, spectra))
     if spectrum_first:
-        xt = np.ascontiguousarray(xh.transpose(1, 2, 0, 3))            # (I, Ci, B, F)
-        out = np.zeros((n_out, co, b * f), dtype=np.result_type(xh, coeffs, spectra))
+        streams = []
         for o in range(n_out):
             ps, ins = _connections(slots, o)
             if ps.size:
                 c = coeffs[ps].transpose(1, 0, 2, 3).reshape(co, -1)   # (Co, Pj*Ci*nr)
-                out[o] = c @ _basis_products(xt, spectra, ps, ins)
-        return out.reshape(n_out, co, b, f).transpose(2, 0, 1, 3)
+                streams.append((o, ps, ins, c))
+        for blk in _frequency_blocks(f):
+            xt = xh[..., blk].transpose(1, 2, 0, 3)                    # (I, Ci, B, f)
+            for o, ps, ins, c in streams:
+                y = c @ _basis_products(xt, spectra[..., blk], ps, ins)
+                out[:, o, :, blk] = y.reshape(co, b, -1).transpose(1, 0, 2)
+        return out
     ps, os_, is_ = _all_connections(slots)
     blocks = np.zeros((n, nr, n_in, ci, n_out, co), coeffs.dtype)      # block-sparse
     blocks[ps, :, is_, :, os_, :] = coeffs[ps].transpose(0, 3, 2, 1)
-    kf = spectra.reshape(n * nr, f).T @ blocks.reshape(n * nr, -1)      # kernel spectra
+    blocks = blocks.reshape(n * nr, -1)
+    basis = spectra.reshape(n * nr, f).T                                # (F, P*nr)
     xf = xh.reshape(b, n_in * ci, f).transpose(2, 0, 1)                # (F, B, I*Ci)
-    y = np.matmul(xf, kf.reshape(f, n_in * ci, n_out * co))             # (F, B, O*Co)
-    return y.transpose(1, 2, 0).reshape(b, n_out, co, f)
+    for blk in _frequency_blocks(f):
+        kf = (basis[blk] @ blocks).reshape(-1, n_in * ci, n_out * co)  # kernel spectra
+        y = np.matmul(xf[blk], kf)                                      # (f, B, O*Co)
+        out[..., blk] = y.transpose(1, 2, 0).reshape(b, n_out, co, -1)
+    return out
 
 
 def _coeff_adjoint(xh: np.ndarray, gh: np.ndarray, spectra: np.ndarray, slots: np.ndarray,
@@ -637,7 +675,9 @@ def _coeff_adjoint(xh: np.ndarray, gh: np.ndarray, spectra: np.ndarray, slots: n
     batch and frequency of gh[:, o, o'] * conj(xh[:, i, c] * spectra[p, r])
     for each connection p = slots[o, i] -> (P, Co, Ci, nr).  Kernel-first
     mirrors `_mix`: one GEMM of the conjugate basis spectra with the kernel
-    spectra's gradient, from which each connection reads its (i, o) block."""
+    spectra's gradient, from which each connection reads its (i, o) block.
+    Unlike `_mix` it reduces over frequency, so it is not blocked: blocks
+    would split each sum into partial sums and change its rounding."""
     b, n_in, ci, f = xh.shape
     n_out, co = gh.shape[1:3]
     n, nr = spectra.shape[:2]
@@ -675,7 +715,10 @@ def conv2d(x: CTensor, coeffs: CTensor, spectra: np.ndarray, slots: np.ndarray) 
 
     The input is transformed once and the output once; in between, the
     contraction order is chosen from the shapes (`_spectrum_first`), and
-    kernel-first builds its kernel spectra in one GEMM (`_mix`).  Both
+    `_mix` contracts one block of frequencies at a time into a contiguous
+    (B, O, Co, F) spectrum, so the inverse FFT reads unit-stride
+    frequencies.  The input adjoint is a `_mix` too; the coefficient
+    adjoint sums over every frequency and is not blocked.  Both
     adjoints recompute the spectra they need from x and coeffs, so the node
     keeps only those and the basis spectra, each at the tape's precision.
     `stem.harmonic_conv` sends only banks with a large fan-in per output

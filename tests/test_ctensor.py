@@ -8,6 +8,7 @@ unitarity, row-stochasticity) are held to 1e-12.
 """
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -465,6 +466,65 @@ def test_conv2d_untracked_input_gets_no_adjoint(monkeypatch, spectrum_first, bat
     assert untracked["k"].tobytes() == tracked["k"].tobytes()
 
 
+# two input streams and three output streams, the middle one fed by no
+# connection
+BLOCK_SLOTS = np.array([[0, 1], [-1, -1], [2, -1]])
+
+
+def _blocked_conv(monkeypatch, block, batch, h, w):
+    """conv2d's output and both gradients, its contraction walking `block`
+    frequencies at a time (3x3 atoms, 3 per connection, Ci = 2, Co = 4)."""
+    monkeypatch.setattr(ct, "FREQ_BLOCK", block)
+    rng = ct.make_rng(40)
+    x, c = crandn(rng, batch, 2, 2, h, w), crandn(rng, 3, 4, 2, 3)
+    spectra = crandn(rng, 3, 3, h + 2, w + 2)
+    tape = ct.GradTape()
+    y = ct.conv2d(tape.parameter("x", x), tape.parameter("c", c), spectra, BLOCK_SLOTS)
+    grads = ct.backward(tape, l2_to(crandn(rng, batch, 3, 4, h, w))(y))
+    return y.data, grads["x"], grads["c"]
+
+
+@pytest.mark.parametrize("batch", [pytest.param(1, id="spectrum_first"),
+                                   pytest.param(3, id="kernel_first")])
+@pytest.mark.parametrize("h, w", [(9, 11), (3, 27)])   # F = 143 = 11 * 12 + 11, 145 = 12 * 12 + 1
+def test_conv2d_frequency_blocks_match_one_block(monkeypatch, batch, h, w):
+    # blocks of 12 frequencies, which do not divide F (at F = 145 the last
+    # frequency joins the block before it), give the single-block output and
+    # gradients byte for byte.  Only a block that is a multiple of 4, as
+    # FREQ_BLOCK is, keeps every spectrum-first GEMM column's sum as the
+    # one-block GEMM has it; a block of 7 moves a few ulps.
+    assert ct._spectrum_first(batch, 3, 2, 4) == (batch == 1)
+    assert ct.FREQ_BLOCK % 4 == 0
+    whole = _blocked_conv(monkeypatch, (h + 2) * (w + 2), batch, h, w)
+    assert not whole[0][:, 1].any()     # the stream with no connection is exactly 0
+    for got, want in zip(_blocked_conv(monkeypatch, 12, batch, h, w), whole):
+        assert got.tobytes() == want.tobytes()
+    for got, want in zip(_blocked_conv(monkeypatch, 7, batch, h, w), whole):
+        assert np.max(np.abs(got - want)) <= EXACT_TOL * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("spectrum_first", [True, False])
+def test_mix_forms_no_full_size_intermediate(spectrum_first):
+    # at F = 4096 frequencies, what _mix allocates besides its output stays
+    # under half of the (I*Ci*nr, B*F) basis products of one output stream
+    # (spectrum-first) or of the (F, I*Ci*O*Co) kernel spectra
+    # (kernel-first) that an unblocked contraction would form
+    b, n_in, ci, n_out, co, nr, f = 2, 3, 4, 3, 4, 3, 64 * 64
+    rng = ct.make_rng(41)
+    xh, coeffs = crandn(rng, b, n_in, ci, f), crandn(rng, 9, co, ci, nr)
+    spectra, slots = crandn(rng, 9, nr, f), np.arange(9).reshape(n_out, n_in)
+    full = 16 * f * (n_in * ci * nr * b if spectrum_first else n_in * ci * n_out * co)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = ct._mix(xh, coeffs, spectra, slots, spectrum_first)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before - out.nbytes < full / 2
+    assert out.flags.c_contiguous and out.shape == (b, n_out, co, f)
+
+
 def test_mul_untracked_operand_gets_no_adjoint():
     tape = ct.GradTape()
     a = tape.parameter("a", np.array([1.0 + 2.0j, -0.5j]))
@@ -699,6 +759,30 @@ def test_f32_tape_casts_a_source_kept_by_three_nodes_once():
     assert len({id(a) for a in kept}) == 3
     ref = ct.backward(tape, loss)
     assert grads["w"].tobytes() == ref["w"].tobytes()
+
+
+def test_f32_tape_casts_a_source_kept_through_a_view_once():
+    # a source kept as itself and as a reshaped view of it (a block's input,
+    # kept by its conv and by its projection's tap GEMM) is cast once, and
+    # the gradient equals that of two separately cast copies
+    rng = ct.make_rng(39)
+    w0, src = crandn(rng, 2, 3).astype(np.complex64), crandn(rng, 3, 4)
+
+    def run(a, view):
+        tape = ct.GradTape()
+        w = tape.parameter("w", w0)
+        y, y_view = ct.complex_matmul(w, ct.CTensor(a)), ct.complex_matmul(w, ct.CTensor(view))
+        kept = _held_arrays(y) + _held_arrays(y_view)
+        return tape, kept, l2_to(np.zeros((1, 2, 4)))(ct.add(y, y_view))
+
+    tape, kept, loss = run(src, src.reshape(1, 3, 4))
+    assert [a.shape for a in kept] == [(3, 4), (1, 3, 4)]
+    assert kept[0].dtype == np.complex64 and np.shares_memory(kept[0], kept[1])
+    grads = ct.backward(tape, loss)
+    copy = src.copy()
+    tape, kept, loss = run(src, copy.reshape(1, 3, 4))
+    assert not np.shares_memory(kept[0], kept[1])
+    assert grads["w"].tobytes() == ct.backward(tape, loss)["w"].tobytes()
 
 
 def _widening_loss(p):
