@@ -486,7 +486,7 @@ def _blocked_conv(monkeypatch, block, batch, h, w):
 
 @pytest.mark.parametrize("batch", [pytest.param(1, id="spectrum_first"),
                                    pytest.param(3, id="kernel_first")])
-@pytest.mark.parametrize("h, w", [(9, 11), (3, 27)])   # F = 143 = 11 * 12 + 11, 145 = 12 * 12 + 1
+@pytest.mark.parametrize("h, w", [(9, 11), (3, 27)])   # F = 11 * 12 + 11 and 12 * 12 + 1
 def test_conv2d_frequency_blocks_match_one_block(monkeypatch, batch, h, w):
     # blocks of 12 frequencies, which do not divide F (at F = 145 the last
     # frequency joins the block before it), give the single-block output and

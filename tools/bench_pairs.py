@@ -1,7 +1,7 @@
 """Alternating parent/change pairs of perfbench runs, recorded as a BENCH_*.json.
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload serve --seeds 3001-3010 \
-        --out BENCH_03_example.json [--key serve] [--seconds 18] [--trace 0]
+        --out BENCH_03_example.json [--seconds 18] [--trace 0]
 
 PARENT and CHANGE are two checkouts (each with its own `src/` and
 `perfbench/`).  For each seed, `python3 perfbench/run.py` runs once in each
@@ -9,14 +9,16 @@ checkout, one after the other; the side that runs first alternates from pair
 to pair, starting with the parent.  Nothing else runs in between, so keep the
 host otherwise idle.
 
-With --trace 0 the end-to-end metrics of every pair are stored under
-`workloads[KEY]` with a per-metric summary: each side's median and quartiles
-(linear percentiles) and the number of pairs the change won (by the
-`better` direction in CHANGE's BENCHMARK.json; ties count for neither).
-With --trace 1 each pair's per-layer metrics are appended to
-`traces.runs[KEY]`.  An existing --out file is updated, not replaced, so a
-record is built one workload at a time; --change, --claim, --host and
---method set its top-level description.  Standard library only.
+With --trace 0 each pair's end-to-end metrics are appended to
+`workloads[WORKLOAD].pairs`, and its summary is recomputed over all of them:
+per metric, each side's median and quartiles (linear percentiles) and the
+number of pairs the change won (by the `better` direction in CHANGE's
+BENCHMARK.json; ties count for neither).  With --trace 1 each pair's
+per-layer metrics are appended to `traces.runs[WORKLOAD]`.  An existing
+--out file is updated, not replaced, so a record is built one call at a
+time, and the alternation continues from the pairs already recorded.  The
+record's prose (`change`, `claim`, `host`, `method`) is written by hand.
+Standard library only.
 """
 
 import argparse
@@ -53,8 +55,12 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
 
 
 def side_record(run: dict) -> dict:
+    """One side of an end-to-end pair: the host-scaled metrics perfbench
+    reports, and its wall-clock timings, which show when host scaling
+    rather than the program moved a figure."""
     scale = run["detail"]["host_scale"]
-    return {"metrics": run["metrics"], "correct": run["correct"],
+    wall = {k: v["value"] for k, v in run["detail"]["wall_clock"].items()}
+    return {"metrics": run["metrics"], "wall_clock": wall, "correct": run["correct"],
             "failed_checks": run["failed_checks"], "host_scale": [min(scale), max(scale)],
             "latency_samples": run["detail"]["latency_samples"]}
 
@@ -79,7 +85,8 @@ def summarize(pairs: list, better: dict) -> dict:
 
 
 def host_scale(pairs: list, side: str) -> list:
-    return [min(p[side]["host_scale"][0] for p in pairs), max(p[side]["host_scale"][1] for p in pairs)]
+    return [min(p[side]["host_scale"][0] for p in pairs),
+            max(p[side]["host_scale"][1] for p in pairs)]
 
 
 def main(argv=None) -> int:
@@ -89,30 +96,24 @@ def main(argv=None) -> int:
     p.add_argument("--workload", required=True)
     p.add_argument("--seeds", required=True, type=parse_seeds, help="e.g. 3001-3010 or 3001,3004")
     p.add_argument("--out", required=True, type=Path, help="BENCH_*.json to create or update")
-    p.add_argument("--key", help="entry name in the record (default: the workload)")
     p.add_argument("--seconds", type=float, default=18.0)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    for field in ("change", "claim", "host", "method"):
-        p.add_argument(f"--{field}", dest=f"set_{field}", metavar="TEXT",
-                       help=f"set the record's top-level '{field}'"
-                            + (" as WORKLOAD:METRIC" if field == "claim" else ""))
     args = p.parse_args(argv)
     for checkout in (args.parent, args.change):
         if not (checkout / "perfbench" / "run.py").is_file():
             p.error(f"{checkout} has no perfbench/run.py")
-    key = args.key or args.workload
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
-    for field in ("change", "host", "method"):
-        if getattr(args, f"set_{field}") is not None:
-            record[field] = getattr(args, f"set_{field}")
-    if args.set_claim is not None:
-        workload, _, metric = args.set_claim.partition(":")
-        record["claim"] = {"workload": workload, "metric": metric}
     command = COMMAND.format(seconds=args.seconds, trace=args.trace)
-
-    pairs = []
-    for i, seed in enumerate(args.seeds):
-        parent_first = i % 2 == 0
+    if args.trace:
+        traces = record.setdefault("traces", {"command": command, "runs": {}})
+        pairs = traces["runs"].setdefault(args.workload, [])
+    else:
+        record.setdefault("command", command)
+        pairs = record.setdefault("workloads", {}).setdefault(args.workload, {}).setdefault("pairs", [])
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    for seed in args.seeds:
+        parent_first = len(pairs) % 2 == 0
         sides = ("parent", "change") if parent_first else ("change", "parent")
         runs = {side: run_once(getattr(args, side), args.workload, seed, args.seconds, args.trace)
                 for side in sides}
@@ -122,22 +123,17 @@ def main(argv=None) -> int:
             shown = "ctensor.conv2d.ms_per_op"
         else:
             pairs.append({"seed": seed, "parent_first": parent_first,
-                          "change": side_record(runs["change"]), "parent": side_record(runs["parent"])})
+                          "change": side_record(runs["change"]),
+                          "parent": side_record(runs["parent"])})
             shown = "latency_p50_ms"
-        print(f"{key} seed {seed}: {shown} parent {runs['parent']['metrics'][shown]:.1f} "
+        print(f"{args.workload} seed {seed}: {shown} parent {runs['parent']['metrics'][shown]:.1f} "
               f"change {runs['change']['metrics'][shown]:.1f}", file=sys.stderr, flush=True)
-
-    if args.trace:
-        traces = record.setdefault("traces", {"command": command, "runs": {}})
-        traces["runs"].setdefault(key, []).extend(pairs)
-    else:
-        record.setdefault("command", command)
-        spec = json.loads((args.change / "BENCHMARK.json").read_text())
-        better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-        record.setdefault("workloads", {})[key] = {
-            "pairs": pairs, "summary": summarize(pairs, better),
-            "host_scale": {side: host_scale(pairs, side) for side in ("parent", "change")}}
-    args.out.write_text(json.dumps(record, indent=2) + "\n")
+        if not args.trace:
+            record["workloads"][args.workload].update(
+                summary=summarize(pairs, better),
+                host_scale={side: host_scale(pairs, side) for side in ("parent", "change")})
+        # written after every pair, so a run cut short keeps the pairs it made
+        args.out.write_text(json.dumps(record, indent=2) + "\n")
     return 0
 
 
