@@ -171,46 +171,6 @@ class CTensor:
     def __repr__(self):
         return f"CTensor(shape={self.data.shape}, dtype={self.data.dtype}, tracked={self.node is not None})"
 
-    # operator sugar; `other` may be a CTensor, ndarray or scalar
-    def __add__(self, other):
-        return add(self, _as_ct(other))
-
-    def __radd__(self, other):
-        return add(_as_ct(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_ct(other))
-
-    def __rsub__(self, other):
-        return sub(_as_ct(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_ct(other))
-
-    def __rmul__(self, other):
-        return mul(_as_ct(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return complex_matmul(self, _as_ct(other))
-
-
-def _as_ct(x) -> CTensor:
-    if isinstance(x, CTensor):
-        return x
-    return CTensor(np.asarray(x))
-
-
-def constant(array, precision: str = "f64", complex_: bool | None = None) -> CTensor:
-    """Untracked tensor at the given precision."""
-    a = np.asarray(array)
-    real_t, cplx_t = DTYPES[precision]
-    if complex_ is None:
-        complex_ = np.iscomplexobj(a)
-    return CTensor(a.astype(cplx_t if complex_ else real_t))
-
 
 def _tape_of(*tensors) -> GradTape | None:
     tape = None
@@ -244,7 +204,10 @@ def _make(data, parents, backward) -> CTensor:
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Reduce a gradient back to `shape` after numpy broadcasting."""
+    """Reduce a gradient back to `shape` after numpy broadcasting: the
+    leading axes `shape` lacks are summed one at a time, first to last (a
+    weight shared by a (B, O, ...) tensor sums over the batch, then over
+    the orders in ascending order), then the axes it holds at length 1."""
     if g.shape == shape:
         return g
     while g.ndim > len(shape):
@@ -290,10 +253,6 @@ def sub(a: CTensor, b: CTensor) -> CTensor:
     return _make(a.data - b.data, (a, b), lambda g: (g, -g if b_tracked else None))
 
 
-def neg(a: CTensor) -> CTensor:
-    return _make(-a.data, (a,), lambda g: (-g,))
-
-
 def mul(a: CTensor, b: CTensor) -> CTensor:
     """Elementwise product; complex×real scales magnitudes, preserving phase."""
     data = a.data * b.data
@@ -321,10 +280,6 @@ def div(a: CTensor, b: CTensor) -> CTensor:
     return _make(data, (a, b), backward)
 
 
-def conj(a: CTensor) -> CTensor:
-    return _make(np.conj(a.data), (a,), lambda g: (np.conj(g),))
-
-
 def complex_matmul(a: CTensor, b: CTensor) -> CTensor:
     """Matrix product; batch dims broadcast.  Works for real operands too."""
     if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
@@ -345,18 +300,6 @@ def conj_transpose(a: CTensor) -> CTensor:
         raise ShapeError("conj_transpose expects rank >= 2")
     data = np.conj(a.data).swapaxes(-1, -2)
     return _make(data, (a,), lambda g: (np.conj(g).swapaxes(-1, -2),))
-
-
-def expand(a: CTensor, axis: int, n: int) -> CTensor:
-    """Repeat `a` n times along a new axis (a read-only broadcast view).
-
-    The n gradients arrive in a's dtype and are summed last copy first: the
-    rounding and order the tape gives n separate uses of `a`, so one tensor
-    shared across n slices has bit-identical gradients to n separate uses.
-    """
-    data = np.expand_dims(a.data, axis)
-    data = np.broadcast_to(data, data.shape[:axis] + (n,) + data.shape[axis + 1:])
-    return _make(data, (a,), lambda g: (np.flip(g, axis).sum(axis=axis),))
 
 
 def transpose(a: CTensor, axes: tuple) -> CTensor:
@@ -461,16 +404,10 @@ def polar_unit(theta: CTensor) -> CTensor:
 
 
 def astype(a: CTensor, dtype) -> CTensor:
-    """a cast to another precision of its kind (real or complex); the
-    gradient returns in a's gradient dtype."""
+    """a cast to `dtype`: another precision of its kind, or real to complex
+    (zero imaginary part).  The gradient returns in a's gradient dtype, so a
+    real operand keeps the real part of a complex gradient."""
     return _make(a.data.astype(dtype, copy=False), (a,), lambda g: (g,))
-
-
-def as_complex(a: CTensor) -> CTensor:
-    """Promote a real tensor to complex with zero imaginary part."""
-    _require_real(a, "as_complex")
-    cplx = DTYPES["f64" if a.data.dtype == np.float64 else "f32"][1]
-    return _make(a.data.astype(cplx), (a,), lambda g: (g,))
 
 
 # ---------------------------------------------------------------------------
@@ -555,14 +492,6 @@ def magnitude_map(z: CTensor, params, forward, backward) -> CTensor:
         return (gz, *g_params)
 
     return _make(data, (z,) + params, back)
-
-
-def softmax(a: CTensor, axis: int = -1) -> CTensor:
-    """Real softmax; the max shift is detached, which is exact for softmax."""
-    _require_real(a, "softmax")
-    shift = CTensor(np.max(a.data, axis=axis, keepdims=True))
-    e = exp(sub(a, shift))
-    return div(e, sum_(e, axis=axis, keepdims=True))
 
 
 # ---------------------------------------------------------------------------

@@ -77,14 +77,16 @@ def stack_add(a: PatchStack, b: PatchStack) -> PatchStack:
 
 
 def equi_linear(p: PatchStack, w: ct.CTensor) -> PatchStack:
-    """One shared weight matrix applied independently to every order stream.
+    """One shared weight matrix applied independently to every order stream:
+    the 2-D weight broadcasts over the batch and order axes, and the reverse
+    sweep sums its gradient over them.
 
     No additive bias: a constant bias on a nonzero-order stream would break
     the phase law (biases live in the magnitude activations instead).
     """
     if w.shape[0] != p.d:
         raise ShapeError(f"weight rows {w.shape[0]} != patch dim {p.d}")
-    return p.with_tensor(ct.complex_matmul(p.tensor, ct.expand(w, 0, len(p.orders))))
+    return p.with_tensor(ct.complex_matmul(p.tensor, w))
 
 
 def he_layer_norm(p: PatchStack, eps: float = EPS, mode: str = "std") -> PatchStack:
@@ -104,18 +106,16 @@ def he_layer_norm(p: PatchStack, eps: float = EPS, mode: str = "std") -> PatchSt
 
 def magnitude_softmax(s: ct.CTensor, rpe_bias: ct.CTensor | None = None,
                       keep_phase: bool = True) -> ct.CTensor:
-    """Row softmax over |s| + bias; phases pass through untouched (one
-    phase-keeping tape node) or are dropped when keep_phase is false.  Row
-    magnitude sums are exactly 1.  The bias broadcasts against the trailing
-    axes of s."""
+    """Row softmax over |s| + bias as new magnitudes, one phase-keeping tape
+    node.  With keep_phase false the phases are dropped first: s becomes
+    the complex tensor |s|, whose phase is 0, so the result is the real
+    softmax of |s| + bias held as complex.  Row magnitude sums are 1.  The
+    bias broadcasts against the trailing axes of s."""
     if rpe_bias is not None and rpe_bias.shape != s.shape[s.data.ndim - rpe_bias.data.ndim:]:
         raise ShapeError(f"rpe bias shape {rpe_bias.shape} does not end attention {s.shape}")
     bias = () if rpe_bias is None else (rpe_bias,)
     if not keep_phase:
-        mag = ct.magnitude(s)
-        if bias:
-            mag = ct.add(mag, rpe_bias)
-        return ct.as_complex(ct.softmax(mag, axis=-1))
+        s = ct.astype(ct.magnitude(s), s.data.dtype)
 
     def forward(mag, *rpe):
         x = mag + rpe[0] if rpe else mag
@@ -241,7 +241,8 @@ def msa_forward(p: PatchStack, leaves: dict, name: str, heads: int,
 # ---------------------------------------------------------------------------
 
 def crelu_ab(p: PatchStack, a: ct.CTensor, b: ct.CTensor) -> PatchStack:
-    """ReLU(a|z| + b) e^{i theta} with learnable per-channel a, b."""
+    """ReLU(a|z| + b) e^{i theta} with learnable per-channel a, b (d,),
+    shared by every order: they broadcast over the (B, O, n, d) tensor."""
     def forward(mag, a, b):
         r = mag * a + b
         return np.maximum(r, 0, out=r), (mag, a)
@@ -251,7 +252,6 @@ def crelu_ab(p: PatchStack, a: ct.CTensor, b: ct.CTensor) -> PatchStack:
         gy = gr * (r > 0)
         return gy * a, gy * mag, gy
 
-    a, b = (ct.expand(ct.reshape(v, (1, v.shape[0])), 0, len(p.orders)) for v in (a, b))
     return p.with_tensor(ct.magnitude_map(p.tensor, (a, b), forward, backward))
 
 

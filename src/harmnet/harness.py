@@ -219,15 +219,20 @@ def verify_all_lemmas(seed: int = 0, precision: str = "f64",
                  x, lambda a, q: rotate_orders(a, in_orders, q),
                  threshold=TOLERANCES["grid_conv"])
 
-    # Lemma 2: residual addition preserves the per-order law
+    # Lemma 2: residual addition (hs.residual_add) preserves the per-order law
     rng = ct.derive_rng(seed, "lemma2")
     a = _draw(rng, (1, 2, 6, 6))
     b = _draw(rng, (1, 2, 6, 6))
+
+    def residual(x, y):
+        maps = (hs.StreamedFeatureMap(ct.CTensor(v), hs.ORDERS) for v in (x, y))
+        return hs.residual_add(*maps).tensor.data
+
+    base = residual(a, b)
     for q in quarters:
-        ra, rb = rotate_orders(a, hs.ORDERS, q), rotate_orders(b, hs.ORDERS, q)
+        got = residual(rotate_orders(a, hs.ORDERS, q), rotate_orders(b, hs.ORDERS, q))
         for i, m in enumerate(hs.ORDERS):
-            err = _rel(ra[:, i] + rb[:, i],
-                       np.exp(1j * m * q * np.pi / 2) * rot90_grid(a[:, i] + b[:, i], q))
+            err = _rel(got[:, i], np.exp(1j * m * q * np.pi / 2) * rot90_grid(base[:, i], q))
             entries.append(_entry("lemma2_residual", m, 90 * q, err,
                                   TOLERANCES["grid_lemma"]))
 
@@ -490,7 +495,7 @@ def cost_report(config: dict, measure: bool = True, seed: int = 0) -> dict:
     proj = n_orders * n_patches * d * (4 * en["heads"] * en["patch_dim"]
                                        + 2 * en["mlp_ratio"] * d)
     encoder_macs = en["blocks"] * (attn + proj)
-    head_macs = 3 * d * cfg["head"]["classes"]
+    head_macs = n_orders * d * cfg["head"]["classes"]
     report = {
         "config_hash": hm.config_hash(cfg),
         "input_size": size,

@@ -12,6 +12,7 @@ import numpy as np
 import harmnet.ctensor as ct
 from harmnet.encoder import PatchStack
 from harmnet.errors import ShapeError
+from harmnet.stem import ORDERS
 
 
 def invariant_readout(p: PatchStack) -> ct.CTensor:
@@ -37,7 +38,7 @@ class Head:
         self.name = name
         self.d = d
         self.classes = classes
-        feat = 3 * d
+        feat = len(ORDERS) * d   # one magnitude mean per order and channel
         scale = 1.0 / np.sqrt(feat)
         self.params = {
             f"{name}.w": rng.uniform(-scale, scale, size=(feat, classes)),

@@ -83,7 +83,8 @@ class StreamedFeatureMap(OrderStack):
 def lift_image(img: ct.CTensor) -> StreamedFeatureMap:
     """Wrap a real image batch (B, C, H, W) as a pure order-0 stream."""
     b, c, h, w = img.shape
-    return StreamedFeatureMap(ct.reshape(ct.as_complex(img), (b, 1, c, h, w)), (0,))
+    cplx = ct.DTYPES["f64" if img.data.dtype == np.float64 else "f32"][1]
+    return StreamedFeatureMap(ct.reshape(ct.astype(img, cplx), (b, 1, c, h, w)), (0,))
 
 
 def embed_orders(x: StreamedFeatureMap) -> StreamedFeatureMap:
@@ -340,18 +341,14 @@ class HBatchNormState:
         self.buffers = {f"{name}.mean": np.zeros(shape), f"{name}.var": np.ones(shape)}
 
 
-def _channel_vector(v: ct.CTensor, x: StreamedFeatureMap) -> ct.CTensor:
-    """Per-channel parameter (C,) shared by every order of x, shaped
-    (1, O, C, 1, 1) to broadcast over its (B, O, C, H, W) tensor."""
-    return ct.expand(ct.reshape(v, (1, v.shape[0], 1, 1)), 1, len(x.orders))
-
-
 def _affine_norm(x: StreamedFeatureMap, state: HBatchNormState, leaves: dict,
                  train: bool, relu: bool) -> StreamedFeatureMap:
     """New magnitudes a * (|X| - mu)/sqrt(var + eps) + b per (order, channel),
     through ReLU when `relu`, as one phase-keeping tape node.  Train mode
     pools magnitudes over batch and space and updates the running buffers;
-    eval mode reads the buffers."""
+    eval mode reads the buffers.  a and b (C,) are shared by every order:
+    they broadcast as (C, 1, 1), and the reverse sweep sums their gradients
+    over the batch, the orders and space."""
     if x.shape[2] != state.channels:
         raise ShapeError(f"channel mismatch: input {x.shape[2]}, norm {state.channels}")
     if x.orders != state.orders:
@@ -388,7 +385,7 @@ def _affine_norm(x: StreamedFeatureMap, state: HBatchNormState, leaves: dict,
             gn -= norm * pull
         return np.divide(gn, s, out=gn), gy * norm, gy
 
-    params = (_channel_vector(leaves[f"{name}.a"], x), _channel_vector(leaves[f"{name}.b"], x))
+    params = tuple(ct.reshape(leaves[f"{name}.{p}"], (-1, 1, 1)) for p in "ab")
     return x.with_tensor(ct.magnitude_map(x.tensor, params, forward, backward))
 
 
@@ -448,7 +445,8 @@ def layer_norm_streams(x: StreamedFeatureMap, eps: float = EPS) -> StreamedFeatu
 
 
 def legacy_crelu(x: StreamedFeatureMap, bias: ct.CTensor) -> StreamedFeatureMap:
-    """Original C-ReLU: ReLU(|X| + b) e^{i theta} with a per-channel bias."""
+    """Original C-ReLU: ReLU(|X| + b) e^{i theta} with a per-channel bias
+    (C,), shared by every order: it broadcasts as (C, 1, 1)."""
     def forward(mag, b):
         r = mag + b
         return np.maximum(r, 0, out=r), ()
@@ -457,7 +455,7 @@ def legacy_crelu(x: StreamedFeatureMap, bias: ct.CTensor) -> StreamedFeatureMap:
         gy = gr * (r > 0)
         return gy, gy
 
-    return x.with_tensor(ct.magnitude_map(x.tensor, (_channel_vector(bias, x),),
+    return x.with_tensor(ct.magnitude_map(x.tensor, (ct.reshape(bias, (-1, 1, 1)),),
                                           forward, backward))
 
 

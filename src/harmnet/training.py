@@ -97,8 +97,9 @@ def cross_entropy(logits: ct.CTensor, labels: np.ndarray,
     logp = ct.sub(z, lse)
     target = np.full((b, c), smoothing / c, dtype=logits.data.dtype)
     target[np.arange(b), labels] += 1.0 - smoothing
-    nll = ct.neg(ct.sum_(ct.mul(ct.CTensor(target), logp)))
-    return ct.div(nll, ct.CTensor(np.asarray(b, logits.data.dtype)))
+    # the mean negative log-likelihood: dividing by -B negates exactly
+    total = ct.sum_(ct.mul(ct.CTensor(target), logp))
+    return ct.div(total, ct.CTensor(np.asarray(-b, logits.data.dtype)))
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,17 @@ def test_config_file_invalid_json(tmp_path):
     assert cli.main(["cost", "--no-measure", "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize("raw, message", [
+    ([1, 2], "top level must be an object"),
+    ({"stem": 3}, "section 'stem' must be an object"),
+], ids=["top_level", "section"])
+def test_config_file_non_object_exits_2(tmp_path, capsys, raw, message):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["cost", "--no-measure", "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # exit-code contract
 # ---------------------------------------------------------------------------
@@ -385,6 +396,15 @@ def test_ablate_unknown_axis_exits_2(workdir, capsys):
                    "--grid", "flavor"])
     assert rc == 2
     assert "flavor" in capsys.readouterr().err
+
+
+def test_ablate_empty_grid_exits_2(workdir, tmp_path, capsys):
+    out = tmp_path / "ab"
+    rc = cli.main(["ablate", "--config", str(workdir.config), "--data-root",
+                   str(workdir.data), "--out", str(out), "--grid", ","])
+    assert rc == 2
+    assert "at least one axis" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cost_table_and_json(workdir, tmp_path, capsys):

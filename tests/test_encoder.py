@@ -319,9 +319,9 @@ def special_scores(seed):
     return x, special
 
 
-def softmax_layer(bias):
+def softmax_layer(bias, keep_phase=True):
     def run(z, leaves):
-        return enc.magnitude_softmax(z, leaves["bias"] if bias else None)
+        return enc.magnitude_softmax(z, leaves["bias"] if bias else None, keep_phase)
     return run, ({"bias": ct.make_rng(60).standard_normal((2, 4, 4))} if bias else {})
 
 
@@ -334,6 +334,8 @@ def stack_layer(fn, **params):
 FUSED_ENCODER_LAYERS = {
     "magnitude_softmax": lambda: softmax_layer(False),
     "magnitude_softmax_rpe": lambda: softmax_layer(True),
+    "magnitude_softmax_phase_free": lambda: softmax_layer(False, keep_phase=False),
+    "magnitude_softmax_phase_free_rpe": lambda: softmax_layer(True, keep_phase=False),
     "crelu_ab": lambda: stack_layer(lambda p, lv: enc.crelu_ab(p, lv["a"], lv["b"]),
                                     a=np.array([1.2, -0.7, 0.9, 0.5]),
                                     b=np.array([-0.3, 0.4, 0.1, -0.6])),

@@ -187,8 +187,10 @@ def test_order_axis_rejects_bad_layouts():
 
 
 def test_shared_parameter_gradients_match_separate_uses():
-    # one weight applied to a stacked order axis has bit-identical gradients
-    # to the same weight applied to each order separately
+    # one weight broadcast over a stacked order axis has bit-identical
+    # gradients to the same weight applied to each order separately, with
+    # the uses recorded last order first: the reverse sweep then sums their
+    # gradients in ascending order, as it sums a broadcast operand's
     rng = ct.make_rng(6)
     x = crandn(rng, 2, 3, 5, 4).astype(np.complex64)
     w = crandn(rng, 4, 3).astype(np.complex64)
@@ -201,7 +203,7 @@ def test_shared_parameter_gradients_match_separate_uses():
     tape = ct.GradTape()
     leaf = tape.parameter("w", w)
     total = None
-    for i in range(3):
+    for i in reversed(range(3)):
         term = loss(ct.complex_matmul(ct.CTensor(x[:, i]), leaf), t[:, i])
         total = term if total is None else ct.add(total, term)
     separate = ct.backward(tape, total)["w"]
@@ -218,12 +220,13 @@ def magnitude_softmax(tape, orders):
     return lambda: enc.magnitude_softmax(s)
 
 
-# nodes each magnitude layer records: one magnitude_map, after a reshape and
-# an expand per shared parameter, or after the complex centering of the layer
-# norms (a tape-composed real path recorded 6 to 17)
+# nodes each magnitude layer records: one magnitude_map, after a (C, 1, 1)
+# reshape per shared stem parameter (crelu_ab's (d,) parameters broadcast as
+# they are), or after the complex centering of the layer norms (a
+# tape-composed real path recorded 6 to 17)
 MAGNITUDE_LAYER_NODES = {
-    "hbn_crelu_train": 5, "hbn_crelu_eval": 5, "legacy_cbn_train": 5,
-    "legacy_cbn_eval": 5, "legacy_crelu": 3, "crelu_ab": 5, "magnitude_softmax": 1,
+    "hbn_crelu_train": 3, "hbn_crelu_eval": 3, "legacy_cbn_train": 3,
+    "legacy_cbn_eval": 3, "legacy_crelu": 2, "crelu_ab": 1, "magnitude_softmax": 1,
     "layer_norm_streams": 3, "he_layer_norm_std": 3, "he_layer_norm_rms": 3,
 }
 

@@ -830,6 +830,26 @@ def test_stem_gradients_match_finite_differences():
     assert err < 1e-4
 
 
+def test_stem_dropout_drops_channels_in_train_mode_only():
+    # one block, so the dropout mask is visible in the output: whole
+    # channels zeroed for every order, the rest scaled by 1 / (1 - p)
+    rng = ct.make_rng(37)
+    stem = hs.Stem("stem", 1, [4], convs_per_block=1, kernel_size=3, dropout=[0.5], rng=rng)
+    leaves = const_leaves(stem.params)
+    img = ct.CTensor(rng.standard_normal((3, 1, 8, 8)))
+    dropped = stem.forward(img, leaves, train=True, rng=ct.make_rng(7))
+    stem.blocks[0]["dropout"] = 0.0
+    kept = stem.forward(img, leaves, train=True)
+    want = hs.channel_dropout(kept, 0.5, ct.make_rng(7), train=True)
+    assert np.array_equal(dropped.tensor.data, want.tensor.data)
+    assert not np.array_equal(dropped.tensor.data, kept.tensor.data)
+    stem.blocks[0]["dropout"] = 0.5
+    with pytest.raises(ConfigError, match="requires an rng"):
+        stem.forward(img, leaves, train=True)
+    evaluated = stem.forward(img, leaves, train=False)   # eval mode needs no rng
+    assert evaluated.shape == kept.shape
+
+
 def test_stem_legacy_variant_runs():
     rng = ct.make_rng(34)
     stem = hs.Stem("stem", 1, [2], convs_per_block=1, kernel_size=3, dropout=[0],

@@ -298,6 +298,14 @@ def test_held_out_sets_chunk_at_the_batch_size(monkeypatch):
     assert evals == [2, 2, 1] * 3
 
 
+def test_train_cosine_schedule_sets_each_epochs_lr():
+    model = hm.build(tiny_config(), seed=0)
+    tcfg = quick_tconfig(epochs=3, scheduler="cosine", learning_rate=2e-3)
+    metrics = tr.train(model, toy_splits(n_train=8, n_eval=3), tcfg)
+    assert metrics["lr"] == [tr.cosine_lr(2e-3, epoch, 3) for epoch in range(3)]
+    assert metrics["lr"][0] == 2e-3 and metrics["lr"][1] < 2e-3
+
+
 def test_train_zero_lr_leaves_parameters_unchanged():
     model = hm.build(tiny_config(), seed=1)
     before = {k: v.copy() for k, v in model.params.items()}
