@@ -87,13 +87,14 @@ def _merge_file(cfg: dict, path):
 def env_overrides(environ) -> list:
     """(dotted key, value) pairs from HARM_SECTION_KEY variables.
 
-    HARM_DATA_ROOT is the dataset root, not a config override.  Any other
-    HARM_ variable that does not name a config key is rejected like a bad
-    --override, so typos fail loudly.
+    HARM_DATA_ROOT (the dataset root) and HARM_FULL_ACCEPTANCE (the slow
+    test gate) are not config overrides.  Any other HARM_ variable that
+    does not name a config key is rejected like a bad --override, so typos
+    fail loudly.
     """
     out = []
     for name in sorted(environ):
-        if not name.startswith("HARM_") or name == "HARM_DATA_ROOT":
+        if not name.startswith("HARM_") or name in ("HARM_DATA_ROOT", "HARM_FULL_ACCEPTANCE"):
             continue
         section, _, key = name[len("HARM_"):].lower().partition("_")
         out.append((f"{section}.{key}", parse_value(environ[name])))
@@ -238,6 +239,10 @@ def cmd_verify(args, environ, argv) -> int:
                                   config=model_cfg, model=model)
     if args.angles:
         keep = _parse_angles(args.angles)
+        run = {e["angle_deg"] for e in report["entries"]}
+        if not keep <= run:
+            raise ConfigError(f"--angles selects no check at {sorted(keep - run)}; the suite "
+                              f"runs at {', '.join(map(str, sorted(run - {0.0})))} degrees")
         report["entries"] = [e for e in report["entries"]
                              if e["angle_deg"] in keep or e["angle_deg"] == 0.0]
         report["angles_filter"] = sorted(keep)
@@ -347,7 +352,10 @@ def cmd_cost(args, environ, argv) -> int:
             ("total", report["total_macs"])]
     width = max(len(n) for n, _ in rows)
     print(f"input {report['input_size']}x{report['input_size']}, "
-          f"{report['patches']} patches")
+          f"{report['patches']} patches; stem banks at batch 1:")
+    for b in report["stem_banks"]:
+        print(f"{b['name']:<{width}}  {b['size']:>3}x{b['size']:<3}  {b['route']:<14}  "
+              f"{b['macs']:>14,} MACs  {b['fft_points']:>9,} FFT points")
     for name, macs in rows:
         print(f"{name:<{width}}  {macs:>14,} MACs")
     if args.measure:
@@ -436,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_ablate, out_required=True)
 
     p = sub.add_parser("cost", parents=[common],
-                       help="analytic MAC counts and measured forward time")
+                       help="multiply-adds of what runs at batch 1 and measured forward time")
     p.add_argument("--no-measure", dest="measure", action="store_false",
                    help="skip the timed forward pass")
     p.set_defaults(fn=cmd_cost, measure=True)

@@ -514,15 +514,6 @@ def _ifft2(x):
     return sfft.ifft2(x, axes=(-2, -1))
 
 
-def _spectrum_first(batch: int, n_radii: int, c_in: int, c_out: int) -> bool:
-    """Contraction order of one harmonic conv: spectrum-first multiplies the
-    input spectrum by the basis spectra and mixes channels with one GEMM per
-    output stream, which pays n_radii products per input element and batch
-    item; kernel-first builds the kernel spectra once and contracts per
-    frequency, which pays for small matrices (outer products at C_in = 1)."""
-    return c_in == 1 or n_radii * batch <= 2 * c_out
-
-
 def _connections(slots: np.ndarray, o: int):
     """Connection and input-stream indices feeding output stream o."""
     ins = np.flatnonzero(slots[o] >= 0)
@@ -630,7 +621,8 @@ def _coeff_adjoint(xh: np.ndarray, gh: np.ndarray, spectra: np.ndarray, slots: n
     return out
 
 
-def conv2d(x: CTensor, coeffs: CTensor, spectra: np.ndarray, slots: np.ndarray) -> CTensor:
+def conv2d(x: CTensor, coeffs: CTensor, spectra: np.ndarray, slots: np.ndarray,
+           order: str) -> CTensor:
     """Order-mixing convolution as a linear map of filter coefficients.
 
     x: (B, I, Ci, H, W) input streams; coeffs: (P, Co, Ci, nr), the weights
@@ -642,17 +634,14 @@ def conv2d(x: CTensor, coeffs: CTensor, spectra: np.ndarray, slots: np.ndarray) 
     kh // 2, stride 1) with the kernel of connection slots[o, i], as one
     (B, O, Co, H, W) tensor.
 
-    The input is transformed once and the output once; in between, the
-    contraction order is chosen from the shapes (`_spectrum_first`), and
-    `_mix` contracts one block of frequencies at a time into a contiguous
-    (B, O, Co, F) spectrum, so the inverse FFT reads unit-stride
-    frequencies.  The input adjoint is a `_mix` too; the coefficient
-    adjoint sums over every frequency and is not blocked.  Both
+    The input is transformed once and the output once; in between, `_mix`
+    contracts in the given `order`, "spectrum_first" or "kernel_first"
+    (`stem.conv_plan` chooses it), one block of frequencies at a time into
+    a contiguous (B, O, Co, F) spectrum, so the inverse FFT reads
+    unit-stride frequencies.  The input adjoint is a `_mix` too; the
+    coefficient adjoint sums over every frequency and is not blocked.  Both
     adjoints recompute the spectra they need from x and coeffs, so the node
     keeps only those and the basis spectra, each at the tape's precision.
-    `stem.harmonic_conv` sends only banks with a large fan-in per output
-    pixel here; a small one (a lifting conv, a 1x1 bank) is a GEMM over the
-    input's taps (`shifted_taps`), which pays no transform.
     """
     if x.data.ndim != 5 or coeffs.data.ndim != 4 or spectra.ndim != 4 or slots.ndim != 2:
         raise ShapeError("conv2d expects (B,I,Ci,H,W) input, (P,Co,Ci,nr) coefficients, "
@@ -666,7 +655,9 @@ def conv2d(x: CTensor, coeffs: CTensor, spectra: np.ndarray, slots: np.ndarray) 
     ph, pw = hp - h, wp - w
     if ph < 0 or pw < 0 or ph % 2 or pw % 2:
         raise ShapeError(f"conv2d: spectra {hp}x{wp} do not pad a {h}x{w} input to an odd kernel")
-    spectrum_first = _spectrum_first(b, nr, ci, co)
+    if order not in ("spectrum_first", "kernel_first"):
+        raise ContractError(f"conv2d: unknown contraction order {order!r}")
+    spectrum_first = order == "spectrum_first"
     basis = spectra.reshape(n, nr, hp * wp)
     pad = ((0, 0),) * 3 + ((ph // 2, ph // 2), (pw // 2, pw // 2))
 

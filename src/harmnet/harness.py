@@ -430,9 +430,9 @@ def stability_sweep(model: hm.Model, dataset, angle_step: int = 15,
     if angle_step <= 0 or 360 % angle_step:
         raise ConfigError(f"angle_step must be a positive divisor of 360, got {angle_step}")
     _check_batch(batch)
-    images, labels = dataset.images, dataset.labels
-    if limit is not None:
-        images, labels = images[:limit], labels[:limit]
+    if limit is not None and limit < 1:
+        raise ConfigError(f"limit must be at least 1, got {limit}")
+    images, labels = dataset.images[:limit], dataset.labels[:limit]
     inp = model.config["input"]
     angles, accuracy = [], []
     for angle in range(0, 360, angle_step):
@@ -465,32 +465,27 @@ def curve_csv(curve: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def cost_report(config: dict, measure: bool = True, seed: int = 0) -> dict:
-    """Analytic complex multiply-add counts per stage plus (optionally) the
-    measured wall time of one batch-1 forward pass, after an untimed one.
+    """Complex multiply-add counts per stage plus (optionally) the measured
+    wall time of one batch-1 forward pass, after an untimed one.
 
-    Convolution at spatial size N with kernel size n over |o| stream orders
-    costs N^2 * n^2 * |o|^2 * c_in * c_out; self-attention over N^2 patches
-    of width d costs o * (N^2)^2 * d for the attention matrices plus
-    o * N^2 * d^2 for the projections, per block.
+    The stem counts what runs at batch 1: `stem_banks` holds each bank's
+    `hs.conv_plan`, and `stem_macs` sums their multiply-adds.  Self-attention
+    over N^2 patches of width d costs o * (N^2)^2 * d for the attention
+    matrices plus o * N^2 * d^2 for the projections, per block.
     """
     cfg = hm.validate_config(config)
-    st, en, inp = cfg["stem"], cfg["encoder"], cfg["input"]
+    en, inp = cfg["encoder"], cfg["input"]
     size = hm.input_size(inp)
     n_orders = len(hs.ORDERS)
-    k2 = st["kernel_size"] ** 2
-    stem_macs = 0
-    c_prev, o_prev, s = inp["channels"], 1, size
-    for c in st["channels"]:
-        c_in, o_in = c_prev, o_prev
-        for _ in range(st["convs_per_block"]):
-            stem_macs += s * s * k2 * o_in * n_orders * c_in * c
-            c_in, o_in = c, n_orders
-        if c_prev != c or o_prev != n_orders:
-            stem_macs += s * s * o_prev * c_prev * c      # 1x1 skip projection
-        s //= 2
-        c_prev, o_prev = c, n_orders
-    n_patches = s * s
-    d = c_prev if st["blocks"] else inp["channels"]
+    model = hm.build(cfg, seed)
+    banks = []
+    for i, blk in enumerate(model.stem.blocks):
+        s = size >> i
+        banks += [{"name": bank.name, "size": s, **hs.conv_plan(bank, 1, s, s)}
+                  for bank in [c for c, _ in blk["convs"]] + [blk["proj"]] if bank is not None]
+    stem_macs = sum(b["macs"] for b in banks)
+    n_patches = model.grid_shape[0] * model.grid_shape[1]
+    d = model.d
     attn = n_orders * n_patches ** 2 * en["heads"] * en["patch_dim"]
     proj = n_orders * n_patches * d * (4 * en["heads"] * en["patch_dim"]
                                        + 2 * en["mlp_ratio"] * d)
@@ -500,7 +495,8 @@ def cost_report(config: dict, measure: bool = True, seed: int = 0) -> dict:
         "config_hash": hm.config_hash(cfg),
         "input_size": size,
         "patches": n_patches,
-        "stem_macs": int(stem_macs),
+        "stem_banks": banks,
+        "stem_macs": stem_macs,
         "encoder_attention_macs": int(en["blocks"] * attn),
         "encoder_projection_macs": int(en["blocks"] * proj),
         "encoder_macs": int(encoder_macs),
@@ -508,7 +504,6 @@ def cost_report(config: dict, measure: bool = True, seed: int = 0) -> dict:
         "total_macs": int(stem_macs + encoder_macs + head_macs),
     }
     if measure:
-        model = hm.build(cfg, seed)
         x = ct.derive_rng(seed, "cost").random(
             (1, inp["channels"], size, size))
         # untimed: the first forward also imports scipy.fft and fills the

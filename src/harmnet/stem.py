@@ -241,23 +241,23 @@ def harmonic_conv(x: StreamedFeatureMap, bank: HarmonicFilterBank,
     """Order-mixing convolution: out_m = sum over m1+m2=m of in_{m1} * W_{m2}.
 
     Each kernel W is the bank's coefficients over the basis atoms of its
-    filter order, and is never synthesized.  A bank with a small fan-in per
-    output pixel (`_runs_direct`: the lifting conv and the 1x1 residual
-    projections) is one GEMM over its atoms' nonzero taps (`_tap_gemm`);
-    any other runs through `ct.conv2d` against the atoms' cached spectra.
+    filter order, and is never synthesized.  `conv_plan` picks the route:
+    one GEMM over the atoms' nonzero taps (`_tap_gemm`), or `ct.conv2d`
+    against the atoms' cached spectra in the plan's contraction order.
     Convolution convention is cross-correlation (no kernel flip).
     """
     if x.orders != bank.in_orders:
         raise ShapeError(f"input orders {x.orders} != bank orders {bank.in_orders}")
-    h, w = x.shape[3:]
+    b, h, w = x.shape[0], *x.shape[3:]
     if x.shape[2] != bank.c_in:
         raise ShapeError(f"channel mismatch: input {x.shape[2]}, bank {bank.c_in}")
     coeffs = bank.kernel_block(leaves)
-    if _runs_direct(bank):
+    route = conv_plan(bank, b, h, w)["route"]
+    if route == "direct":
         return StreamedFeatureMap(_tap_gemm(x.tensor, bank, coeffs), bank.out_orders)
     hp, wp = h + bank.k - 1, w + bank.k - 1
     spectra = np.stack([basis_spectra(bank.k, m_f, hp, wp) for _, m_f in bank.connections])
-    return StreamedFeatureMap(ct.conv2d(x.tensor, coeffs, spectra, bank.slots), bank.out_orders)
+    return StreamedFeatureMap(ct.conv2d(x.tensor, coeffs, spectra, bank.slots, route), bank.out_orders)
 
 
 @lru_cache(maxsize=None)
@@ -270,22 +270,26 @@ def _taps(k: int) -> tuple:
                  for i in np.flatnonzero(_radial_basis(k).any(axis=1)))
 
 
-def _runs_direct(bank: HarmonicFilterBank) -> bool:
-    """Whether `harmonic_conv` runs a bank as one tap GEMM, from its shape
-    alone: with fan-in I*Ci and fan-out O*Co per pixel and T taps, the GEMM
-    does T*(I*Ci)*(O*Co) multiply-adds per pixel where the FFT path pays
-    transforms of I*Ci + O*Co maps, so it goes direct iff T * min(fan-in,
-    fan-out) <= max(fan-in, fan-out).  Any 1x1 bank goes direct.
-
-    mnist_config: the lifting conv (13 <= 24) and both projections
-    (1 <= 24, 24 <= 48) go direct; the 5x5 banks (312, 312, 624 against
-    24, 48, 48) stay on `ct.conv2d`, at any batch; shallow_config splits
-    the same way (13 and 1 <= 48; 624 > 48).  The README
-    ("A small-fan-in bank is one tap GEMM") gives the timings behind each.
-    """
-    fan_in = len(bank.in_orders) * bank.c_in
-    fan_out = len(bank.out_orders) * bank.c_out
-    return len(_taps(bank.k)) * min(fan_in, fan_out) <= max(fan_in, fan_out)
+def conv_plan(bank: HarmonicFilterBank, batch: int, h: int, w: int) -> dict:
+    """How `harmonic_conv` runs `bank` on a (batch, I, Ci, h, w) input: the
+    "route" and the complex multiply-adds ("macs") and FFT points
+    ("fft_points") it costs.  With fan-in I*Ci, fan-out O*Co, T taps, P
+    connections, nr radii and F = (h+k-1)(w+k-1): "direct" (`_tap_gemm`,
+    B*h*w*fan-in*fan-out*T) iff T * min(fan-in, fan-out) <= max(fan-in,
+    fan-out); else `ct.conv2d`, B*(fan-in + fan-out)*F FFT points, contracting
+    "spectrum_first" (B*F*P*Ci*nr*(1 + Co)) iff Ci = 1 or nr * batch <= 2*Co,
+    else "kernel_first" (F*(P*nr + B)*fan-in*fan-out).  The routes are these
+    rules, not the smallest count, which misjudges batch 8 (README)."""
+    fan_in, fan_out = len(bank.in_orders) * bank.c_in, len(bank.out_orders) * bank.c_out
+    taps = len(_taps(bank.k))
+    if taps * min(fan_in, fan_out) <= max(fan_in, fan_out):
+        return {"route": "direct", "macs": batch * h * w * fan_in * fan_out * taps, "fft_points": 0}
+    f, p, nr = (h + bank.k - 1) * (w + bank.k - 1), len(bank.connections), n_radii(bank.k)
+    if bank.c_in == 1 or nr * batch <= 2 * bank.c_out:
+        route, macs = "spectrum_first", batch * f * p * bank.c_in * nr * (1 + bank.c_out)
+    else:
+        route, macs = "kernel_first", f * (p * nr + batch) * fan_in * fan_out
+    return {"route": route, "macs": macs, "fft_points": batch * (fan_in + fan_out) * f}
 
 
 def _tap_gemm(x: ct.CTensor, bank: HarmonicFilterBank, coeffs: ct.CTensor) -> ct.CTensor:

@@ -115,6 +115,16 @@ def test_unknown_env_key_rejected():
         cli.resolve_config(ns(), {"HARM_STEM_KERNAL_SIZE": "3"})
 
 
+def test_full_acceptance_gate_is_not_a_config_key(monkeypatch, capsys):
+    # the slow test gate's variable must not break any command, and a
+    # misspelt config variable next to it must still exit 2
+    monkeypatch.setenv("HARM_FULL_ACCEPTANCE", "1")
+    assert cli.main(["cost", "--no-measure"]) == 0
+    monkeypatch.setenv("HARM_STEM_KERNAL_SIZE", "3")
+    assert cli.main(["cost", "--no-measure"]) == 2
+    assert "stem.kernel_size" in capsys.readouterr().err
+
+
 def test_unknown_override_suggests_nearest():
     with pytest.raises(ConfigError, match="did you mean 'training.epochs'"):
         cli.resolve_config(ns(override=["training.epoch=3"]), {})
@@ -340,6 +350,16 @@ def test_verify_bad_angles_exits_2(workdir, capsys):
     capsys.readouterr()
 
 
+def test_verify_angle_off_the_suite_exits_2(workdir, capsys):
+    # the suite runs quarter turns only; 45 would keep just the 0-degree
+    # phase checks and pass having checked nothing at 45 degrees
+    rc = cli.main(["verify", "--config", str(workdir.config), "--angles", "90,45"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no check at [45.0]" in captured.err and "90.0, 180.0, 270.0 degrees" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # sweep / ablate / cost
 # ---------------------------------------------------------------------------
@@ -372,6 +392,14 @@ def test_sweep_step_below_one_exits_2(workdir, capsys, step):
                    "--data-root", str(workdir.data), "--angle-step", step])
     assert rc == 2
     assert "angle_step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_sweep_limit_below_one_exits_2(workdir, capsys, limit):
+    rc = cli.main(["sweep", "--checkpoint", str(workdir.checkpoint),
+                   "--data-root", str(workdir.data), "--limit", limit])
+    assert rc == 2
+    assert "limit" in capsys.readouterr().err
 
 
 def test_ablate_single_axis(workdir, tmp_path, capsys):
@@ -415,6 +443,11 @@ def test_cost_table_and_json(workdir, tmp_path, capsys):
     text = capsys.readouterr().out
     assert "total" in text and "MACs" in text
     blob = json.loads((out / "cost.json").read_text())
+    # one row per stem bank: name, size, route, multiply-adds, FFT points
+    rows = [ln.split() for ln in text.splitlines() if ln.startswith("stem.")]
+    assert rows == [[b["name"], f"{b['size']}x{b['size']}", b["route"], f"{b['macs']:,}", "MACs",
+                     f"{b['fft_points']:,}", "FFT", "points"] for b in blob["stem_banks"]]
+    assert [r[0] for r in rows] == ["stem.b0.conv0", "stem.b0.proj"]
     cfg = {k: v for k, v in tiny_config().items() if k != "training"}
     assert blob == hz.cost_report(cfg, measure=False)
 

@@ -192,10 +192,9 @@ def test_fd_polar_unit_as_complex():
     check(f, {"theta": theta, "r": r})
 
 
-# (spectrum_first, batch, c_out) for a 3x3 kernel, 9 unit-impulse atoms, on
-# each side of the contraction-order rule
-CONV_ORDERS = [pytest.param(True, 1, 5, id="spectrum_first"),
-               pytest.param(False, 2, 3, id="kernel_first")]
+# (contraction order, batch, c_out) for a 3x3 kernel, 9 unit-impulse atoms
+CONV_ORDERS = [pytest.param("spectrum_first", 1, 5, id="spectrum_first"),
+               pytest.param("kernel_first", 2, 3, id="kernel_first")]
 
 
 def impulse_spectra(kh, kw, hp, wp):
@@ -205,26 +204,27 @@ def impulse_spectra(kh, kw, hp, wp):
     return np.fft.fft2(atoms, s=(hp, wp))[None]
 
 
-def plain_conv2d(x, k):
+def plain_conv2d(x, k, order):
     """conv2d of a (B, Ci, H, W) input with a plain (Co, Ci, kh, kw) kernel
-    (zero padding kh // 2), as one connection over unit-impulse atoms."""
+    (zero padding kh // 2), as one connection over unit-impulse atoms,
+    contracted in `order`."""
     b, ci, h, w = x.shape
     co, _, kh, kw = k.shape
     y = ct.conv2d(ct.reshape(x, (b, 1, ci, h, w)), ct.reshape(k, (1, co, ci, kh * kw)),
-                  impulse_spectra(kh, kw, h + kh - 1, w + kw - 1), np.zeros((1, 1), dtype=int))
+                  impulse_spectra(kh, kw, h + kh - 1, w + kw - 1), np.zeros((1, 1), dtype=int),
+                  order)
     return ct.reshape(y, (b, co, h, w))
 
 
-@pytest.mark.parametrize("spectrum_first, batch, c_out", CONV_ORDERS)
-def test_fd_conv2d(spectrum_first, batch, c_out):
-    assert ct._spectrum_first(batch, 9, 2, c_out) == spectrum_first
+@pytest.mark.parametrize("order, batch, c_out", CONV_ORDERS)
+def test_fd_conv2d(order, batch, c_out):
     rng = ct.make_rng(10)
     x = crandn(rng, batch, 2, 8, 8)
     k = crandn(rng, c_out, 2, 3, 3)
     t = crandn(rng, batch, c_out, 8, 8)
 
     def f(p):
-        return l2_to(t)(plain_conv2d(p["x"], p["k"]))
+        return l2_to(t)(plain_conv2d(p["x"], p["k"], order))
 
     check(f, {"x": x, "k": k}, sample=40)
 
@@ -381,21 +381,19 @@ def conv_reference(x, k, pad, g):
 
 def test_conv2d_matches_direct_reference():
     rng = ct.make_rng(15)
-    for spectrum_first, batch, c_out in (p.values for p in CONV_ORDERS):
-        assert ct._spectrum_first(batch, 9, 2, c_out) == spectrum_first
+    for order, batch, c_out in (p.values for p in CONV_ORDERS):
         k = crandn(rng, c_out, 2, 3, 3)
         x = crandn(rng, batch, 2, 5, 6)
         ref, _, _ = conv_reference(x, k, 1, np.zeros((batch, c_out, 5, 6)))
-        y = plain_conv2d(ct.CTensor(x), ct.CTensor(k)).data
-        assert np.max(np.abs(y - ref)) <= 1e-12, spectrum_first
+        y = plain_conv2d(ct.CTensor(x), ct.CTensor(k), order).data
+        assert np.max(np.abs(y - ref)) <= 1e-12, order
 
 
 def test_conv2d_backends_agree_on_gradients():
     # the tape's forward pass and both adjoints, in each contraction order,
     # against the same direct-loop reference; 5x5 kernels have 25 atoms
     rng = ct.make_rng(16)
-    for spectrum_first, batch, c_out in ((True, 1, 13), (False, 2, 4)):
-        assert ct._spectrum_first(batch, 25, 3, c_out) == spectrum_first
+    for order, batch, c_out in (("spectrum_first", 1, 13), ("kernel_first", 2, 4)):
         k = crandn(rng, c_out, 3, 5, 5)
         x = crandn(rng, batch, 3, 12, 14)
         g_out = crandn(rng, batch, c_out, 12, 14)
@@ -408,23 +406,22 @@ def test_conv2d_backends_agree_on_gradients():
         tape = ct.GradTape()
         px = tape.parameter("x", x)
         pk = tape.parameter("k", k)
-        y = plain_conv2d(px, pk)
+        y = plain_conv2d(px, pk, order)
         grads = ct.backward(tape, loss(y))
         # the upstream gradient the conv's backward received, from a tape on y
         tape = ct.GradTape()
         g = ct.backward(tape, loss(tape.parameter("y", y.data)))["y"]
         ref_y, ref_x, ref_k = conv_reference(x, k, 2, g)
         scale = np.max(np.abs(ref_y))
-        assert np.max(np.abs(y.data - ref_y)) / scale <= 1e-12, spectrum_first
-        assert np.max(np.abs(grads["x"] - ref_x)) / np.max(np.abs(ref_x)) <= 1e-12, spectrum_first
-        assert np.max(np.abs(grads["k"] - ref_k)) / np.max(np.abs(ref_k)) <= 1e-12, spectrum_first
+        assert np.max(np.abs(y.data - ref_y)) / scale <= 1e-12, order
+        assert np.max(np.abs(grads["x"] - ref_x)) / np.max(np.abs(ref_x)) <= 1e-12, order
+        assert np.max(np.abs(grads["k"] - ref_k)) / np.max(np.abs(ref_k)) <= 1e-12, order
 
 
-@pytest.mark.parametrize("spectrum_first, batch, c_out", CONV_ORDERS)
-def test_conv2d_untracked_input_gets_no_adjoint(monkeypatch, spectrum_first, batch, c_out):
+@pytest.mark.parametrize("order, batch, c_out", CONV_ORDERS)
+def test_conv2d_untracked_input_gets_no_adjoint(monkeypatch, order, batch, c_out):
     # an untracked input (the image) gets no adjoint transform in backward,
     # and the kernel gradient is the one a tracked input gets
-    assert ct._spectrum_first(batch, 9, 3, c_out) == spectrum_first
     rng = ct.make_rng(18)
     x, k = crandn(rng, batch, 3, 5, 6), crandn(rng, c_out, 3, 3, 3)
     t = crandn(rng, batch, c_out, 5, 6)
@@ -434,7 +431,7 @@ def test_conv2d_untracked_input_gets_no_adjoint(monkeypatch, spectrum_first, bat
     def kernel_grad(track_x):
         tape = ct.GradTape()
         px = tape.parameter("x", x) if track_x else ct.CTensor(x)
-        loss = l2_to(t)(plain_conv2d(px, tape.parameter("k", k)))
+        loss = l2_to(t)(plain_conv2d(px, tape.parameter("k", k), order))
         calls.clear()
         return ct.backward(tape, loss), len(calls)
 
@@ -450,35 +447,35 @@ def test_conv2d_untracked_input_gets_no_adjoint(monkeypatch, spectrum_first, bat
 BLOCK_SLOTS = np.array([[0, 1], [-1, -1], [2, -1]])
 
 
-def _blocked_conv(monkeypatch, block, batch, h, w):
-    """conv2d's output and both gradients, its contraction walking `block`
-    frequencies at a time (3x3 atoms, 3 per connection, Ci = 2, Co = 4)."""
+def _blocked_conv(monkeypatch, block, order, batch, h, w):
+    """conv2d's output and both gradients, its contraction in `order`
+    walking `block` frequencies at a time (3x3 atoms, 3 per connection,
+    Ci = 2, Co = 4)."""
     monkeypatch.setattr(ct, "FREQ_BLOCK", block)
     rng = ct.make_rng(40)
     x, c = crandn(rng, batch, 2, 2, h, w), crandn(rng, 3, 4, 2, 3)
     spectra = crandn(rng, 3, 3, h + 2, w + 2)
     tape = ct.GradTape()
-    y = ct.conv2d(tape.parameter("x", x), tape.parameter("c", c), spectra, BLOCK_SLOTS)
+    y = ct.conv2d(tape.parameter("x", x), tape.parameter("c", c), spectra, BLOCK_SLOTS, order)
     grads = ct.backward(tape, l2_to(crandn(rng, batch, 3, 4, h, w))(y))
     return y.data, grads["x"], grads["c"]
 
 
-@pytest.mark.parametrize("batch", [pytest.param(1, id="spectrum_first"),
-                                   pytest.param(3, id="kernel_first")])
+@pytest.mark.parametrize("order, batch", [pytest.param("spectrum_first", 1, id="spectrum_first"),
+                                          pytest.param("kernel_first", 3, id="kernel_first")])
 @pytest.mark.parametrize("h, w", [(9, 11), (3, 27)])   # F = 11 * 12 + 11 and 12 * 12 + 1
-def test_conv2d_frequency_blocks_match_one_block(monkeypatch, batch, h, w):
+def test_conv2d_frequency_blocks_match_one_block(monkeypatch, order, batch, h, w):
     # blocks of 12 frequencies, which do not divide F (at F = 145 the last
     # frequency joins the block before it), give the single-block output and
     # gradients byte for byte.  Only a block that is a multiple of 4, as
     # FREQ_BLOCK is, keeps every spectrum-first GEMM column's sum as the
     # one-block GEMM has it; a block of 7 moves a few ulps.
-    assert ct._spectrum_first(batch, 3, 2, 4) == (batch == 1)
     assert ct.FREQ_BLOCK % 4 == 0
-    whole = _blocked_conv(monkeypatch, (h + 2) * (w + 2), batch, h, w)
+    whole = _blocked_conv(monkeypatch, (h + 2) * (w + 2), order, batch, h, w)
     assert not whole[0][:, 1].any()     # the stream with no connection is exactly 0
-    for got, want in zip(_blocked_conv(monkeypatch, 12, batch, h, w), whole):
+    for got, want in zip(_blocked_conv(monkeypatch, 12, order, batch, h, w), whole):
         assert got.tobytes() == want.tobytes()
-    for got, want in zip(_blocked_conv(monkeypatch, 7, batch, h, w), whole):
+    for got, want in zip(_blocked_conv(monkeypatch, 7, order, batch, h, w), whole):
         assert np.max(np.abs(got - want)) <= EXACT_TOL * np.max(np.abs(want))
 
 
@@ -774,7 +771,7 @@ def _widening_loss(p):
     rng = ct.make_rng(36)
     x = ct.astype(p["x"], np.complex128)                                  # (1, 2, 6, 6)
     k = ct.mul(ct.astype(p["k"], np.float64), ct.polar_unit(p["beta"]))    # (3, 2, 3, 3)
-    y = plain_conv2d(x, k)
+    y = plain_conv2d(x, k, "kernel_first")
     m = ct.magnitude(y)
     zero, one = ct.CTensor(np.zeros(())), ct.CTensor(np.ones(()))
     y = with_magnitude(y, ct.div(ct.log(ct.add(m, one)), ct.add(ct.exp(ct.sub(zero, m)), one)))
@@ -840,7 +837,10 @@ def test_shape_errors():
         ct.exp(a)
     with pytest.raises(ShapeError):
         ct.conv2d(ct.CTensor(np.ones((1, 1, 2, 4, 4))), ct.CTensor(np.ones((1, 3, 3, 9))),
-                  impulse_spectra(3, 3, 6, 6), np.zeros((1, 1), dtype=int))
+                  impulse_spectra(3, 3, 6, 6), np.zeros((1, 1), dtype=int), "spectrum_first")
+    with pytest.raises(ContractError):     # the contraction order has no default or fallback
+        ct.conv2d(ct.CTensor(np.ones((1, 1, 3, 4, 4))), ct.CTensor(np.ones((1, 3, 3, 9))),
+                  impulse_spectra(3, 3, 6, 6), np.zeros((1, 1), dtype=int), "direct")
 
 
 def test_real_parameter_receives_real_gradient():

@@ -287,6 +287,15 @@ def test_stability_sweep_deterministic_and_limited():
     assert c["samples"] == 2
 
 
+@pytest.mark.parametrize("limit", [0, -1])
+def test_stability_sweep_rejects_a_limit_below_one(limit):
+    # a limit is a sample count, not a slice end: -1 would drop the last
+    # image and 0 would report accuracy over no samples
+    model = hm.build(tiny_config(), seed=0)
+    with pytest.raises(ConfigError, match="limit"):
+        hz.stability_sweep(model, toy_dataset(), angle_step=90, limit=limit)
+
+
 def test_stability_sweep_rejects_bad_step():
     # a step must be a positive divisor of 360: 0 would divide by zero, and
     # a negative divisor would pass the divisibility test and sweep nothing
@@ -344,8 +353,12 @@ def test_curve_csv_format():
 
 def test_cost_report_matches_hand_count():
     rep = hz.cost_report(tiny_config(), measure=False)
-    # stem: 8^2 * 3^2 * 1 * 3 * 1 * 2 = 3456 conv + 8^2 * 1 * 1 * 2 skip
-    assert rep["stem_macs"] == 3456 + 128
+    # stem: both banks are tap GEMMs, H*W * fan-in * fan-out * taps: the
+    # lifting conv 8^2 * 1 * 6 * 5, the projection 8^2 * 1 * 6 * 1
+    assert rep["stem_banks"] == [
+        {"name": "stem.b0.conv0", "size": 8, "route": "direct", "macs": 1920, "fft_points": 0},
+        {"name": "stem.b0.proj", "size": 8, "route": "direct", "macs": 384, "fft_points": 0}]
+    assert rep["stem_macs"] == 1920 + 384
     # encoder: attn 3 * 16^2 * 1 * 2; proj 3 * 16 * 2 * (4*1*2 + 2*2*2)
     assert rep["encoder_attention_macs"] == 1536
     assert rep["encoder_projection_macs"] == 1536
@@ -385,6 +398,22 @@ def test_cost_report_times_a_warm_forward(monkeypatch):
     monkeypatch.setattr(hz.time, "perf_counter", lambda: events.append("clock") or clock())
     hz.cost_report(tiny_config(), measure=True)
     assert events == ["forward", "clock", "forward", "clock"]
+
+
+def test_mnist_cost_counts_the_routes_that_run_at_batch_1():
+    # F = 68^2 and 36^2; spectrum-first pays F * P * Ci * nr * (1 + Co),
+    # with P = 9 connections and nr = 3 radii
+    rep = hz.cost_report(hm.mnist_config(), measure=False)
+    rows = [(b["name"], b["size"], b["route"], b["macs"], b["fft_points"])
+            for b in rep["stem_banks"]]
+    assert rows == [
+        ("stem.b0.conv0", 64, "direct", 64 * 64 * 1 * 24 * 13, 0),
+        ("stem.b0.conv1", 64, "spectrum_first", 68 * 68 * 9 * 8 * 3 * 9, 48 * 68 * 68),
+        ("stem.b0.proj", 64, "direct", 64 * 64 * 1 * 24 * 1, 0),
+        ("stem.b1.conv0", 32, "spectrum_first", 36 * 36 * 9 * 8 * 3 * 17, 72 * 36 * 36),
+        ("stem.b1.conv1", 32, "spectrum_first", 36 * 36 * 9 * 16 * 3 * 17, 96 * 36 * 36),
+        ("stem.b1.proj", 32, "direct", 32 * 32 * 24 * 48 * 1, 0)]
+    assert rep["stem_macs"] == 25_821_696
 
 
 def test_mnist_cost_head_term():

@@ -214,17 +214,18 @@ def test_f32_logits_are_quarter_turn_invariant_to_double_rounding(seed):
 
 
 def test_both_contraction_orders_give_the_same_logits(monkeypatch):
-    # the lifting conv is a tap GEMM and never reaches conv2d; at batch 12
-    # the other three convs contract kernel-first (n_radii * 12 > 2 * C_out
-    # for 8 and 16 output channels); one image at a time, spectrum-first
+    # the lifting conv and the projections are tap GEMMs and never reach
+    # conv2d; at batch 12 the other three convs contract kernel-first
+    # (n_radii * 12 > 2 * C_out for 8 and 16 output channels); one image at
+    # a time, spectrum-first.  The spy records the order each call runs.
     m = hm.build(hm.mnist_config(), seed=0, precision="f64")
     x = ct.make_rng(5).random((12, 1, 64, 64))
-    routes, rule = [], ct._spectrum_first
-    monkeypatch.setattr(ct, "_spectrum_first", lambda *a: routes.append(rule(*a)) or routes[-1])
+    routes, conv2d = [], ct.conv2d
+    monkeypatch.setattr(ct, "conv2d", lambda *a: routes.append(a[4]) or conv2d(*a))
     batched = m.forward(x).data
-    assert routes == [False, False, False]    # b0.conv1, b1.conv0, b1.conv1
+    assert routes == ["kernel_first"] * 3    # b0.conv1, b1.conv0, b1.conv1
     del routes[:]
     single = np.concatenate([m.forward(x[j:j + 1]).data for j in range(len(x))])
-    assert routes == [True] * 3 * len(x)
+    assert routes == ["spectrum_first"] * 3 * len(x)
     err = np.linalg.norm(batched - single, axis=1) / np.linalg.norm(single, axis=1)
     assert np.max(err) <= 1e-12, np.max(err)

@@ -188,7 +188,11 @@ def test_impulse_response_is_point_reflected_kernel():
 def test_harmonic_conv_transforms_only_the_input_and_output(monkeypatch, batch):
     from scipy import fft as sfft
     bank = hs.HarmonicFilterBank("hc", hs.ORDERS, hs.ORDERS, 2, 3, 5, ct.make_rng(0))
-    assert ct._spectrum_first(batch, hs.n_radii(5), 2, 3) == (batch == 1)
+    # F = 16^2 frequencies, P = 9 connections, nr = 3 radii, fan-in 6, fan-out 9
+    assert hs.conv_plan(bank, batch, 12, 12) == (
+        {"route": "spectrum_first", "macs": 256 * 9 * 2 * 3 * 4, "fft_points": 15 * 256}
+        if batch == 1 else
+        {"route": "kernel_first", "macs": 256 * (9 * 3 + 4) * 6 * 9, "fft_points": 4 * 15 * 256})
     leaves = const_leaves(bank.params)
     x = rand_sfm(ct.make_rng(1), hs.ORDERS, batch, 2, 12, 12)
     hs.harmonic_conv(x, bank, leaves)      # fills the basis-spectra cache
@@ -202,12 +206,19 @@ def test_harmonic_conv_transforms_only_the_input_and_output(monkeypatch, batch):
     assert calls == [("fft2", (batch, 3, 2, 16, 16)), ("ifft2", (batch, 3, 3, 16, 16))]
 
 
-def conv2d_reference(x, bank, coeffs):
-    """A bank's convolution through `ct.conv2d` against its basis spectra."""
+def conv2d_reference(x, bank, coeffs, order):
+    """A bank's convolution through `ct.conv2d` against its basis spectra,
+    contracted in `order`."""
     h, w = x.shape[3:]
     hp, wp = h + bank.k - 1, w + bank.k - 1
     spectra = np.stack([hs.basis_spectra(bank.k, m_f, hp, wp) for _, m_f in bank.connections])
-    return ct.conv2d(x, coeffs, spectra, bank.slots)
+    return ct.conv2d(x, coeffs, spectra, bank.slots, order)
+
+
+def reference_order(batch):
+    """The contraction order a test's `conv2d_reference` runs at `batch`, so
+    that both orders serve as references."""
+    return "spectrum_first" if batch == 1 else "kernel_first"
 
 
 ONE_BY_ONE_BANKS = {
@@ -235,7 +246,8 @@ def test_1x1_bank_is_a_channel_matmul_without_transforms(monkeypatch, name, batc
         m = ct.magnitude(ct.sub(y, target))
         return y.data, ct.backward(tape, ct.sum_(ct.mul(m, m)))
 
-    ref, ref_grads = run(lambda p: conv2d_reference(p["x"], bank, bank.kernel_block(p)))
+    ref, ref_grads = run(lambda p: conv2d_reference(p["x"], bank, bank.kernel_block(p),
+                                                    reference_order(batch)))
     calls = []
     for fn in ("fft2", "ifft2"):
         monkeypatch.setattr(sfft, fn, lambda *a, _fn=fn, **k: calls.append(_fn))
@@ -278,16 +290,14 @@ def test_lifting_conv_is_a_tap_gemm_at_every_batch(monkeypatch):
     # at any batch, with no transform, and agrees with conv2d in both
     # contraction orders
     bank = hs.HarmonicFilterBank("lift", (0,), hs.ORDERS, 1, 8, 5, ct.make_rng(26))
-    assert hs._runs_direct(bank)
     leaves = const_leaves(bank.params)
     coeffs = bank.kernel_block(leaves)
     for batch in (1, 4, 16):
+        assert hs.conv_plan(bank, batch, 10, 10) == {
+            "route": "direct", "macs": batch * 100 * 1 * 24 * 13, "fft_points": 0}
         x = hs.lift_image(ct.CTensor(ct.make_rng(27).standard_normal((batch, 1, 10, 10))))
-        refs = []
-        for spectrum_first in (True, False):
-            monkeypatch.setattr(ct, "_spectrum_first", lambda *a, _s=spectrum_first: _s)
-            refs.append(conv2d_reference(x.tensor, bank, coeffs).data)
-        monkeypatch.undo()
+        refs = [conv2d_reference(x.tensor, bank, coeffs, order).data
+                for order in ("spectrum_first", "kernel_first")]
         calls = record_transforms(monkeypatch)
         y = hs.harmonic_conv(x, bank, leaves).tensor.data
         monkeypatch.undo()
@@ -317,7 +327,7 @@ def direct_bank(name):
 @pytest.mark.parametrize("name", sorted(DIRECT_BANKS))
 def test_direct_bank_matches_conv2d_without_transforms(monkeypatch, name, batch):
     bank = direct_bank(name)
-    assert hs._runs_direct(bank)
+    assert hs.conv_plan(bank, batch, 7, 6)["route"] == "direct"
     x0 = rand_sfm(ct.make_rng(51), bank.in_orders, batch, bank.c_in, 7, 6).tensor.data
     params = {"x": x0, **bank.params}
     target = ct.CTensor(crandn(ct.make_rng(52), batch, 3, bank.c_out, 7, 6))
@@ -329,7 +339,8 @@ def test_direct_bank_matches_conv2d_without_transforms(monkeypatch, name, batch)
         m = ct.magnitude(ct.sub(y, target))
         return y.data, ct.backward(tape, ct.sum_(ct.mul(m, m)))
 
-    ref, ref_grads = run(lambda p: conv2d_reference(p["x"], bank, bank.kernel_block(p)))
+    ref, ref_grads = run(lambda p: conv2d_reference(p["x"], bank, bank.kernel_block(p),
+                                                    reference_order(batch)))
     calls = record_transforms(monkeypatch)
     y, grads = run(lambda p: hs.harmonic_conv(hs.StreamedFeatureMap(p["x"], bank.in_orders),
                                               bank, p).tensor)
@@ -366,19 +377,41 @@ def test_direct_bank_of_an_f32_model_outputs_complex128(name):
     assert y.data.dtype == np.complex128
 
 
-@pytest.mark.parametrize("config, direct", [
-    ("mnist_config", {"b0.conv0": True, "b0.conv1": False, "b0.proj": True,
-                      "b1.conv0": False, "b1.conv1": False, "b1.proj": True}),
-    ("shallow_config", {"b0.conv0": True, "b0.conv1": False, "b0.conv2": False,
-                        "b0.proj": True})])
-def test_reference_configs_run_small_fan_in_banks_direct(config, direct):
-    # the lifting conv and the 1x1 projections are tap GEMMs; every 5x5 bank
-    # with more than one input map stays on conv2d, whatever the batch
+# the batches the benchmark's workloads, their checks and CLI training run,
+# and batch 8, where banks with 8 and 16 output channels part
+ROUTE_BATCHES = (1, 2, 3, 4, 8, 16, 32)
+S, K = "spectrum_first", "kernel_first"
+
+
+@pytest.mark.parametrize("config, routes", [
+    pytest.param("mnist_config", {
+        "b0.conv0": ("direct",) * 7, "b0.conv1": (S, S, S, S, K, K, K), "b0.proj": ("direct",) * 7,
+        "b1.conv0": (S, S, S, S, S, K, K), "b1.conv1": (S, S, S, S, S, K, K),
+        "b1.proj": ("direct",) * 7}, id="mnist_config"),
+    pytest.param("shallow_config", {
+        "b0.conv0": ("direct",) * 7, "b0.conv1": (S, S, S, S, S, K, K),
+        "b0.conv2": (S, S, S, S, S, K, K), "b0.proj": ("direct",) * 7}, id="shallow_config")])
+def test_route_table_of_reference_configs(config, routes):
+    # the lifting conv and the 1x1 projections are tap GEMMs at every batch;
+    # a 5x5 bank with more than one input map contracts spectrum-first while
+    # n_radii * batch <= 2 * C_out (batch 5 at 8 output channels, 10 at 16)
     import harmnet.model as hm
-    stem = hm.build(getattr(hm, config)(), seed=0).stem
-    banks = [bank for blk in stem.blocks
-             for bank in [b for b, _ in blk["convs"]] + [blk["proj"]]]
-    assert {b.name.removeprefix("stem."): hs._runs_direct(b) for b in banks} == direct
+    model = hm.build(getattr(hm, config)(), seed=0)
+    got, size = {}, model.input_size
+    for blk in model.stem.blocks:
+        for bank in [b for b, _ in blk["convs"]] + [blk["proj"]]:
+            got[bank.name.removeprefix("stem.")] = tuple(
+                hs.conv_plan(bank, batch, size, size)["route"] for batch in ROUTE_BATCHES)
+        size //= 2
+    assert got == routes
+
+
+def test_routes_of_the_verify_suites_lemma_banks():
+    # harness.verify_all_lemmas's Lemma 1 banks (3x3, 2 output channels, 8x8)
+    lift = hs.HarmonicFilterBank("c_lift", (0,), hs.ORDERS, 1, 2, 3, ct.make_rng(0))
+    full = hs.HarmonicFilterBank("c_full", hs.ORDERS, hs.ORDERS, 2, 2, 3, ct.make_rng(0))
+    assert hs.conv_plan(lift, 1, 8, 8)["route"] == "direct"
+    assert hs.conv_plan(full, 1, 8, 8)["route"] == "spectrum_first"
 
 
 @pytest.mark.parametrize("batch", [pytest.param(1, id="spectrum_first"),
@@ -386,7 +419,7 @@ def test_reference_configs_run_small_fan_in_banks_direct(config, direct):
 def test_fd_harmonic_conv_over_input_radial_and_phase(batch):
     rng = ct.make_rng(25)
     bank = hs.HarmonicFilterBank("hc", hs.ORDERS, hs.ORDERS, 2, 2, 3, rng)
-    assert ct._spectrum_first(batch, hs.n_radii(3), 2, 2) == (batch == 1)
+    assert hs.conv_plan(bank, batch, 6, 6)["route"] == reference_order(batch)
     x = rand_sfm(rng, hs.ORDERS, batch, 2, 6, 6).tensor.data
     target = rand_sfm(rng, hs.ORDERS, batch, 2, 6, 6).tensor
 
