@@ -1,7 +1,8 @@
-"""Equivariant transformer encoder over rotation-order patch stacks.
+"""Equivariant transformer encoder over rotation-order patch matrices.
 
-The stem output is reshaped into one (B, O, n, d) tensor: an (n x d) complex
-matrix per rotation order.  Rotating the source image by 90 degrees acts on
+The stem output is reshaped into one plain (B, O, n, d) tensor: an (n x d)
+complex matrix per rotation order in hs.ORDERS, its n = h*w rows the patches
+in row-major grid order.  Rotating the source image by 90 degrees acts on
 each matrix as a fixed row permutation times the phase e^{i m alpha}; every
 layer here commutes with that action.  Attention has one path: a strategy is the
 set of order pairs (m_q, m_k) it scores; the pairs of one difference m_d = m_q - m_k
@@ -29,54 +30,13 @@ STRATEGIES = tuple(SCORED_PAIRS)
 NORM_MODES = ("std", "rms")
 
 
-class PatchStack(hs.OrderStack):
-    """Rotation-order patch matrices as one complex (B, O, n, d) tensor,
-    n = h*w patches in row-major grid order.
-
-    The grid shape is recorded so position-dependent layers (RPE) and grid
-    rotations know the spatial layout the rows came from.
-    """
-
-    layout = ("B", "O", "n", "d")
-
-    def __init__(self, tensor: ct.CTensor, orders, grid_shape: tuple):
-        super().__init__(tensor, orders)
-        h, w = grid_shape
-        if tensor.shape[2] != h * w:
-            raise ShapeError(f"expected {h * w} patch rows for grid {grid_shape}, "
-                             f"got {tensor.shape}")
-        self.grid_shape = (h, w)
-
-    @property
-    def n(self):
-        return self.shape[2]
-
-    @property
-    def d(self):
-        return self.shape[3]
-
-
-def patchify(x: hs.StreamedFeatureMap) -> PatchStack:
+def patchify(x: ct.CTensor) -> ct.CTensor:
     """(B, O, C, H, W) streams -> (B, O, H*W, C) matrices, rows in row-major order."""
     b, o, c, h, w = x.shape
-    t = ct.reshape(ct.transpose(x.tensor, (0, 1, 3, 4, 2)), (b, o, h * w, c))
-    return PatchStack(t, x.orders, (h, w))
+    return ct.reshape(ct.transpose(x, (0, 1, 3, 4, 2)), (b, o, h * w, c))
 
 
-def unpatchify(p: PatchStack) -> hs.StreamedFeatureMap:
-    h, w = p.grid_shape
-    b, o, n, d = p.shape
-    t = ct.transpose(ct.reshape(p.tensor, (b, o, h, w, d)), (0, 1, 4, 2, 3))
-    return hs.StreamedFeatureMap(t, p.orders)
-
-
-def stack_add(a: PatchStack, b: PatchStack) -> PatchStack:
-    if a.orders != b.orders or a.shape != b.shape:
-        raise ShapeError("patch stacks are not aligned")
-    return a.with_tensor(ct.add(a.tensor, b.tensor))
-
-
-def equi_linear(p: PatchStack, w: ct.CTensor) -> PatchStack:
+def equi_linear(p: ct.CTensor, w: ct.CTensor) -> ct.CTensor:
     """One shared weight matrix applied independently to every order stream:
     the 2-D weight broadcasts over the batch and order axes, and the reverse
     sweep sums its gradient over them.
@@ -84,12 +44,12 @@ def equi_linear(p: PatchStack, w: ct.CTensor) -> PatchStack:
     No additive bias: a constant bias on a nonzero-order stream would break
     the phase law (biases live in the magnitude activations instead).
     """
-    if w.shape[0] != p.d:
-        raise ShapeError(f"weight rows {w.shape[0]} != patch dim {p.d}")
-    return p.with_tensor(ct.complex_matmul(p.tensor, w))
+    if w.shape[0] != p.shape[-1]:
+        raise ShapeError(f"weight rows {w.shape[0]} != patch dim {p.shape[-1]}")
+    return ct.complex_matmul(p, w)
 
 
-def he_layer_norm(p: PatchStack, eps: float = EPS, mode: str = "std") -> PatchStack:
+def he_layer_norm(p: ct.CTensor, eps: float = EPS, mode: str = "std") -> ct.CTensor:
     """Per order, per channel: subtract the complex mean over patches, then
     divide by sigma + eps.
 
@@ -97,11 +57,11 @@ def he_layer_norm(p: PatchStack, eps: float = EPS, mode: str = "std") -> PatchSt
     magnitudes of the centered values.  mode "rms": sigma is the root mean
     square of those magnitudes.  No learnable affine.
     """
-    if p.n < 2:
+    if p.shape[2] < 2:
         raise ShapeError("layer norm needs at least 2 patches")
     if mode not in NORM_MODES:
         raise ConfigError(f"unknown layer-norm mode {mode!r}")
-    return p.with_tensor(hs.normalize_over(p.tensor, 2, eps, mode))
+    return hs.normalize_over(p, 2, eps, mode)
 
 
 def magnitude_softmax(s: ct.CTensor, rpe_bias: ct.CTensor | None = None,
@@ -207,40 +167,44 @@ def group_score(qf: ct.CTensor, kf: ct.CTensor, d_h: int, iq: int, ik: int,
                              ct.conj_transpose(ct.narrow(kf, -1, ik * d_h, count * d_h)))
 
 
-def msa_forward(p: PatchStack, leaves: dict, name: str, heads: int,
+def msa_forward(p: ct.CTensor, leaves: dict, name: str, heads: int,
                 strategy: str = "harmformer_default", rpe: RpeTable | None = None,
-                keep_phase: bool = True, head_dim: int | None = None) -> PatchStack:
-    """Self-attention with order-aware stream mixing, all heads batched, then
-    heads concatenated and linearly projected.
+                keep_phase: bool = True, head_dim: int | None = None) -> ct.CTensor:
+    """Self-attention with order-aware stream mixing over (B, O, n, d)
+    matrices, O = len(hs.ORDERS), all heads batched, then heads
+    concatenated and linearly projected.
 
     Each head projects to head_dim channels (Q, K, V weights are
     (d, heads*head_dim)); the output projection maps heads*head_dim back to
     d, so the per-head width is independent of the model width.  Each group
     of scored pairs is one softmax, which keeps phase when m_d != 0 (the
     group's order lives in it), and carries a run of value orders."""
-    if head_dim is None and p.d % heads:
-        raise ConfigError(f"patch dim {p.d} not divisible by {heads} heads")
-    n_o = len(p.orders)
-    qf, kf, vf = (fold_orders(equi_linear(p, leaves[f"{name}.w{x}"]).tensor, heads) for x in "qkv")
+    n_o = len(hs.ORDERS)
+    if p.data.ndim != 4 or p.shape[1] != n_o:
+        raise ShapeError(f"expected (B, {n_o}, n, d) matrices over orders {hs.ORDERS}, "
+                         f"got {p.shape}")
+    if head_dim is None and p.shape[-1] % heads:
+        raise ConfigError(f"patch dim {p.shape[-1]} not divisible by {heads} heads")
+    qf, kf, vf = (fold_orders(equi_linear(p, leaves[f"{name}.w{x}"]), heads) for x in "qkv")
     d_h = qf.shape[-1] // n_o
     qf = ct.mul(qf, ct.CTensor(np.asarray(1.0 / np.sqrt(d_h), np.finfo(qf.data.dtype).dtype)))
     bias = rpe.bias_matrix(leaves) if rpe is not None else None
     out = None
-    for md, (iq, ik, count, iv, io, n_v) in score_groups(strategy, p.orders).items():
+    for md, (iq, ik, count, iv, io, n_v) in score_groups(strategy, hs.ORDERS).items():
         a = magnitude_softmax(group_score(qf, kf, d_h, iq, ik, count), bias, keep_phase or md != 0)
         t = ct.complex_matmul(a, ct.narrow(vf, -1, iv * d_h, n_v * d_h))
         left, right = (ct.CTensor(np.zeros(t.shape[:-1] + (w * d_h,), t.data.dtype))
                        for w in (io, n_o - io - n_v))   # the other output slots
         t = ct.concat([left, t, right], axis=-1)
         out = t if out is None else ct.add(out, t)
-    return equi_linear(p.with_tensor(fold_orders(out, n_o)), leaves[f"{name}.wo"])
+    return equi_linear(fold_orders(out, n_o), leaves[f"{name}.wo"])
 
 
 # ---------------------------------------------------------------------------
 # pointwise magnitude activation and dropout (patch domain)
 # ---------------------------------------------------------------------------
 
-def crelu_ab(p: PatchStack, a: ct.CTensor, b: ct.CTensor) -> PatchStack:
+def crelu_ab(p: ct.CTensor, a: ct.CTensor, b: ct.CTensor) -> ct.CTensor:
     """ReLU(a|z| + b) e^{i theta} with learnable per-channel a, b (d,),
     shared by every order: they broadcast over the (B, O, n, d) tensor."""
     def forward(mag, a, b):
@@ -252,18 +216,18 @@ def crelu_ab(p: PatchStack, a: ct.CTensor, b: ct.CTensor) -> PatchStack:
         gy = gr * (r > 0)
         return gy * a, gy * mag, gy
 
-    return p.with_tensor(ct.magnitude_map(p.tensor, (a, b), forward, backward))
+    return ct.magnitude_map(p, (a, b), forward, backward)
 
 
-def magnitude_dropout(p: PatchStack, rate: float, rng: np.random.Generator,
-                      train: bool) -> PatchStack:
+def magnitude_dropout(p: ct.CTensor, rate: float, rng: np.random.Generator,
+                      train: bool) -> ct.CTensor:
     """Elementwise dropout on magnitudes; one mask shared by all streams."""
     if not train or rate == 0.0:
         return p
     b, _, n, d = p.shape
-    real = np.finfo(p.tensor.data.dtype).dtype
+    real = np.finfo(p.data.dtype).dtype
     mask = (rng.random((b, n, d)) >= rate).astype(real) / (1.0 - rate)
-    return p.with_tensor(ct.mul(p.tensor, ct.CTensor(mask.reshape(b, 1, n, d))))
+    return ct.mul(p, ct.CTensor(mask.reshape(b, 1, n, d)))
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +277,8 @@ class EncoderBlock:
         if self.rpe is not None:
             self.params.update(self.rpe.params)
 
-    def forward(self, p: PatchStack, leaves: dict, train: bool = False,
-                rng: np.random.Generator | None = None) -> PatchStack:
+    def forward(self, p: ct.CTensor, leaves: dict, train: bool = False,
+                rng: np.random.Generator | None = None) -> ct.CTensor:
         attn = msa_forward(he_layer_norm(p, mode=self.norm_mode), leaves, self.name,
                            self.heads, self.strategy, self.rpe, self.keep_phase,
                            self.head_dim)
@@ -322,14 +286,14 @@ class EncoderBlock:
             if rng is None and train:
                 raise ConfigError("dropout requires an rng in train mode")
             attn = magnitude_dropout(attn, self.dropout, rng, train)
-        x = stack_add(p, attn)
+        x = ct.add(p, attn)
         h = he_layer_norm(x, mode=self.norm_mode)
         h = equi_linear(h, leaves[f"{self.name}.mlp.w1"])
         h = crelu_ab(h, leaves[f"{self.name}.mlp.a"], leaves[f"{self.name}.mlp.b"])
         h = equi_linear(h, leaves[f"{self.name}.mlp.w2"])
         if self.dropout > 0.0:
             h = magnitude_dropout(h, self.dropout, rng, train)
-        return stack_add(x, h)
+        return ct.add(x, h)
 
 
 class Encoder:
@@ -341,8 +305,8 @@ class Encoder:
                        for i in range(blocks)]
         self.params = {k: v for b in self.blocks for k, v in b.params.items()}
 
-    def forward(self, p: PatchStack, leaves: dict, train: bool = False,
-                rng: np.random.Generator | None = None) -> PatchStack:
+    def forward(self, p: ct.CTensor, leaves: dict, train: bool = False,
+                rng: np.random.Generator | None = None) -> ct.CTensor:
         for b in self.blocks:
             p = b.forward(p, leaves, train, rng)
         return p

@@ -4,9 +4,11 @@ Every check compares F_m(rot(x)) against e^{i m alpha} rot(F_m(x)) as a
 relative L2 error.  Grid rotations (90-degree multiples) are exact
 permutations, so those checks carry no interpolation error and run at tight
 thresholds; continuous angles are only meaningful for image-domain inputs
-and are measured on a central disk shrunk by the receptive field.  Patch
-stacks never rotate by non-grid angles (a 16x16 grid has no exact 45-degree
-rotation); continuous-angle claims at that level are phase-law checks.
+and are measured on a central disk shrunk by the receptive field.  Features
+are plain (B, O, ...) arrays with the order axis next to the batch axis:
+(B, O, C, H, W) maps and (B, O, n, d) patch matrices.  Patch matrices never
+rotate by non-grid angles (a 16x16 grid has no exact 45-degree rotation);
+continuous-angle claims at that level are phase-law checks.
 
 Each check is stated at the level where it is literally true.  In
 particular, a magnitude normalization whose output can go negative (the
@@ -135,7 +137,7 @@ def phase_preservation_error(before: np.ndarray, after: np.ndarray,
 
 def rot90_orders(arr: np.ndarray, quarter_turns: int, grid_shape=None) -> np.ndarray:
     """Spatial part of the action on (B, O, ...) arrays: feature maps
-    (B, O, C, H, W) rotate their last two axes; patch stacks (B, O, n, d)
+    (B, O, C, H, W) rotate their last two axes; patch matrices (B, O, n, d)
     from an (h, w) `grid_shape` permute their rows."""
     if grid_shape is None:
         return rot90_grid(arr, quarter_turns)
@@ -191,21 +193,20 @@ def verify_all_lemmas(seed: int = 0, precision: str = "f64",
     entries = []
     quarters = (1, 2, 3)
 
-    def grid_law(check, fwd, x, rotate_input, grid_shape=None,
+    def grid_law(check, fwd, x, grid_shape=None, rotate_input=None,
                  threshold=TOLERANCES["grid_lemma"]):
-        """Entries of `check` for every order at every quarter turn;
-        `rotate_input` takes (array, quarter turns)."""
+        """Entries of `check` for every order at every quarter turn of `fwd`,
+        a map of tensors to (B, O, ...) tensors over ORDERS, at the array x;
+        patch matrices (B, O, n, d) have rows from an (h, w) `grid_shape`.
+        `rotate_input` takes (array, quarter turns); by default it is the
+        group action on x as a (B, O, ...) array over ORDERS."""
+        if rotate_input is None:
+            rotate_input = lambda a, q: rotate_orders(a, hs.ORDERS, q, grid_shape)
         for alpha, m, err in _order_law(
-                fwd, x, [90 * q for q in quarters],
+                lambda a: fwd(ct.CTensor(a)).data, x, [90 * q for q in quarters],
                 lambda a, alpha: rotate_input(a, alpha // 90),
                 lambda f, alpha: rot90_orders(f, alpha // 90, grid_shape)):
             entries.append(_entry(check, m, alpha, err, threshold))
-
-    def stack_law(check, fwd, x, grid_shape):
-        """grid_law for a map of (B, O, n, d) patch stacks over ORDERS."""
-        grid_law(check,
-                 lambda a: fwd(enc.PatchStack(ct.CTensor(a), hs.ORDERS, grid_shape)).tensor.data,
-                 x, lambda a, q: rotate_orders(a, hs.ORDERS, q, grid_shape), grid_shape)
 
     # Lemma 1: harmonic convolution sums rotation orders (lifting + full)
     rng = ct.derive_rng(seed, "lemma1")
@@ -213,35 +214,23 @@ def verify_all_lemmas(seed: int = 0, precision: str = "f64",
         bank = hs.HarmonicFilterBank(f"c_{tag}", in_orders, hs.ORDERS, c_in, 2, 3, rng)
         leaves = {k: ct.CTensor(v) for k, v in bank.params.items()}
         x = _draw(rng, (1, c_in, 8, 8), len(in_orders))
-        grid_law(f"lemma1_conv_{tag}",
-                 lambda a: hs.harmonic_conv(hs.StreamedFeatureMap(ct.CTensor(a), in_orders),
-                                            bank, leaves).tensor.data,
-                 x, lambda a, q: rotate_orders(a, in_orders, q),
+        grid_law(f"lemma1_conv_{tag}", lambda t: hs.harmonic_conv(t, bank, leaves), x,
+                 rotate_input=lambda a, q: rotate_orders(a, in_orders, q),
                  threshold=TOLERANCES["grid_conv"])
 
-    # Lemma 2: residual addition (hs.residual_add) preserves the per-order law
+    # Lemma 2: residual addition (the stem's ct.add) preserves the per-order
+    # law; the two summands travel as one batch of two
     rng = ct.derive_rng(seed, "lemma2")
-    a = _draw(rng, (1, 2, 6, 6))
-    b = _draw(rng, (1, 2, 6, 6))
+    pair = np.concatenate([_draw(rng, (1, 2, 6, 6)), _draw(rng, (1, 2, 6, 6))])
+    grid_law("lemma2_residual", lambda t: ct.add(ct.narrow(t, 0, 0, 1), ct.narrow(t, 0, 1, 1)),
+             pair)
 
-    def residual(x, y):
-        maps = (hs.StreamedFeatureMap(ct.CTensor(v), hs.ORDERS) for v in (x, y))
-        return hs.residual_add(*maps).tensor.data
-
-    base = residual(a, b)
-    for q in quarters:
-        got = residual(rotate_orders(a, hs.ORDERS, q), rotate_orders(b, hs.ORDERS, q))
-        for i, m in enumerate(hs.ORDERS):
-            err = _rel(got[:, i], np.exp(1j * m * q * np.pi / 2) * rot90_grid(base[:, i], q))
-            entries.append(_entry("lemma2_residual", m, 90 * q, err,
-                                  TOLERANCES["grid_lemma"]))
-
-    # Lemmas 3/4: shared linear map and layer norm on patch stacks
+    # Lemmas 3/4: shared linear map and layer norm on patch matrices
     rng = ct.derive_rng(seed, "lemma34")
     p = _draw(rng, (1, 9, 4))
     w = ct.CTensor(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    stack_law("lemma3_equi_linear", lambda s: enc.equi_linear(s, w), p, (3, 3))
-    stack_law("lemma4_layer_norm", enc.he_layer_norm, p, (3, 3))
+    grid_law("lemma3_equi_linear", lambda s: enc.equi_linear(s, w), p, (3, 3))
+    grid_law("lemma4_layer_norm", enc.he_layer_norm, p, (3, 3))
 
     # Lemma 5: dot products subtract orders; Lemma 6: matmul adds them
     rng = ct.derive_rng(seed, "lemma56")
@@ -267,10 +256,10 @@ def verify_all_lemmas(seed: int = 0, precision: str = "f64",
     # and the legacy norm with a negative scale flips them (the witness)
     rng = ct.derive_rng(seed, "phase")
     z = rng.standard_normal((4, 2, 4, 4)) + 1j * rng.standard_normal((4, 2, 4, 4))
-    sfm = hs.StreamedFeatureMap.from_streams({0: z})
+    lone = ct.CTensor(z[:, None])         # one order-0 stream
     state = hs.HBatchNormState("pp", 2, orders=(0,))
     leaves = {"pp.a": ct.CTensor(np.ones(2)), "pp.b": ct.CTensor(np.full(2, 0.1))}
-    out = hs.hbn_crelu(sfm, state, leaves, train=True).stream(0).data
+    out = hs.hbn_crelu(lone, state, leaves, train=True).data[:, 0]
     entries.append(_entry("phase_hbn_crelu", 0, 0.0,
                           phase_preservation_error(z, out),
                           TOLERANCES["phase_preservation"]))
@@ -280,12 +269,12 @@ def verify_all_lemmas(seed: int = 0, precision: str = "f64",
                           phase_preservation_error(s.data, a_mat),
                           TOLERANCES["phase_preservation"]))
     neg = {"pp.a": ct.CTensor(np.full(2, -1.0)), "pp.b": ct.CTensor(np.zeros(2))}
-    flipped = hs.legacy_cbn(sfm, state, neg, train=True).stream(0).data
+    flipped = hs.legacy_cbn(lone, state, neg, train=True).data[:, 0]
     entries.append(_entry("phase_witness_legacy_cbn", 0, 0.0,
                           phase_preservation_error(z, flipped),
                           TOLERANCES["witness_min"], witness=True))
 
-    # attention (every strategy) on synthesized stacks, with a live RPE bias
+    # attention (every strategy) on synthesized matrices, with a live RPE bias
     rng = ct.derive_rng(seed, "msa")
     blk = enc.EncoderBlock("vb", 4, 2, (3, 3), rng)
     params = dict(blk.params)
@@ -293,7 +282,7 @@ def verify_all_lemmas(seed: int = 0, precision: str = "f64",
     leaves = {k: ct.CTensor(v) for k, v in params.items()}
     px = _draw(rng, (1, 9, 4))
     for strategy in enc.STRATEGIES:
-        stack_law(f"msa_{strategy}",
+        grid_law(f"msa_{strategy}",
                   lambda s: enc.msa_forward(s, leaves, "vb", 2, strategy, blk.rpe, True, 2),
                   px, (3, 3))
 
@@ -307,12 +296,12 @@ def verify_all_lemmas(seed: int = 0, precision: str = "f64",
     stem_maps = []          # the stem's features of img, then of each quarter turn
 
     def stem_streams(image):
-        stem_maps.append(model.stem_features(ct.CTensor(image), leaves))
-        return stem_maps[-1].tensor.data
+        stem_maps.append(model.stem_features(image, leaves))
+        return stem_maps[-1]
 
-    grid_law("stem_features", stem_streams, img, rot90_grid)
+    grid_law("stem_features", stem_streams, img, rotate_input=rot90_grid)
     gh, gw = model.grid_shape
-    stack_law("encoder_features", lambda s: model.encoder.forward(s, leaves),
+    grid_law("encoder_features", lambda s: model.encoder.forward(s, leaves),
               _draw(rng, (1, gh * gw, model.d)), (gh, gw))
 
     base_logits, *turned = (model.classify(x, leaves).data for x in stem_maps)
@@ -381,7 +370,7 @@ def stem_continuous_check(seed: int = 0, precision: str = "f64",
         return (re + 1j * im).reshape(f.shape)
 
     errors = {m: err for _, m, err in _order_law(
-        lambda x: model.stem_features(ct.CTensor(x), leaves).tensor.data, img, (angle_deg,),
+        lambda x: model.stem_features(ct.CTensor(x), leaves).data, img, (angle_deg,),
         rotate_input, rotate_features, mask=mask)}
     return {
         "angle_deg": float(angle_deg),

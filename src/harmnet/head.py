@@ -1,7 +1,8 @@
 """Invariant classifier head.
 
-Rotating the input multiplies each stream by a unit phase and permutes the
-patch rows; dropping phase (magnitude) and averaging over patches removes
+Features arrive as plain (B, O, n, d) order-axis tensors.  Rotating the
+input multiplies each order's matrix by a unit phase and permutes the patch
+rows; dropping phase (magnitude) and averaging over patches removes
 both, so the produced feature vector — and therefore the logits — is exactly
 rotation-invariant at grid angles.  Phase-based orientation readout is out of
 scope here.
@@ -10,16 +11,15 @@ scope here.
 import numpy as np
 
 import harmnet.ctensor as ct
-from harmnet.encoder import PatchStack
 from harmnet.errors import ShapeError
 from harmnet.stem import ORDERS
 
 
-def invariant_readout(p: PatchStack) -> ct.CTensor:
+def invariant_readout(p: ct.CTensor) -> ct.CTensor:
     """(B, O, n, d) streams -> real (B, O*d): per-order magnitudes averaged
     over the n patches, orders laid side by side along the feature axis."""
     b, o, _, d = p.shape
-    return ct.reshape(ct.mean(ct.magnitude(p.tensor), axis=2), (b, o * d))
+    return ct.reshape(ct.mean(ct.magnitude(p), axis=2), (b, o * d))
 
 
 def classify(feat: ct.CTensor, w: ct.CTensor, b: ct.CTensor) -> ct.CTensor:
@@ -45,8 +45,8 @@ class Head:
             f"{name}.b": np.zeros(classes),
         }
 
-    def forward(self, p: PatchStack, leaves) -> ct.CTensor:
-        if p.d != self.d:
-            raise ShapeError(f"head expects d={self.d}, got {p.d}")
+    def forward(self, p: ct.CTensor, leaves) -> ct.CTensor:
+        if p.shape[-1] != self.d:
+            raise ShapeError(f"head expects d={self.d}, got {p.shape[-1]}")
         feat = invariant_readout(p)
         return classify(feat, leaves[f"{self.name}.w"], leaves[f"{self.name}.b"])

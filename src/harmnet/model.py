@@ -229,8 +229,9 @@ class Model:
         return self.classify(self.stem_features(images, leaves, train, rng), leaves, train, rng)
 
     def stem_features(self, images, leaves: dict, train: bool = False,
-                      rng: np.random.Generator | None = None) -> hs.StreamedFeatureMap:
-        """Real image batch (B, C, S, S) -> stem features over every order."""
+                      rng: np.random.Generator | None = None) -> ct.CTensor:
+        """Real image batch (B, C, S, S) -> stem features (B, O, C', H, W)
+        over every order in ORDERS."""
         img = images if isinstance(images, ct.CTensor) else ct.CTensor(np.asarray(images))
         b = img.shape
         if len(b) != 4 or b[1] != self.config["input"]["channels"] or \
@@ -240,7 +241,7 @@ class Model:
                 f"{self.input_size}, {self.input_size}) input, got {b}")
         return hs.embed_orders(self.stem.forward(img, leaves, train=train, rng=rng))
 
-    def classify(self, x: hs.StreamedFeatureMap, leaves: dict, train: bool = False,
+    def classify(self, x: ct.CTensor, leaves: dict, train: bool = False,
                  rng: np.random.Generator | None = None) -> ct.CTensor:
         """Stem features -> logits: patches, encoder, invariant head."""
         p = self.encoder.forward(enc.patchify(x), leaves, train=train, rng=rng)

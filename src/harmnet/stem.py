@@ -1,8 +1,11 @@
 """Steerable convolution stem over rotation-order streams.
 
-Features are carried as one complex tensor with an axis over rotation orders
-m in {-1, 0, +1}.  Rotating the input image by alpha rotates each order's
-stream spatially and shifts its phase by m*alpha.  Every layer here
+Features are plain complex (B, O, C, H, W) tensors whose axis 1 indexes the
+rotation orders m in ORDERS = (-1, 0, +1); the lifted image alone is
+(B, 1, C, H, W), order 0.  The order set belongs to whoever consumes the
+streams (a filter bank's `in_orders`, a norm's `orders`), which checks the
+order axis against it.  Rotating the input image by alpha rotates each
+order's stream spatially and shifts its phase by m*alpha.  Every layer here
 preserves that law: convolution kernels are synthesized circular harmonics
 R(r)e^{i(m theta + beta)}, and all pointwise nonlinearities and norms act on
 magnitudes only, leaving phases untouched: each is one `ct.magnitude_map`
@@ -15,7 +18,6 @@ synthesized order-m kernel picks up exactly the factor e^{i m pi/2}.
 
 from __future__ import annotations
 
-import copy
 from functools import lru_cache
 
 import numpy as np
@@ -28,73 +30,22 @@ ORDERS = (-1, 0, 1)
 NORMS = ("fused", "legacy", "layernorm")   # Stem's per-conv normalization variants
 
 
-class OrderStack:
-    """A tensor whose axis 1 indexes rotation orders `orders` (ascending),
-    next to the batch axis 0; `layout` names every axis."""
-
-    layout = ()
-
-    def __init__(self, tensor: ct.CTensor, orders):
-        orders = tuple(orders)
-        if orders != tuple(m for m in ORDERS if m in orders):
-            raise ShapeError(f"orders must be an ascending subset of {ORDERS}, got {orders}")
-        if tensor.data.ndim != len(self.layout) or tensor.shape[1] != len(orders):
-            raise ShapeError(f"expected a ({', '.join(self.layout)}) tensor with "
-                             f"O={len(orders)} for orders {orders}, got {tensor.shape}")
-        self.tensor = tensor
-        self.orders = orders
-
-    @classmethod
-    def from_streams(cls, streams: dict, *args):
-        """Stack per-order arrays {m: array} along the order axis; `args`
-        follow the tensor and orders in the class's constructor."""
-        orders = tuple(sorted(streams))
-        shapes = {np.shape(streams[m]) for m in orders}
-        if len(shapes) != 1:
-            raise ShapeError(f"stream shapes differ: {sorted(shapes)}")
-        return cls(ct.CTensor(np.stack([streams[m] for m in orders], axis=1)), orders, *args)
-
-    @property
-    def shape(self):
-        return self.tensor.shape
-
-    def stream(self, m: int) -> ct.CTensor:
-        """The order-m stream, without the order axis (tracked)."""
-        t = ct.narrow(self.tensor, 1, self.orders.index(m), 1)
-        return ct.reshape(t, t.shape[:1] + t.shape[2:])
-
-    def with_tensor(self, tensor: ct.CTensor):
-        """The same orders (and layout metadata) around a new tensor."""
-        out = copy.copy(self)
-        out.tensor = tensor
-        return out
-
-
-class StreamedFeatureMap(OrderStack):
-    """Rotation-order streams carried as one complex (B, O, C, H, W) tensor.
-
-    Layers act on the whole tensor at once; order arithmetic happens only
-    where orders mix (harmonic convolution, attention).
-    """
-
-    layout = ("B", "O", "C", "H", "W")
-
-
-def lift_image(img: ct.CTensor) -> StreamedFeatureMap:
-    """Wrap a real image batch (B, C, H, W) as a pure order-0 stream."""
+def lift_image(img: ct.CTensor) -> ct.CTensor:
+    """A real image batch (B, C, H, W) as one order-0 stream (B, 1, C, H, W)."""
     b, c, h, w = img.shape
     cplx = ct.DTYPES["f64" if img.data.dtype == np.float64 else "f32"][1]
-    return StreamedFeatureMap(ct.reshape(ct.astype(img, cplx), (b, 1, c, h, w)), (0,))
+    return ct.reshape(ct.astype(img, cplx), (b, 1, c, h, w))
 
 
-def embed_orders(x: StreamedFeatureMap) -> StreamedFeatureMap:
-    """Place x's streams at their slots in ORDERS; absent orders are zero."""
-    if x.orders == ORDERS:
+def embed_orders(x: ct.CTensor) -> ct.CTensor:
+    """Streams (B, O, ...) over every order in ORDERS: a lone order-0 stream
+    (O = 1, the lifted image) gets zero streams on both sides; O = 3 passes."""
+    if x.shape[1] == len(ORDERS):
         return x
-    zero = ct.CTensor(np.zeros_like(x.tensor.data[:, :1]))
-    padded = ct.concat([x.tensor, zero], axis=1)
-    slots = [x.orders.index(m) if m in x.orders else len(x.orders) for m in ORDERS]
-    return StreamedFeatureMap(ct.take(padded, (slice(None), slots)), ORDERS)
+    if x.shape[1] != 1:
+        raise ShapeError(f"expected 1 (order 0) or {len(ORDERS)} order streams, got {x.shape}")
+    zero = ct.CTensor(np.zeros_like(x.data))
+    return ct.concat([zero, x, zero], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +187,10 @@ def basis_spectra(k: int, m: int, hp: int, wp: int) -> np.ndarray:
     return spectra
 
 
-def harmonic_conv(x: StreamedFeatureMap, bank: HarmonicFilterBank,
-                  leaves: dict) -> StreamedFeatureMap:
-    """Order-mixing convolution: out_m = sum over m1+m2=m of in_{m1} * W_{m2}.
+def harmonic_conv(x: ct.CTensor, bank: HarmonicFilterBank, leaves: dict) -> ct.CTensor:
+    """Order-mixing convolution of streams (B, I, Ci, H, W) over the bank's
+    in_orders to (B, O, Co, H, W) over its out_orders:
+    out_m = sum over m1+m2=m of in_{m1} * W_{m2}.
 
     Each kernel W is the bank's coefficients over the basis atoms of its
     filter order, and is never synthesized.  `conv_plan` picks the route:
@@ -246,18 +198,19 @@ def harmonic_conv(x: StreamedFeatureMap, bank: HarmonicFilterBank,
     against the atoms' cached spectra in the plan's contraction order.
     Convolution convention is cross-correlation (no kernel flip).
     """
-    if x.orders != bank.in_orders:
-        raise ShapeError(f"input orders {x.orders} != bank orders {bank.in_orders}")
+    if x.data.ndim != 5 or x.shape[1] != len(bank.in_orders):
+        raise ShapeError(f"expected (B, {len(bank.in_orders)}, C, H, W) streams for bank "
+                         f"orders {bank.in_orders}, got {x.shape}")
     b, h, w = x.shape[0], *x.shape[3:]
     if x.shape[2] != bank.c_in:
         raise ShapeError(f"channel mismatch: input {x.shape[2]}, bank {bank.c_in}")
     coeffs = bank.kernel_block(leaves)
     route = conv_plan(bank, b, h, w)["route"]
     if route == "direct":
-        return StreamedFeatureMap(_tap_gemm(x.tensor, bank, coeffs), bank.out_orders)
+        return _tap_gemm(x, bank, coeffs)
     hp, wp = h + bank.k - 1, w + bank.k - 1
     spectra = np.stack([basis_spectra(bank.k, m_f, hp, wp) for _, m_f in bank.connections])
-    return StreamedFeatureMap(ct.conv2d(x.tensor, coeffs, spectra, bank.slots, route), bank.out_orders)
+    return ct.conv2d(x, coeffs, spectra, bank.slots, route)
 
 
 @lru_cache(maxsize=None)
@@ -345,8 +298,8 @@ class HBatchNormState:
         self.buffers = {f"{name}.mean": np.zeros(shape), f"{name}.var": np.ones(shape)}
 
 
-def _affine_norm(x: StreamedFeatureMap, state: HBatchNormState, leaves: dict,
-                 train: bool, relu: bool) -> StreamedFeatureMap:
+def _affine_norm(x: ct.CTensor, state: HBatchNormState, leaves: dict,
+                 train: bool, relu: bool) -> ct.CTensor:
     """New magnitudes a * (|X| - mu)/sqrt(var + eps) + b per (order, channel),
     through ReLU when `relu`, as one phase-keeping tape node.  Train mode
     pools magnitudes over batch and space and updates the running buffers;
@@ -355,8 +308,9 @@ def _affine_norm(x: StreamedFeatureMap, state: HBatchNormState, leaves: dict,
     over the batch, the orders and space."""
     if x.shape[2] != state.channels:
         raise ShapeError(f"channel mismatch: input {x.shape[2]}, norm {state.channels}")
-    if x.orders != state.orders:
-        raise ShapeError(f"order mismatch: input {x.orders}, norm {state.orders}")
+    if x.shape[1] != len(state.orders):
+        raise ShapeError(f"order mismatch: input has {x.shape[1]} order streams, "
+                         f"norm orders {state.orders}")
     name, axes = state.name, (0, 3, 4)
 
     def forward(mag, a, b):
@@ -390,11 +344,11 @@ def _affine_norm(x: StreamedFeatureMap, state: HBatchNormState, leaves: dict,
         return np.divide(gn, s, out=gn), gy * norm, gy
 
     params = tuple(ct.reshape(leaves[f"{name}.{p}"], (-1, 1, 1)) for p in "ab")
-    return x.with_tensor(ct.magnitude_map(x.tensor, params, forward, backward))
+    return ct.magnitude_map(x, params, forward, backward)
 
 
-def hbn_crelu(x: StreamedFeatureMap, state: HBatchNormState, leaves: dict,
-              train: bool) -> StreamedFeatureMap:
+def hbn_crelu(x: ct.CTensor, state: HBatchNormState, leaves: dict,
+              train: bool) -> ct.CTensor:
     """ReLU(a * (|X| - mu)/sqrt(var + eps) + b) e^{i theta}, phase untouched.
 
     Train mode normalizes by batch statistics of magnitudes (per channel per
@@ -405,8 +359,8 @@ def hbn_crelu(x: StreamedFeatureMap, state: HBatchNormState, leaves: dict,
     return _affine_norm(x, state, leaves, train, relu=True)
 
 
-def legacy_cbn(x: StreamedFeatureMap, state: HBatchNormState, leaves: dict,
-               train: bool) -> StreamedFeatureMap:
+def legacy_cbn(x: ct.CTensor, state: HBatchNormState, leaves: dict,
+               train: bool) -> ct.CTensor:
     """Original complex batch norm: gamma*(|X|-mu)/sqrt(var+eps) + beta, no ReLU.
 
     With gamma < 0 the magnitude path goes negative, flipping phases; kept
@@ -441,14 +395,7 @@ def normalize_over(t: ct.CTensor, axis, eps: float = EPS, mode: str = "std") -> 
     return ct.magnitude_map(c, (), forward, backward)
 
 
-def layer_norm_streams(x: StreamedFeatureMap, eps: float = EPS) -> StreamedFeatureMap:
-    """Encoder-style layer norm on spatial feature maps: per (sample, channel,
-    stream), normalize over space with the standard deviation of the
-    centered magnitudes."""
-    return x.with_tensor(normalize_over(x.tensor, (3, 4), eps))
-
-
-def legacy_crelu(x: StreamedFeatureMap, bias: ct.CTensor) -> StreamedFeatureMap:
+def legacy_crelu(x: ct.CTensor, bias: ct.CTensor) -> ct.CTensor:
     """Original C-ReLU: ReLU(|X| + b) e^{i theta} with a per-channel bias
     (C,), shared by every order: it broadcasts as (C, 1, 1)."""
     def forward(mag, b):
@@ -459,36 +406,22 @@ def legacy_crelu(x: StreamedFeatureMap, bias: ct.CTensor) -> StreamedFeatureMap:
         gy = gr * (r > 0)
         return gy, gy
 
-    return x.with_tensor(ct.magnitude_map(x.tensor, (ct.reshape(bias, (-1, 1, 1)),),
-                                          forward, backward))
+    return ct.magnitude_map(x, (ct.reshape(bias, (-1, 1, 1)),), forward, backward)
 
 
 # ---------------------------------------------------------------------------
-# residuals, pooling, dropout
+# dropout
 # ---------------------------------------------------------------------------
 
-def residual_add(a: StreamedFeatureMap, b: StreamedFeatureMap) -> StreamedFeatureMap:
-    if a.orders != b.orders:
-        raise ShapeError(f"order sets differ: {a.orders} vs {b.orders}")
-    if a.shape != b.shape:
-        raise ShapeError(f"stream shapes differ: {a.shape} vs {b.shape}")
-    return a.with_tensor(ct.add(a.tensor, b.tensor))
-
-
-def avg_pool_streams(x: StreamedFeatureMap) -> StreamedFeatureMap:
-    return x.with_tensor(ct.avg_pool2(x.tensor))
-
-
-def channel_dropout(x: StreamedFeatureMap, p: float, rng: np.random.Generator,
-                    train: bool) -> StreamedFeatureMap:
+def channel_dropout(x: ct.CTensor, p: float, rng: np.random.Generator,
+                    train: bool) -> ct.CTensor:
     """Zero whole channels (same mask for every stream), scaled by 1/(1-p)."""
     if not train or p == 0.0:
         return x
     b, _, c = x.shape[:3]
-    real = np.finfo(x.tensor.data.dtype).dtype
+    real = np.finfo(x.data.dtype).dtype
     mask = (rng.random((b, c, 1, 1)) >= p).astype(real) / (1.0 - p)
-    keep = ct.CTensor(mask.reshape(b, 1, c, 1, 1))
-    return x.with_tensor(ct.mul(x.tensor, keep))
+    return ct.mul(x, ct.CTensor(mask.reshape(b, 1, c, 1, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +481,9 @@ class Stem:
         return out
 
     def forward(self, img: ct.CTensor, leaves: dict, train: bool = False,
-                rng: np.random.Generator | None = None) -> StreamedFeatureMap:
+                rng: np.random.Generator | None = None) -> ct.CTensor:
+        """Real images (B, C, H, W) -> streams (B, O, C', H', W'): order 0
+        alone (O = 1) with no blocks, every order in ORDERS after one."""
         x = lift_image(img)
         for i, blk in enumerate(self.blocks):
             inp = x
@@ -560,11 +495,10 @@ class Stem:
                     x = legacy_cbn(x, bn, leaves, train)
                     x = legacy_crelu(x, leaves[f"{self.name}.b{i}.act{j}.bias"])
                 else:
-                    x = layer_norm_streams(x)
+                    x = normalize_over(x, (3, 4))
                     x = legacy_crelu(x, leaves[f"{self.name}.b{i}.act{j}.bias"])
             skip = inp if blk["proj"] is None else harmonic_conv(inp, blk["proj"], leaves)
-            x = residual_add(x, skip)
-            x = avg_pool_streams(x)
+            x = ct.avg_pool2(ct.add(x, skip))
             if blk["dropout"] > 0.0 and train:
                 if rng is None:
                     raise ConfigError("dropout requires an rng in train mode")

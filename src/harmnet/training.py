@@ -78,6 +78,13 @@ def validate_train_config(config: dict) -> dict:
 # loss
 # ---------------------------------------------------------------------------
 
+def _check_labels(labels: np.ndarray, classes: int, what: str = "labels") -> None:
+    """Raise ShapeError unless every label is a class index in [0, classes)."""
+    bad = labels[(labels < 0) | (labels >= classes)]
+    if bad.size:
+        raise ShapeError(f"{what} must lie in [0, {classes}), got {bad[0]}")
+
+
 def cross_entropy(logits: ct.CTensor, labels: np.ndarray,
                   smoothing: float = 0.0) -> ct.CTensor:
     """Mean cross-entropy against the smoothed target (1-s)*onehot + s/C.
@@ -90,6 +97,7 @@ def cross_entropy(logits: ct.CTensor, labels: np.ndarray,
     labels = np.asarray(labels)
     if labels.shape != (b,):
         raise ShapeError(f"labels shape {labels.shape} != ({b},)")
+    _check_labels(labels, c)
     # log-softmax with a detached shift: lse(z) = log sum e^(z-M) + M
     shift = ct.CTensor(np.max(logits.data, axis=1, keepdims=True))
     z = ct.sub(logits, shift)
@@ -203,12 +211,15 @@ def train(model: hm.Model, splits: dict, tconfig: dict | None = None,
     splits: {"train", "val", "test"} LabeledImageSets with raw images; each
     is padded/upscaled once up front per the model's input config.  Emits
     one JSON line per epoch to out_dir/metrics.jsonl and keeps the best
-    checkpoint at out_dir/best.ckpt when out_dir is given.  A non-finite
-    loss aborts with NumericError and a diagnostic dump.
+    checkpoint at out_dir/best.ckpt when out_dir is given.  A label outside
+    [0, classes) in any split raises ShapeError before the first step; a
+    non-finite loss aborts with NumericError and a diagnostic dump.
     """
     tconfig = validate_train_config(tconfig if tconfig is not None
                                     else train_defaults())
     inp = model.config["input"]
+    for name in ("train", "val", "test"):
+        _check_labels(np.asarray(splits[name].labels), model.head.classes, f"{name} labels")
 
     def prep(images):
         return hdata.preprocess(images, inp["pad"],

@@ -2,6 +2,7 @@
 perf claim.  The tool is a script, not a package module, so it is loaded by
 path."""
 
+import argparse
 import importlib.util
 from pathlib import Path
 
@@ -25,6 +26,18 @@ def pair(parent: dict, change: dict) -> dict:
 def test_parse_seeds_ranges_and_singles(bp):
     assert bp.parse_seeds("3001-3003,3007") == [3001, 3002, 3003, 3007]
     assert bp.parse_seeds("5") == [5]
+
+
+def test_reversed_seed_range_is_a_usage_error(bp, tmp_path, capsys):
+    with pytest.raises(argparse.ArgumentTypeError, match="reversed"):
+        bp.parse_seeds("3010-3001")
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit) as exit_info:
+        bp.main([str(tmp_path), str(tmp_path), "--workload", "serve",
+                 "--seeds", "3010-3001", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert "reversed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_quartiles_of_one_value_collapse_to_it(bp):

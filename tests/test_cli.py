@@ -214,6 +214,22 @@ def test_missing_data_exits_2_with_hint(tmp_path, capsys, monkeypatch):
     assert "HARM_DATA_ROOT" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("amat, label", [
+    ("mnist_all_rotation_normalized_float_train_valid.amat", -1),
+    ("mnist_all_rotation_normalized_float_test.amat", 12)])
+def test_out_of_range_label_exits_2(workdir, tmp_path, capsys, amat, label):
+    # -1 used to train silently as the last class; 12 stopped with an
+    # IndexError traceback from cross_entropy
+    data = write_fixture(tmp_path / "data")
+    ds = hdata.load_amat(data / amat)
+    ds.labels[0] = label
+    hdata.save_amat(data / amat, ds)
+    rc = cli.main(["train", "--config", str(workdir.config), "--data-root", str(data),
+                   "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"labels must lie in [0, 3), got {label}" in capsys.readouterr().err
+
+
 def test_numeric_abort_exits_3(workdir, tmp_path, capsys):
     out = tmp_path / "nan"
     with np.errstate(invalid="ignore", over="ignore"):

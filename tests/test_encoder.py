@@ -28,8 +28,13 @@ def const_leaves(params):
     return {k: ct.CTensor(v) for k, v in params.items()}
 
 
+def stack(streams):
+    """Per-order arrays {m: (B, n, d)} as one (B, O, n, d) tensor, orders ascending."""
+    return ct.CTensor(np.stack([streams[m] for m in sorted(streams)], axis=1))
+
+
 def rand_stack(rng, b, h, w, d, orders=(-1, 0, 1)):
-    return enc.PatchStack.from_streams({m: crandn(rng, b, h * w, d) for m in orders}, (h, w))
+    return stack({m: crandn(rng, b, h * w, d) for m in orders})
 
 
 def rot_perm(h, w, quarter_turns=1):
@@ -39,18 +44,18 @@ def rot_perm(h, w, quarter_turns=1):
 
 
 def rot_stack(p, quarter_turns=1):
-    """Group action on patches: row permutation + phase e^{i m alpha}."""
-    perm = rot_perm(*p.grid_shape, quarter_turns)
-    out = {}
-    for m in p.orders:
-        ph = np.exp(1j * m * quarter_turns * np.pi / 2)
-        out[m] = ph * p.stream(m).data[:, perm, :]
-    return enc.PatchStack.from_streams(out, p.grid_shape)
+    """Group action on patches over ORDERS from a square grid: row
+    permutation + phase e^{i m alpha}."""
+    side = int(np.sqrt(p.shape[2]))
+    assert side * side == p.shape[2] and p.shape[1] == len(hs.ORDERS)
+    perm = rot_perm(side, side, quarter_turns)
+    return ct.CTensor(np.stack([np.exp(1j * m * quarter_turns * np.pi / 2) * p.data[:, i][:, perm, :]
+                                for i, m in enumerate(hs.ORDERS)], axis=1))
 
 
 def stack_error(a, b):
-    num = max(np.linalg.norm(a.stream(m).data - b.stream(m).data) for m in a.orders)
-    den = max(np.linalg.norm(b.stream(m).data) for m in b.orders)
+    num = max(np.linalg.norm(a.data[:, i] - b.data[:, i]) for i in range(a.shape[1]))
+    den = max(np.linalg.norm(b.data[:, i]) for i in range(b.shape[1]))
     return num / max(den, 1e-12)
 
 
@@ -60,26 +65,25 @@ def stack_error(a, b):
 
 def test_patchify_roundtrip_and_rows():
     rng = ct.make_rng(40)
-    x = hs.StreamedFeatureMap.from_streams({m: crandn(rng, 2, 3, 2, 2) for m in (-1, 0, 1)})
+    x = stack({m: crandn(rng, 2, 3, 2, 2) for m in (-1, 0, 1)})
     p = enc.patchify(x)
     assert p.shape == (2, 3, 4, 3)
     # row i holds the channel vector at spatial position i (row-major)
-    assert np.array_equal(p.stream(0).data[1, 3], x.stream(0).data[1, :, 1, 1])
-    back = enc.unpatchify(p)
-    for m in (-1, 0, 1):
-        assert np.array_equal(back.stream(m).data, x.stream(m).data)
+    assert np.array_equal(p.data[1, 1, 3], x.data[1, 1, :, 1, 1])
+    back = p.data.reshape(2, 3, 2, 2, 3).transpose(0, 1, 4, 2, 3)
+    for i in range(len(hs.ORDERS)):
+        assert np.array_equal(back[:, i], x.data[:, i])
 
 
 def test_patchify_rotation_is_row_permutation():
     rng = ct.make_rng(41)
-    x = hs.StreamedFeatureMap.from_streams({m: crandn(rng, 1, 2, 4, 4) for m in (-1, 0, 1)})
-    rotated = hs.StreamedFeatureMap.from_streams(
-        {m: np.rot90(x.stream(m).data, -1, axes=(2, 3)).copy() for m in (-1, 0, 1)})
+    x = stack({m: crandn(rng, 1, 2, 4, 4) for m in (-1, 0, 1)})
+    rotated = ct.CTensor(np.rot90(x.data, -1, axes=(3, 4)).copy())
     perm = rot_perm(4, 4, 1)
     p = enc.patchify(x)
     pr = enc.patchify(rotated)
-    for m in (-1, 0, 1):
-        assert np.array_equal(pr.stream(m).data, p.stream(m).data[:, perm, :])
+    for i in range(len(hs.ORDERS)):
+        assert np.array_equal(pr.data[:, i], p.data[:, i][:, perm, :])
 
 
 # ---------------------------------------------------------------------------
@@ -91,14 +95,14 @@ def test_equi_linear_identity_zero_and_he():
     p = rand_stack(rng, 2, 2, 2, 3)
     eye = ct.CTensor(np.eye(3, dtype=np.complex128))
     same = enc.equi_linear(p, eye)
-    for m in (-1, 0, 1):
-        assert np.allclose(same.stream(m).data, p.stream(m).data)
+    for i in range(len(hs.ORDERS)):
+        assert np.allclose(same.data[:, i], p.data[:, i])
     w = ct.CTensor(crandn(rng, 3, 5))
     lhs = enc.equi_linear(rot_stack(p), w)
     rhs = rot_stack(enc.equi_linear(p, w))
     assert stack_error(lhs, rhs) < 1e-14
-    zero = p.with_tensor(ct.CTensor(np.zeros_like(p.tensor.data)))
-    assert np.all(enc.equi_linear(zero, w).stream(0).data == 0)
+    zero = ct.CTensor(np.zeros_like(p.data))
+    assert np.all(enc.equi_linear(zero, w).data[:, 1] == 0)
     with pytest.raises(ShapeError):
         enc.equi_linear(p, ct.CTensor(crandn(rng, 4, 5)))
 
@@ -109,9 +113,8 @@ def test_equi_linear_identity_zero_and_he():
 
 def test_layer_norm_constant_column_and_eps_guard():
     col = np.array([1.0 + 0j, -1.0 + 0j]).reshape(1, 2, 1)
-    p = enc.PatchStack.from_streams(
-        {0: np.concatenate([np.full((1, 2, 1), 3.3 + 1j), col], axis=2)}, (2, 1))
-    y = enc.he_layer_norm(p).stream(0).data
+    p = stack({0: np.concatenate([np.full((1, 2, 1), 3.3 + 1j), col], axis=2)})
+    y = enc.he_layer_norm(p).data[:, 0]
     assert np.max(np.abs(y[:, :, 0])) < 1e-12          # constant column -> zero
     # column [1, -1]: mean 0, centered magnitudes both 1, their std is 0,
     # so the output is [1, -1] / (0 + eps)
@@ -120,14 +123,14 @@ def test_layer_norm_constant_column_and_eps_guard():
 
 def test_layer_norm_rms_mode_differs():
     col = np.array([1.0 + 0j, -1.0 + 0j]).reshape(1, 2, 1)
-    p = enc.PatchStack.from_streams({0: col}, (2, 1))
-    y = enc.he_layer_norm(p, mode="rms").stream(0).data
+    p = stack({0: col})
+    y = enc.he_layer_norm(p, mode="rms").data[:, 0]
     # rms of centered magnitudes is 1 -> output ~ [1, -1] / (1 + eps)
     assert np.allclose(y[:, :, 0], col[:, :, 0] / (1.0 + EPS), rtol=1e-12)
     with pytest.raises(ConfigError):
         enc.he_layer_norm(p, mode="nope")
     with pytest.raises(ShapeError):
-        enc.he_layer_norm(enc.PatchStack.from_streams({0: col[:, :1]}, (1, 1)))
+        enc.he_layer_norm(stack({0: col[:, :1]}))
 
 
 def test_layer_norm_he_90_and_pure_phase():
@@ -137,12 +140,12 @@ def test_layer_norm_he_90_and_pure_phase():
     rhs = rot_stack(enc.he_layer_norm(p))
     assert stack_error(lhs, rhs) < 1e-12
     alpha = 0.7
-    phased = enc.PatchStack.from_streams({m: np.exp(1j * m * alpha) * p.stream(m).data
-                                          for m in p.orders}, p.grid_shape)
+    phased = stack({m: np.exp(1j * m * alpha) * p.data[:, i]
+                    for i, m in enumerate(hs.ORDERS)})
     lhs2 = enc.he_layer_norm(phased)
     base = enc.he_layer_norm(p)
-    rhs2 = enc.PatchStack.from_streams({m: np.exp(1j * m * alpha) * base.stream(m).data
-                                        for m in p.orders}, p.grid_shape)
+    rhs2 = stack({m: np.exp(1j * m * alpha) * base.data[:, i]
+                  for i, m in enumerate(hs.ORDERS)})
     assert stack_error(lhs2, rhs2) < 1e-12
 
 
@@ -327,7 +330,7 @@ def softmax_layer(bias, keep_phase=True):
 
 def stack_layer(fn, **params):
     def run(z, leaves):
-        return fn(enc.PatchStack(z, (0, 1), (2, 2)), leaves).tensor
+        return fn(z, leaves)
     return run, params
 
 
@@ -404,7 +407,7 @@ def make_block(rng, d=4, heads=1, grid=(2, 2), **kw):
 def test_msa_single_patch_attention_is_identity_weight():
     rng = ct.make_rng(48)
     d = 3
-    p = enc.PatchStack.from_streams({m: crandn(rng, 1, 1, d) for m in (-1, 0, 1)}, (1, 1))
+    p = stack({m: crandn(rng, 1, 1, d) for m in (-1, 0, 1)})
     leaves = {
         "m.wq": ct.CTensor(np.eye(d, dtype=np.complex128)),
         "m.wk": ct.CTensor(np.eye(d, dtype=np.complex128)),
@@ -412,11 +415,11 @@ def test_msa_single_patch_attention_is_identity_weight():
         "m.wo": ct.CTensor(np.eye(d, dtype=np.complex128)),
     }
     out = enc.msa_forward(p, leaves, "m", heads=1, keep_phase=False)
-    for m in (-1, 0, 1):
-        assert np.allclose(out.stream(m).data, p.stream(m).data, atol=1e-12)
+    for i in range(len(hs.ORDERS)):
+        assert np.allclose(out.data[:, i], p.data[:, i], atol=1e-12)
     kept = enc.msa_forward(p, leaves, "m", heads=1, keep_phase=True)
-    for m in (-1, 0, 1):
-        assert np.allclose(np.abs(kept.stream(m).data), np.abs(p.stream(m).data), atol=1e-12)
+    for i in range(len(hs.ORDERS)):
+        assert np.allclose(np.abs(kept.data[:, i]), np.abs(p.data[:, i]), atol=1e-12)
 
 
 @pytest.mark.parametrize("strategy", enc.STRATEGIES)
@@ -474,23 +477,22 @@ def test_f32_attention_stays_complex64(strategy):
     blk = make_block(rng, d=d, heads=heads, grid=(3, 3), strategy=strategy)
     leaves = {k: ct.CTensor(v.astype(np.complex64 if np.iscomplexobj(v) else np.float32))
               for k, v in blk.params.items()}
-    p = enc.PatchStack(ct.CTensor(crandn(rng, 2, 3, 9, d).astype(np.complex64)),
-                       (-1, 0, 1), (3, 3))
+    p = ct.CTensor(crandn(rng, 2, 3, 9, d).astype(np.complex64))
     out = enc.msa_forward(p, leaves, "blk", heads, strategy, blk.rpe)
-    assert out.tensor.data.dtype == np.complex64
+    assert out.data.dtype == np.complex64
 
 
 def test_mixing_all_matches_enumeration_oracle():
     rng = ct.make_rng(51)
     n, d = 2, 2
-    p = enc.PatchStack.from_streams({m: crandn(rng, 1, n, d) for m in (-1, 0, 1)}, (2, 1))
+    p = stack({m: crandn(rng, 1, n, d) for m in (-1, 0, 1)})
     eye = np.eye(d, dtype=np.complex128)
     leaves = {f"m.w{x}": ct.CTensor(eye) for x in "qkvo"}
     out = enc.msa_forward(p, leaves, "m", heads=1, strategy="mixing_all")
 
     # independent enumeration: dot products grouped by m_q - m_k, softmax on
     # magnitudes per group (phases kept), every valid (group, value) pairing
-    f = {m: p.stream(m).data[0] for m in (-1, 0, 1)}
+    f = {m: p.data[0, i] for i, m in enumerate(hs.ORDERS)}
     groups = {}
     triples = 0
     for mq in (-1, 0, 1):
@@ -506,24 +508,24 @@ def test_mixing_all_matches_enumeration_oracle():
                 triples += npairs
                 expected[md + mv] += a @ f[mv]
     assert triples == 19                                # valid triples of the 27
-    for m in (-1, 0, 1):
-        assert np.max(np.abs(out.stream(m).data[0] - expected[m])) < 1e-12
+    for i, m in enumerate(hs.ORDERS):
+        assert np.max(np.abs(out.data[0, i] - expected[m])) < 1e-12
 
 
 def test_cross_values_uses_order0_attention_only():
     rng = ct.make_rng(52)
     n, d = 3, 2
     streams = {m: crandn(rng, 1, n, d) for m in (-1, 0, 1)}
-    p = enc.PatchStack.from_streams(streams, (3, 1))
+    p = stack(streams)
     eye = np.eye(d, dtype=np.complex128)
     leaves = {f"m.w{x}": ct.CTensor(eye) for x in "qkvo"}
     out = enc.msa_forward(p, leaves, "m", heads=1, strategy="cross_values")
     f0 = streams[0][0]
     s = f0 @ f0.conj().T / np.sqrt(d)
     a = softmax_np(np.abs(s)) * phase_np(s)
-    for m in (-1, 0, 1):
+    for i, m in enumerate(hs.ORDERS):
         expected = a @ streams[m][0]
-        assert np.max(np.abs(out.stream(m).data[0] - expected)) < 1e-12
+        assert np.max(np.abs(out.data[0, i] - expected)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -538,8 +540,8 @@ def test_block_zero_projections_is_identity():
     params["blk.mlp.w2"] = np.zeros_like(params["blk.mlp.w2"])
     p = rand_stack(rng, 2, 2, 2, 4)
     out = blk.forward(p, const_leaves(params))
-    for m in (-1, 0, 1):
-        assert np.array_equal(out.stream(m).data, p.stream(m).data)
+    for i in range(len(hs.ORDERS)):
+        assert np.array_equal(out.data[:, i], p.data[:, i])
 
 
 def test_three_stacked_blocks_he_at_90():
@@ -564,11 +566,11 @@ def test_block_gradients_match_finite_differences(strategy):
     t = {m: crandn(rng, 1, 4, 2) for m in (-1, 0, 1)}
 
     def f(leaves):
-        p = enc.PatchStack.from_streams(x, (2, 2))
+        p = stack(x)
         y = blk.forward(p, leaves)
         total = None
-        for m in (-1, 0, 1):
-            dm = ct.magnitude(ct.sub(y.stream(m), ct.CTensor(t[m])))
+        for i, m in enumerate(hs.ORDERS):
+            dm = ct.magnitude(ct.sub(ct.narrow(y, 1, i, 1), ct.CTensor(t[m][:, None])))
             term = ct.sum_(ct.mul(dm, dm))
             total = term if total is None else ct.add(total, term)
         return total
@@ -581,8 +583,8 @@ def test_magnitude_dropout_shared_mask():
     rng = ct.make_rng(56)
     p = rand_stack(rng, 2, 2, 2, 4)
     out = enc.magnitude_dropout(p, 0.5, ct.make_rng(3), train=True)
-    ratio0 = out.stream(0).data / p.stream(0).data
-    for m in (-1, 0, 1):
-        ratio = out.stream(m).data / p.stream(m).data
+    ratio0 = out.data[:, 1] / p.data[:, 1]
+    for i in range(len(hs.ORDERS)):
+        ratio = out.data[:, i] / p.data[:, i]
         assert np.allclose(ratio, ratio0)
     assert enc.magnitude_dropout(p, 0.5, ct.make_rng(3), train=False) is p

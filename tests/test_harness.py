@@ -168,7 +168,7 @@ def test_verify_report_deterministic_and_json_clean():
 
 
 def test_order_law_matches_he_error_per_order():
-    # a conv check and a patch-stack check: one forward per quarter turn must
+    # a conv check and a patch-matrix check: one forward per quarter turn must
     # give, for every order, the bits of a separate he_error run on that order
     rng = ct.make_rng(7)
     bank = hs.HarmonicFilterBank("c", hs.ORDERS, hs.ORDERS, 2, 2, 3, rng)
@@ -176,11 +176,10 @@ def test_order_law_matches_he_error_per_order():
     w = ct.CTensor(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
 
     def conv(a):
-        sfm = hs.StreamedFeatureMap(ct.CTensor(a), hs.ORDERS)
-        return hs.harmonic_conv(sfm, bank, leaves).tensor.data
+        return hs.harmonic_conv(ct.CTensor(a), bank, leaves).data
 
     def linear(a):
-        return enc.equi_linear(enc.PatchStack(ct.CTensor(a), hs.ORDERS, (3, 3)), w).tensor.data
+        return enc.equi_linear(ct.CTensor(a), w).data
 
     cases = ((conv, hz._draw(rng, (1, 2, 8, 8)), None, lambda f, q: hz.rot90_grid(f, q)),
              (linear, hz._draw(rng, (1, 9, 4)), (3, 3),

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import harmnet.ctensor as ct
-import harmnet.encoder as enc
 import harmnet.head as hd
 from harmnet.errors import ShapeError
 
@@ -13,14 +12,18 @@ def crandn(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def stack(streams):
+    """Per-order arrays {m: (B, n, d)} as one (B, O, n, d) tensor, orders ascending."""
+    return ct.CTensor(np.stack([streams[m] for m in sorted(streams)], axis=1))
+
+
 def rand_stack(rng, b, h, w, d):
-    return enc.PatchStack.from_streams({m: crandn(rng, b, h * w, d) for m in (-1, 0, 1)}, (h, w))
+    return stack({m: crandn(rng, b, h * w, d) for m in (-1, 0, 1)})
 
 
 def test_readout_single_patch_magnitudes():
     vals = {-1: 1.0 + 0j, 0: 0.0 + 1j, 1: -1.0 + 0j}
-    p = enc.PatchStack.from_streams({m: np.array(v).reshape(1, 1, 1) for m, v in vals.items()},
-                                    (1, 1))
+    p = stack({m: np.array(v).reshape(1, 1, 1) for m, v in vals.items()})
     feat = hd.invariant_readout(p).data
     assert feat.shape == (1, 3)
     assert np.allclose(feat, [[1.0, 1.0, 1.0]])
@@ -28,8 +31,7 @@ def test_readout_single_patch_magnitudes():
 
 
 def test_readout_zero_input():
-    p = enc.PatchStack.from_streams({m: np.zeros((2, 4, 3), dtype=np.complex128)
-                                     for m in (-1, 0, 1)}, (2, 2))
+    p = stack({m: np.zeros((2, 4, 3), dtype=np.complex128) for m in (-1, 0, 1)})
     assert np.all(hd.invariant_readout(p).data == 0)
 
 
@@ -41,12 +43,11 @@ def test_readout_invariant_under_rotation_action():
     for q in (1, 2, 3):
         perm = np.rot90(idx, -q).ravel()
         # exact unit phases (1, i, -1, -i), so each magnitude is bit-identical
-        rotated = enc.PatchStack.from_streams(
-            {m: (1j ** (m * q % 4)) * p.stream(m).data[:, perm, :]
-             for m in (-1, 0, 1)}, (3, 3))
-        for m in (-1, 0, 1):
-            assert np.array_equal(np.abs(rotated.stream(m).data),
-                                  np.abs(p.stream(m).data)[:, perm, :])
+        rotated = stack({m: (1j ** (m * q % 4)) * p.data[:, i][:, perm, :]
+                         for i, m in enumerate((-1, 0, 1))})
+        for i in range(3):
+            assert np.array_equal(np.abs(rotated.data[:, i]),
+                                  np.abs(p.data[:, i])[:, perm, :])
         # pooling over permuted rows differs only by summation order
         assert np.max(np.abs(hd.invariant_readout(rotated).data - feat)) < 1e-14
 

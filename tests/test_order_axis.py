@@ -1,11 +1,12 @@
-"""One order axis: rotation-order streams travel as a single tensor.
+"""One order axis: rotation-order streams travel as a single plain tensor.
 
 Every order-wise layer acts on the whole (B, O, ...) tensor with the same
 ops whatever O is, so recording it on a tape adds as many nodes over three
 orders as over one; the harmonic convolution synthesizes its kernel for
-every order pair in one batch.  Exempt by design: mixing_all, whose tape grows
-with its groups of scored pairs (5 over three orders, 1 over one), each one
-GEMM over folded orders, and not with its 9 pairs.
+every order pair in one batch.  Attention takes all three orders only, so
+its node counts are pinned over three: each strategy records one GEMM per
+group of scored pairs (mixing_all has 5 groups for its 9 pairs), not one
+per pair.  Each layer that owns an order set checks the order axis against it.
 """
 
 import numpy as np
@@ -25,13 +26,15 @@ def crandn(rng, *shape):
 
 
 def feature_map(tape, orders, c=2, hw=4):
+    """A tracked (2, O, c, hw, hw) tensor of streams over `orders`."""
     rng = ct.make_rng(len(orders))
-    return hs.StreamedFeatureMap(tape.leaf(crandn(rng, 2, len(orders), c, hw, hw)), orders)
+    return tape.leaf(crandn(rng, 2, len(orders), c, hw, hw))
 
 
 def patch_stack(tape, orders, d=4):
+    """A tracked (2, O, 4, d) tensor of patch matrices over `orders`."""
     rng = ct.make_rng(len(orders))
-    return enc.PatchStack(tape.leaf(crandn(rng, 2, len(orders), 4, d)), orders, (2, 2))
+    return tape.leaf(crandn(rng, 2, len(orders), 4, d))
 
 
 def tracked(tape, params):
@@ -90,6 +93,10 @@ def msa(strategy):
     return build
 
 
+# the stem's and encoder's order-wise steps; "layer_norm_streams",
+# "residual_add", "avg_pool_streams" and "stack_add" name the stem's layer
+# norm, residual and pooling and the encoder's residual, which run as
+# hs.normalize_over, ct.add and ct.avg_pool2 on the whole tensor
 LAYERS = {
     "harmonic_conv": conv,
     "hbn_crelu_train": norm(hs.hbn_crelu, True),
@@ -97,20 +104,17 @@ LAYERS = {
     "legacy_cbn_train": norm(hs.legacy_cbn, True),
     "legacy_cbn_eval": norm(hs.legacy_cbn, False),
     "legacy_crelu": legacy_crelu,
-    "layer_norm_streams": on_map(hs.layer_norm_streams),
-    "residual_add": on_map(lambda x: hs.residual_add(x, x)),
-    "avg_pool_streams": on_map(hs.avg_pool_streams),
+    "layer_norm_streams": on_map(lambda x: hs.normalize_over(x, (3, 4))),
+    "residual_add": on_map(lambda x: ct.add(x, x)),
+    "avg_pool_streams": on_map(ct.avg_pool2),
     "channel_dropout": on_map(lambda x: hs.channel_dropout(x, 0.5, ct.make_rng(3), True)),
     "patchify": on_map(enc.patchify),
-    "unpatchify": on_stack(enc.unpatchify),
     "equi_linear": equi_linear,
     "he_layer_norm_std": on_stack(enc.he_layer_norm),
     "he_layer_norm_rms": on_stack(lambda p: enc.he_layer_norm(p, mode="rms")),
     "crelu_ab": crelu_ab,
     "magnitude_dropout": on_stack(lambda p: enc.magnitude_dropout(p, 0.5, ct.make_rng(3), True)),
-    "stack_add": on_stack(lambda p: enc.stack_add(p, p)),
-    "msa_harmformer_default": msa("harmformer_default"),
-    "msa_cross_values": msa("cross_values"),
+    "stack_add": on_stack(lambda p: ct.add(p, p)),
     "invariant_readout": on_stack(hd.invariant_readout),
 }
 
@@ -130,6 +134,16 @@ def test_tape_nodes_do_not_grow_with_orders(name):
     assert one == three, (name, one, three)
 
 
+# nodes one attention call records over three orders: 26 with one group of
+# scored pairs (the count over one order was the same), 62 for mixing_all's 5
+ATTENTION_NODES = {"msa_harmformer_default": 26, "msa_cross_values": 26, "msa_mixing_all": 62}
+
+
+@pytest.mark.parametrize("name", sorted(ATTENTION_NODES))
+def test_attention_tape_nodes_are_pinned(name):
+    assert nodes_added(msa(name.removeprefix("msa_")), THREE) == ATTENTION_NODES[name]
+
+
 def test_bank_nodes_do_not_grow_with_connections():
     # a bank's coefficients are two stacked leaves whatever its connection
     # count, so its leaves plus its kernel block add a fixed number of nodes
@@ -146,44 +160,63 @@ def test_bank_nodes_do_not_grow_with_connections():
 
 
 def test_embed_orders_nodes_do_not_grow_with_orders():
-    # completing a partial order set to all three; identity when already full
-    counts = {orders: nodes_added(on_map(hs.embed_orders), orders)
-              for orders in ((0,), (-1, 1), (0, 1))}
-    assert len(set(counts.values())) == 1 and 0 not in counts.values(), counts
+    # completing the lifted image's lone order 0 to all three; identity when
+    # already full
+    assert nodes_added(on_map(hs.embed_orders), ONE) > 0
     assert nodes_added(on_map(hs.embed_orders), THREE) == 0
 
 
 def test_embed_orders_places_streams_and_zero_fills():
     rng = ct.make_rng(4)
-    part = {m: crandn(rng, 1, 2, 2, 2) for m in (-1, 1)}
-    full = hs.embed_orders(hs.StreamedFeatureMap.from_streams(part))
-    assert full.orders == hs.ORDERS
-    for m in (-1, 1):
-        assert np.array_equal(full.stream(m).data, part[m])
-    assert np.all(full.stream(0).data == 0)
+    lone = crandn(rng, 1, 1, 2, 2, 2)
+    full = hs.embed_orders(ct.CTensor(lone))
+    assert full.shape == (1, len(hs.ORDERS), 2, 2, 2)
+    assert np.array_equal(full.data[:, hs.ORDERS.index(0)], lone[:, 0])
+    assert np.all(full.data[:, hs.ORDERS.index(-1)] == 0)
+    assert np.all(full.data[:, hs.ORDERS.index(1)] == 0)
 
 
-def test_stream_accessor_and_constructor_agree():
-    rng = ct.make_rng(5)
-    arrays = {m: crandn(rng, 2, 3, 4) for m in hs.ORDERS}
-    p = enc.PatchStack.from_streams(arrays, (3, 1))
-    assert p.shape == (2, 3, 3, 4) and p.orders == hs.ORDERS
-    for i, m in enumerate(hs.ORDERS):
-        assert np.array_equal(p.stream(m).data, arrays[m])
-        assert np.array_equal(p.tensor.data[:, i], arrays[m])
+def conv_input(orders, shape):
+    """A bank over `orders` run on a zero input of `shape`."""
+    bank = hs.HarmonicFilterBank("hc", orders, THREE, 2, 2, 3, ct.make_rng(0))
+    return lambda: hs.harmonic_conv(ct.CTensor(np.zeros(shape, np.complex128)), bank,
+                                    tracked(ct.GradTape(), bank.params))
 
 
-def test_order_axis_rejects_bad_layouts():
-    with pytest.raises(ShapeError):
-        hs.StreamedFeatureMap(ct.CTensor(np.zeros((1, 2, 1, 2, 2))), (0,))
-    with pytest.raises(ShapeError):
-        hs.StreamedFeatureMap(ct.CTensor(np.zeros((1, 2, 1, 2, 2))), (1, 0))
-    with pytest.raises(ShapeError):
-        hs.StreamedFeatureMap(ct.CTensor(np.zeros((1, 1, 1, 2, 2))), (2,))
-    with pytest.raises(ShapeError):
-        enc.PatchStack(ct.CTensor(np.zeros((1, 1, 3, 2))), (0,), (2, 2))
-    with pytest.raises(ShapeError):
-        hs.StreamedFeatureMap.from_streams({0: np.zeros((1, 1, 2, 2)), 1: np.zeros((1, 2, 2, 2))})
+def norm_input(layer, train, o):
+    """A norm over all three orders run on O = o streams."""
+    state = hs.HBatchNormState("bn", 2)
+    x = ct.CTensor(crandn(ct.make_rng(8), 2, o, 2, 3, 3))
+    return lambda: layer(x, state, tracked(ct.GradTape(), state.params), train)
+
+
+def msa_input(o):
+    """Attention run on (2, O, 4, 4) matrices with O = o."""
+    blk = enc.EncoderBlock("blk", 4, 2, (2, 2), ct.make_rng(2))
+    p = ct.CTensor(crandn(ct.make_rng(9), 2, o, 4, 4))
+    return lambda: enc.msa_forward(p, tracked(ct.GradTape(), blk.params), "blk", 2,
+                                   rpe=blk.rpe)
+
+
+# a layer run on an order axis its owner (bank, norm state, ORDERS) rejects
+ORDER_MISMATCHES = {
+    "harmonic_conv_one_into_three": conv_input(THREE, (1, 1, 2, 6, 6)),
+    "harmonic_conv_three_into_one": conv_input(ONE, (1, 3, 2, 6, 6)),
+    "harmonic_conv_no_order_axis": conv_input(THREE, (1, 2, 6, 6)),
+    "hbn_crelu_train": norm_input(hs.hbn_crelu, True, 1),
+    "hbn_crelu_eval": norm_input(hs.hbn_crelu, False, 2),
+    "legacy_cbn_train": norm_input(hs.legacy_cbn, True, 2),
+    "legacy_cbn_eval": norm_input(hs.legacy_cbn, False, 1),
+    "msa_forward_one": msa_input(1),
+    "msa_forward_two": msa_input(2),
+    "embed_orders_two": lambda: hs.embed_orders(ct.CTensor(np.zeros((1, 2, 1, 2, 2), complex))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_MISMATCHES))
+def test_order_axis_must_match_its_owner(name):
+    with pytest.raises(ShapeError, match="order"):
+        ORDER_MISMATCHES[name]()
 
 
 def test_shared_parameter_gradients_match_separate_uses():
@@ -209,9 +242,8 @@ def test_shared_parameter_gradients_match_separate_uses():
     separate = ct.backward(tape, total)["w"]
 
     tape = ct.GradTape()
-    p = enc.PatchStack(ct.CTensor(x), hs.ORDERS, (5, 1))
-    y = enc.equi_linear(p, tape.parameter("w", w))
-    stacked = ct.backward(tape, loss(y.tensor, t))["w"]
+    y = enc.equi_linear(ct.CTensor(x), tape.parameter("w", w))
+    stacked = ct.backward(tape, loss(y, t))["w"]
     assert np.array_equal(stacked, separate)
 
 

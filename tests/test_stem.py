@@ -25,9 +25,9 @@ def crandn(rng, *shape):
 
 
 def rand_sfm(rng, orders, b, c, h, w):
-    return hs.StreamedFeatureMap.from_streams(
-        {m: rng.standard_normal((b, c, h, w)) + 1j * rng.standard_normal((b, c, h, w))
-         for m in orders})
+    """Random streams (b, O, c, h, w) over `orders`, drawn order by order."""
+    return ct.CTensor(np.stack([rng.standard_normal((b, c, h, w))
+                                + 1j * rng.standard_normal((b, c, h, w)) for _ in orders], axis=1))
 
 
 def rot_grid(arr, quarter_turns):
@@ -37,17 +37,17 @@ def rot_grid(arr, quarter_turns):
 
 
 def rot_sfm(x, quarter_turns=1):
-    """The group action on streams: spatial rotation plus phase e^{i m alpha}."""
-    out = {}
-    for m in x.orders:
-        ph = np.exp(1j * m * quarter_turns * np.pi / 2)
-        out[m] = ph * rot_grid(x.stream(m).data, quarter_turns)
-    return hs.StreamedFeatureMap.from_streams(out)
+    """The group action on streams over ORDERS: spatial rotation plus phase
+    e^{i m alpha}."""
+    assert x.shape[1] == len(hs.ORDERS)
+    return ct.CTensor(np.stack([np.exp(1j * m * quarter_turns * np.pi / 2)
+                                * rot_grid(x.data[:, i], quarter_turns)
+                                for i, m in enumerate(hs.ORDERS)], axis=1))
 
 
 def sfm_error(a, b):
-    num = max(np.linalg.norm(a.stream(m).data - b.stream(m).data) for m in a.orders)
-    den = max(np.linalg.norm(b.stream(m).data) for m in b.orders)
+    num = max(np.linalg.norm(a.data[:, i] - b.data[:, i]) for i in range(a.shape[1]))
+    den = max(np.linalg.norm(b.data[:, i]) for i in range(b.shape[1]))
     return num / max(den, 1e-12)
 
 
@@ -176,11 +176,11 @@ def test_impulse_response_is_point_reflected_kernel():
     x = hs.lift_image(ct.CTensor(img))
     leaves = const_leaves(bank.params)
     y = hs.harmonic_conv(x, bank, leaves)
-    for m in (-1, 0, 1):
+    for i, m in enumerate(hs.ORDERS):
         p = bank.connections.index((0, m))
         kern = hs.synthesize_block(bank.params["lift.radial"][p], bank.params["lift.phase"][p],
                                    m, 5)[0, 0]
-        assert np.max(np.abs(y.stream(m).data[0, 0] - kern[::-1, ::-1])) < 1e-14
+        assert np.max(np.abs(y.data[0, i, 0] - kern[::-1, ::-1])) < 1e-14
 
 
 @pytest.mark.parametrize("batch", [pytest.param(1, id="spectrum_first"),
@@ -235,7 +235,7 @@ def test_1x1_bank_is_a_channel_matmul_without_transforms(monkeypatch, name, batc
     in_orders, filter_orders = ONE_BY_ONE_BANKS[name]
     bank = hs.HarmonicFilterBank("p", in_orders, hs.ORDERS, 3, 4, 1, ct.make_rng(40),
                                  filter_orders=filter_orders)
-    params = {"x": rand_sfm(ct.make_rng(41), in_orders, batch, 3, 5, 6).tensor.data,
+    params = {"x": rand_sfm(ct.make_rng(41), in_orders, batch, 3, 5, 6).data,
               **bank.params}
     target = ct.CTensor(crandn(ct.make_rng(42), batch, 3, 4, 5, 6))
 
@@ -251,8 +251,7 @@ def test_1x1_bank_is_a_channel_matmul_without_transforms(monkeypatch, name, batc
     calls = []
     for fn in ("fft2", "ifft2"):
         monkeypatch.setattr(sfft, fn, lambda *a, _fn=fn, **k: calls.append(_fn))
-    y, grads = run(lambda p: hs.harmonic_conv(hs.StreamedFeatureMap(p["x"], in_orders),
-                                              bank, p).tensor)
+    y, grads = run(lambda p: hs.harmonic_conv(p["x"], bank, p))
     assert calls == []
     for got, want in [(y, ref)] + [(grads[k], ref_grads[k]) for k in params]:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -268,7 +267,7 @@ def test_1x1_connections_of_nonzero_filter_order_contribute_exactly_zero():
     leaves = {"p.radial": tape.parameter("p.radial", radial),
               "p.phase": tape.parameter("p.phase", bank.params["p.phase"])}
     x = rand_sfm(ct.make_rng(44), hs.ORDERS, 2, 3, 5, 6)
-    y = hs.harmonic_conv(x, bank, leaves).tensor
+    y = hs.harmonic_conv(x, bank, leaves)
     assert np.all(y.data == 0)
     g = ct.backward(tape, ct.sum_(ct.magnitude(ct.add(y, ct.CTensor(np.ones(y.shape))))))
     assert np.all(g["p.radial"][nonzero] == 0) and np.all(g["p.phase"] == 0)
@@ -296,10 +295,10 @@ def test_lifting_conv_is_a_tap_gemm_at_every_batch(monkeypatch):
         assert hs.conv_plan(bank, batch, 10, 10) == {
             "route": "direct", "macs": batch * 100 * 1 * 24 * 13, "fft_points": 0}
         x = hs.lift_image(ct.CTensor(ct.make_rng(27).standard_normal((batch, 1, 10, 10))))
-        refs = [conv2d_reference(x.tensor, bank, coeffs, order).data
+        refs = [conv2d_reference(x, bank, coeffs, order).data
                 for order in ("spectrum_first", "kernel_first")]
         calls = record_transforms(monkeypatch)
-        y = hs.harmonic_conv(x, bank, leaves).tensor.data
+        y = hs.harmonic_conv(x, bank, leaves).data
         monkeypatch.undo()
         assert calls == [], batch
         for ref in refs:
@@ -328,7 +327,7 @@ def direct_bank(name):
 def test_direct_bank_matches_conv2d_without_transforms(monkeypatch, name, batch):
     bank = direct_bank(name)
     assert hs.conv_plan(bank, batch, 7, 6)["route"] == "direct"
-    x0 = rand_sfm(ct.make_rng(51), bank.in_orders, batch, bank.c_in, 7, 6).tensor.data
+    x0 = rand_sfm(ct.make_rng(51), bank.in_orders, batch, bank.c_in, 7, 6).data
     params = {"x": x0, **bank.params}
     target = ct.CTensor(crandn(ct.make_rng(52), batch, 3, bank.c_out, 7, 6))
 
@@ -342,8 +341,7 @@ def test_direct_bank_matches_conv2d_without_transforms(monkeypatch, name, batch)
     ref, ref_grads = run(lambda p: conv2d_reference(p["x"], bank, bank.kernel_block(p),
                                                     reference_order(batch)))
     calls = record_transforms(monkeypatch)
-    y, grads = run(lambda p: hs.harmonic_conv(hs.StreamedFeatureMap(p["x"], bank.in_orders),
-                                              bank, p).tensor)
+    y, grads = run(lambda p: hs.harmonic_conv(p["x"], bank, p))
     assert calls == []
     for got, want in [(y, ref)] + [(grads[k], ref_grads[k]) for k in params]:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -353,12 +351,12 @@ def test_direct_bank_matches_conv2d_without_transforms(monkeypatch, name, batch)
 def test_fd_direct_bank_over_input_radial_and_phase(name):
     bank = direct_bank(name)
     rng = ct.make_rng(53)
-    x = rand_sfm(rng, bank.in_orders, 2, bank.c_in, 5, 6).tensor.data
-    target = rand_sfm(rng, hs.ORDERS, 2, bank.c_out, 5, 6).tensor
+    x = rand_sfm(rng, bank.in_orders, 2, bank.c_in, 5, 6).data
+    target = rand_sfm(rng, hs.ORDERS, 2, bank.c_out, 5, 6)
 
     def f(p):
-        y = hs.harmonic_conv(hs.StreamedFeatureMap(p["x"], bank.in_orders), bank, p)
-        m = ct.magnitude(ct.sub(y.tensor, target))
+        y = hs.harmonic_conv(p["x"], bank, p)
+        m = ct.magnitude(ct.sub(y, target))
         return ct.sum_(ct.mul(m, m))
 
     err = ct.finite_difference_check(f, {"x": x, **bank.params}, sample=40)
@@ -371,9 +369,8 @@ def test_direct_bank_of_an_f32_model_outputs_complex128(name):
     # as conv2d widens its input before the FFT
     bank = direct_bank(name)
     leaves = {k: ct.CTensor(v.astype(np.float32)) for k, v in bank.params.items()}
-    x = rand_sfm(ct.make_rng(54), bank.in_orders, 2, bank.c_in, 5, 6).tensor.data
-    y = hs.harmonic_conv(hs.StreamedFeatureMap(ct.CTensor(x.astype(np.complex64)),
-                                               bank.in_orders), bank, leaves).tensor
+    x = rand_sfm(ct.make_rng(54), bank.in_orders, 2, bank.c_in, 5, 6).data
+    y = hs.harmonic_conv(ct.CTensor(x.astype(np.complex64)), bank, leaves)
     assert y.data.dtype == np.complex128
 
 
@@ -420,12 +417,12 @@ def test_fd_harmonic_conv_over_input_radial_and_phase(batch):
     rng = ct.make_rng(25)
     bank = hs.HarmonicFilterBank("hc", hs.ORDERS, hs.ORDERS, 2, 2, 3, rng)
     assert hs.conv_plan(bank, batch, 6, 6)["route"] == reference_order(batch)
-    x = rand_sfm(rng, hs.ORDERS, batch, 2, 6, 6).tensor.data
-    target = rand_sfm(rng, hs.ORDERS, batch, 2, 6, 6).tensor
+    x = rand_sfm(rng, hs.ORDERS, batch, 2, 6, 6).data
+    target = rand_sfm(rng, hs.ORDERS, batch, 2, 6, 6)
 
     def f(p):
-        y = hs.harmonic_conv(hs.StreamedFeatureMap(p["x"], hs.ORDERS), bank, p)
-        m = ct.magnitude(ct.sub(y.tensor, target))
+        y = hs.harmonic_conv(p["x"], bank, p)
+        m = ct.magnitude(ct.sub(y, target))
         return ct.sum_(ct.mul(m, m))
 
     # a bank stores its connections stacked: 12 components per connection
@@ -461,16 +458,14 @@ def test_harmonic_conv_zero_input_and_shape_errors():
     rng = ct.make_rng(24)
     bank = hs.HarmonicFilterBank("hc", (-1, 0, 1), (-1, 0, 1), 2, 2, 3, rng)
     leaves = const_leaves(bank.params)
-    zero = hs.StreamedFeatureMap.from_streams(
-        {m: np.zeros((1, 2, 6, 6), dtype=np.complex128) for m in (-1, 0, 1)})
+    zero = ct.CTensor(np.zeros((1, 3, 2, 6, 6), dtype=np.complex128))
     y = hs.harmonic_conv(zero, bank, leaves)
-    for m in (-1, 0, 1):
-        assert np.all(y.stream(m).data == 0)
-    bad_ch = hs.StreamedFeatureMap.from_streams(
-        {m: np.zeros((1, 3, 6, 6), dtype=np.complex128) for m in (-1, 0, 1)})
+    for i in range(len(hs.ORDERS)):
+        assert np.all(y.data[:, i] == 0)
+    bad_ch = ct.CTensor(np.zeros((1, 3, 3, 6, 6), dtype=np.complex128))
     with pytest.raises(ShapeError):
         hs.harmonic_conv(bad_ch, bank, leaves)
-    lone = hs.StreamedFeatureMap.from_streams({0: np.zeros((1, 2, 6, 6), dtype=np.complex128)})
+    lone = ct.CTensor(np.zeros((1, 1, 2, 6, 6), dtype=np.complex128))
     with pytest.raises(ShapeError):
         hs.harmonic_conv(lone, bank, leaves)
 
@@ -489,8 +484,8 @@ def test_projection_bank_restricted_to_order_zero_filters():
     leaves = const_leaves(proj.params)
     x = rand_sfm(rng, (0,), 1, 2, 4, 4)
     y = hs.harmonic_conv(x, proj, leaves)
-    assert np.all(y.stream(-1).data == 0) and np.all(y.stream(1).data == 0)
-    assert np.any(y.stream(0).data != 0)
+    assert np.all(y.data[:, 0] == 0) and np.all(y.data[:, 2] == 0)
+    assert np.any(y.data[:, 1] != 0)
     with pytest.raises(ConfigError):
         hs.HarmonicFilterBank("q", (0,), (1,), 1, 1, 1, rng, filter_orders=(0,))
 
@@ -501,11 +496,11 @@ def test_projection_bank_restricted_to_order_zero_filters():
 
 def test_hbn_crelu_hand_computed_batch():
     # batch magnitudes {1, 3}: mean 2, population variance 1
-    x = hs.StreamedFeatureMap.from_streams(
-        {0: np.array([1.0 * np.exp(1j * 0.2), 3.0 * np.exp(1j * np.pi / 3)]).reshape(2, 1, 1, 1)})
+    x = ct.CTensor(
+        np.array([1.0 * np.exp(1j * 0.2), 3.0 * np.exp(1j * np.pi / 3)]).reshape(2, 1, 1, 1, 1))
     state = hs.HBatchNormState("bn", 1, orders=(0,))
     y = hs.hbn_crelu(x, state, const_leaves(state.params), train=True)
-    out = y.stream(0).data.reshape(2)
+    out = y.data.reshape(2)
     expected_hi = (1.0 / np.sqrt(1.0 + EPS)) * np.exp(1j * np.pi / 3)
     assert out[0] == 0.0                            # ReLU((1-2)/...) = 0
     assert abs(out[1] - expected_hi) < 1e-12
@@ -532,12 +527,12 @@ def test_hbn_crelu_nonnegative_and_phase_preserving():
     params = dict(state.params)
     params["bn.b"] = np.full(4, -0.3)               # force some clipping
     y = hs.hbn_crelu(x, state, const_leaves(params), train=True)
-    for m in (-1, 0, 1):
-        mag = np.abs(y.stream(m).data)
+    for i in range(len(hs.ORDERS)):
+        mag = np.abs(y.data[:, i])
         assert np.min(mag) >= 0
         keep = mag > 1e-9
-        pin = x.stream(m).data / np.abs(x.stream(m).data)
-        pout = np.where(keep, y.stream(m).data / np.where(keep, mag, 1.0), pin)
+        pin = x.data[:, i] / np.abs(x.data[:, i])
+        pout = np.where(keep, y.data[:, i] / np.where(keep, mag, 1.0), pin)
         assert np.max(np.abs(pout - pin)) < 1e-12
         assert np.any(~keep)                        # clipping actually happened
 
@@ -549,15 +544,15 @@ def test_hbn_crelu_kill_all_with_large_negative_shift():
     params = dict(state.params)
     params["bn.b"] = np.full(2, -10.0)
     y = hs.hbn_crelu(x, state, const_leaves(params), train=True)
-    assert np.all(y.stream(0).data == 0)
+    assert np.all(y.data == 0)
 
 
 def test_hbn_crelu_eval_uses_initial_stats():
-    x = hs.StreamedFeatureMap.from_streams({0: np.full((1, 1, 1, 1), 2.0 + 0j)})
+    x = ct.CTensor(np.full((1, 1, 1, 1, 1), 2.0 + 0j))
     state = hs.HBatchNormState("bn", 1, orders=(0,))
     y = hs.hbn_crelu(x, state, const_leaves(state.params), train=False)
     # initialized stats mu=0, var=1: ReLU(2/sqrt(1+eps))
-    assert y.stream(0).data.reshape(()) == pytest.approx(2.0 / np.sqrt(1 + EPS), rel=1e-12)
+    assert y.data.reshape(()) == pytest.approx(2.0 / np.sqrt(1 + EPS), rel=1e-12)
 
 
 def test_hbn_crelu_rot90_he():
@@ -577,19 +572,19 @@ def test_hbn_crelu_rot90_he():
 # ---------------------------------------------------------------------------
 
 def test_legacy_crelu_kills_small_magnitudes():
-    x = hs.StreamedFeatureMap.from_streams({0: np.full((1, 1, 1, 1), 2.0 * np.exp(1j * 0.4))})
+    x = ct.CTensor(np.full((1, 1, 1, 1, 1), 2.0 * np.exp(1j * 0.4)))
     y = hs.legacy_crelu(x, ct.CTensor(np.array([-3.0])))
-    assert y.stream(0).data.reshape(()) == 0.0
+    assert y.data.reshape(()) == 0.0
 
 
 def test_legacy_cbn_negative_gamma_flips_phase():
-    x = hs.StreamedFeatureMap.from_streams(
-        {0: np.array([1.0, 3.0]).astype(np.complex128).reshape(2, 1, 1, 1) * np.exp(1j * 0.7)})
+    x = ct.CTensor(np.array([1.0, 3.0]).astype(np.complex128).reshape(2, 1, 1, 1, 1)
+                   * np.exp(1j * 0.7))
     state = hs.HBatchNormState("bn", 1, orders=(0,))
     params = dict(state.params)
     params["bn.a"] = np.array([-1.0])               # gamma < 0
     y = hs.legacy_cbn(x, state, const_leaves(params), train=True)
-    out = y.stream(0).data.reshape(2)
+    out = y.data.reshape(2)
     # element with magnitude 3 normalizes to +1, gamma flips it to -1:
     # the "magnitude" path went negative -> phase rotated by pi
     assert out[1].real < 0 or out[1].imag < 0
@@ -601,7 +596,7 @@ def test_legacy_cbn_train_moves_running_stats_as_hbn_crelu_does():
     # both norms move every (order, channel) buffer by the momentum rule
     # buf <- (1 - momentum) buf + momentum * batch statistic of |X|
     x = rand_sfm(ct.make_rng(28), hs.ORDERS, 3, 2, 4, 4)
-    mag = np.abs(x.tensor.data)
+    mag = np.abs(x.data)
     mu = mag.mean(axis=(0, 3, 4), keepdims=True)
     var = ((mag - mu) ** 2).mean(axis=(0, 3, 4))
     moved = []
@@ -625,11 +620,11 @@ def test_legacy_cbn_train_moves_running_stats_as_hbn_crelu_does():
 
 def test_legacy_crelu_subgradient_zero_at_kink():
     # pre-activations |z| + b of 0 (the kink), -1 and 2
-    x = hs.StreamedFeatureMap(ct.CTensor(np.ones((1, 1, 3, 1, 1), dtype=np.complex128)), (0,))
+    x = ct.CTensor(np.ones((1, 1, 3, 1, 1), dtype=np.complex128))
     t = np.full((1, 1, 3, 1, 1), 0.5 + 0.25j)
     tape = ct.GradTape()
     bias = tape.parameter("bias", np.array([-1.0, -2.0, 1.0]))
-    d = ct.magnitude(ct.sub(hs.legacy_crelu(x, bias).tensor, ct.CTensor(t)))
+    d = ct.magnitude(ct.sub(hs.legacy_crelu(x, bias), ct.CTensor(t)))
     g = ct.backward(tape, ct.sum_(ct.mul(d, d)))["bias"]
     assert g[0] == 0.0 and g[1] == 0.0 and g[2] == 2 * (2.0 - 0.5)
 
@@ -684,13 +679,13 @@ def norm_layer(layer, train):
     params = {"bn.a": np.array([1.3, -0.8]), "bn.b": np.array([0.2, -0.3])}
 
     def run(z, leaves):
-        return layer(hs.StreamedFeatureMap(z, hs.ORDERS), state, leaves, train).tensor
+        return layer(z, state, leaves, train)
     return run, params
 
 
 def crelu_layer():
     def run(z, leaves):
-        return hs.legacy_crelu(hs.StreamedFeatureMap(z, hs.ORDERS), leaves["bias"]).tensor
+        return hs.legacy_crelu(z, leaves["bias"])
     return run, {"bias": np.array([-0.4, 0.3])}
 
 
@@ -740,12 +735,13 @@ def test_fd_normalize_over_and_collapsed_sigma(mode):
 
 
 def on_streams(fn):
-    return lambda: ((lambda z, _: fn(hs.StreamedFeatureMap(z, hs.ORDERS)).tensor), {})
+    return lambda: ((lambda z, _: fn(z)), {})
 
 
 DTYPE_LAYERS = {
     **FUSED_STEM_LAYERS,
-    "layer_norm_streams": on_streams(hs.layer_norm_streams),
+    # the stem's "layernorm" variant: normalize each stream over space
+    "layer_norm_streams": on_streams(lambda x: hs.normalize_over(x, (3, 4))),
     "channel_dropout": on_streams(lambda x: hs.channel_dropout(x, 0.5, ct.make_rng(3), True)),
 }
 
@@ -763,34 +759,33 @@ def test_complex64_input_stays_complex64(name):
 # ---------------------------------------------------------------------------
 
 def test_residual_add_laws():
+    # the stem's residual is ct.add on the whole (B, O, C, H, W) tensor
     rng = ct.make_rng(28)
     a = rand_sfm(rng, (-1, 0, 1), 1, 2, 3, 3)
-    zero = a.with_tensor(ct.CTensor(np.zeros_like(a.tensor.data)))
-    same = hs.residual_add(a, zero)
-    twice = hs.residual_add(a, a)
-    for m in (-1, 0, 1):
-        assert np.array_equal(same.stream(m).data, a.stream(m).data)
-        assert np.allclose(twice.stream(m).data, 2 * a.stream(m).data)
-    lhs = hs.residual_add(rot_sfm(a), rot_sfm(a))
+    zero = ct.CTensor(np.zeros_like(a.data))
+    same = ct.add(a, zero)
+    twice = ct.add(a, a)
+    for i in range(len(hs.ORDERS)):
+        assert np.array_equal(same.data[:, i], a.data[:, i])
+        assert np.allclose(twice.data[:, i], 2 * a.data[:, i])
+    lhs = ct.add(rot_sfm(a), rot_sfm(a))
     rhs = rot_sfm(twice)
     assert sfm_error(lhs, rhs) < 1e-14
-    with pytest.raises(ShapeError):
-        hs.residual_add(a, hs.StreamedFeatureMap.from_streams({0: a.stream(0).data}))
 
 
 def test_avg_pool_streams():
+    # the stem pools with ct.avg_pool2 on the whole (B, O, C, H, W) tensor
     rng = ct.make_rng(29)
-    const = hs.StreamedFeatureMap.from_streams(
-        {m: np.full((1, 1, 4, 4), 0.3 + 0.4j) for m in (-1, 0, 1)})
-    pooled = hs.avg_pool_streams(const)
-    for m in (-1, 0, 1):
-        assert np.allclose(pooled.stream(m).data, 0.3 + 0.4j)
+    const = ct.CTensor(np.full((1, 3, 1, 4, 4), 0.3 + 0.4j))
+    pooled = ct.avg_pool2(const)
+    for i in range(len(hs.ORDERS)):
+        assert np.allclose(pooled.data[:, i], 0.3 + 0.4j)
     checker = np.indices((4, 4)).sum(axis=0) % 2 * 2.0 - 1.0
-    x = hs.StreamedFeatureMap.from_streams({0: checker[None, None].astype(np.complex128)})
-    assert np.max(np.abs(hs.avg_pool_streams(x).stream(0).data)) == 0.0
+    x = ct.CTensor(checker[None, None, None].astype(np.complex128))
+    assert np.max(np.abs(ct.avg_pool2(x).data)) == 0.0
     y = rand_sfm(rng, (-1, 0, 1), 1, 2, 6, 6)
-    lhs = hs.avg_pool_streams(rot_sfm(y))
-    rhs = rot_sfm(hs.avg_pool_streams(y))
+    lhs = ct.avg_pool2(rot_sfm(y))
+    rhs = rot_sfm(ct.avg_pool2(y))
     assert sfm_error(lhs, rhs) < 1e-14
 
 
@@ -798,9 +793,9 @@ def test_channel_dropout_consistent_across_streams():
     rng = ct.make_rng(30)
     x = rand_sfm(rng, (-1, 0, 1), 2, 8, 3, 3)
     out = hs.channel_dropout(x, 0.5, ct.make_rng(7), train=True)
-    ref = out.stream(0).data / np.where(x.stream(0).data == 0, 1, x.stream(0).data)
-    for m in (-1, 0, 1):
-        ratio = out.stream(m).data / x.stream(m).data
+    ref = out.data[:, 1] / np.where(x.data[:, 1] == 0, 1, x.data[:, 1])
+    for i in range(len(hs.ORDERS)):
+        ratio = out.data[:, i] / x.data[:, i]
         assert np.allclose(ratio, ref)             # same mask on every stream
         vals = np.unique(np.round(ratio.real, 9))
         assert set(vals).issubset({0.0, 2.0})      # dropped or scaled by 1/(1-p)
@@ -818,11 +813,11 @@ def test_stem_shapes_and_zero_image():
     leaves = const_leaves(stem.params)
     img = ct.CTensor(rng.standard_normal((2, 1, 16, 16)))
     y = stem.forward(img, leaves, train=False)
-    assert y.orders == (-1, 0, 1)
+    assert y.shape[1] == len(hs.ORDERS)
     assert y.shape == (2, 3, 3, 4, 4)
     z = stem.forward(ct.CTensor(np.zeros((1, 1, 16, 16))), leaves, train=False)
-    for m in (-1, 0, 1):
-        assert np.all(z.stream(m).data == 0)
+    for i in range(len(hs.ORDERS)):
+        assert np.all(z.data[:, i] == 0)
 
 
 def test_stem_rot90_he_end_to_end():
@@ -851,8 +846,8 @@ def test_stem_gradients_match_finite_differences():
     def f(leaves):
         y = stem.forward(ct.CTensor(img), leaves, train=False)
         total = None
-        for m in (-1, 0, 1):
-            d = ct.sub(y.stream(m), ct.CTensor(targets[m]))
+        for i, m in enumerate(hs.ORDERS):
+            d = ct.sub(ct.narrow(y, 1, i, 1), ct.CTensor(targets[m][:, None]))
             dm = ct.magnitude(d)
             term = ct.sum_(ct.mul(dm, dm))
             total = term if total is None else ct.add(total, term)
@@ -874,8 +869,8 @@ def test_stem_dropout_drops_channels_in_train_mode_only():
     stem.blocks[0]["dropout"] = 0.0
     kept = stem.forward(img, leaves, train=True)
     want = hs.channel_dropout(kept, 0.5, ct.make_rng(7), train=True)
-    assert np.array_equal(dropped.tensor.data, want.tensor.data)
-    assert not np.array_equal(dropped.tensor.data, kept.tensor.data)
+    assert np.array_equal(dropped.data, want.data)
+    assert not np.array_equal(dropped.data, kept.data)
     stem.blocks[0]["dropout"] = 0.5
     with pytest.raises(ConfigError, match="requires an rng"):
         stem.forward(img, leaves, train=True)
@@ -898,10 +893,11 @@ def test_layer_norm_streams_matches_encoder_norm():
     import harmnet.encoder as enc
     rng = ct.make_rng(35)
     x = rand_sfm(rng, (-1, 0, 1), b=2, c=3, h=4, w=4)
-    got = hs.layer_norm_streams(x)
-    want = enc.unpatchify(enc.he_layer_norm(enc.patchify(x)))
-    for m in (-1, 0, 1):
-        assert np.max(np.abs(got.stream(m).data - want.stream(m).data)) < 1e-13
+    # the stem's "layernorm" variant against the encoder's norm over patches
+    got = enc.patchify(hs.normalize_over(x, (3, 4)))
+    want = enc.he_layer_norm(enc.patchify(x))
+    for i in range(len(hs.ORDERS)):
+        assert np.max(np.abs(got.data[:, i] - want.data[:, i])) < 1e-13
 
 
 def test_stem_layernorm_variant_he_and_params():

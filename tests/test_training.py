@@ -103,6 +103,15 @@ def test_cross_entropy_validates_inputs():
         tr.cross_entropy(logits, np.array([0, 1, 2]))
 
 
+@pytest.mark.parametrize("label", [-1, 3, 12])
+def test_cross_entropy_rejects_labels_outside_the_classes(label):
+    # a label of -1 would index the last class; one past C would raise an
+    # IndexError from deep inside the target construction
+    logits = ct.CTensor(np.zeros((2, 3)))
+    with pytest.raises(ShapeError, match=r"\[0, 3\)"):
+        tr.cross_entropy(logits, np.array([0, label]))
+
+
 # ---------------------------------------------------------------------------
 # optimizer
 # ---------------------------------------------------------------------------
@@ -317,6 +326,19 @@ def test_train_zero_lr_leaves_parameters_unchanged():
     prepped = hdata.preprocess(splits["val"].images, 0, 1).astype(np.float32)
     assert metrics["val_error"][0] == tr.error_rate(model, prepped,
                                                     splits["val"].labels)
+
+
+@pytest.mark.parametrize("split", ["train", "val", "test"])
+@pytest.mark.parametrize("label", [-1, 3])
+def test_train_rejects_out_of_range_labels_before_the_first_step(monkeypatch, split, label):
+    model = hm.build(tiny_config(), seed=1)
+    before = {k: v.copy() for k, v in model.params.items()}
+    splits = toy_splits()
+    splits[split].labels[-1] = label
+    monkeypatch.setattr(tr, "adamw_step", lambda *a, **k: pytest.fail("a step ran"))
+    with pytest.raises(ShapeError, match=f"{split} labels"):
+        tr.train(model, splits, quick_tconfig(epochs=1))
+    assert all(np.array_equal(model.params[k], before[k]) for k in before)
 
 
 def taped_train_forward(model):

@@ -32,10 +32,13 @@ COMMAND = "python3 perfbench/run.py --workload WORKLOAD --seed SEED --seconds {s
 
 
 def parse_seeds(text: str) -> list:
-    """'3001-3010' or '3001,3005,3009' (or a mix) -> a list of ints."""
+    """'3001-3010' or '3001,3005,3009' (or a mix) -> a list of ints.  A
+    reversed range such as '3010-3001' is an error, not an empty list."""
     seeds = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
+        if hi and int(hi) < int(lo):
+            raise argparse.ArgumentTypeError(f"seed range {part!r} is reversed")
         seeds += list(range(int(lo), int(hi) + 1)) if hi else [int(lo)]
     return seeds
 
