@@ -200,7 +200,6 @@ def cmd_eval(args, environ, argv) -> int:
     ds = splits[args.split]
     inp = model.config["input"]
     x = hdata.preprocess(ds.images, inp["pad"], inp["upscale_factor"])
-    x = x.astype(ct.DTYPES[precision][0])
     err = tr.error_rate(model, x, ds.labels)
     result = {"version": 1, "checkpoint": str(args.checkpoint),
               "benchmark": args.benchmark, "split": args.split,

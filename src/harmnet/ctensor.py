@@ -14,9 +14,10 @@ is a valid oracle for every gradient in this module.
 
 Two precisions are supported: "f64" (float64/complex128) for verification and
 gradient suites, "f32" (float32/complex64) for training.  An f32 model's
-forward computes in complex128: each convolution widens its input, the
-float32 image included, to its complex128 coefficients, before the FFT or
-in the GEMM over its taps.  A
+forward computes in complex128, decided at two points only:
+`stem.lift_image` lifts any real image to complex128 features, and
+`HarmonicFilterBank.kernel_block` forms complex128 filter coefficients.
+Every op here, `conv2d` included, follows its operands' dtypes.  A
 complex64 forward would miss the 1e-6 quarter-turn logit bound: the encoder
 amplifies one complex64 rounding of the stem features 4-6x at the first
 layer norm's centering and 2-3x per attention block, and the logits 4-8x
@@ -664,12 +665,8 @@ def conv2d(x: CTensor, coeffs: CTensor, spectra: np.ndarray, slots: np.ndarray,
     def input_spectrum(xd):
         return _fft2(np.pad(xd, pad)).reshape(b, n_in, ci, hp * wp)
 
-    # a complex64 input meeting complex128 coefficients is widened before its FFT
-    dtype = np.result_type(x.data, coeffs.data)
-    yh = _mix(input_spectrum(x.data.astype(dtype, copy=False)), coeffs.data, basis, slots,
-              spectrum_first)
-    y = _ifft2(yh.reshape(b, -1, co, hp, wp))[..., ph:, pw:]
-    data = np.ascontiguousarray(y).astype(dtype, copy=False)
+    yh = _mix(input_spectrum(x.data), coeffs.data, basis, slots, spectrum_first)
+    data = np.ascontiguousarray(_ifft2(yh.reshape(b, -1, co, hp, wp))[..., ph:, pw:])
     xd, cd, spec = _kept_for(coeffs, x), _kept_for(x, coeffs), _keep(basis, x, coeffs)
 
     def backward(g):

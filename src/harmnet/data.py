@@ -52,6 +52,14 @@ class LabeledImageSet:
                                split or self.split, dict(self.provenance))
 
 
+def check_labels(labels, classes: int, what: str = "labels") -> None:
+    """Raise ShapeError unless every label is a class index in [0, classes)."""
+    labels = np.asarray(labels)
+    bad = labels[(labels < 0) | (labels >= classes)]
+    if bad.size:
+        raise ShapeError(f"{what} must lie in [0, {classes}), got {bad[0]}")
+
+
 @dataclass(frozen=True)
 class RotationSpec:
     """Rotation about the image center; angle normalized to [0, 360)."""

@@ -169,22 +169,20 @@ def group_score(qf: ct.CTensor, kf: ct.CTensor, d_h: int, iq: int, ik: int,
 
 def msa_forward(p: ct.CTensor, leaves: dict, name: str, heads: int,
                 strategy: str = "harmformer_default", rpe: RpeTable | None = None,
-                keep_phase: bool = True, head_dim: int | None = None) -> ct.CTensor:
+                keep_phase: bool = True) -> ct.CTensor:
     """Self-attention with order-aware stream mixing over (B, O, n, d)
     matrices, O = len(hs.ORDERS), all heads batched, then heads
     concatenated and linearly projected.
 
-    Each head projects to head_dim channels (Q, K, V weights are
-    (d, heads*head_dim)); the output projection maps heads*head_dim back to
-    d, so the per-head width is independent of the model width.  Each group
-    of scored pairs is one softmax, which keeps phase when m_d != 0 (the
-    group's order lives in it), and carries a run of value orders."""
+    The Q, K, V weights (d, heads*d_h) set the per-head width d_h; the
+    output projection maps heads*d_h back to d, so the per-head width is
+    independent of the model width.  Each group of scored pairs is one
+    softmax, which keeps phase when m_d != 0 (the group's order lives in
+    it), and carries a run of value orders."""
     n_o = len(hs.ORDERS)
     if p.data.ndim != 4 or p.shape[1] != n_o:
         raise ShapeError(f"expected (B, {n_o}, n, d) matrices over orders {hs.ORDERS}, "
                          f"got {p.shape}")
-    if head_dim is None and p.shape[-1] % heads:
-        raise ConfigError(f"patch dim {p.shape[-1]} not divisible by {heads} heads")
     qf, kf, vf = (fold_orders(equi_linear(p, leaves[f"{name}.w{x}"]), heads) for x in "qkv")
     d_h = qf.shape[-1] // n_o
     qf = ct.mul(qf, ct.CTensor(np.asarray(1.0 / np.sqrt(d_h), np.finfo(qf.data.dtype).dtype)))
@@ -243,22 +241,20 @@ def _complex_init(rng: np.random.Generator, d_in: int, d_out: int) -> np.ndarray
 class EncoderBlock:
     """Pre-norm transformer block: p + MSA(LN(p)), then + MLP(LN(.)).
 
-    The MLP is equi_linear -> C-ReLU(a, b) on magnitudes -> equi_linear.
-    Dropout acts on sublayer outputs (magnitude masks) in train mode.
+    Attention runs `heads` heads of width head_dim.  The MLP is equi_linear
+    -> C-ReLU(a, b) on magnitudes -> equi_linear.  Dropout acts on sublayer
+    outputs (magnitude masks) in train mode.
     """
 
     def __init__(self, name: str, d: int, heads: int, grid_shape: tuple,
                  rng: np.random.Generator, strategy: str = "harmformer_default",
                  rpe_on: bool = True, keep_phase: bool = True, mlp_ratio: int = 2,
                  num_buckets: int = 16, dropout: float = 0.0, norm_mode: str = "std",
-                 head_dim: int | None = None):
+                 *, head_dim: int):
         if strategy not in STRATEGIES:
             raise ConfigError(f"unknown mixing strategy {strategy!r}; valid: {STRATEGIES}")
-        if head_dim is None and d % heads:
-            raise ConfigError(f"patch dim {d} not divisible by {heads} heads")
         self.name = name
         self.heads = heads
-        self.head_dim = head_dim = head_dim or d // heads
         self.strategy = strategy
         self.keep_phase = keep_phase
         self.dropout = dropout
@@ -280,8 +276,7 @@ class EncoderBlock:
     def forward(self, p: ct.CTensor, leaves: dict, train: bool = False,
                 rng: np.random.Generator | None = None) -> ct.CTensor:
         attn = msa_forward(he_layer_norm(p, mode=self.norm_mode), leaves, self.name,
-                           self.heads, self.strategy, self.rpe, self.keep_phase,
-                           self.head_dim)
+                           self.heads, self.strategy, self.rpe, self.keep_phase)
         if self.dropout > 0.0:
             if rng is None and train:
                 raise ConfigError("dropout requires an rng in train mode")

@@ -276,14 +276,14 @@ def verify_all_lemmas(seed: int = 0, precision: str = "f64",
 
     # attention (every strategy) on synthesized matrices, with a live RPE bias
     rng = ct.derive_rng(seed, "msa")
-    blk = enc.EncoderBlock("vb", 4, 2, (3, 3), rng)
+    blk = enc.EncoderBlock("vb", 4, 2, (3, 3), rng, head_dim=2)
     params = dict(blk.params)
     params["vb.rpe.bias"] = rng.standard_normal((2, 16)) * 0.3
     leaves = {k: ct.CTensor(v) for k, v in params.items()}
     px = _draw(rng, (1, 9, 4))
     for strategy in enc.STRATEGIES:
         grid_law(f"msa_{strategy}",
-                  lambda s: enc.msa_forward(s, leaves, "vb", 2, strategy, blk.rpe, True, 2),
+                  lambda s: enc.msa_forward(s, leaves, "vb", 2, strategy, blk.rpe),
                   px, (3, 3))
 
     # full model: stem features, encoder stack on synthesized input, logits
@@ -414,7 +414,8 @@ def stability_sweep(model: hm.Model, dataset, angle_step: int = 15,
     """Accuracy at every rotation angle in [0, 360) with the given step.
 
     The dataset holds raw (unpadded, unscaled) images; each angle's copy is
-    rotated first, then preprocessed exactly like training inputs.
+    rotated first, then preprocessed exactly like training inputs.  A label
+    outside [0, classes) raises ShapeError before any forward.
     """
     if angle_step <= 0 or 360 % angle_step:
         raise ConfigError(f"angle_step must be a positive divisor of 360, got {angle_step}")
@@ -422,6 +423,7 @@ def stability_sweep(model: hm.Model, dataset, angle_step: int = 15,
     if limit is not None and limit < 1:
         raise ConfigError(f"limit must be at least 1, got {limit}")
     images, labels = dataset.images[:limit], dataset.labels[:limit]
+    hdata.check_labels(labels, model.head.classes, f"{dataset.split} labels")
     inp = model.config["input"]
     angles, accuracy = [], []
     for angle in range(0, 360, angle_step):
@@ -458,9 +460,11 @@ def cost_report(config: dict, measure: bool = True, seed: int = 0) -> dict:
     wall time of one batch-1 forward pass, after an untimed one.
 
     The stem counts what runs at batch 1: `stem_banks` holds each bank's
-    `hs.conv_plan`, and `stem_macs` sums their multiply-adds.  Self-attention
-    over N^2 patches of width d costs o * (N^2)^2 * d for the attention
-    matrices plus o * N^2 * d^2 for the projections, per block.
+    `hs.conv_plan`, and `stem_macs` sums their multiply-adds.  Per encoder
+    block over n patches, with d_h = patch_dim, each of the strategy's
+    `enc.score_groups` costs heads * n^2 * d_h * (count + n_v): its scores
+    and its weighted values; the projections cost o * n * d * (4 * heads *
+    d_h + 2 * mlp_ratio * d).
     """
     cfg = hm.validate_config(config)
     en, inp = cfg["encoder"], cfg["input"]
@@ -475,7 +479,9 @@ def cost_report(config: dict, measure: bool = True, seed: int = 0) -> dict:
     stem_macs = sum(b["macs"] for b in banks)
     n_patches = model.grid_shape[0] * model.grid_shape[1]
     d = model.d
-    attn = n_orders * n_patches ** 2 * en["heads"] * en["patch_dim"]
+    widths = sum(count + n_v for _, _, count, _, _, n_v
+                 in enc.score_groups(en["strategy"], hs.ORDERS).values())
+    attn = en["heads"] * n_patches ** 2 * en["patch_dim"] * widths
     proj = n_orders * n_patches * d * (4 * en["heads"] * en["patch_dim"]
                                        + 2 * en["mlp_ratio"] * d)
     encoder_macs = en["blocks"] * (attn + proj)

@@ -31,10 +31,10 @@ NORMS = ("fused", "legacy", "layernorm")   # Stem's per-conv normalization varia
 
 
 def lift_image(img: ct.CTensor) -> ct.CTensor:
-    """A real image batch (B, C, H, W) as one order-0 stream (B, 1, C, H, W)."""
+    """A real image batch (B, C, H, W) of any precision as one complex128
+    order-0 stream (B, 1, C, H, W): where features become complex128."""
     b, c, h, w = img.shape
-    cplx = ct.DTYPES["f64" if img.data.dtype == np.float64 else "f32"][1]
-    return ct.reshape(ct.astype(img, cplx), (b, 1, c, h, w))
+    return ct.reshape(ct.astype(img, np.complex128), (b, 1, c, h, w))
 
 
 def embed_orders(x: ct.CTensor) -> ct.CTensor:
@@ -252,14 +252,9 @@ def _tap_gemm(x: ct.CTensor, bank: HarmonicFilterBank, coeffs: ct.CTensor) -> ct
     coefficients (Co, Ci, nr) times its atoms' values at the taps (nr, T),
     and zero where there is no connection.  A 1x1 atom is 1 at filter order
     0 and exactly 0 at any other, so a 1x1 bank's matrix is its
-    coefficients.  The matrix is complex128, so a complex64 x (an f32
-    model's lifted image) is widened exactly before its taps are taken: T
-    times fewer elements to cast than the taps, and no mixed-dtype GEMM,
-    which numpy runs slower than a complex128 one."""
+    coefficients."""
     b, n_in, ci, h, w = x.shape
     n_out, co, k = bank.slots.shape[0], bank.c_out, bank.k
-    if x.data.dtype != np.complex128:
-        x = ct.astype(x, np.complex128)
     offsets = _taps(k)
     ys, xs = (np.array(offsets) + k // 2).T
     atoms = np.stack([_atoms(k, m_f)[:, ys, xs].T for _, m_f in bank.connections])  # (P, T, nr)

@@ -78,13 +78,6 @@ def validate_train_config(config: dict) -> dict:
 # loss
 # ---------------------------------------------------------------------------
 
-def _check_labels(labels: np.ndarray, classes: int, what: str = "labels") -> None:
-    """Raise ShapeError unless every label is a class index in [0, classes)."""
-    bad = labels[(labels < 0) | (labels >= classes)]
-    if bad.size:
-        raise ShapeError(f"{what} must lie in [0, {classes}), got {bad[0]}")
-
-
 def cross_entropy(logits: ct.CTensor, labels: np.ndarray,
                   smoothing: float = 0.0) -> ct.CTensor:
     """Mean cross-entropy against the smoothed target (1-s)*onehot + s/C.
@@ -97,7 +90,7 @@ def cross_entropy(logits: ct.CTensor, labels: np.ndarray,
     labels = np.asarray(labels)
     if labels.shape != (b,):
         raise ShapeError(f"labels shape {labels.shape} != ({b},)")
-    _check_labels(labels, c)
+    hdata.check_labels(labels, c)
     # log-softmax with a detached shift: lse(z) = log sum e^(z-M) + M
     shift = ct.CTensor(np.max(logits.data, axis=1, keepdims=True))
     z = ct.sub(logits, shift)
@@ -192,6 +185,9 @@ class PlateauSchedule:
 
 def error_rate(model: hm.Model, images: np.ndarray, labels: np.ndarray,
                batch: int = hz.PREDICT_BATCH) -> float:
+    """Share of preprocessed images predicted wrong; a label outside
+    [0, classes) raises ShapeError."""
+    hdata.check_labels(labels, model.head.classes)
     preds = hz.predict(model, images, batch)
     return float(np.mean(preds != labels)) if len(labels) else 0.0
 
@@ -219,13 +215,10 @@ def train(model: hm.Model, splits: dict, tconfig: dict | None = None,
                                     else train_defaults())
     inp = model.config["input"]
     for name in ("train", "val", "test"):
-        _check_labels(np.asarray(splits[name].labels), model.head.classes, f"{name} labels")
+        hdata.check_labels(splits[name].labels, model.head.classes, f"{name} labels")
 
-    def prep(images):
-        return hdata.preprocess(images, inp["pad"],
-                                inp["upscale_factor"]).astype(ct.DTYPES[model.precision][0])
-
-    xs = {name: prep(splits[name].images) for name in ("train", "val", "test")}
+    xs = {name: hdata.preprocess(splits[name].images, inp["pad"], inp["upscale_factor"])
+          for name in ("train", "val", "test")}
     ys = {name: splits[name].labels for name in ("train", "val", "test")}
 
     seed = tconfig["seed"]

@@ -203,7 +203,7 @@ def test_gradients_every_layer_type_and_full_model():
         f_pool, b2.params, sample=4 * len(b2.connections))
 
     # encoder block: attention, rpe, equi-linear, layer norm, mlp
-    blk = enc.EncoderBlock("g.vb", 4, 2, (2, 2), rng)
+    blk = enc.EncoderBlock("g.vb", 4, 2, (2, 2), rng, head_dim=2)
     px = {m: crandn(rng, 2, 4, 4) for m in hs.ORDERS}
 
     def f_blk(lv):

@@ -230,6 +230,21 @@ def test_out_of_range_label_exits_2(workdir, tmp_path, capsys, amat, label):
     assert f"labels must lie in [0, 3), got {label}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["eval"], ["sweep", "--angle-step", "180"]])
+def test_out_of_range_test_label_stops_eval_and_sweep(workdir, tmp_path, capsys, command):
+    # counted as misses, labels [0, 1, 12, -1] would give an error rate or
+    # an accuracy and exit 0
+    data = write_fixture(tmp_path / "data", n_test=4)
+    amat = data / "mnist_all_rotation_normalized_float_test.amat"
+    ds = hdata.load_amat(amat)
+    ds.labels[:] = [0, 1, 12, -1]
+    hdata.save_amat(amat, ds)
+    rc = cli.main(command + ["--checkpoint", str(workdir.checkpoint), "--data-root", str(data)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "labels must lie in [0, 3), got 12" in captured.err
+
+
 def test_numeric_abort_exits_3(workdir, tmp_path, capsys):
     out = tmp_path / "nan"
     with np.errstate(invalid="ignore", over="ignore"):
@@ -357,6 +372,17 @@ def test_verify_trained_checkpoint(workdir, capsys):
     assert report["all_pass"] is True
     expect = hm.load(workdir.checkpoint, precision="f64").config
     assert report["config_hash"] == hm.config_hash(expect)
+
+
+def test_verify_stemless_f32_model_passes(capsys):
+    # its image meets no convolution; a complex64 lift puts seed 1's logits
+    # over grid_logits at 90 and 270 degrees, and verify exits 1
+    rc = cli.main(["verify", "--seed", "1", "--precision", "f32",
+                   "--override", "stem.blocks=0", "--override", "stem.channels=[]",
+                   "--override", "stem.dropout=[]", "--override", "input.base_size=16",
+                   "--override", "input.pad=0", "--override", "input.upscale_factor=1"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["all_pass"] is True
 
 
 def test_verify_bad_angles_exits_2(workdir, capsys):

@@ -426,7 +426,7 @@ def test_msa_single_patch_attention_is_identity_weight():
 def test_msa_he_at_90_all_strategies(strategy):
     rng = ct.make_rng(49)
     d, heads = 4, 2
-    blk = make_block(rng, d=d, heads=heads, grid=(3, 3), strategy=strategy)
+    blk = make_block(rng, d=d, heads=heads, grid=(3, 3), strategy=strategy, head_dim=2)
     params = dict(blk.params)
     params["blk.rpe.bias"] = rng.standard_normal((heads, 16))   # nonzero bias
     leaves = const_leaves(params)
@@ -453,11 +453,11 @@ def test_head_width_decoupled_from_model_dim():
 def test_msa_rejects_bad_config():
     rng = ct.make_rng(50)
     p = rand_stack(rng, 1, 2, 2, 3)
-    blk = make_block(rng, d=4)
+    blk = make_block(rng, d=3, head_dim=3)
     with pytest.raises(ConfigError):
-        enc.msa_forward(p, const_leaves(blk.params), "blk", heads=2)
+        enc.msa_forward(p, const_leaves(blk.params), "blk", 1, strategy="sideways")
     with pytest.raises(ConfigError):
-        make_block(rng, strategy="sideways")
+        make_block(rng, strategy="sideways", head_dim=4)
 
 
 def softmax_np(x):
@@ -474,7 +474,7 @@ def phase_np(z):
 def test_f32_attention_stays_complex64(strategy):
     rng = ct.make_rng(59)
     d, heads = 4, 2
-    blk = make_block(rng, d=d, heads=heads, grid=(3, 3), strategy=strategy)
+    blk = make_block(rng, d=d, heads=heads, grid=(3, 3), strategy=strategy, head_dim=2)
     leaves = {k: ct.CTensor(v.astype(np.complex64 if np.iscomplexobj(v) else np.float32))
               for k, v in blk.params.items()}
     p = ct.CTensor(crandn(rng, 2, 3, 9, d).astype(np.complex64))
@@ -534,7 +534,7 @@ def test_cross_values_uses_order0_attention_only():
 
 def test_block_zero_projections_is_identity():
     rng = ct.make_rng(53)
-    blk = make_block(rng, d=4, grid=(2, 2))
+    blk = make_block(rng, d=4, grid=(2, 2), head_dim=4)
     params = dict(blk.params)
     params["blk.wo"] = np.zeros_like(params["blk.wo"])
     params["blk.mlp.w2"] = np.zeros_like(params["blk.mlp.w2"])
@@ -546,7 +546,7 @@ def test_block_zero_projections_is_identity():
 
 def test_three_stacked_blocks_he_at_90():
     rng = ct.make_rng(54)
-    e = enc.Encoder("enc", blocks=3, d=4, heads=1, grid_shape=(3, 3), rng=rng)
+    e = enc.Encoder("enc", blocks=3, d=4, heads=1, grid_shape=(3, 3), rng=rng, head_dim=4)
     params = dict(e.params)
     for b in e.blocks:
         params[f"{b.name}.rpe.bias"] = rng.standard_normal((1, 16)) * 0.3
@@ -561,7 +561,7 @@ def test_three_stacked_blocks_he_at_90():
 @pytest.mark.parametrize("strategy", enc.STRATEGIES)
 def test_block_gradients_match_finite_differences(strategy):
     rng = ct.make_rng(55)
-    blk = make_block(rng, d=2, grid=(2, 2), dropout=0.0, strategy=strategy)
+    blk = make_block(rng, d=2, grid=(2, 2), dropout=0.0, strategy=strategy, head_dim=2)
     x = {m: crandn(rng, 1, 4, 2) for m in (-1, 0, 1)}
     t = {m: crandn(rng, 1, 4, 2) for m in (-1, 0, 1)}
 

@@ -14,7 +14,7 @@ import harmnet.harness as hz
 import harmnet.model as hm
 import harmnet.stem as hs
 import harmnet.training as tr
-from harmnet.errors import ConfigError
+from harmnet.errors import ConfigError, ShapeError
 
 
 def tiny_config():
@@ -230,6 +230,24 @@ def test_suite_feeds_the_model_images_at_its_precision(monkeypatch, precision):
     assert dtypes == [ct.DTYPES[precision][0]] * 4
 
 
+def stemless_config():
+    """A model whose image meets no convolution: the lifted image goes
+    straight to the encoder."""
+    cfg = hm.mnist_config()
+    cfg["stem"].update(blocks=0, channels=[], dropout=[])
+    cfg["input"].update(base_size=16, pad=0, upscale_factor=1)
+    return cfg
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stemless_f32_model_passes_the_suite(seed):
+    # the lift makes its encoder compute in complex128; a complex64 lift puts
+    # seed 1's logits over grid_logits (1.0e-6 at 90, 1.3e-6 at 270 degrees)
+    rep = hz.verify_all_lemmas(seed=seed, precision="f32", config=stemless_config())
+    assert rep["all_pass"]
+    assert max(e["error"] for e in rep["entries"] if e["check"] == "logits_invariance") < 1e-12
+
+
 def test_verify_rejects_unknown_precision():
     with pytest.raises(ConfigError, match="precision"):
         hz.verify_all_lemmas(precision="f16")
@@ -304,6 +322,20 @@ def test_stability_sweep_rejects_bad_step():
             hz.stability_sweep(model, toy_dataset(), angle_step=step)
 
 
+def test_stability_sweep_rejects_labels_outside_the_classes():
+    # counted as misses, they would read as accuracy with no error
+    model = hm.build(tiny_config(), seed=0)
+    ds = toy_dataset(4)
+    ds.labels[:] = [0, 1, 12, -1]
+    with pytest.raises(ShapeError, match=r"toy labels must lie in \[0, 3\), got 12"):
+        hz.stability_sweep(model, ds, angle_step=180)
+    ds.labels[:] = [0, 1, 2, -1]
+    with pytest.raises(ShapeError, match="got -1"):
+        hz.stability_sweep(model, ds, angle_step=180)
+    # only the labels the limit keeps are read
+    assert hz.stability_sweep(model, ds, angle_step=180, limit=3)["samples"] == 3
+
+
 @pytest.mark.parametrize("batch", [0, -1])
 def test_inference_rejects_a_chunk_below_one(batch):
     model = hm.build(tiny_config(), seed=0)
@@ -358,8 +390,10 @@ def test_cost_report_matches_hand_count():
         {"name": "stem.b0.conv0", "size": 8, "route": "direct", "macs": 1920, "fft_points": 0},
         {"name": "stem.b0.proj", "size": 8, "route": "direct", "macs": 384, "fft_points": 0}]
     assert rep["stem_macs"] == 1920 + 384
-    # encoder: attn 3 * 16^2 * 1 * 2; proj 3 * 16 * 2 * (4*1*2 + 2*2*2)
-    assert rep["encoder_attention_macs"] == 1536
+    # encoder: attention heads * n^2 * d_h * (count + n_v), one group of
+    # count = n_v = 3 orders, 1 * 16^2 * 2 * 6 (the scores and the weighted
+    # values); proj 3 * 16 * 2 * (4*1*2 + 2*2*2)
+    assert rep["encoder_attention_macs"] == 3072
     assert rep["encoder_projection_macs"] == 1536
     assert rep["head_macs"] == 3 * 2 * 3
     assert rep["total_macs"] == sum(
@@ -413,6 +447,30 @@ def test_mnist_cost_counts_the_routes_that_run_at_batch_1():
         ("stem.b1.conv1", 32, "spectrum_first", 36 * 36 * 9 * 16 * 3 * 17, 96 * 36 * 36),
         ("stem.b1.proj", 32, "direct", 32 * 32 * 24 * 48 * 1, 0)]
     assert rep["stem_macs"] == 25_821_696
+
+
+@pytest.mark.parametrize("strategy, attention", [("harmformer_default", 18_874_368),
+                                                  ("mixing_all", 56_623_104),
+                                                  ("cross_values", 12_582_912)])
+def test_encoder_cost_counts_the_gemms_the_encoder_runs(monkeypatch, strategy, attention):
+    # every encoder multiply-add is a complex_matmul: the projections and,
+    # per scored group, its scores and its weighted values
+    cfg = hm.mnist_config()
+    cfg["encoder"]["strategy"] = strategy
+    rep = hz.cost_report(cfg, measure=False)
+    assert rep["encoder_attention_macs"] == attention
+    model = hm.build(cfg, seed=0, precision="f64")
+    macs, matmul = [], ct.complex_matmul
+
+    def counted(a, b):
+        out = matmul(a, b)
+        macs.append(out.data.size * a.shape[-1])
+        return out
+
+    monkeypatch.setattr(ct, "complex_matmul", counted)
+    p = hz._draw(ct.make_rng(0), (1, model.grid_shape[0] ** 2, model.d))
+    model.encoder.forward(ct.CTensor(p), model.leaves())
+    assert sum(macs) == rep["encoder_macs"]
 
 
 def test_mnist_cost_head_term():

@@ -202,8 +202,8 @@ def test_checkpoint_stores_fp32_components(tmp_path):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_f32_logits_are_quarter_turn_invariant_to_double_rounding(seed):
-    # an f32 model's float32 image is widened before the lifting conv's FFT,
-    # so quarter turns permute complex128 features exactly as at f64
+    # an f32 model's float32 image is lifted to complex128, so quarter
+    # turns permute complex128 features exactly as at f64
     m = hm.build(hm.mnist_config(), seed=seed, precision="f32")
     x = ct.make_rng(seed).random((6, 1, 64, 64)).astype(np.float32)
     base = m.forward(x).data

@@ -87,7 +87,8 @@ def crelu_ab(tape, orders):
 
 def msa(strategy):
     def build(tape, orders):
-        blk = enc.EncoderBlock("blk", 4, 2, (2, 2), ct.make_rng(2), strategy=strategy)
+        blk = enc.EncoderBlock("blk", 4, 2, (2, 2), ct.make_rng(2), strategy=strategy,
+                               head_dim=2)
         p, leaves = patch_stack(tape, orders), tracked(tape, blk.params)
         return lambda: enc.msa_forward(p, leaves, "blk", 2, strategy, blk.rpe)
     return build
@@ -192,7 +193,7 @@ def norm_input(layer, train, o):
 
 def msa_input(o):
     """Attention run on (2, O, 4, 4) matrices with O = o."""
-    blk = enc.EncoderBlock("blk", 4, 2, (2, 2), ct.make_rng(2))
+    blk = enc.EncoderBlock("blk", 4, 2, (2, 2), ct.make_rng(2), head_dim=2)
     p = ct.CTensor(crandn(ct.make_rng(9), 2, o, 4, 4))
     return lambda: enc.msa_forward(p, tracked(ct.GradTape(), blk.params), "blk", 2,
                                    rpe=blk.rpe)

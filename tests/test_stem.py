@@ -365,8 +365,8 @@ def test_fd_direct_bank_over_input_radial_and_phase(name):
 
 @pytest.mark.parametrize("name", sorted(DIRECT_BANKS))
 def test_direct_bank_of_an_f32_model_outputs_complex128(name):
-    # the GEMM's matrix is complex128, so a complex64 input is widened in it,
-    # as conv2d widens its input before the FFT
+    # the GEMM's matrix is complex128 (kernel_block's coefficients), so the
+    # output follows it even for a complex64 input, which the lift never makes
     bank = direct_bank(name)
     leaves = {k: ct.CTensor(v.astype(np.float32)) for k, v in bank.params.items()}
     x = rand_sfm(ct.make_rng(54), bank.in_orders, 2, bank.c_in, 5, 6).data
@@ -440,6 +440,15 @@ def test_lemma1_rot90_equivariance_full_streams():
         lhs = hs.harmonic_conv(rot_sfm(x, q), bank, leaves)
         rhs = rot_sfm(hs.harmonic_conv(x, bank, leaves), q)
         assert sfm_error(lhs, rhs) < 1e-10, q
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_lift_image_is_complex128_at_any_image_precision(dtype):
+    # the one point where features become complex128: nothing after it widens
+    img = ct.make_rng(24).random((2, 3, 4, 4)).astype(dtype)
+    x = hs.lift_image(ct.CTensor(img))
+    assert x.shape == (2, 1, 3, 4, 4) and x.data.dtype == np.complex128
+    assert np.array_equal(x.data[:, 0], img)
 
 
 def test_lifting_conv_equivariance_from_raw_image():

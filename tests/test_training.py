@@ -12,6 +12,7 @@ import harmnet.ctensor as ct
 import harmnet.data as hdata
 import harmnet.harness as hz
 import harmnet.model as hm
+import harmnet.stem as hs
 import harmnet.training as tr
 from harmnet.errors import ConfigError, NumericError, ShapeError
 from test_ctensor import _held_arrays
@@ -276,19 +277,46 @@ def test_train_is_deterministic(tmp_path):
     assert out[0] == out[1]
 
 
-@pytest.mark.parametrize("precision, dtype", [("f32", np.float32), ("f64", np.float64)])
-def test_train_feeds_images_at_model_precision(monkeypatch, precision, dtype):
-    model = hm.build(tiny_config(), seed=0, precision=precision)
-    seen = set()
-    real = hm.Model.forward
+def three_route_config():
+    """tiny_config with a second conv: the lifting conv and the projection
+    run direct, the second conv spectrum-first at batch <= 2 and
+    kernel-first above (`stem.conv_plan`)."""
+    cfg = tiny_config()
+    cfg["stem"]["convs_per_block"] = 2
+    return cfg
 
-    def forward(self, images, *args, **kwargs):
-        seen.add(np.asarray(getattr(images, "data", images)).dtype)
-        return real(self, images, *args, **kwargs)
 
-    monkeypatch.setattr(hm.Model, "forward", forward)
-    tr.train(model, toy_splits(n_train=8, n_eval=3), quick_tconfig(epochs=1))
-    assert seen == {np.dtype(dtype)}
+def spy_conv_inputs(monkeypatch) -> set:
+    """The (route, input dtype) pairs of every harmonic_conv call from now on."""
+    seen, real = set(), hs.harmonic_conv
+
+    def harmonic_conv(x, bank, leaves):
+        b, h, w = x.shape[0], *x.shape[3:]
+        seen.add((hs.conv_plan(bank, b, h, w)["route"], x.data.dtype))
+        return real(x, bank, leaves)
+
+    monkeypatch.setattr(hs, "harmonic_conv", harmonic_conv)
+    return seen
+
+
+@pytest.mark.parametrize("image_dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_every_harmonic_conv_input_is_complex128(monkeypatch, precision, image_dtype):
+    # the lift alone decides the forward's dtype: images enter in the
+    # dataset's dtype, whatever the parameters' precision
+    model = hm.build(three_route_config(), seed=0, precision=precision)
+    splits = toy_splits(n_train=5, n_eval=3)
+    for split in splits.values():
+        split.images = split.images.astype(image_dtype)
+    every_route = {(route, np.dtype(np.complex128))
+                   for route in ("direct", "spectrum_first", "kernel_first")}
+    seen = spy_conv_inputs(monkeypatch)
+    # steps at batch 4 and 1, held-out sets of 3
+    tr.train(model, splits, quick_tconfig(epochs=1, batch_size=4))
+    assert seen == every_route
+    seen.clear()
+    tr.error_rate(model, splits["train"].images, splits["train"].labels, batch=4)
+    assert seen == every_route
 
 
 def test_held_out_sets_chunk_at_the_batch_size(monkeypatch):
@@ -339,6 +367,15 @@ def test_train_rejects_out_of_range_labels_before_the_first_step(monkeypatch, sp
     with pytest.raises(ShapeError, match=f"{split} labels"):
         tr.train(model, splits, quick_tconfig(epochs=1))
     assert all(np.array_equal(model.params[k], before[k]) for k in before)
+
+
+def test_error_rate_rejects_labels_outside_the_classes():
+    # counted as misses, they would read as an error rate with no error
+    model = hm.build(tiny_config(), seed=0)
+    images = toy_splits(n_eval=4)["test"].images
+    for labels, bad in (([0, 1, 12, -1], 12), ([0, 1, 2, -1], -1)):
+        with pytest.raises(ShapeError, match=rf"labels must lie in \[0, 3\), got {bad}"):
+            tr.error_rate(model, images, np.array(labels))
 
 
 def taped_train_forward(model):
