@@ -183,6 +183,9 @@ def msa_forward(p: ct.CTensor, leaves: dict, name: str, heads: int,
     if p.data.ndim != 4 or p.shape[1] != n_o:
         raise ShapeError(f"expected (B, {n_o}, n, d) matrices over orders {hs.ORDERS}, "
                          f"got {p.shape}")
+    width = leaves[f"{name}.wq"].shape[-1]
+    if width % heads:
+        raise ShapeError(f"{name}: Q/K/V width {width} is not divisible by {heads} heads")
     qf, kf, vf = (fold_orders(equi_linear(p, leaves[f"{name}.w{x}"]), heads) for x in "qkv")
     d_h = qf.shape[-1] // n_o
     qf = ct.mul(qf, ct.CTensor(np.asarray(1.0 / np.sqrt(d_h), np.finfo(qf.data.dtype).dtype)))

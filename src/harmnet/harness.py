@@ -398,7 +398,10 @@ def _check_batch(batch: int) -> None:
 
 
 def predict(model: hm.Model, images: np.ndarray, batch: int = PREDICT_BATCH) -> np.ndarray:
-    """Argmax predictions for preprocessed images, chunked over the batch."""
+    """Argmax predictions for preprocessed images: one `Model.forward` per
+    consecutive slice of `batch` images, in order, each returning before the
+    next starts (the forward itself may split a slice into chunks of
+    `model.INFERENCE_CHUNK` images and run them on two threads)."""
     _check_batch(batch)
     leaves = model.leaves()
     out = []

@@ -16,7 +16,10 @@ import binascii
 import copy
 import hashlib
 import json
+import os
 import struct
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -28,6 +31,9 @@ from .errors import ConfigError, IntegrityError, ShapeError
 
 CHECKPOINT_MAGIC = b"HARM"
 CHECKPOINT_VERSION = 2
+# images per chunk of an inference forward: a constant, so each image's
+# logits depend only on its chunk, never on the thread count or scheduling
+INFERENCE_CHUNK = 8
 
 
 def mnist_config() -> dict:
@@ -223,15 +229,32 @@ class Model:
 
     def forward(self, images, leaves: dict | None = None, train: bool = False,
                 rng: np.random.Generator | None = None) -> ct.CTensor:
-        """Real image batch (B, C, S, S) -> logits (B, classes)."""
+        """Real image batch (B, C, S, S) -> logits (B, classes).
+
+        An inference forward (train=False, no leaf or image on a tape) of
+        more than INFERENCE_CHUNK images runs consecutive INFERENCE_CHUNK-image
+        chunks through `stem_features` -> `classify` and concatenates their
+        logits in input order; the chunks run on two threads when
+        `_inference_workers` allows.  Each image's bits depend only on its
+        chunk; they differ from one unchunked pass by a few 1e-15 relative.
+        Training forwards (batch norm takes whole-batch statistics), forwards
+        on a tape and batches of at most INFERENCE_CHUNK images are one pass.
+        """
         if leaves is None:
             leaves = self.leaves()
-        return self.classify(self.stem_features(images, leaves, train, rng), leaves, train, rng)
+        img = self._images(images)
+        if train or len(img.data) <= INFERENCE_CHUNK or img.tape is not None or \
+                any(v.tape is not None for v in leaves.values()):
+            return self.classify(self.stem_features(img, leaves, train, rng), leaves, train, rng)
+        chunks = [ct.CTensor(img.data[i:i + INFERENCE_CHUNK])
+                  for i in range(0, len(img.data), INFERENCE_CHUNK)]
+        logits = _map_chunks(lambda x: self.classify(self.stem_features(x, leaves), leaves).data,
+                             chunks, _inference_workers())
+        return ct.CTensor(np.concatenate(logits))
 
-    def stem_features(self, images, leaves: dict, train: bool = False,
-                      rng: np.random.Generator | None = None) -> ct.CTensor:
-        """Real image batch (B, C, S, S) -> stem features (B, O, C', H, W)
-        over every order in ORDERS."""
+    def _images(self, images) -> ct.CTensor:
+        """The image batch as a tensor; ShapeError unless it is (B, C, S, S)
+        with the config's channels and input size."""
         img = images if isinstance(images, ct.CTensor) else ct.CTensor(np.asarray(images))
         b = img.shape
         if len(b) != 4 or b[1] != self.config["input"]["channels"] or \
@@ -239,6 +262,13 @@ class Model:
             raise ShapeError(
                 f"expected (B, {self.config['input']['channels']}, "
                 f"{self.input_size}, {self.input_size}) input, got {b}")
+        return img
+
+    def stem_features(self, images, leaves: dict, train: bool = False,
+                      rng: np.random.Generator | None = None) -> ct.CTensor:
+        """Real image batch (B, C, S, S) -> stem features (B, O, C', H, W)
+        over every order in ORDERS."""
+        img = self._images(images)
         return hs.embed_orders(self.stem.forward(img, leaves, train=train, rng=rng))
 
     def classify(self, x: ct.CTensor, leaves: dict, train: bool = False,
@@ -246,6 +276,51 @@ class Model:
         """Stem features -> logits: patches, encoder, invariant head."""
         p = self.encoder.forward(enc.patchify(x), leaves, train=train, rng=rng)
         return self.head.forward(p, leaves)
+
+
+def _map_chunks(fn, chunks: list, workers: int) -> list:
+    """[fn(c) for c in chunks], every other chunk on a second thread when
+    workers is 2.  The calling thread computes its half rather than waiting,
+    so a signal handler that runs on it (a profiler's, say) pauses that half
+    only and does not compete with two busy threads for the cores."""
+    if workers < 2 or len(chunks) < 2:
+        return [fn(c) for c in chunks]
+    from concurrent.futures import ThreadPoolExecutor
+
+    out = [None] * len(chunks)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        theirs = [pool.submit(fn, c) for c in chunks[1::2]]
+        out[::2] = [fn(c) for c in chunks[::2]]
+        out[1::2] = [f.result() for f in theirs]
+    return out
+
+
+def _inference_workers() -> int:
+    """Threads for an inference forward's chunks: 2 when this process may run
+    on at least 2 CPUs and numpy's BLAS runs one thread, else 1.  A BLAS with
+    threads of its own already fills the cores, and chunk threads on top of
+    it oversubscribe them."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    query = _blas_thread_query()
+    return 2 if cpus >= 2 and query is not None and query() == 1 else 1
+
+
+@lru_cache(maxsize=None)
+def _blas_thread_query():
+    """The thread-count function of the OpenBLAS bundled with numpy (its
+    wheel's `numpy.libs`), or None when there is none: an unknown BLAS
+    counts as threaded."""
+    import ctypes
+
+    for lib in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        for sym in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                    "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(handle, sym, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                return fn
+    return None
 
 
 def build(config: dict, seed: int, precision: str = "f32") -> Model:

@@ -3,7 +3,7 @@ weight decay, cosine / reduce-on-plateau schedules, and a deterministic
 epoch loop emitting JSON-lines metrics and a best-validation checkpoint.
 
 Determinism contract: identical (seed, config, data) reproduce the metrics
-stream and the final checkpoint byte-identically in single-threaded mode.
+stream and the final checkpoint byte-identically (README, "Determinism").
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ path."""
 
 import argparse
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -67,3 +68,64 @@ def test_summarize_counts_wins_by_direction_and_ties_for_neither(bp):
     assert flipped["latency_p50_ms"]["change_wins"] == 0
     assert flipped["throughput_per_s"]["change_wins"] == 0
     assert bp.summarize(pairs, {})["throughput_per_s"]["change_wins"] == 0
+
+
+def timed_pair(parent_ms: float, change_ms: float, parent_wall: float, change_wall: float) -> dict:
+    return {"parent": {"metrics": {"latency_p50_ms": parent_ms, "peak_rss_mb": 100.0},
+                       "wall_clock": {"latency_p50_ms": parent_wall}},
+            "change": {"metrics": {"latency_p50_ms": change_ms, "peak_rss_mb": 100.0},
+                       "wall_clock": {"latency_p50_ms": change_wall}}}
+
+
+def test_summarize_puts_wall_clock_quartiles_beside_the_host_scaled_ones(bp):
+    # host-scaled figures win every pair while the wall clock wins only one
+    pairs = [timed_pair(10.0, 8.0, 20.0, 21.0), timed_pair(10.0, 8.0, 20.0, 19.0),
+             timed_pair(10.0, 8.0, 20.0, 22.0)]
+    out = bp.summarize(pairs, {"latency_p50_ms": "lower"})
+    assert out["latency_p50_ms"]["change_wins"] == 3
+    wall = out["latency_p50_ms"]["wall_clock"]
+    assert wall["change_wins"] == 1 and wall["pairs"] == 3
+    assert wall["parent"] == {"median": 20.0, "q1": 20.0, "q3": 20.0}
+    assert wall["change"] == {"median": 21.0, "q1": 20.0, "q3": 21.5}
+    assert "wall_clock" not in out["peak_rss_mb"]     # memory has no wall-clock figure
+
+
+FAKE_RUN = '''import json, sys
+wall = {WALL}
+print(json.dumps({{"env": {{"cpu_affinity": 2, "blas_threads": {{"numpy": {BLAS}}}, "fft_workers": 1}}}}))
+print(json.dumps({{"detail": {{"host_scale": [0.5, 0.6], "latency_samples": 3,
+                               "wall_clock": {{"latency_p50_ms": {{"value": wall, "unit": "ms"}}}}}}}}))
+print(json.dumps({{"correct": True, "failed": 0,
+                   "metrics": {{"latency_p50_ms": {{"value": wall / 2, "unit": "ms"}},
+                               "ctensor.conv2d.ms_per_op": {{"value": wall, "unit": "ms"}}}}}}))
+'''
+
+
+def fake_checkout(root: Path, wall: float, blas: int) -> Path:
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(FAKE_RUN.format(WALL=wall, BLAS=blas))
+    (root / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "latency_p50_ms", "better": "lower"}]}')
+    return root
+
+
+def test_record_keeps_each_sides_env_line_and_wall_clock_summary(bp, tmp_path):
+    parent = fake_checkout(tmp_path / "parent", 20.0, 2)
+    change = fake_checkout(tmp_path / "change", 10.0, 1)
+    out = tmp_path / "BENCH.json"
+    args = [str(parent), str(change), "--workload", "sweep", "--out", str(out)]
+    assert bp.main(args + ["--seeds", "1-2"]) == 0
+    assert bp.main(args + ["--seeds", "3", "--trace", "1"]) == 0
+    record = json.loads(out.read_text())
+    sweep = record["workloads"]["sweep"]
+    for p in sweep["pairs"]:
+        assert p["parent"]["env"]["blas_threads"] == {"numpy": 2}
+        assert p["change"]["env"]["blas_threads"] == {"numpy": 1}
+        assert p["change"]["env"]["cpu_affinity"] == 2 and p["change"]["env"]["fft_workers"] == 1
+    summary = sweep["summary"]["latency_p50_ms"]
+    assert summary["change"]["median"] == 5.0 and summary["change_wins"] == 2
+    assert summary["wall_clock"]["parent"]["median"] == 20.0
+    assert summary["wall_clock"]["change"]["median"] == 10.0
+    trace = record["traces"]["runs"]["sweep"][0]
+    assert trace["env"]["parent"]["blas_threads"] == {"numpy": 2}
+    assert trace["change"] == {"latency_p50_ms": 5.0, "ctensor.conv2d.ms_per_op": 10.0}

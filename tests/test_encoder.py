@@ -460,6 +460,15 @@ def test_msa_rejects_bad_config():
         make_block(rng, strategy="sideways", head_dim=4)
 
 
+def test_msa_rejects_a_head_count_that_does_not_divide_the_width():
+    # one head of width 3 gives Q/K/V weights of width 3, which 2 heads cannot split
+    rng = ct.make_rng(51)
+    p = rand_stack(rng, 1, 2, 2, 3)
+    blk = make_block(rng, d=3, heads=1, head_dim=3)
+    with pytest.raises(ShapeError, match="width 3 is not divisible by 2 heads"):
+        enc.msa_forward(p, const_leaves(blk.params), "blk", heads=2)
+
+
 def softmax_np(x):
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)

@@ -353,6 +353,25 @@ def test_predict_batching_consistent():
                           hz.predict(model, imgs, batch=64))
 
 
+def test_predict_forwards_each_batch_slice_once_in_order(monkeypatch):
+    # one Model.forward per slice, returning before the next starts: a
+    # wrapper of Model.forward sees the rows in input order, once each,
+    # however the forward splits its batch inside
+    model = hm.build(tiny_config(), seed=0)
+    seen, real = [], hm.Model.forward
+
+    def forward(self, images, *args, **kwargs):
+        seen.append(np.array(images.data))
+        return real(self, images, *args, **kwargs)
+
+    monkeypatch.setattr(hm.Model, "forward", forward)
+    monkeypatch.setattr(hm, "_inference_workers", lambda: 2)
+    imgs = toy_dataset(37).images
+    hz.predict(model, imgs, batch=16)
+    assert [len(s) for s in seen] == [16, 16, 5]
+    assert np.concatenate(seen).tobytes() == imgs.tobytes()
+
+
 def test_inference_defaults_to_bounded_chunks(monkeypatch):
     # predict, stability_sweep and error_rate (harmnet eval / sweep) forward
     # at most 16 images at once unless told otherwise, however many they get

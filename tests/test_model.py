@@ -1,6 +1,8 @@
 """Model assembly tests: config validation, deterministic builds, parameter
 counting, and the checkpoint round trip."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,96 @@ def test_forward_rejects_wrong_input_shape():
         m.forward(np.zeros((1, 1, 9, 9)))
     with pytest.raises(ShapeError):
         m.forward(np.zeros((1, 2, 8, 8)))
+    # a batch that would be split is checked whole, before any chunk runs
+    with pytest.raises(ShapeError, match=r"got \(20, 2, 8, 8\)"):
+        m.forward(np.zeros((20, 2, 8, 8)))
+
+
+# ---------------------------------------------------------------------------
+# chunked inference
+# ---------------------------------------------------------------------------
+
+def spy_stem_features(monkeypatch):
+    """Record (batch size, thread id) of every stem_features call."""
+    calls, real = [], hm.Model.stem_features
+
+    def stem_features(self, images, *args, **kwargs):
+        calls.append((len(images.data), threading.get_ident()))
+        return real(self, images, *args, **kwargs)
+
+    monkeypatch.setattr(hm.Model, "stem_features", stem_features)
+    return calls
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("batch", [9, 16, 17])
+def test_inference_forward_is_its_8_image_chunks(monkeypatch, batch, workers):
+    # every image's bits depend only on its chunk, so the serial and the
+    # threaded path give the chunks' logits byte for byte
+    m = hm.build(tiny_config(), seed=0)
+    x = ct.make_rng(4).random((batch, 1, 8, 8)).astype(np.float32)
+    chunks = np.concatenate([m.forward(x[i:i + 8]).data for i in range(0, batch, 8)])
+    monkeypatch.setattr(hm, "_inference_workers", lambda: workers)
+    calls = spy_stem_features(monkeypatch)
+    logits = m.forward(x).data
+    assert logits.dtype == chunks.dtype and logits.tobytes() == chunks.tobytes()
+    assert sorted(n for n, _ in calls) == sorted([8] * (batch // 8) + [batch % 8] * (batch % 8 > 0))
+    assert len({thread for _, thread in calls}) == workers
+
+
+def test_inference_chunks_stay_close_to_one_pass():
+    m = hm.build(tiny_config(), seed=1)
+    x = ct.make_rng(5).random((16, 1, 8, 8))
+    leaves = m.leaves()
+    whole = m.classify(m.stem_features(x, leaves), leaves).data
+    err = np.linalg.norm(m.forward(x).data - whole, axis=1) / np.linalg.norm(whole, axis=1)
+    assert np.max(err) < 1e-14, np.max(err)
+
+
+@pytest.mark.parametrize("case", ["train", "taped", "batch_8"])
+def test_training_taped_and_small_forwards_are_one_pass(monkeypatch, case):
+    # batch norm takes whole-batch statistics in train mode and a tape
+    # serves one execution, so neither splits; nor does a batch of 8
+    m = hm.build(tiny_config(), seed=2)
+    batch = 8 if case == "batch_8" else 16
+    x = ct.make_rng(6).random((batch, 1, 8, 8)).astype(np.float32)
+    train = case == "train"
+    leaves = (lambda: m.leaves(ct.GradTape())) if case == "taped" else m.leaves
+    ref, rng = leaves(), ct.make_rng(7)
+    one_pass = m.classify(m.stem_features(x, ref, train, rng), ref, train, rng).data
+    monkeypatch.setattr(hm, "_inference_workers", lambda: 2)
+    calls = spy_stem_features(monkeypatch)
+    logits = m.forward(x, leaves(), train=train, rng=ct.make_rng(7)).data
+    assert [n for n, _ in calls] == [batch]
+    assert logits.tobytes() == one_pass.tobytes()
+
+
+def test_a_failing_chunk_reaches_the_caller(monkeypatch):
+    m = hm.build(tiny_config(), seed=0)
+    real = hm.Model.classify
+
+    def classify(self, x, *args):
+        if len(x.data) == 1:     # the worker thread's chunk of 17 images
+            raise ShapeError("chunk failed")
+        return real(self, x, *args)
+
+    monkeypatch.setattr(hm.Model, "classify", classify)
+    monkeypatch.setattr(hm, "_inference_workers", lambda: 2)
+    with pytest.raises(ShapeError, match="chunk failed"):
+        m.forward(np.zeros((17, 1, 8, 8)))
+
+
+def test_inference_workers_need_two_cpus_and_one_blas_thread(monkeypatch):
+    for cpus, blas, want in [({0, 1}, 1, 2), ({0}, 1, 1), ({0, 1}, 2, 1), ({0, 1}, None, 1)]:
+        monkeypatch.setattr(hm.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        monkeypatch.setattr(hm, "_blas_thread_query",
+                            lambda: None if blas is None else (lambda: blas))
+        assert hm._inference_workers() == want, (cpus, blas)
+
+
+def test_blas_thread_query_reads_a_positive_count():
+    query = hm._blas_thread_query()
+    assert query is None or query() >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -218,11 +310,14 @@ def test_both_contraction_orders_give_the_same_logits(monkeypatch):
     # conv2d; at batch 12 the other three convs contract kernel-first
     # (n_radii * 12 > 2 * C_out for 8 and 16 output channels); one image at
     # a time, spectrum-first.  The spy records the order each call runs.
+    # The batch of 12 goes through stem_features -> classify directly, since
+    # an inference forward would split it into chunks of 8 and 4.
     m = hm.build(hm.mnist_config(), seed=0, precision="f64")
     x = ct.make_rng(5).random((12, 1, 64, 64))
     routes, conv2d = [], ct.conv2d
     monkeypatch.setattr(ct, "conv2d", lambda *a: routes.append(a[4]) or conv2d(*a))
-    batched = m.forward(x).data
+    leaves = m.leaves()
+    batched = m.classify(m.stem_features(x, leaves), leaves).data
     assert routes == ["kernel_first"] * 3    # b0.conv1, b1.conv0, b1.conv1
     del routes[:]
     single = np.concatenate([m.forward(x[j:j + 1]).data for j in range(len(x))])

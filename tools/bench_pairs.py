@@ -13,8 +13,14 @@ With --trace 0 each pair's end-to-end metrics are appended to
 `workloads[WORKLOAD].pairs`, and its summary is recomputed over all of them:
 per metric, each side's median and quartiles (linear percentiles) and the
 number of pairs the change won (by the `better` direction in CHANGE's
-BENCHMARK.json; ties count for neither).  With --trace 1 each pair's
-per-layer metrics are appended to `traces.runs[WORKLOAD]`.  An existing
+BENCHMARK.json; ties count for neither), for the host-scaled figure and,
+under `wall_clock`, for the unscaled one.  The host probe runs on the main
+thread while any other thread of the program keeps working, so a program
+that computes on several threads can flatter its host-scaled figures; its
+wall-clock ones show whether a gain stands on its own.  With --trace 1 each
+pair's per-layer metrics are appended to `traces.runs[WORKLOAD]`.  Every
+side keeps perfbench's `env` line (CPU affinity, BLAS threads, FFT workers,
+...), which says which threading the program saw.  An existing
 --out file is updated, not replaced, so a record is built one call at a
 time, and the alternation continues from the pairs already recorded.  The
 record's prose (`change`, `claim`, `host`, `method`) is written by hand.
@@ -44,17 +50,17 @@ def parse_seeds(text: str) -> list:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench run; its last output line (the result object) and the
-    detail line before it."""
+    """One perfbench run: its last output line (the result object), the
+    detail line before it and the env line before that."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", f"{seconds:g}", "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout}: {' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
-    lines = proc.stdout.splitlines()
-    result, detail = json.loads(lines[-1]), json.loads(lines[-2])["detail"]
+    env, detail, result = (json.loads(line) for line in proc.stdout.splitlines()[-3:])
     return {"metrics": {k: v["value"] for k, v in result["metrics"].items()},
-            "correct": result["correct"], "failed_checks": result["failed"], "detail": detail}
+            "correct": result["correct"], "failed_checks": result["failed"],
+            "detail": detail["detail"], "env": env["env"]}
 
 
 def side_record(run: dict) -> dict:
@@ -65,7 +71,7 @@ def side_record(run: dict) -> dict:
     wall = {k: v["value"] for k, v in run["detail"]["wall_clock"].items()}
     return {"metrics": run["metrics"], "wall_clock": wall, "correct": run["correct"],
             "failed_checks": run["failed_checks"], "host_scale": [min(scale), max(scale)],
-            "latency_samples": run["detail"]["latency_samples"]}
+            "latency_samples": run["detail"]["latency_samples"], "env": run["env"]}
 
 
 def quartiles(values: list) -> dict:
@@ -75,15 +81,25 @@ def quartiles(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def compare(pairs: list, figures: str, name: str, better: dict) -> dict:
+    """Each side's quartiles of one figure (`figures` is "metrics" or
+    "wall_clock") and the number of pairs the change won."""
+    parent = [p["parent"][figures][name] for p in pairs]
+    change = [p["change"][figures][name] for p in pairs]
+    sign = -1.0 if better.get(name, "lower") == "lower" else 1.0
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    return {"parent": quartiles(parent), "change": quartiles(change),
+            "change_wins": wins, "pairs": len(pairs)}
+
+
 def summarize(pairs: list, better: dict) -> dict:
+    """Per host-scaled metric, `compare`; metrics that have a wall-clock
+    figure too (the timings) carry its `compare` under `wall_clock`."""
     out = {}
     for name in pairs[0]["parent"]["metrics"]:
-        parent = [p["parent"]["metrics"][name] for p in pairs]
-        change = [p["change"]["metrics"][name] for p in pairs]
-        sign = -1.0 if better.get(name, "lower") == "lower" else 1.0
-        wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
-        out[name] = {"parent": quartiles(parent), "change": quartiles(change),
-                     "change_wins": wins, "pairs": len(pairs)}
+        out[name] = compare(pairs, "metrics", name, better)
+        if name in pairs[0]["parent"].get("wall_clock", {}):
+            out[name]["wall_clock"] = compare(pairs, "wall_clock", name, better)
     return out
 
 
@@ -122,7 +138,8 @@ def main(argv=None) -> int:
                 for side in sides}
         if args.trace:
             pairs.append({"seed": seed, "parent": runs["parent"]["metrics"],
-                          "change": runs["change"]["metrics"]})
+                          "change": runs["change"]["metrics"],
+                          "env": {side: runs[side]["env"] for side in ("parent", "change")}})
             shown = "ctensor.conv2d.ms_per_op"
         else:
             pairs.append({"seed": seed, "parent_first": parent_first,
