@@ -423,7 +423,8 @@ def magnitude(a: CTensor) -> CTensor:
 
     def backward(g):
         _, _, u, zero = _polar(z)
-        u[zero] = 0
+        if zero is not None:
+            u[zero] = 0
         return (g * u,)
 
     return _make(data, (a,), backward)
@@ -431,13 +432,14 @@ def magnitude(a: CTensor) -> CTensor:
 
 def _polar(z: np.ndarray):
     """|z|, 1/|z| (1 where z = 0), the unit z/|z| (1+0i where z = 0) and the
-    zero mask; the unit z * (1/|z|) rounds as z / |z| does."""
+    zero mask (None when no z is 0); the unit z * (1/|z|) rounds as z / |z|
+    does."""
     mag = np.abs(z)
-    zero = mag == 0
-    inv = np.where(zero, 1, mag)
-    np.reciprocal(inv, out=inv)
+    zero = None if mag.all() else mag == 0
+    inv = np.reciprocal(mag if zero is None else np.where(zero, 1, mag))
     unit = z * inv
-    unit[zero] = 1
+    if zero is not None:
+        unit[zero] = 1
     return mag, inv, unit, zero
 
 
@@ -446,16 +448,20 @@ def magnitude_map(z: CTensor, params, forward, backward) -> CTensor:
 
     `forward(mag, *param arrays) -> (r, saved)` maps the magnitudes |z| to
     a real r of z's shape and names in `saved` (a tuple) the other arrays
-    its adjoint reads; the output is r times the unit z/|z| (phase 1+0i
-    where z = 0).  `backward(gr, r, saved) -> (g_mag, *g_params)` is f's
-    adjoint for the real gradient gr = Re(conj(unit) g) at r; a parameter
-    gradient may have any shape the parameter broadcasts to (the reverse
-    sweep sums it back, as for any broadcast operand).  With cu =
-    conj(unit) g, the z-gradient is unit * (g_mag + i r Im(cu)/|z|), and 0
-    where z = 0.  The forward forms no unit: it divides z by |z| and scales
-    the quotient by r in place, and writes r where z = 0.  The tape keeps z,
-    r and `saved` (each through `_keep`); backward recomputes |z| and the
-    unit (`_polar`).
+    its adjoint reads; it must not write into mag.  The output is r times
+    the unit z/|z| (phase 1+0i where z = 0).  `backward(gr, mag, r, saved)
+    -> (g_mag, *g_params)` is f's adjoint at the magnitudes mag for the real
+    gradient gr = Re(conj(unit) g) at r; a parameter gradient may have any
+    shape the parameter broadcasts to (the reverse sweep sums it back, as
+    for any broadcast operand).  With cu = conj(unit) g, the z-gradient is
+    unit * (g_mag + i r Im(cu)/|z|), and 0 where z = 0.
+
+    The forward forms no unit: it takes the real scale r/|z| once, in |z|'s
+    own buffer unless r or `saved` share it (r may be a parameter's array),
+    multiplies z by it, and writes r where z = 0.  So the output rounds as
+    z * (r/|z|).  The tape keeps z, r and `saved` (each through `_keep`);
+    backward recomputes |z| and the unit (`_polar`) and hands |z| to the
+    layer's adjoint, so no layer keeps its input magnitudes.
     """
     if not z.is_complex:
         raise ShapeError("magnitude_map expects a complex tensor")
@@ -465,31 +471,34 @@ def magnitude_map(z: CTensor, params, forward, backward) -> CTensor:
     if np.iscomplexobj(r) or r.shape != z.shape:
         raise ShapeError(f"magnitude_map expects real magnitudes of shape {z.shape}, "
                          f"got {r.dtype} {r.shape}")
-    # z / |z| multiplies by the reciprocal, so this rounds as r * (z * (1/|z|));
-    # where z = 0 it is not finite, and the phase 1+0i is written instead
+    zero = None if mag.all() else mag == 0
+    # the scale r/|z| goes into |z|'s buffer, which this node owns, unless
+    # the layer's r or saved arrays share it; where z = 0 it is not finite,
+    # and r is written instead (phase 1+0i)
+    owned = np.result_type(r, mag) == mag.dtype and not any(
+        np.may_share_memory(mag, a) for a in (r, *saved))
     with np.errstate(divide="ignore", invalid="ignore"):
-        data = z.data / mag
-        if np.result_type(data, r) == data.dtype:
-            data *= r
-        else:   # a complex64 z under float64 magnitudes
-            data = data * r
-    if not mag.all():
-        zero = mag == 0
+        data = z.data * np.divide(r, mag, out=mag if owned else None)
+    if zero is not None:
         data[zero] = r[zero]
     zd, r, *saved = (_keep(a, z, *params) for a in (z.data, r, *saved))
     z_tracked = z.node is not None
 
     def back(g):
-        _, inv, unit, zero = _polar(zd)
-        cu = np.conj(unit) * g
-        g_mag, *g_params = backward(cu.real, r, saved)
+        mag, inv, unit, zero = _polar(zd)
+        cu = np.conj(unit)
+        cu *= g
+        g_mag, *g_params = backward(cu.real, mag, r, saved)
         gz = None
         if z_tracked:
             gz = np.empty(zd.shape, np.result_type(g_mag, r, unit))
             gz.real = g_mag
-            gz.imag = r * cu.imag * inv
+            tangent = r * inv
+            tangent *= cu.imag
+            gz.imag = tangent
             gz *= unit
-            gz[zero] = 0
+            if zero is not None:
+                gz[zero] = 0
         return (gz, *g_params)
 
     return _make(data, (z,) + params, back)
@@ -530,7 +539,7 @@ def _all_connections(slots: np.ndarray):
 def _basis_products(xt: np.ndarray, spectra: np.ndarray, ps, ins) -> np.ndarray:
     """(len(ps) * Ci * nr, B * F): input stream ins[j]'s spectrum (Ci, B, F)
     times each basis spectrum of connection ps[j]."""
-    z = xt[ins][:, :, None] * spectra[ps][:, None, :, None]
+    z = np.multiply(xt[ins][:, :, None], spectra[ps][:, None, :, None], order="C")
     return z.reshape(-1, z.shape[-2] * z.shape[-1])
 
 
@@ -610,7 +619,7 @@ def _coeff_adjoint(xh: np.ndarray, gh: np.ndarray, spectra: np.ndarray, slots: n
             ps, ins = _connections(slots, o)
             if ps.size:
                 z = _basis_products(xt, spectra, ps, ins)
-                gc = gt[o] @ np.conj(z).T                                  # (Co, Pj*Ci*nr)
+                gc = np.conj(np.conj(gt[o]) @ z.T)                         # (Co, Pj*Ci*nr)
                 out[ps] = gc.reshape(co, ps.size, ci, nr).transpose(1, 0, 2, 3)
         return out
     xf = np.conj(xh.reshape(b, n_in * ci, f).transpose(2, 1, 0))           # (F, I*Ci, B)

@@ -78,12 +78,14 @@ def magnitude_softmax(s: ct.CTensor, rpe_bias: ct.CTensor | None = None,
         s = ct.astype(ct.magnitude(s), s.data.dtype)
 
     def forward(mag, *rpe):
-        x = mag + rpe[0] if rpe else mag
-        w = np.exp(x - np.max(x, axis=-1, keepdims=True))
+        # the shift, the exp and the normalization all run in one buffer
+        w = mag + rpe[0] if rpe else mag.copy()
+        w -= np.max(w, axis=-1, keepdims=True)
+        np.exp(w, out=w)
         w /= w.sum(axis=-1, keepdims=True)
         return w, ()
 
-    def backward(gr, w, _):
+    def backward(gr, mag, w, _):
         gx = gr - (gr * w).sum(axis=-1, keepdims=True)
         gx *= w
         return (gx,) * (1 + len(bias))
@@ -209,13 +211,13 @@ def crelu_ab(p: ct.CTensor, a: ct.CTensor, b: ct.CTensor) -> ct.CTensor:
     """ReLU(a|z| + b) e^{i theta} with learnable per-channel a, b (d,),
     shared by every order: they broadcast over the (B, O, n, d) tensor."""
     def forward(mag, a, b):
-        r = mag * a + b
-        return np.maximum(r, 0, out=r), (mag, a)
+        r = mag * a
+        r += b
+        return np.maximum(r, 0, out=r), (a,)
 
-    def backward(gr, r, saved):
-        mag, a = saved
+    def backward(gr, mag, r, saved):
         gy = gr * (r > 0)
-        return gy * a, gy * mag, gy
+        return gy * saved[0], gy * mag, gy
 
     return ct.magnitude_map(p, (a, b), forward, backward)
 

@@ -298,9 +298,13 @@ def _affine_norm(x: ct.CTensor, state: HBatchNormState, leaves: dict,
     """New magnitudes a * (|X| - mu)/sqrt(var + eps) + b per (order, channel),
     through ReLU when `relu`, as one phase-keeping tape node.  Train mode
     pools magnitudes over batch and space and updates the running buffers;
-    eval mode reads the buffers.  a and b (C,) are shared by every order:
-    they broadcast as (C, 1, 1), and the reverse sweep sums their gradients
-    over the batch, the orders and space."""
+    eval mode reads the buffers.  Either way the statistics and a, b fold
+    into a scale k = a/sqrt(var + eps) and a shift c = b - k*mu per (order,
+    channel), formed in float64 and cast to |X|'s dtype, so the magnitudes
+    are |X|*k + c in one product and one sum.  a and b (C,) are shared by
+    every order: they broadcast as (C, 1, 1); the adjoint sums their
+    gradients over the batch and space, and the reverse sweep over the
+    orders."""
     if x.shape[2] != state.channels:
         raise ShapeError(f"channel mismatch: input {x.shape[2]}, norm {state.channels}")
     if x.shape[1] != len(state.orders):
@@ -312,31 +316,42 @@ def _affine_norm(x: ct.CTensor, state: HBatchNormState, leaves: dict,
         if train:
             mu = mag.mean(axis=axes, keepdims=True)
             d = mag - mu
-            var = (d * d).mean(axis=axes, keepdims=True)
+            var = np.square(d, out=d).mean(axis=axes, keepdims=True)
             mom = state.momentum
             for stat, batch in (("mean", mu), ("var", var)):
                 buf = state.buffers[f"{name}.{stat}"]
                 buf[:] = (1 - mom) * buf + mom * batch.reshape(buf.shape)
         else:
             mu, var = (state.buffers[f"{name}.{stat}"][None, :, :, None, None]
-                       .astype(mag.dtype, copy=False) for stat in ("mean", "var"))
-            d = mag - mu
-        s = np.sqrt(var + mag.dtype.type(EPS))
-        norm = np.divide(d, s, out=d)
-        r = a * norm + b
+                       for stat in ("mean", "var"))
+        s = np.sqrt(var.astype(np.float64) + EPS)
+        k = a / s
+        c = b - k * mu
+        mu, s, k, c = (v.astype(mag.dtype, copy=False) for v in (mu, s, k, c))
+        r = mag * k
+        r += c
         if relu:
             np.maximum(r, 0, out=r)
-        return r, (norm, s, a)
+        return r, (mu, s, k)
 
-    def backward(gr, r, saved):
-        norm, s, a = saved
+    def backward(gr, mag, r, saved):
+        # per (order, channel) sums over batch and space: sy of gy and sn
+        # of gy * norm give b's and a's gradients; in train mode the batch
+        # statistics subtract mean(gy) + norm * mean(gy * norm) from gy
+        mu, s, k = saved
         gy = gr * (r > 0) if relu else gr
-        gn = gy * a
-        if train:   # the batch statistics depend on every magnitude
-            pull = (gn * norm).mean(axis=axes, keepdims=True)
-            gn -= gn.mean(axis=axes, keepdims=True)
-            gn -= norm * pull
-        return np.divide(gn, s, out=gn), gy * norm, gy
+        norm = mag - mu
+        norm /= s
+        sy = gy.sum(axis=axes, keepdims=True)
+        sn = (gy * norm).sum(axis=axes, keepdims=True)
+        if not train:
+            return gy * k, sn, sy
+        n = gy.size // sy.size
+        norm *= sn / n
+        norm += sy / n
+        np.subtract(gy, norm, out=norm)
+        norm *= k
+        return norm, sn, sy
 
     params = tuple(ct.reshape(leaves[f"{name}.{p}"], (-1, 1, 1)) for p in "ab")
     return ct.magnitude_map(x, params, forward, backward)
@@ -372,19 +387,21 @@ def normalize_over(t: ct.CTensor, axis, eps: float = EPS, mode: str = "std") -> 
     c = ct.sub(t, ct.mean(t, axis=axis, keepdims=True))
 
     def forward(mag):
-        dev = mag - mag.mean(axis=axis, keepdims=True) if mode == "std" else mag
-        sigma = np.sqrt((dev * dev).mean(axis=axis, keepdims=True))
+        mu = mag.mean(axis=axis, keepdims=True) if mode == "std" else mag.dtype.type(0)
+        dev = mag - mu
+        sigma = np.sqrt(np.square(dev, out=dev).mean(axis=axis, keepdims=True))
         denom = sigma + mag.dtype.type(eps)
-        r = mag / denom
-        return r, (dev, sigma, denom)
+        return mag / denom, (mu, sigma, denom)
 
-    def backward(gr, r, saved):
-        # d sigma / d mag = dev / (N sigma) (the mean of dev is 0 in "std"
-        # mode); a collapsed sigma = 0 passes a zero slope
-        dev, sigma, denom = saved
+    def backward(gr, mag, r, saved):
+        # d sigma / d mag = dev / (N sigma), dev = mag - mu (the mean of dev
+        # is 0 in "std" mode); a collapsed sigma = 0 passes a zero slope
+        mu, sigma, denom = saved
         pull = np.divide((gr * r).mean(axis=axis, keepdims=True), sigma,
                          out=np.zeros_like(sigma), where=sigma != 0)
-        g = gr - pull * dev
+        g = mag - mu
+        g *= pull
+        np.subtract(gr, g, out=g)
         return (np.divide(g, denom, out=g),)
 
     return ct.magnitude_map(c, (), forward, backward)
@@ -397,7 +414,7 @@ def legacy_crelu(x: ct.CTensor, bias: ct.CTensor) -> ct.CTensor:
         r = mag + b
         return np.maximum(r, 0, out=r), ()
 
-    def backward(gr, r, _):
+    def backward(gr, mag, r, _):
         gy = gr * (r > 0)
         return gy, gy
 

@@ -129,3 +129,36 @@ def test_record_keeps_each_sides_env_line_and_wall_clock_summary(bp, tmp_path):
     trace = record["traces"]["runs"]["sweep"][0]
     assert trace["env"]["parent"]["blas_threads"] == {"numpy": 2}
     assert trace["change"] == {"latency_p50_ms": 5.0, "ctensor.conv2d.ms_per_op": 10.0}
+
+
+def test_summarize_traces_uses_per_layer_directions_and_common_metrics(bp):
+    # ms_per_op falls in two of three pairs; a "higher" direction flips the
+    # count; a metric one run lacks is left out
+    runs = [({"stem.forward.ms_per_op": 10.0, "only.here": 1.0}, {"stem.forward.ms_per_op": 8.0}),
+            ({"stem.forward.ms_per_op": 12.0}, {"stem.forward.ms_per_op": 12.5}),
+            ({"stem.forward.ms_per_op": 11.0}, {"stem.forward.ms_per_op": 9.0})]
+    pairs = [{"parent": p, "change": c} for p, c in runs]
+    out = bp.summarize_traces(pairs, {"stem.forward.ms_per_op": "lower"})
+    assert set(out) == {"stem.forward.ms_per_op"}
+    ms = out["stem.forward.ms_per_op"]
+    assert ms["change_wins"] == 2 and ms["pairs"] == 3
+    assert ms["parent"] == {"median": 11.0, "q1": 10.5, "q3": 11.5}
+    assert ms["change"] == {"median": 9.0, "q1": 8.5, "q3": 10.75}
+    assert bp.summarize_traces(pairs, {"stem.forward.ms_per_op": "higher"}
+                               )["stem.forward.ms_per_op"]["change_wins"] == 1
+
+
+def test_trace_record_is_summarized_by_the_per_layer_directions(bp, tmp_path):
+    parent = fake_checkout(tmp_path / "parent", 20.0, 1)
+    change = fake_checkout(tmp_path / "change", 10.0, 1)
+    (change / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "latency_p50_ms", "better": "lower"}],'
+        ' "per_layer": [{"name": "ctensor.conv2d.ms_per_op", "better": "higher"}]}')
+    out = tmp_path / "BENCH.json"
+    assert bp.main([str(parent), str(change), "--workload", "serve", "--out", str(out),
+                    "--seeds", "1-3", "--trace", "1"]) == 0
+    summary = json.loads(out.read_text())["traces"]["summary"]["serve"]
+    assert summary["latency_p50_ms"]["change_wins"] == 3
+    assert summary["ctensor.conv2d.ms_per_op"]["change_wins"] == 0   # "higher" is better here
+    assert summary["ctensor.conv2d.ms_per_op"]["parent"]["median"] == 20.0
+    assert summary["ctensor.conv2d.ms_per_op"]["pairs"] == 3

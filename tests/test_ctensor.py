@@ -48,7 +48,7 @@ def with_magnitude(z, r):
     """r * z/|z| for a real r of z's shape: a magnitude map whose new
     magnitudes ignore |z| and are the parameter r itself."""
     return ct.magnitude_map(z, (r,), lambda mag, r: (r, ()),
-                            lambda gr, r, _: (np.zeros_like(gr), gr))
+                            lambda gr, mag, r, _: (np.zeros_like(gr), gr))
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +165,8 @@ def test_fd_magnitude_and_with_magnitude():
     def scaled(z, r):
         # new magnitudes r|z|: both the radial and the phase adjoint, and a
         # parameter gradient
-        return ct.magnitude_map(z, (r,), lambda mag, r: (r * mag, (r, mag)),
-                                lambda gr, _, saved: (gr * saved[0], gr * saved[1]))
+        return ct.magnitude_map(z, (r,), lambda mag, r: (r * mag, (r,)),
+                                lambda gr, mag, _, saved: (gr * saved[0], gr * mag))
 
     def f(p):
         m = ct.magnitude(p["z"])
@@ -332,7 +332,7 @@ def test_with_magnitude_matches_numpy_reference_bitwise(zt, rt):
     z[0, 0, :2] = 0.0
     r = rng.standard_normal(z.shape).astype(rt)
     with np.errstate(invalid="ignore", divide="ignore"):
-        want = r * np.where(np.abs(z) == 0, 1, z / np.abs(z))
+        want = np.where(np.abs(z) == 0, r, z * (r / np.abs(z)))
     got = with_magnitude(ct.CTensor(z), ct.CTensor(r)).data
     assert got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
@@ -501,6 +501,38 @@ def test_mix_forms_no_full_size_intermediate(spectrum_first):
     assert out.flags.c_contiguous and out.shape == (b, n_out, co, f)
 
 
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+def test_basis_products_are_c_ordered_and_match_the_broadcast_product(dtype):
+    # _mix reads a transposed block of the input spectra; the product is
+    # built C-ordered, so its reshape is a view and no second product-sized
+    # array is made, and it has the bytes of the plain broadcast product
+    rng = ct.make_rng(42)
+    xh = crandn(rng, 3, 2, 4, 1400).astype(dtype)        # (B, I, Ci, F)
+    spectra = crandn(rng, 5, 6, 1400).astype(dtype)      # (P, nr, F)
+    xt, ps, ins = xh[..., 80:1330].transpose(1, 2, 0, 3), np.array([4, 0]), np.array([1, 0])
+    want = xt[ins][:, :, None] * spectra[ps][:, None, :, None, 80:1330]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        got = ct._basis_products(xt, spectra[..., 80:1330], ps, ins)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 1.5 * got.nbytes
+    assert got.dtype == want.dtype and got.tobytes() == want.reshape(got.shape).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+@pytest.mark.parametrize("co, k, n", [(8, 27, 4 * 68 * 68), (3, 5, 17), (1, 9, 64)])
+def test_coefficient_adjoint_conjugates_the_small_operand_bitwise(dtype, co, k, n):
+    # spectrum-first _coeff_adjoint takes conj(conj(g) @ z.T), conjugating
+    # the (Co, B*F) gradient instead of the (Pj*Ci*nr, B*F) products: the
+    # same bytes as g @ conj(z).T
+    rng = ct.make_rng(43)
+    g, z = crandn(rng, co, n).astype(dtype), crandn(rng, k, n).astype(dtype)
+    assert np.conj(np.conj(g) @ z.T).tobytes() == (g @ np.conj(z).T).tobytes()
+
+
 def test_mul_untracked_operand_gets_no_adjoint():
     tape = ct.GradTape()
     a = tape.parameter("a", np.array([1.0 + 2.0j, -0.5j]))
@@ -665,6 +697,42 @@ def test_products_with_an_untracked_operand_keep_only_that_operand(op, untracked
     x = crandn(ct.make_rng(32), 3, 3)
     pair = (lambda y, c: op(y, c)) if tracked_first else (lambda y, c: op(c, y))
     assert _input_freed_while_tape_lives(pair, x, untracked)
+
+
+def test_magnitude_map_leaves_the_layers_arrays_unmodified():
+    # the forward takes r/|z| in |z|'s buffer only when no array of the
+    # layer shares it: r may be a parameter's own array (with_magnitude),
+    # a layer may keep |z| among its saved arrays, or return |z| itself
+    rng = ct.make_rng(44)
+    z = crandn(rng, 3, 4)
+    z[0, 0] = 0
+    r = rng.random((3, 4))
+    before = r.copy()
+    tape = ct.GradTape()
+    y = with_magnitude(tape.parameter("z", z), tape.parameter("r", r))
+    assert r.tobytes() == before.tobytes()
+    assert y.data[0, 0] == r[0, 0] and any(a is r for a in _held_arrays(y))   # kept as is
+    kept = []
+
+    def keeps_magnitudes(mag):
+        kept.append(mag)
+        return 2 * mag, (mag,)
+
+    ct.magnitude_map(ct.CTensor(z), (), keeps_magnitudes, None)
+    assert kept[0].tobytes() == np.abs(z).tobytes()
+    same = ct.magnitude_map(ct.CTensor(z), (), lambda mag: (mag, ()), None)
+    assert np.max(np.abs(same.data - z)) <= EXACT_TOL
+
+
+def test_magnitude_map_keeps_complex64_on_an_f32_tape():
+    rng = ct.make_rng(45)
+    tape = ct.GradTape()
+    z = tape.parameter("z", crandn(rng, 3, 4).astype(np.complex64))
+    r = tape.parameter("r", rng.random((3, 4)).astype(np.float32))
+    y = with_magnitude(z, r)
+    assert y.data.dtype == np.complex64
+    g = ct.backward(tape, l2_to(crandn(rng, 3, 4))(y))
+    assert g["z"].dtype == np.complex64 and g["r"].dtype == np.float32
 
 
 def test_magnitude_layers_keep_only_their_inputs():

@@ -588,6 +588,25 @@ def test_block_gradients_match_finite_differences(strategy):
     assert err < 1e-4
 
 
+def test_crelu_ab_keeps_z_r_and_a_only():
+    # |z| reaches the adjoint recomputed, so the node keeps no magnitudes:
+    # only its input, its new magnitudes r and the parameter a, unmodified
+    rng = ct.make_rng(47)
+    tape = ct.GradTape()
+    a = rng.standard_normal(4)
+    before = a.copy()
+    p = tape.parameter("p", crandn(rng, 2, 3, 5, 4))
+    y = enc.crelu_ab(p, tape.parameter("a", a), tape.parameter("b", rng.standard_normal(4)))
+    _, back = tape.nodes[y.node]
+    cells = [c.cell_contents for c in back.__closure__]
+    held = [x for c in cells for x in (c if isinstance(c, list) else [c])
+            if isinstance(x, np.ndarray)]
+    others = [x for x in held if x is not p.data and x is not a]
+    assert len(held) == 3 and len(others) == 1
+    assert np.allclose(others[0], np.abs(y.data), rtol=1e-14, atol=0)
+    assert a.tobytes() == before.tobytes()
+
+
 def test_magnitude_dropout_shared_mask():
     rng = ct.make_rng(56)
     p = rand_stack(rng, 2, 2, 2, 4)

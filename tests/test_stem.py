@@ -564,6 +564,24 @@ def test_hbn_crelu_eval_uses_initial_stats():
     assert y.data.reshape(()) == pytest.approx(2.0 / np.sqrt(1 + EPS), rel=1e-12)
 
 
+@pytest.mark.parametrize("layer, relu", [(hs.hbn_crelu, True), (hs.legacy_cbn, False)])
+def test_eval_norm_fold_matches_the_normalization_formula(layer, relu):
+    # eval mode folds the running statistics and a, b into |X| * k + c
+    rng = ct.make_rng(46)
+    x = rand_sfm(rng, hs.ORDERS, 3, 4, 5, 5)
+    state = hs.HBatchNormState("bn", 4)
+    state.buffers["bn.mean"][:] = 2 * rng.random((3, 4))
+    state.buffers["bn.var"][:] = rng.random((3, 4)) + 0.1
+    params = {"bn.a": rng.standard_normal(4), "bn.b": 0.5 * rng.standard_normal(4)}
+    y = layer(x, state, const_leaves(params), train=False).data
+    mag = np.abs(x.data)
+    mu, var = (state.buffers[f"bn.{s}"][None, :, :, None, None] for s in ("mean", "var"))
+    a, b = (params[f"bn.{p}"][:, None, None] for p in "ab")
+    new = a * (mag - mu) / np.sqrt(var + EPS) + b
+    want = (np.maximum(new, 0) if relu else new) * x.data / mag
+    assert np.max(np.abs(y - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_hbn_crelu_rot90_he():
     rng = ct.make_rng(27)
     x = rand_sfm(rng, (-1, 0, 1), 2, 3, 4, 4)

@@ -18,7 +18,10 @@ under `wall_clock`, for the unscaled one.  The host probe runs on the main
 thread while any other thread of the program keeps working, so a program
 that computes on several threads can flatter its host-scaled figures; its
 wall-clock ones show whether a gain stands on its own.  With --trace 1 each
-pair's per-layer metrics are appended to `traces.runs[WORKLOAD]`.  Every
+pair's per-layer metrics are appended to `traces.runs[WORKLOAD]`, and
+`traces.summary[WORKLOAD]` is recomputed the same way per metric: each
+side's quartiles and the change's wins, by the metric's direction in
+CHANGE's BENCHMARK.json (`per_layer`, else `end_to_end`, else lower).  Every
 side keeps perfbench's `env` line (CPU affinity, BLAS threads, FFT workers,
 ...), which says which threading the program saw.  An existing
 --out file is updated, not replaced, so a record is built one call at a
@@ -81,15 +84,21 @@ def quartiles(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def compare(pairs: list, figures: str, name: str, better: dict) -> dict:
-    """Each side's quartiles of one figure (`figures` is "metrics" or
-    "wall_clock") and the number of pairs the change won."""
-    parent = [p["parent"][figures][name] for p in pairs]
-    change = [p["change"][figures][name] for p in pairs]
-    sign = -1.0 if better.get(name, "lower") == "lower" else 1.0
+def compare(parent: list, change: list, better: str) -> dict:
+    """Each side's quartiles of one figure over the pairs and the number of
+    pairs the change won in the `better` direction ("lower" or "higher")."""
+    sign = -1.0 if better == "lower" else 1.0
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     return {"parent": quartiles(parent), "change": quartiles(change),
-            "change_wins": wins, "pairs": len(pairs)}
+            "change_wins": wins, "pairs": len(parent)}
+
+
+def side_values(pairs: list, name: str, figures: str = None) -> tuple:
+    """The parent's and the change's values of one figure over the pairs,
+    read from each side's `figures` dict ("metrics" or "wall_clock"), or
+    from the side itself for a traced pair."""
+    return tuple([(p[side] if figures is None else p[side][figures])[name] for p in pairs]
+                 for side in ("parent", "change"))
 
 
 def summarize(pairs: list, better: dict) -> dict:
@@ -97,10 +106,18 @@ def summarize(pairs: list, better: dict) -> dict:
     figure too (the timings) carry its `compare` under `wall_clock`."""
     out = {}
     for name in pairs[0]["parent"]["metrics"]:
-        out[name] = compare(pairs, "metrics", name, better)
+        way = better.get(name, "lower")
+        out[name] = compare(*side_values(pairs, name, "metrics"), way)
         if name in pairs[0]["parent"].get("wall_clock", {}):
-            out[name]["wall_clock"] = compare(pairs, "wall_clock", name, better)
+            out[name]["wall_clock"] = compare(*side_values(pairs, name, "wall_clock"), way)
     return out
+
+
+def summarize_traces(pairs: list, better: dict) -> dict:
+    """Per per-layer metric that every traced run reports, `compare`."""
+    return {name: compare(*side_values(pairs, name), better.get(name, "lower"))
+            for name in pairs[0]["parent"]
+            if all(name in p[side] for p in pairs for side in ("parent", "change"))}
 
 
 def host_scale(pairs: list, side: str) -> list:
@@ -130,7 +147,7 @@ def main(argv=None) -> int:
         record.setdefault("command", command)
         pairs = record.setdefault("workloads", {}).setdefault(args.workload, {}).setdefault("pairs", [])
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec.get("per_layer", [])}
     for seed in args.seeds:
         parent_first = len(pairs) % 2 == 0
         sides = ("parent", "change") if parent_first else ("change", "parent")
@@ -148,7 +165,9 @@ def main(argv=None) -> int:
             shown = "latency_p50_ms"
         print(f"{args.workload} seed {seed}: {shown} parent {runs['parent']['metrics'][shown]:.1f} "
               f"change {runs['change']['metrics'][shown]:.1f}", file=sys.stderr, flush=True)
-        if not args.trace:
+        if args.trace:
+            traces.setdefault("summary", {})[args.workload] = summarize_traces(pairs, better)
+        else:
             record["workloads"][args.workload].update(
                 summary=summarize(pairs, better),
                 host_scale={side: host_scale(pairs, side) for side in ("parent", "change")})
