@@ -78,9 +78,11 @@ class GradTape:
     the tape keeps no operand alive that backward never touches: structural
     and cast ops keep only shapes and indices; a product (`mul`, `div`,
     `complex_matmul`, `conv2d`) keeps an operand only when the other one is
-    tracked; `magnitude` keeps z and recomputes |z|; `magnitude_map` (a
-    whole phase-keeping layer) keeps z, its new magnitudes and the real
-    arrays the layer's adjoint reads, and recomputes |z| and z/|z|.
+    tracked, and `conv2d` keeps its input as the spectrum its forward took,
+    so backward does not transform it again; `magnitude` keeps z and
+    recomputes |z|; `magnitude_map` (a whole phase-keeping layer) keeps z,
+    its new magnitudes and the real arrays the layer's adjoint reads, and
+    recomputes |z| and z/|z|.
 
     The tape stores and differentiates at the precision of its registered
     parameters.  When every one is float32/complex64 ("f32"), each node
@@ -599,29 +601,23 @@ def _mix(xh: np.ndarray, coeffs: np.ndarray, spectra: np.ndarray, slots: np.ndar
     return out
 
 
-def _coeff_adjoint(xh: np.ndarray, gh: np.ndarray, spectra: np.ndarray, slots: np.ndarray,
-                   spectrum_first: bool) -> np.ndarray:
-    """Adjoint of `_mix` in its coefficients: out[p, o', c, r] = sum over
-    batch and frequency of gh[:, o, o'] * conj(xh[:, i, c] * spectra[p, r])
-    for each connection p = slots[o, i] -> (P, Co, Ci, nr).  Kernel-first
+def _coeff_adjoint(xh: np.ndarray, gh: np.ndarray, spectra: np.ndarray,
+                   slots: np.ndarray) -> np.ndarray:
+    """Kernel-first adjoint of `_mix` in its coefficients: out[p, o', c, r]
+    = sum over batch and frequency of gh[:, o, o'] * conj(xh[:, i, c] *
+    spectra[p, r]) for each connection p = slots[o, i] -> (P, Co, Ci, nr).
+    xh is the input spectrum the conv node kept from its forward.  It
     mirrors `_mix`: one GEMM of the conjugate basis spectra with the kernel
     spectra's gradient, from which each connection reads its (i, o) block.
-    Unlike `_mix` it reduces over frequency, so it is not blocked: blocks
-    would split each sum into partial sums and change its rounding."""
+    Unlike `_mix` it reduces over frequency, so it spans every frequency
+    and is not blocked: blocks would split each sum into partial sums whose
+    rounding would depend on FREQ_BLOCK.  Spectrum-first's coefficient
+    adjoint is `_spectrum_first_adjoints`, whose products span every
+    frequency for the same reason."""
     b, n_in, ci, f = xh.shape
     n_out, co = gh.shape[1:3]
     n, nr = spectra.shape[:2]
     out = np.zeros((n, co, ci, nr), dtype=np.result_type(xh, gh, spectra))
-    if spectrum_first:
-        xt = np.ascontiguousarray(xh.transpose(1, 2, 0, 3))
-        gt = gh.transpose(1, 2, 0, 3).reshape(n_out, co, b * f)
-        for o in range(n_out):
-            ps, ins = _connections(slots, o)
-            if ps.size:
-                z = _basis_products(xt, spectra, ps, ins)
-                gc = np.conj(np.conj(gt[o]) @ z.T)                         # (Co, Pj*Ci*nr)
-                out[ps] = gc.reshape(co, ps.size, ci, nr).transpose(1, 0, 2, 3)
-        return out
     xf = np.conj(xh.reshape(b, n_in * ci, f).transpose(2, 1, 0))           # (F, I*Ci, B)
     gf = gh.reshape(b, n_out * co, f).transpose(2, 0, 1)                   # (F, B, O*Co)
     gk = np.matmul(xf, gf).reshape(f, -1)                                  # (F, I*Ci*O*Co)
@@ -629,6 +625,46 @@ def _coeff_adjoint(xh: np.ndarray, gh: np.ndarray, spectra: np.ndarray, slots: n
     ps, os_, is_ = _all_connections(slots)
     out[ps] = blocks[ps, :, is_, :, os_, :].transpose(0, 3, 2, 1)
     return out
+
+
+def _spectrum_first_adjoints(gh: np.ndarray, coeffs, spectra: np.ndarray, slots: np.ndarray,
+                             xh) -> tuple:
+    """Both adjoints of spectrum-first `_mix` from one set of products per
+    input stream i: Z = gh[:, o] * conj(spectra[p]) over the connections p
+    = slots[o, i] that read stream i, (Pj*Co*nr, B*F).
+
+    The input adjoint's spectrum (B, I, Ci, F) is conj(coeffs) @ Z per
+    stream, the bits of `_mix` on the conjugate bank with slots.T; it is
+    None when coeffs is (the input is untracked).  The coefficient adjoint
+    (P, Co, Ci, nr), before the 1/F of the inverse FFT, is Z @ conj(xh_i)^T,
+    each connection's sum over batch and frequency; it is None when xh is
+    (the coefficients are untracked).  Z spans every frequency, so each of
+    those sums is one GEMM and its rounding does not depend on FREQ_BLOCK.
+    """
+    b, _, co, f = gh.shape
+    n_in = slots.shape[1]
+    n, nr = spectra.shape[:2]
+    gt = gh.transpose(1, 2, 0, 3)                                          # (O, Co, B, F)
+    cspec = np.conj(spectra)
+    gxh = gc = None
+    if coeffs is not None:
+        ci = coeffs.shape[2]
+        gxh = np.zeros((b, n_in, ci, f), dtype=np.result_type(gh, coeffs, spectra))
+    if xh is not None:
+        ci = xh.shape[2]
+        xc = np.conj(xh).transpose(1, 2, 0, 3).reshape(n_in, ci, b * f)    # (I, Ci, B*F)
+        gc = np.zeros((n, co, ci, nr), dtype=np.result_type(xh, gh, spectra))
+    for i in range(n_in):
+        ps, os_ = _connections(slots.T, i)
+        if not ps.size:
+            continue
+        z = _basis_products(gt, cspec, ps, os_)                            # (Pj*Co*nr, B*F)
+        if gxh is not None:
+            c = np.conj(coeffs[ps]).transpose(2, 0, 1, 3).reshape(ci, -1)  # (Ci, Pj*Co*nr)
+            gxh[:, i] = (c @ z).reshape(ci, b, f).transpose(1, 0, 2)
+        if gc is not None:
+            gc[ps] = (z @ xc[i].T).reshape(ps.size, co, nr, ci).transpose(0, 1, 3, 2)
+    return gxh, gc
 
 
 def conv2d(x: CTensor, coeffs: CTensor, spectra: np.ndarray, slots: np.ndarray,
@@ -648,10 +684,17 @@ def conv2d(x: CTensor, coeffs: CTensor, spectra: np.ndarray, slots: np.ndarray,
     contracts in the given `order`, "spectrum_first" or "kernel_first"
     (`stem.conv_plan` chooses it), one block of frequencies at a time into
     a contiguous (B, O, Co, F) spectrum, so the inverse FFT reads
-    unit-stride frequencies.  The input adjoint is a `_mix` too; the
-    coefficient adjoint sums over every frequency and is not blocked.  Both
-    adjoints recompute the spectra they need from x and coeffs, so the node
-    keeps only those and the basis spectra, each at the tape's precision.
+    unit-stride frequencies.
+
+    Backward transforms only the output gradient.  When the coefficients
+    are tracked, the node keeps the input spectrum the forward took, not x,
+    so neither order transforms the input again; when x is tracked it keeps
+    the coefficients; it always keeps the basis spectra; each at the tape's
+    precision.  Spectrum-first reads both adjoints from one set of products
+    of the gradient with the conjugate basis spectra
+    (`_spectrum_first_adjoints`).  Kernel-first's input adjoint is `_mix` on
+    the conjugate bank, and its coefficient adjoint `_coeff_adjoint`.  The
+    coefficient adjoints sum over every frequency and are not blocked.
     """
     if x.data.ndim != 5 or coeffs.data.ndim != 4 or spectra.ndim != 4 or slots.ndim != 2:
         raise ShapeError("conv2d expects (B,I,Ci,H,W) input, (P,Co,Ci,nr) coefficients, "
@@ -670,29 +713,33 @@ def conv2d(x: CTensor, coeffs: CTensor, spectra: np.ndarray, slots: np.ndarray,
     spectrum_first = order == "spectrum_first"
     basis = spectra.reshape(n, nr, hp * wp)
     pad = ((0, 0),) * 3 + ((ph // 2, ph // 2), (pw // 2, pw // 2))
-
-    def input_spectrum(xd):
-        return _fft2(np.pad(xd, pad)).reshape(b, n_in, ci, hp * wp)
-
-    yh = _mix(input_spectrum(x.data), coeffs.data, basis, slots, spectrum_first)
+    xh = _fft2(np.pad(x.data, pad)).reshape(b, n_in, ci, hp * wp)
+    yh = _mix(xh, coeffs.data, basis, slots, spectrum_first)
+    # dropped (or cast down) before the inverse FFT, which would otherwise
+    # hold it alongside the output spectrum and its transform
+    xh = _keep(xh, x, coeffs) if coeffs.node is not None else None
     data = np.ascontiguousarray(_ifft2(yh.reshape(b, -1, co, hp, wp))[..., ph:, pw:])
-    xd, cd, spec = _kept_for(coeffs, x), _kept_for(x, coeffs), _keep(basis, x, coeffs)
+    cd, spec = _kept_for(x, coeffs), _keep(basis, x, coeffs)
 
     def backward(g):
         gx = gc = None   # an untracked operand (the image) gets no adjoint
         full = np.zeros(g.shape[:3] + (hp, wp), dtype=g.dtype)
         full[..., ph:, pw:] = g
         gh = _fft2(full).reshape(b, -1, co, hp * wp)
-        if cd is not None:
+        if spectrum_first:
+            gxh, gc = _spectrum_first_adjoints(gh, cd, spec, slots, xh)
+        else:
             # the adjoint conv: conjugate coefficients and spectra, channels
-            # and streams swapped, cropped back to the unpadded input
-            adj = _mix(gh, np.conj(cd).transpose(0, 2, 1, 3), np.conj(spec),
-                       slots.T, spectrum_first)
-            gx = _ifft2(adj.reshape(b, n_in, ci, hp, wp))[..., ph // 2: ph // 2 + h,
+            # and streams swapped
+            gxh = None if cd is None else _mix(gh, np.conj(cd).transpose(0, 2, 1, 3),
+                                               np.conj(spec), slots.T, False)
+            gc = None if xh is None else _coeff_adjoint(xh, gh, spec, slots)
+        if gxh is not None:
+            # cropped back to the unpadded input
+            gx = _ifft2(gxh.reshape(b, n_in, ci, hp, wp))[..., ph // 2: ph // 2 + h,
                                                           pw // 2: pw // 2 + w]
-        if xd is not None:
-            # the adjoint of ifft2 is fft2 / (hp * wp)
-            gc = _coeff_adjoint(input_spectrum(xd), gh, spec, slots, spectrum_first) / (hp * wp)
+        if gc is not None:
+            gc /= hp * wp   # the adjoint of ifft2 is fft2 / (hp * wp)
         return gx, gc
 
     return _make(data, (x, coeffs), backward)

@@ -1,0 +1,50 @@
+"""tools/compare_step.py: one train step's logits and gradients in two
+checkouts.  The tool is a script, not a package module, so it is loaded by
+path."""
+
+import importlib.util
+import shutil
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "compare_step.py"
+
+
+@pytest.fixture(scope="module")
+def cs():
+    spec = importlib.util.spec_from_file_location("compare_step", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_compare_names_differing_logits_and_the_worst_gradient(cs):
+    logits = np.array([[1.0, 2.0]])
+    parent = {"logits": logits, "grad/a": np.array([3.0, 4.0]), "grad/b": np.array([1.0])}
+    change = {"logits": logits + [[0.0, 1e-9]], "grad/a": np.array([3.0, 4.0 + 5e-7]),
+              "grad/b": np.array([1.0 + 2e-6]), "grad/c": np.array([0.0])}
+    lines = cs.compare(parent, change)
+    assert lines[0].startswith("logits: differ (relative L2 4.472e-10)")
+    assert lines[1:] == ["a: 1.000e-07", "b: 2.000e-06", "c: missing in parent",
+                         "worst gradient: b 2.000e-06"]
+    assert cs.compare(parent, parent)[0] == "logits: byte-identical"
+
+
+def test_two_copies_of_one_checkout_give_identical_steps(cs, tmp_path, capsys):
+    for side in ("a", "b"):
+        shutil.copytree(ROOT / "src", tmp_path / side / "src",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    assert cs.main([str(tmp_path / "a"), str(tmp_path / "b"), "--seed", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "logits: byte-identical"
+    assert any(line.startswith("stem.b0.conv1.radial: ") for line in lines)
+    assert lines[-1].startswith("worst gradient: ") and lines[-1].endswith(" 0.000e+00")
+
+
+def test_a_checkout_without_the_package_is_a_usage_error(cs, tmp_path):
+    with pytest.raises(SystemExit) as exit_info:
+        cs.main([str(tmp_path), str(ROOT)])
+    assert exit_info.value.code == 2

@@ -393,7 +393,8 @@ def test_conv2d_backends_agree_on_gradients():
     # the tape's forward pass and both adjoints, in each contraction order,
     # against the same direct-loop reference; 5x5 kernels have 25 atoms
     rng = ct.make_rng(16)
-    for order, batch, c_out in (("spectrum_first", 1, 13), ("kernel_first", 2, 4)):
+    for order, batch, c_out in (("spectrum_first", 1, 13), ("kernel_first", 2, 4),
+                                ("spectrum_first", 3, 4)):
         k = crandn(rng, c_out, 3, 5, 5)
         x = crandn(rng, batch, 3, 12, 14)
         g_out = crandn(rng, batch, c_out, 12, 14)
@@ -479,6 +480,148 @@ def test_conv2d_frequency_blocks_match_one_block(monkeypatch, order, batch, h, w
         assert np.max(np.abs(got - want)) <= EXACT_TOL * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("order", ["spectrum_first", "kernel_first"])
+def test_conv2d_backward_transforms_only_the_output_gradient(monkeypatch, order):
+    # on an f32 tape whose forward runs in complex128, as an f32 model's
+    # does, the node keeps the input spectrum the forward took, cast to
+    # complex64, and no copy of x; backward then takes one FFT, of the
+    # output gradient, though both operands are tracked
+    b, n_in, ci, h, w = 3, 2, 2, 6, 7
+    rng = ct.make_rng(44)
+    tape = ct.GradTape()
+    px = tape.parameter("x", crandn(rng, b, n_in, ci, h, w).astype(np.complex64))
+    pc = tape.parameter("c", crandn(rng, 3, 4, ci, 3).astype(np.complex64))
+    x = ct.astype(px, np.complex128)
+    y = ct.conv2d(x, ct.astype(pc, np.complex128), crandn(rng, 3, 3, h + 2, w + 2),
+                  BLOCK_SLOTS, order)
+    held = _held_arrays(y)
+    spectra = [a for a in held if a.shape == (b, n_in, ci, (h + 2) * (w + 2))]
+    assert len(spectra) == 1 and spectra[0].dtype == np.complex64
+    assert not any(a.shape == x.shape or np.shares_memory(a, x.data) for a in held)
+    loss = l2_to(crandn(rng, b, 3, 4, h, w))(y)
+    calls, real = [], ct._fft2
+    monkeypatch.setattr(ct, "_fft2", lambda a: calls.append(a.shape) or real(a))
+    grads = ct.backward(tape, loss)
+    assert calls == [(b, 3, 4, h + 2, w + 2)]
+    assert grads["x"].dtype == grads["c"].dtype == np.complex64
+
+
+@pytest.mark.parametrize("taped", [False, True], ids=["untaped", "f32_tape"])
+def test_conv2d_frees_the_input_spectrum_before_the_inverse_transform(monkeypatch, taped):
+    # an inference forward keeps no input spectrum, and an f32 tape keeps
+    # it cast down to complex64: either way the complex128 spectrum is
+    # gone before the inverse FFT, whose peak would otherwise hold it too
+    rng = ct.make_rng(47)
+    x, c = crandn(rng, 2, 2, 2, 6, 7), crandn(rng, 3, 4, 2, 3)
+    spectra, spectrum, alive = crandn(rng, 3, 3, 8, 9), [], []
+    fft, ifft = ct._fft2, ct._ifft2
+
+    def forward_fft(a):
+        out = fft(a)
+        spectrum.append(weakref.ref(out))
+        return out
+
+    def inverse_fft(a):
+        alive.append(spectrum[0]() is not None)
+        return ifft(a)
+
+    monkeypatch.setattr(ct, "_fft2", forward_fft)
+    monkeypatch.setattr(ct, "_ifft2", inverse_fft)
+    tape = ct.GradTape()
+    pc = tape.parameter("c", c.astype(np.complex64)) if taped else ct.CTensor(c)
+    ct.conv2d(ct.CTensor(x), ct.astype(pc, np.complex128), spectra, BLOCK_SLOTS,
+              "spectrum_first")
+    assert alive == [False]
+
+
+def _spectrum_first_case(dtype, batch):
+    """Operands of spectrum-first's adjoints over BLOCK_SLOTS (two input
+    streams, three output streams, the middle one fed by no connection) at
+    F = 23 * 29 = 667 frequencies, more than one FREQ_BLOCK."""
+    rng = ct.make_rng(45)
+    f, ci, co, nr = 23 * 29, 2, 4, 3
+    gh, xh = crandn(rng, batch, 3, co, f), crandn(rng, batch, 2, ci, f)
+    coeffs, spectra = crandn(rng, 3, co, ci, nr), crandn(rng, 3, nr, f)
+    return tuple(a.astype(dtype) for a in (gh, xh, coeffs, spectra))
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_spectrum_first_input_adjoint_is_the_conjugate_bank_mix(dtype, batch):
+    # conj(coeffs) @ Z has the bits of the blocked _mix that ran the input
+    # adjoint before: the adjoint conv on the conjugate bank with slots.T
+    gh, xh, coeffs, spectra = _spectrum_first_case(dtype, batch)
+    assert spectra.shape[-1] > ct.FREQ_BLOCK
+    want = ct._mix(gh, np.conj(coeffs).transpose(0, 2, 1, 3), np.conj(spectra),
+                   BLOCK_SLOTS.T, True)
+    for kept in (xh, None):   # with and without the coefficient adjoint
+        got, gc = ct._spectrum_first_adjoints(gh, coeffs, spectra, BLOCK_SLOTS, kept)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert (gc is None) == (kept is None)
+    assert ct._spectrum_first_adjoints(gh, None, spectra, BLOCK_SLOTS, xh)[0] is None
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+def test_spectrum_first_coefficient_adjoint_matches_the_product_formula(batch):
+    # Z @ conj(xh_i)^T against the per-output-stream formula it replaces:
+    # conj(conj(g_o) @ (xh_i * s_p)^T), reduced over batch and frequency
+    gh, xh, coeffs, spectra = _spectrum_first_case(np.complex128, batch)
+    _, gc = ct._spectrum_first_adjoints(gh, None, spectra, BLOCK_SLOTS, xh)
+    b, _, ci, f = xh.shape
+    co, nr = gh.shape[2], spectra.shape[1]
+    want = np.zeros_like(gc)
+    for o in range(BLOCK_SLOTS.shape[0]):
+        for i in range(BLOCK_SLOTS.shape[1]):
+            p = BLOCK_SLOTS[o, i]
+            if p < 0:
+                continue
+            g = gh[:, o].transpose(1, 0, 2).reshape(co, b * f)                     # (Co, B*F)
+            z = xh[:, i].transpose(1, 0, 2)[:, None] * spectra[p][None, :, None]   # (Ci, nr, B, F)
+            want[p] = np.conj(np.conj(g) @ z.reshape(ci * nr, b * f).T).reshape(co, ci, nr)
+    assert np.max(np.abs(gc - want)) <= 1e-13 * np.max(np.abs(want))
+    c64 = [a.astype(np.complex64) for a in (gh, spectra, xh)]
+    assert ct._spectrum_first_adjoints(c64[0], None, c64[1], BLOCK_SLOTS, c64[2])[1].dtype \
+        == np.complex64
+
+
+@pytest.mark.parametrize("order", ["spectrum_first", "kernel_first"])
+def test_frozen_bank_computes_no_coefficient_adjoint(monkeypatch, order):
+    # tracked x and untracked coefficients: the node keeps no input
+    # spectrum, backward forms no coefficient adjoint, and the input
+    # gradient has the bytes it has when the coefficients are tracked
+    rng = ct.make_rng(46)
+    x, c = crandn(rng, 3, 2, 2, 6, 7), crandn(rng, 3, 4, 2, 3)
+    spectra, t = crandn(rng, 3, 3, 8, 9), crandn(rng, 3, 3, 4, 6, 7)
+    coefficient_adjoints = []
+
+    def recorded(fn, pick):
+        def wrapper(*args):
+            out = fn(*args)
+            coefficient_adjoints.append(pick(out))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(ct, "_spectrum_first_adjoints",
+                        recorded(ct._spectrum_first_adjoints, lambda out: out[1]))
+    monkeypatch.setattr(ct, "_coeff_adjoint", recorded(ct._coeff_adjoint, lambda out: out))
+
+    def input_grad(track_c):
+        tape = ct.GradTape()
+        pc = tape.parameter("c", c) if track_c else ct.CTensor(c)
+        y = ct.conv2d(tape.parameter("x", x), pc, spectra, BLOCK_SLOTS, order)
+        held = _held_arrays(y)
+        coefficient_adjoints.clear()
+        grads = ct.backward(tape, l2_to(t)(y))
+        return grads, held, [a for a in coefficient_adjoints if a is not None]
+
+    tracked, _, computed = input_grad(True)
+    assert len(computed) == 1
+    frozen, held, computed = input_grad(False)
+    assert computed == [] and "c" not in frozen
+    assert all(a.shape != (3, 2, 2, 8 * 9) for a in held)   # no input spectrum
+    assert frozen["x"].tobytes() == tracked["x"].tobytes()
+
+
 @pytest.mark.parametrize("spectrum_first", [True, False])
 def test_mix_forms_no_full_size_intermediate(spectrum_first):
     # at F = 4096 frequencies, what _mix allocates besides its output stays
@@ -525,12 +668,12 @@ def test_basis_products_are_c_ordered_and_match_the_broadcast_product(dtype):
 @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
 @pytest.mark.parametrize("co, k, n", [(8, 27, 4 * 68 * 68), (3, 5, 17), (1, 9, 64)])
 def test_coefficient_adjoint_conjugates_the_small_operand_bitwise(dtype, co, k, n):
-    # spectrum-first _coeff_adjoint takes conj(conj(g) @ z.T), conjugating
-    # the (Co, B*F) gradient instead of the (Pj*Ci*nr, B*F) products: the
-    # same bytes as g @ conj(z).T
+    # spectrum-first's coefficient adjoint takes Z @ conj(xh_i).T,
+    # conjugating the (Ci, B*F) input spectrum instead of the (Pj*Co*nr,
+    # B*F) products: the same bytes as conj(conj(Z) @ xh_i.T)
     rng = ct.make_rng(43)
-    g, z = crandn(rng, co, n).astype(dtype), crandn(rng, k, n).astype(dtype)
-    assert np.conj(np.conj(g) @ z.T).tobytes() == (g @ np.conj(z).T).tobytes()
+    xh, z = crandn(rng, co, n).astype(dtype), crandn(rng, k, n).astype(dtype)
+    assert (z @ np.conj(xh).T).tobytes() == np.conj(np.conj(z) @ xh.T).tobytes()
 
 
 def test_mul_untracked_operand_gets_no_adjoint():

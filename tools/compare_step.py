@@ -1,0 +1,114 @@
+"""One train step's forward and gradients in two checkouts, compared.
+
+    python3 tools/compare_step.py PARENT CHANGE [--seed 0]
+
+PARENT and CHANGE are two checkouts, each with its own `src/`.  In each,
+a subprocess builds the seeded f32 mnist_config model, draws a seeded batch
+of 4 images and labels, and runs one train step: the taped forward
+(train=True, seeded dropout), the cross-entropy loss and `ct.backward`.
+No optimizer step runs.  The tool prints whether the logits are
+byte-identical, each parameter gradient's relative L2 distance
+||g_change - g_parent|| / ||g_parent||, and the worst of those.
+
+This is how a change to backward rounding is judged.  The weights after a
+train call are not a usable gate: AdamW turns gradient components at
+rounding level into steps of +-lr, so a rounding-level change in the f32
+gradients moves one epoch's weights by ~1e-4 relative.  Standard library
+and numpy only.
+"""
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+BATCH = 4
+
+
+def step(out: Path, seed: int) -> None:
+    """One seeded batch-4 f32 train step with the harmnet on sys.path;
+    writes its logits and every parameter gradient to `out` (.npz)."""
+    from harmnet import ctensor as ct
+    from harmnet import data as hdata
+    from harmnet import model as hm
+    from harmnet import training as tr
+
+    config = hm.mnist_config()
+    model = hm.build(config, seed, "f32")
+    inp, rng = config["input"], ct.make_rng(seed)
+    raw = rng.random((BATCH, inp["channels"], inp["base_size"], inp["base_size"]))
+    labels = rng.integers(0, config["head"]["classes"], BATCH)
+    images = hdata.preprocess(raw.astype(np.float32), inp["pad"], inp["upscale_factor"])
+    tape = ct.GradTape()
+    logits = model.forward(ct.CTensor(images), model.leaves(tape), train=True,
+                           rng=ct.derive_rng(seed, "dropout"))
+    grads = ct.backward(tape, tr.cross_entropy(logits, labels, tr.train_defaults()["label_smoothing"]))
+    np.savez(out, logits=logits.data, **{"grad/" + k: g for k, g in grads.items() if g is not None})
+
+
+def run_step(checkout: Path, out: Path, seed: int) -> dict:
+    """`step` in a fresh interpreter that imports harmnet from checkout/src."""
+    env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"))
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--step", str(out), "--seed", str(seed)]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{checkout}: train step exited {proc.returncode}:\n{proc.stderr}")
+    with np.load(out) as f:
+        return {k: f[k] for k in f.files}
+
+
+def compare(parent: dict, change: dict) -> list:
+    """Report lines: the logits' byte identity, then per gradient (sorted by
+    name) its relative L2 distance, then the worst.  A gradient only one
+    side has is reported as missing."""
+    same = (parent["logits"].dtype == change["logits"].dtype
+            and parent["logits"].tobytes() == change["logits"].tobytes())
+    lines = [f"logits: {'byte-identical' if same else 'differ'}"]
+    if not same:
+        d = np.linalg.norm(change["logits"] - parent["logits"]) / np.linalg.norm(parent["logits"])
+        lines[0] += f" (relative L2 {d:.3e})"
+    names = sorted(k for k in set(parent) | set(change) if k.startswith("grad/"))
+    worst = (None, -1.0)
+    for key in names:
+        name = key[len("grad/"):]
+        if key not in parent or key not in change:
+            lines.append(f"{name}: missing in {'parent' if key not in parent else 'change'}")
+            continue
+        p, c = parent[key], change[key]
+        rel = float(np.linalg.norm(c - p) / max(np.linalg.norm(p), np.finfo(np.float64).tiny))
+        lines.append(f"{name}: {rel:.3e}")
+        if rel > worst[1]:
+            worst = (name, rel)
+    if worst[0] is not None:
+        lines.append(f"worst gradient: {worst[0]} {worst[1]:.3e}")
+    return lines
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("parent", type=Path, nargs="?", help="checkout of the parent commit")
+    p.add_argument("change", type=Path, nargs="?", help="checkout of the change")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--step", type=Path, help=argparse.SUPPRESS)   # child: run one step
+    args = p.parse_args(argv)
+    if args.step is not None:
+        step(args.step, args.seed)
+        return 0
+    if args.parent is None or args.change is None:
+        p.error("PARENT and CHANGE are required")
+    for checkout in (args.parent, args.change):
+        if not (checkout / "src" / "harmnet").is_dir():
+            p.error(f"{checkout} has no src/harmnet")
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = [run_step(checkout, Path(tmp) / f"{side}.npz", args.seed)
+                 for side, checkout in (("parent", args.parent), ("change", args.change))]
+    print("\n".join(compare(*sides)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
