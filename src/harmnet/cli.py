@@ -238,10 +238,13 @@ def cmd_verify(args, environ, argv) -> int:
                                   config=model_cfg, model=model)
     if args.angles:
         keep = _parse_angles(args.angles)
-        run = {e["angle_deg"] for e in report["entries"]}
-        if not keep <= run:
-            raise ConfigError(f"--angles selects no check at {sorted(keep - run)}; the suite "
-                              f"runs at {', '.join(map(str, sorted(run - {0.0})))} degrees")
+        # the phase checks at 0 degrees are always kept, so the filter must
+        # name a quarter turn the suite runs, and nothing else
+        turns = {e["angle_deg"] for e in report["entries"]} - {0.0}
+        if not keep - {0.0} <= turns or not keep & turns:
+            off = sorted(keep - turns - {0.0} or keep)
+            raise ConfigError(f"--angles selects no check at {off}; the suite "
+                              f"runs at {', '.join(map(str, sorted(turns)))} degrees")
         report["entries"] = [e for e in report["entries"]
                              if e["angle_deg"] in keep or e["angle_deg"] == 0.0]
         report["angles_filter"] = sorted(keep)

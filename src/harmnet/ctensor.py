@@ -30,7 +30,6 @@ does.
 
 from __future__ import annotations
 
-import weakref
 import zlib
 
 import numpy as np
@@ -86,7 +85,8 @@ class GradTape:
 
     The tape stores and differentiates at the precision of its registered
     parameters.  When every one is float32/complex64 ("f32"), each node
-    keeps its arrays cast down to float32/complex64 (`_keep`) and the sweep
+    keeps its own float32/complex64 cast of its arrays (`_keep`), so a
+    source kept by several nodes is cast once per node, and the sweep
     carries every gradient at that precision, so backward runs in complex64
     even where the forward computed in complex128, and the gradients come
     out float32/complex64.  With any float64/complex128 parameter ("f64"),
@@ -97,7 +97,6 @@ class GradTape:
         self.nodes = []          # node id -> (parent specs, backward fn)
         self.parameters = {}     # name -> node id
         self.precision = None    # "f32" or "f64" once a parameter is registered
-        self._casts = {}         # source key -> (weak ref to its base, its cast)
 
     def _append(self, parents, backward) -> int:
         self.nodes.append((parents, backward))
@@ -122,31 +121,10 @@ class GradTape:
 
     def keep(self, a: np.ndarray) -> np.ndarray:
         """a at the stored precision, with no copy when it is already there.
-        A source buffer is cast once per tape, however many nodes keep it
-        and through whichever views: the cast is looked up by a's base
-        array, start address and dtype, plus its element count when a is
-        C-contiguous (every reshape of it reads the same elements in the
-        same order, so its cast is reshaped) or else its shape and strides.
-        A weak reference must still name the base, so the memo never keeps
-        a source alive and a recycled id never matches.  Tape arrays are
-        never written in place, so a cast stays valid while its source
-        lives; `backward` drops the memo so the casts are freed with their
-        nodes."""
-        dtype = self.stored(a.dtype)
-        if a.dtype == dtype:
-            return a
-        if not isinstance(a, np.ndarray):   # numpy scalars take no weak reference
-            return a.astype(dtype)
-        base = a.base if isinstance(a.base, np.ndarray) else a
-        flat = a.flags.c_contiguous
-        key = (id(base), a.__array_interface__["data"][0], a.dtype,
-               a.size if flat else (a.shape, a.strides))
-        hit = self._casts.get(key)
-        if hit is not None and hit[0]() is base:
-            return hit[1] if hit[1].shape == a.shape else hit[1].reshape(a.shape)
-        cast = a.astype(dtype)
-        self._casts[key] = (weakref.ref(base), cast)
-        return cast
+        Each node keeps its own cast: a source kept by several nodes (a
+        block's normed patches, kept by its q, k and v matmuls) is cast once
+        per node."""
+        return a.astype(self.stored(a.dtype), copy=False)
 
 
 # double -> single precision, for an f32 tape
@@ -809,7 +787,6 @@ def backward(tape: GradTape, loss: CTensor) -> dict:
         raise ContractError("loss must be a real scalar")
     if tape.nodes[0] is None:
         raise ContractError("tape was already consumed by backward")
-    tape._casts.clear()
     grads = [None] * len(tape.nodes)
     grads[loss.node] = np.ones((), dtype=tape.stored(loss.data.dtype))
     for nid in range(loss.node, -1, -1):

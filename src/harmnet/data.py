@@ -66,7 +66,6 @@ class RotationSpec:
 
     angle: float
     interpolation: str = "bilinear"
-    fill: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "angle", float(self.angle) % 360.0)
@@ -217,7 +216,7 @@ def rotate_image(img, spec: RotationSpec):
     flat = arr.reshape(-1, h, w)
     out = np.stack([
         map_coordinates(ch, [sy, sx], order=order, mode="constant",
-                        cval=spec.fill, prefilter=order > 1)
+                        cval=0.0, prefilter=order > 1)
         for ch in flat])
     return out.reshape(arr.shape).astype(arr.dtype, copy=False)
 

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import ctensor as ct
 from . import stem as hs
-from .constants import EPS
 from .errors import ConfigError, ShapeError
 
 # the (m_q, m_k) order pairs each strategy's attention score sums over
@@ -49,9 +48,9 @@ def equi_linear(p: ct.CTensor, w: ct.CTensor) -> ct.CTensor:
     return ct.complex_matmul(p, w)
 
 
-def he_layer_norm(p: ct.CTensor, eps: float = EPS, mode: str = "std") -> ct.CTensor:
+def he_layer_norm(p: ct.CTensor, mode: str = "std") -> ct.CTensor:
     """Per order, per channel: subtract the complex mean over patches, then
-    divide by sigma + eps.
+    divide by sigma + EPS (`constants.EPS`).
 
     mode "std" (default): sigma is the standard deviation over patches of the
     magnitudes of the centered values.  mode "rms": sigma is the root mean
@@ -61,7 +60,7 @@ def he_layer_norm(p: ct.CTensor, eps: float = EPS, mode: str = "std") -> ct.CTen
         raise ShapeError("layer norm needs at least 2 patches")
     if mode not in NORM_MODES:
         raise ConfigError(f"unknown layer-norm mode {mode!r}")
-    return hs.normalize_over(p, 2, eps, mode)
+    return hs.normalize_over(p, 2, mode)
 
 
 def magnitude_softmax(s: ct.CTensor, rpe_bias: ct.CTensor | None = None,

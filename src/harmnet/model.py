@@ -231,23 +231,22 @@ class Model:
                 rng: np.random.Generator | None = None) -> ct.CTensor:
         """Real image batch (B, C, S, S) -> logits (B, classes).
 
-        An inference forward (train=False, no leaf or image on a tape) of
-        more than INFERENCE_CHUNK images runs consecutive INFERENCE_CHUNK-image
+        Training forwards (batch norm takes whole-batch statistics) and
+        forwards on a tape are one pass.  An inference forward (train=False,
+        no leaf or image on a tape) runs consecutive INFERENCE_CHUNK-image
         chunks through `stem_features` -> `classify` and concatenates their
         logits in input order; the chunks run on two threads when
         `_inference_workers` allows.  Each image's bits depend only on its
         chunk; they differ from one unchunked pass by a few 1e-15 relative.
-        Training forwards (batch norm takes whole-batch statistics), forwards
-        on a tape and batches of at most INFERENCE_CHUNK images are one pass.
         """
         if leaves is None:
             leaves = self.leaves()
         img = self._images(images)
-        if train or len(img.data) <= INFERENCE_CHUNK or img.tape is not None or \
-                any(v.tape is not None for v in leaves.values()):
+        if train or img.tape is not None or any(v.tape is not None for v in leaves.values()):
             return self.classify(self.stem_features(img, leaves, train, rng), leaves, train, rng)
+        # an empty batch is one empty chunk
         chunks = [ct.CTensor(img.data[i:i + INFERENCE_CHUNK])
-                  for i in range(0, len(img.data), INFERENCE_CHUNK)]
+                  for i in range(0, max(len(img.data), 1), INFERENCE_CHUNK)]
         logits = _map_chunks(lambda x: self.classify(self.stem_features(x, leaves), leaves).data,
                              chunks, _inference_workers())
         return ct.CTensor(np.concatenate(logits))

@@ -27,6 +27,7 @@ from .constants import EPS
 from .errors import ConfigError, ShapeError
 
 ORDERS = (-1, 0, 1)
+MOMENTUM = 0.1   # running-statistics momentum of every HBatchNormState
 NORMS = ("fused", "legacy", "layernorm")   # Stem's per-conv normalization variants
 
 
@@ -281,13 +282,10 @@ class HBatchNormState:
     `{name}.mean` and `{name}.var`, each (O, C) over `orders`.
     """
 
-    def __init__(self, name: str, channels: int, orders=ORDERS, momentum: float = 0.1):
-        if not 0.0 < momentum < 1.0:
-            raise ConfigError(f"momentum must lie in (0,1), got {momentum}")
+    def __init__(self, name: str, channels: int, orders=ORDERS):
         self.name = name
         self.channels = channels
         self.orders = tuple(orders)
-        self.momentum = momentum
         self.params = {f"{name}.a": np.ones(channels), f"{name}.b": np.zeros(channels)}
         shape = (len(self.orders), channels)
         self.buffers = {f"{name}.mean": np.zeros(shape), f"{name}.var": np.ones(shape)}
@@ -317,10 +315,9 @@ def _affine_norm(x: ct.CTensor, state: HBatchNormState, leaves: dict,
             mu = mag.mean(axis=axes, keepdims=True)
             d = mag - mu
             var = np.square(d, out=d).mean(axis=axes, keepdims=True)
-            mom = state.momentum
             for stat, batch in (("mean", mu), ("var", var)):
                 buf = state.buffers[f"{name}.{stat}"]
-                buf[:] = (1 - mom) * buf + mom * batch.reshape(buf.shape)
+                buf[:] = (1 - MOMENTUM) * buf + MOMENTUM * batch.reshape(buf.shape)
         else:
             mu, var = (state.buffers[f"{name}.{stat}"][None, :, :, None, None]
                        for stat in ("mean", "var"))
@@ -379,8 +376,8 @@ def legacy_cbn(x: ct.CTensor, state: HBatchNormState, leaves: dict,
     return _affine_norm(x, state, leaves, train, relu=False)
 
 
-def normalize_over(t: ct.CTensor, axis, eps: float = EPS, mode: str = "std") -> ct.CTensor:
-    """Subtract the complex mean over `axis`, then divide by sigma + eps,
+def normalize_over(t: ct.CTensor, axis, mode: str = "std") -> ct.CTensor:
+    """Subtract the complex mean over `axis`, then divide by sigma + EPS,
     where sigma is the standard deviation ("std") or the root mean square
     ("rms") over `axis` of the centered magnitudes.  No learnable affine.
     The division scales magnitudes only, as one phase-keeping tape node."""
@@ -390,7 +387,7 @@ def normalize_over(t: ct.CTensor, axis, eps: float = EPS, mode: str = "std") -> 
         mu = mag.mean(axis=axis, keepdims=True) if mode == "std" else mag.dtype.type(0)
         dev = mag - mu
         sigma = np.sqrt(np.square(dev, out=dev).mean(axis=axis, keepdims=True))
-        denom = sigma + mag.dtype.type(eps)
+        denom = sigma + mag.dtype.type(EPS)
         return mag / denom, (mu, sigma, denom)
 
     def backward(gr, mag, r, saved):

@@ -392,6 +392,21 @@ def test_verify_bad_angles_exits_2(workdir, capsys):
     capsys.readouterr()
 
 
+def test_verify_angle_zero_alone_exits_2(workdir, capsys):
+    # 0 degrees runs only the phase checks, which every filter keeps: a
+    # filter of 0 alone would pass having run no rotation check
+    rc = cli.main(["verify", "--config", str(workdir.config), "--angles", "0"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no check at [0.0]" in captured.err and "90.0, 180.0, 270.0 degrees" in captured.err
+    rc = cli.main(["verify", "--config", str(workdir.config), "--angles", "0,90"])
+    assert rc == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["all_pass"] and report["angles_filter"] == [0.0, 90.0]
+    assert {e["angle_deg"] for e in report["entries"]} == {0.0, 90.0}
+
+
 def test_verify_angle_off_the_suite_exits_2(workdir, capsys):
     # the suite runs quarter turns only; 45 would keep just the 0-degree
     # phase checks and pass having checked nothing at 45 degrees

@@ -3,6 +3,7 @@ checkouts.  The tool is a script, not a package module, so it is loaded by
 path."""
 
 import importlib.util
+import re
 import shutil
 from pathlib import Path
 
@@ -40,6 +41,9 @@ def test_two_copies_of_one_checkout_give_identical_steps(cs, tmp_path, capsys):
     assert cs.main([str(tmp_path / "a"), str(tmp_path / "b"), "--seed", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "logits: byte-identical"
+    peaks = re.fullmatch(r"step peak \(tracemalloc\): parent ([\d.]+) MiB, "
+                         r"change ([\d.]+) MiB \([+-][\d.]+ MiB\)", lines[1])
+    assert peaks and all(float(v) > 0 for v in peaks.groups()), lines[1]
     assert any(line.startswith("stem.b0.conv1.radial: ") for line in lines)
     assert lines[-1].startswith("worst gradient: ") and lines[-1].endswith(" 0.000e+00")
 

@@ -921,10 +921,10 @@ def test_keep_copies_only_above_the_tapes_precision():
     assert ct._keep(untracked.data, untracked) is untracked.data   # off tape: as is
 
 
-def test_f32_tape_casts_a_source_kept_by_three_nodes_once():
-    # three products keep the same complex128 operand for w's adjoint: one
-    # complex64 copy serves all three, the memo does not keep the source
-    # alive, and the gradient equals that of three separately cast copies
+def test_f32_tape_nodes_keeping_one_source_each_cast_it():
+    # three products keep the same complex128 operand for w's adjoint: each
+    # keeps its own complex64 cast of it, none keeps the source alive, and
+    # the gradient equals that of three separate sources
     rng = ct.make_rng(38)
     w0, src = crandn(rng, 2, 3).astype(np.complex64), crandn(rng, 3, 4)
 
@@ -938,39 +938,14 @@ def test_f32_tape_casts_a_source_kept_by_three_nodes_once():
 
     values = src.copy()
     tape, kept, loss = run([src] * 3)
-    assert len(kept) == 3 and all(a is kept[0] for a in kept)
-    assert kept[0].dtype == np.complex64 and np.array_equal(kept[0], src.astype(np.complex64))
+    assert len(kept) == 3
+    for a in kept:
+        assert a.dtype == np.complex64 and np.array_equal(a, src.astype(np.complex64))
     probe = weakref.ref(src)
     del src
     assert probe() is None
     grads = ct.backward(tape, loss)
     tape, kept, loss = run([values.copy() for _ in range(3)])
-    assert len({id(a) for a in kept}) == 3
-    ref = ct.backward(tape, loss)
-    assert grads["w"].tobytes() == ref["w"].tobytes()
-
-
-def test_f32_tape_casts_a_source_kept_through_a_view_once():
-    # a source kept as itself and as a reshaped view of it (a block's input,
-    # kept by its conv and by its projection's tap GEMM) is cast once, and
-    # the gradient equals that of two separately cast copies
-    rng = ct.make_rng(39)
-    w0, src = crandn(rng, 2, 3).astype(np.complex64), crandn(rng, 3, 4)
-
-    def run(a, view):
-        tape = ct.GradTape()
-        w = tape.parameter("w", w0)
-        y, y_view = ct.complex_matmul(w, ct.CTensor(a)), ct.complex_matmul(w, ct.CTensor(view))
-        kept = _held_arrays(y) + _held_arrays(y_view)
-        return tape, kept, l2_to(np.zeros((1, 2, 4)))(ct.add(y, y_view))
-
-    tape, kept, loss = run(src, src.reshape(1, 3, 4))
-    assert [a.shape for a in kept] == [(3, 4), (1, 3, 4)]
-    assert kept[0].dtype == np.complex64 and np.shares_memory(kept[0], kept[1])
-    grads = ct.backward(tape, loss)
-    copy = src.copy()
-    tape, kept, loss = run(src, copy.reshape(1, 3, 4))
-    assert not np.shares_memory(kept[0], kept[1])
     assert grads["w"].tobytes() == ct.backward(tape, loss)["w"].tobytes()
 
 

@@ -185,6 +185,11 @@ def test_training_taped_and_small_forwards_are_one_pass(monkeypatch, case):
     assert logits.tobytes() == one_pass.tobytes()
 
 
+def test_an_empty_batch_gives_no_logits():
+    m = hm.build(tiny_config(), seed=2)
+    assert m.forward(np.zeros((0, 1, 8, 8))).shape == (0, 3)
+
+
 def test_a_failing_chunk_reaches_the_caller(monkeypatch):
     m = hm.build(tiny_config(), seed=0)
     real = hm.Model.classify

@@ -633,7 +633,7 @@ def test_legacy_cbn_train_moves_running_stats_as_hbn_crelu_does():
         state.buffers["bn.mean"][:] = [0.4, -0.2]
         state.buffers["bn.var"][:] = [0.5, 2.0]
         layer(x, state, const_leaves(state.params), train=True)
-        mom = state.momentum
+        mom = hs.MOMENTUM
         for i in range(len(hs.ORDERS)):
             assert np.allclose(state.buffers["bn.mean"][i],
                                (1 - mom) * np.array([0.4, -0.2]) + mom * mu[0, i, :, 0, 0],

@@ -7,8 +7,12 @@ a subprocess builds the seeded f32 mnist_config model, draws a seeded batch
 of 4 images and labels, and runs one train step: the taped forward
 (train=True, seeded dropout), the cross-entropy loss and `ct.backward`.
 No optimizer step runs.  The tool prints whether the logits are
-byte-identical, each parameter gradient's relative L2 distance
-||g_change - g_parent|| / ||g_parent||, and the worst of those.
+byte-identical, then each side's tracemalloc peak over the step (measured
+after an untraced warm-up step in the same subprocess, so imports and
+caches do not count), then each parameter gradient's relative L2 distance
+||g_change - g_parent|| / ||g_parent||, and last the worst of those.  A
+change to what the tape keeps is sized by the same command that checks
+its gradients.
 
 This is how a change to backward rounding is judged.  The weights after a
 train call are not a usable gate: AdamW turns gradient components at
@@ -22,6 +26,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,13 +34,11 @@ import numpy as np
 BATCH = 4
 
 
-def step(out: Path, seed: int) -> None:
-    """One seeded batch-4 f32 train step with the harmnet on sys.path;
-    writes its logits and every parameter gradient to `out` (.npz)."""
+def setup(seed: int):
+    """The seeded f32 mnist_config model, a batch of 4 images and labels."""
     from harmnet import ctensor as ct
     from harmnet import data as hdata
     from harmnet import model as hm
-    from harmnet import training as tr
 
     config = hm.mnist_config()
     model = hm.build(config, seed, "f32")
@@ -43,11 +46,33 @@ def step(out: Path, seed: int) -> None:
     raw = rng.random((BATCH, inp["channels"], inp["base_size"], inp["base_size"]))
     labels = rng.integers(0, config["head"]["classes"], BATCH)
     images = hdata.preprocess(raw.astype(np.float32), inp["pad"], inp["upscale_factor"])
+    return model, images, labels
+
+
+def train_step(model, images, labels, seed: int):
+    """Taped forward, loss and backward: the logits and parameter gradients."""
+    from harmnet import ctensor as ct
+    from harmnet import training as tr
+
     tape = ct.GradTape()
     logits = model.forward(ct.CTensor(images), model.leaves(tape), train=True,
                            rng=ct.derive_rng(seed, "dropout"))
     grads = ct.backward(tape, tr.cross_entropy(logits, labels, tr.train_defaults()["label_smoothing"]))
-    np.savez(out, logits=logits.data, **{"grad/" + k: g for k, g in grads.items() if g is not None})
+    return logits.data, grads
+
+
+def step(out: Path, seed: int) -> None:
+    """One seeded batch-4 f32 train step with the harmnet on sys.path, after
+    an untraced warm-up step on a separate model; writes its logits, its
+    tracemalloc peak and every parameter gradient to `out` (.npz)."""
+    train_step(*setup(seed), seed)
+    model, images, labels = setup(seed)
+    tracemalloc.start()
+    logits, grads = train_step(model, images, labels, seed)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    np.savez(out, logits=logits, peak_bytes=np.int64(peak),
+             **{"grad/" + k: g for k, g in grads.items() if g is not None})
 
 
 def run_step(checkout: Path, out: Path, seed: int) -> dict:
@@ -62,15 +87,19 @@ def run_step(checkout: Path, out: Path, seed: int) -> dict:
 
 
 def compare(parent: dict, change: dict) -> list:
-    """Report lines: the logits' byte identity, then per gradient (sorted by
-    name) its relative L2 distance, then the worst.  A gradient only one
-    side has is reported as missing."""
+    """Report lines: the logits' byte identity, then each side's step peak
+    when both sides measured one, then per gradient (sorted by name) its
+    relative L2 distance, then the worst.  A gradient only one side has is
+    reported as missing."""
     same = (parent["logits"].dtype == change["logits"].dtype
             and parent["logits"].tobytes() == change["logits"].tobytes())
     lines = [f"logits: {'byte-identical' if same else 'differ'}"]
     if not same:
         d = np.linalg.norm(change["logits"] - parent["logits"]) / np.linalg.norm(parent["logits"])
         lines[0] += f" (relative L2 {d:.3e})"
+    if "peak_bytes" in parent and "peak_bytes" in change:
+        p, c = (int(side["peak_bytes"]) / 2 ** 20 for side in (parent, change))
+        lines.append(f"step peak (tracemalloc): parent {p:.2f} MiB, change {c:.2f} MiB ({c - p:+.2f} MiB)")
     names = sorted(k for k in set(parent) | set(change) if k.startswith("grad/"))
     worst = (None, -1.0)
     for key in names:
