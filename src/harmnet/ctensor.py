@@ -30,7 +30,12 @@ does.
 
 from __future__ import annotations
 
+import os
+import threading
 import zlib
+from concurrent import futures
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -485,12 +490,97 @@ def magnitude_map(z: CTensor, params, forward, backward) -> CTensor:
 
 
 # ---------------------------------------------------------------------------
+# work split over two threads
+# ---------------------------------------------------------------------------
+
+# the one worker thread that every split shares, started by the first split
+# that runs on it; a split holds _split_lock while the worker computes its half
+_worker = None
+_split_lock = threading.Lock()
+
+
+def _reset_worker() -> None:
+    """A forked child has no worker thread, and a lock that its parent held
+    at the fork would stay held, so both start afresh."""
+    global _worker, _split_lock
+    _worker, _split_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_worker)
+
+
+def _map_split(fn, items) -> list:
+    """[fn(x) for x in items]: items[0::2] on the calling thread and
+    items[1::2] on the shared worker thread, when `_workers()` is 2.
+
+    The caller hands the worker a half only if it takes `_split_lock`
+    without blocking, and holds it until both halves have returned.  Any
+    other split (one requested on the worker, inside a half, or on another
+    thread meanwhile) runs inline, so at most two halves are in flight and
+    nothing waits on a queued task.  The calling thread computes its half
+    rather than waiting, so a signal handler that runs on it (a
+    profiler's, say) pauses that half only.  An exception from either half
+    reaches the caller once both halves have returned.
+    """
+    global _worker
+    items = list(items)
+    if len(items) < 2 or _workers() < 2:
+        return [fn(x) for x in items]
+    lock = _split_lock
+    if not lock.acquire(blocking=False):
+        return [fn(x) for x in items]
+    try:
+        if _worker is None:
+            _worker = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="harmnet-split")
+        theirs = _worker.submit(lambda: [fn(x) for x in items[1::2]])
+        try:
+            mine = [fn(x) for x in items[0::2]]
+        finally:
+            futures.wait([theirs])
+        out = [None] * len(items)
+        out[0::2], out[1::2] = mine, theirs.result()
+        return out
+    finally:
+        lock.release()
+
+
+def _workers() -> int:
+    """Threads for a split: 2 when this process may run on at least 2 CPUs
+    and numpy's BLAS runs one thread, else 1.  A BLAS with threads of its
+    own already fills the cores, and a second thread on top of it
+    oversubscribes them."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    query = _blas_thread_query()
+    return 2 if cpus >= 2 and query is not None and query() == 1 else 1
+
+
+@lru_cache(maxsize=None)
+def _blas_thread_query():
+    """The thread-count function of the OpenBLAS bundled with numpy (its
+    wheel's `numpy.libs`), or None when there is none: an unknown BLAS
+    counts as threaded."""
+    import ctypes
+
+    for lib in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        for sym in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                    "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(handle, sym, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                return fn
+    return None
+
+
+# ---------------------------------------------------------------------------
 # spatial ops
 # ---------------------------------------------------------------------------
 
 # frequencies per block of `_mix`'s contraction (README, "Frequency
-# blocks"); a multiple of 4, the width of OpenBLAS's complex GEMM kernels,
-# so each frequency's sums run as they would in one unblocked GEMM
+# blocks"); it and the half block a split walks are multiples of 4, the
+# width of OpenBLAS's complex GEMM kernels, so each frequency's sums run as
+# they would in one unblocked GEMM
 FREQ_BLOCK = 512
 
 
@@ -523,11 +613,11 @@ def _basis_products(xt: np.ndarray, spectra: np.ndarray, ps, ins) -> np.ndarray:
     return z.reshape(-1, z.shape[-2] * z.shape[-1])
 
 
-def _frequency_blocks(f: int) -> list:
-    """Slices of FREQ_BLOCK frequencies that cover range(f).  A last block
-    of one frequency joins the block before it: numpy runs a product with
-    one row or column as a matrix-vector call, which sums in another order."""
-    edges = list(range(0, max(f - 1, 1), FREQ_BLOCK)) + [f]
+def _frequency_blocks(f: int, width: int) -> list:
+    """Slices of `width` frequencies that cover range(f).  A last block of
+    one frequency joins the block before it: numpy runs a product with one
+    row or column as a matrix-vector call, which sums in another order."""
+    edges = list(range(0, max(f - 1, 1), width)) + [f]
     return [slice(s, e) for s, e in zip(edges, edges[1:])]
 
 
@@ -548,11 +638,20 @@ def _mix(xh: np.ndarray, coeffs: np.ndarray, spectra: np.ndarray, slots: np.ndar
     I*Ci*O*Co) matrix that holds each connection's coefficients at its
     (i, o) block and zeros elsewhere, then contracts channels per
     frequency.  An output stream with no connection stays exactly zero.
+
+    A batch of more than one image walks blocks half as wide, shared
+    between two threads by `_map_split` when `_workers()` is 2, so two
+    blocks in flight hold what one FREQ_BLOCK block holds.  Each block
+    writes its own slice of the output with the same numpy calls, so the
+    bytes do not depend on the thread count.
     """
     b, n_in, ci, f = xh.shape
     n, co, _, nr = coeffs.shape
     n_out = slots.shape[0]
     out = np.zeros((b, n_out, co, f), dtype=np.result_type(xh, coeffs, spectra))
+    split = b > 1 and _workers() == 2
+    # half a block, rounded down to a multiple of 4 (see FREQ_BLOCK)
+    blocks = _frequency_blocks(f, max(4, FREQ_BLOCK // 8 * 4) if split else FREQ_BLOCK)
     if spectrum_first:
         streams = []
         for o in range(n_out):
@@ -560,22 +659,29 @@ def _mix(xh: np.ndarray, coeffs: np.ndarray, spectra: np.ndarray, slots: np.ndar
             if ps.size:
                 c = coeffs[ps].transpose(1, 0, 2, 3).reshape(co, -1)   # (Co, Pj*Ci*nr)
                 streams.append((o, ps, ins, c))
-        for blk in _frequency_blocks(f):
+
+        def walk(blk):
             xt = xh[..., blk].transpose(1, 2, 0, 3)                    # (I, Ci, B, f)
             for o, ps, ins, c in streams:
                 y = c @ _basis_products(xt, spectra[..., blk], ps, ins)
                 out[:, o, :, blk] = y.reshape(co, b, -1).transpose(1, 0, 2)
-        return out
-    ps, os_, is_ = _all_connections(slots)
-    blocks = np.zeros((n, nr, n_in, ci, n_out, co), coeffs.dtype)      # block-sparse
-    blocks[ps, :, is_, :, os_, :] = coeffs[ps].transpose(0, 3, 2, 1)
-    blocks = blocks.reshape(n * nr, -1)
-    basis = spectra.reshape(n * nr, f).T                                # (F, P*nr)
-    xf = xh.reshape(b, n_in * ci, f).transpose(2, 0, 1)                # (F, B, I*Ci)
-    for blk in _frequency_blocks(f):
-        kf = (basis[blk] @ blocks).reshape(-1, n_in * ci, n_out * co)  # kernel spectra
-        y = np.matmul(xf[blk], kf)                                      # (f, B, O*Co)
-        out[..., blk] = y.transpose(1, 2, 0).reshape(b, n_out, co, -1)
+    else:
+        ps, os_, is_ = _all_connections(slots)
+        sparse = np.zeros((n, nr, n_in, ci, n_out, co), coeffs.dtype)  # block-sparse
+        sparse[ps, :, is_, :, os_, :] = coeffs[ps].transpose(0, 3, 2, 1)
+        sparse = sparse.reshape(n * nr, -1)
+        basis = spectra.reshape(n * nr, f).T                            # (F, P*nr)
+        xf = xh.reshape(b, n_in * ci, f).transpose(2, 0, 1)            # (F, B, I*Ci)
+
+        def walk(blk):
+            kf = (basis[blk] @ sparse).reshape(-1, n_in * ci, n_out * co)  # kernel spectra
+            y = np.matmul(xf[blk], kf)                                  # (f, B, O*Co)
+            out[..., blk] = y.transpose(1, 2, 0).reshape(b, n_out, co, -1)
+    if split:
+        _map_split(walk, blocks)
+    else:
+        for blk in blocks:
+            walk(blk)
     return out
 
 

@@ -214,11 +214,11 @@ def rotate_image(img, spec: RotationSpec):
     sy, sx = _source_coords(h, w, spec.angle)
     order = {"nearest": 0, "bilinear": 1, "bicubic": 3}[spec.interpolation]
     flat = arr.reshape(-1, h, w)
-    out = np.stack([
-        map_coordinates(ch, [sy, sx], order=order, mode="constant",
+    out = np.empty(flat.shape, arr.dtype)
+    for ch, dst in zip(flat, out):
+        map_coordinates(ch, [sy, sx], output=dst, order=order, mode="constant",
                         cval=0.0, prefilter=order > 1)
-        for ch in flat])
-    return out.reshape(arr.shape).astype(arr.dtype, copy=False)
+    return out.reshape(arr.shape)
 
 
 def preprocess(img, pad: int, upscale_factor: int):
@@ -241,9 +241,10 @@ def preprocess(img, pad: int, upscale_factor: int):
     xx = (np.arange(w * f) + 0.5) / f - 0.5
     sy, sx = np.meshgrid(yy, xx, indexing="ij")
     flat = arr.reshape(-1, h, w)
-    out = np.stack([map_coordinates(ch, [sy, sx], order=1, mode="nearest")
-                    for ch in flat])
-    return out.reshape(arr.shape[:-2] + (h * f, w * f)).astype(arr.dtype, copy=False)
+    out = np.empty((len(flat), h * f, w * f), arr.dtype)
+    for ch, dst in zip(flat, out):
+        map_coordinates(ch, [sy, sx], output=dst, order=1, mode="nearest")
+    return out.reshape(arr.shape[:-2] + (h * f, w * f))
 
 
 # ---------------------------------------------------------------------------

@@ -175,7 +175,8 @@ def msa_forward(p: ct.CTensor, leaves: dict, name: str, heads: int,
     matrices, O = len(hs.ORDERS), all heads batched, then heads
     concatenated and linearly projected.
 
-    The Q, K, V weights (d, heads*d_h) set the per-head width d_h; the
+    The Q, K, V weights (d, heads*d_h) set the per-head width d_h and are
+    applied as one concatenated (d, 3*heads*d_h) weight, one GEMM; the
     output projection maps heads*d_h back to d, so the per-head width is
     independent of the model width.  Each group of scored pairs is one
     softmax, which keeps phase when m_d != 0 (the group's order lives in
@@ -187,7 +188,10 @@ def msa_forward(p: ct.CTensor, leaves: dict, name: str, heads: int,
     width = leaves[f"{name}.wq"].shape[-1]
     if width % heads:
         raise ShapeError(f"{name}: Q/K/V width {width} is not divisible by {heads} heads")
-    qf, kf, vf = (fold_orders(equi_linear(p, leaves[f"{name}.w{x}"]), heads) for x in "qkv")
+    # one GEMM by [wq | wk | wv], narrowed into q, k and v
+    qkv = equi_linear(p, ct.concat([leaves[f"{name}.w{x}"] for x in "qkv"], axis=-1))
+    qf, kf, vf = (fold_orders(ct.narrow(qkv, -1, j * width, width), heads) for j in range(3))
+    del qkv     # the folds are copies, so attention need not hold the product
     d_h = qf.shape[-1] // n_o
     qf = ct.mul(qf, ct.CTensor(np.asarray(1.0 / np.sqrt(d_h), np.finfo(qf.data.dtype).dtype)))
     bias = rpe.bias_matrix(leaves) if rpe is not None else None

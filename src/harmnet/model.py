@@ -16,10 +16,7 @@ import binascii
 import copy
 import hashlib
 import json
-import os
 import struct
-from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -235,9 +232,13 @@ class Model:
         forwards on a tape are one pass.  An inference forward (train=False,
         no leaf or image on a tape) runs consecutive INFERENCE_CHUNK-image
         chunks through `stem_features` -> `classify` and concatenates their
-        logits in input order; the chunks run on two threads when
-        `_inference_workers` allows.  Each image's bits depend only on its
-        chunk; they differ from one unchunked pass by a few 1e-15 relative.
+        logits in input order; with more than one chunk, `ct._map_split`
+        runs every other chunk on its worker thread when `ct._workers()` is
+        2, and the convolutions inside a chunk then run on one thread.  A
+        one-pass forward or a single chunk of more than one image splits
+        its convolutions' frequency blocks instead (`ct._mix`).  Each
+        image's bits depend only on its chunk, never on the thread count;
+        they differ from one unchunked pass by a few 1e-15 relative.
         """
         if leaves is None:
             leaves = self.leaves()
@@ -247,8 +248,8 @@ class Model:
         # an empty batch is one empty chunk
         chunks = [ct.CTensor(img.data[i:i + INFERENCE_CHUNK])
                   for i in range(0, max(len(img.data), 1), INFERENCE_CHUNK)]
-        logits = _map_chunks(lambda x: self.classify(self.stem_features(x, leaves), leaves).data,
-                             chunks, _inference_workers())
+        logits = ct._map_split(lambda x: self.classify(self.stem_features(x, leaves), leaves).data,
+                               chunks)
         return ct.CTensor(np.concatenate(logits))
 
     def _images(self, images) -> ct.CTensor:
@@ -275,51 +276,6 @@ class Model:
         """Stem features -> logits: patches, encoder, invariant head."""
         p = self.encoder.forward(enc.patchify(x), leaves, train=train, rng=rng)
         return self.head.forward(p, leaves)
-
-
-def _map_chunks(fn, chunks: list, workers: int) -> list:
-    """[fn(c) for c in chunks], every other chunk on a second thread when
-    workers is 2.  The calling thread computes its half rather than waiting,
-    so a signal handler that runs on it (a profiler's, say) pauses that half
-    only and does not compete with two busy threads for the cores."""
-    if workers < 2 or len(chunks) < 2:
-        return [fn(c) for c in chunks]
-    from concurrent.futures import ThreadPoolExecutor
-
-    out = [None] * len(chunks)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        theirs = [pool.submit(fn, c) for c in chunks[1::2]]
-        out[::2] = [fn(c) for c in chunks[::2]]
-        out[1::2] = [f.result() for f in theirs]
-    return out
-
-
-def _inference_workers() -> int:
-    """Threads for an inference forward's chunks: 2 when this process may run
-    on at least 2 CPUs and numpy's BLAS runs one thread, else 1.  A BLAS with
-    threads of its own already fills the cores, and chunk threads on top of
-    it oversubscribe them."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    query = _blas_thread_query()
-    return 2 if cpus >= 2 and query is not None and query() == 1 else 1
-
-
-@lru_cache(maxsize=None)
-def _blas_thread_query():
-    """The thread-count function of the OpenBLAS bundled with numpy (its
-    wheel's `numpy.libs`), or None when there is none: an unknown BLAS
-    counts as threaded."""
-    import ctypes
-
-    for lib in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*")):
-        handle = ctypes.CDLL(str(lib))
-        for sym in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
-                    "openblas_get_num_threads64_", "openblas_get_num_threads"):
-            fn = getattr(handle, sym, None)
-            if fn is not None:
-                fn.argtypes, fn.restype = [], ctypes.c_int
-                return fn
-    return None
 
 
 def build(config: dict, seed: int, precision: str = "f32") -> Model:

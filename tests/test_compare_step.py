@@ -52,3 +52,28 @@ def test_a_checkout_without_the_package_is_a_usage_error(cs, tmp_path):
     with pytest.raises(SystemExit) as exit_info:
         cs.main([str(tmp_path), str(ROOT)])
     assert exit_info.value.code == 2
+
+
+def test_batch_8_steps_run_the_split_kernel_first_conv_identically(cs, tmp_path, capsys, monkeypatch):
+    # at batch 8 stem.b0.conv1 contracts kernel-first; with one BLAS thread
+    # each child splits its frequency blocks over two threads
+    from harmnet import stem as hs
+
+    model, images, labels = cs.setup(0, 8)
+    assert images.shape[0] == labels.shape[0] == 8
+    bank = model.stem.blocks[0]["convs"][1][0]
+    assert hs.conv_plan(bank, 8, *images.shape[-2:])["route"] == "kernel_first"
+    for side in ("a", "b"):
+        shutil.copytree(ROOT / "src", tmp_path / side / "src",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert cs.main([str(tmp_path / "a"), str(tmp_path / "b"), "--batch", "8"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "logits: byte-identical"
+    assert lines[-1].startswith("worst gradient: ") and lines[-1].endswith(" 0.000e+00")
+
+
+def test_a_batch_below_one_is_a_usage_error(cs):
+    with pytest.raises(SystemExit) as exit_info:
+        cs.main([str(ROOT), str(ROOT), "--batch", "0"])
+    assert exit_info.value.code == 2

@@ -8,6 +8,8 @@ unitarity, row-stochasticity) are held to 1e-12.
 """
 
 import gc
+import sys
+import threading
 import tracemalloc
 import weakref
 
@@ -620,6 +622,116 @@ def test_frozen_bank_computes_no_coefficient_adjoint(monkeypatch, order):
     assert computed == [] and "c" not in frozen
     assert all(a.shape != (3, 2, 2, 8 * 9) for a in held)   # no input spectrum
     assert frozen["x"].tobytes() == tracked["x"].tobytes()
+
+
+def spy_split_threads(monkeypatch) -> list:
+    """Per `_map_split` call, (calling thread, threads that ran its items)."""
+    calls, real = [], ct._map_split
+
+    def map_split(fn, items):
+        seen = set()
+        calls.append((threading.get_ident(), seen))
+        return real(lambda x: seen.add(threading.get_ident()) or fn(x), items)
+
+    monkeypatch.setattr(ct, "_map_split", map_split)
+    return calls
+
+
+@pytest.mark.parametrize("order", ["spectrum_first", "kernel_first"])
+@pytest.mark.parametrize("batch", [2, 3, 8])
+def test_conv2d_split_frequency_blocks_match_the_serial_walk(monkeypatch, order, batch):
+    # F = 11 * 13 = 143: blocks of 16 frequencies serially, of 8 (the last
+    # one 7 wide) when split; the forward and both gradients keep their bytes
+    monkeypatch.setattr(ct, "_workers", lambda: 1)
+    serial = _blocked_conv(monkeypatch, 16, order, batch, 9, 11)
+    monkeypatch.setattr(ct, "_workers", lambda: 2)
+    calls = spy_split_threads(monkeypatch)
+    split = _blocked_conv(monkeypatch, 16, order, batch, 9, 11)
+    assert calls and len(calls[0][1]) == 2     # the forward's blocks ran on two threads
+    for got, want in zip(split, serial):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_a_batch_of_one_walks_its_blocks_serially(monkeypatch):
+    monkeypatch.setattr(ct, "_workers", lambda: 2)
+    calls = spy_split_threads(monkeypatch)
+    _blocked_conv(monkeypatch, 16, "spectrum_first", 1, 9, 11)
+    assert calls == []
+
+
+@pytest.mark.parametrize("failing", [0, 1], ids=["caller_half", "worker_half"])
+def test_a_failing_half_reaches_the_caller(monkeypatch, failing):
+    monkeypatch.setattr(ct, "_workers", lambda: 2)
+
+    def fn(x):
+        if x == failing:
+            raise ShapeError(f"item {x} failed")
+        return x
+
+    with pytest.raises(ShapeError, match=f"item {failing} failed"):
+        ct._map_split(fn, range(4))
+    # the lock was released: the next split runs on two threads again
+    threads = set()
+    assert ct._map_split(lambda x: threads.add(threading.get_ident()) or -x, range(4)) == [0, -1, -2, -3]
+    assert len(threads) == 2
+
+
+def test_a_split_inside_a_split_runs_inline(monkeypatch):
+    # on the worker and on the caller alike, a nested split finds the lock
+    # taken and runs its items on its own thread
+    monkeypatch.setattr(ct, "_workers", lambda: 2)
+
+    def outer(x):
+        me = threading.get_ident()
+        inner = ct._map_split(lambda y: (y, threading.get_ident()), range(3))
+        return me, inner
+
+    results = ct._map_split(outer, range(2))
+    assert len({me for me, _ in results}) == 2
+    for me, inner in results:
+        assert inner == [(y, me) for y in range(3)]
+
+
+def test_concurrent_splits_share_the_worker_one_half_at_a_time(monkeypatch):
+    # threads that split at once each get their own results in order; the
+    # worker never runs two halves at once, and a split that finds it busy
+    # runs inline
+    monkeypatch.setattr(ct, "_workers", lambda: 2)
+    worker_busy, overlap, lock = [0], [], threading.Lock()
+    errors = []
+
+    def fn(x):
+        on_worker = threading.current_thread().name.startswith("harmnet-split")
+        if on_worker:
+            with lock:
+                worker_busy[0] += 1
+                overlap.append(worker_busy[0])
+        total = sum(range(x * 50))
+        if on_worker:
+            with lock:
+                worker_busy[0] -= 1
+        return total
+
+    def client(k):
+        try:
+            for n in range(40):
+                items = list(range(k + n % 5))
+                assert ct._map_split(fn, items) == [sum(range(x * 50)) for x in items]
+        except AssertionError as e:       # reported by the main thread
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=client, args=(k,)) for k in range(5)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and overlap and max(overlap) == 1
 
 
 @pytest.mark.parametrize("spectrum_first", [True, False])

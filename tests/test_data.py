@@ -191,6 +191,12 @@ def test_rotate_fill_and_interpolations():
         assert r.shape == img.shape and np.isfinite(r).all()
 
 
+@pytest.mark.parametrize("dtype, want", [(np.float32, np.float32), (np.uint8, np.float64)])
+def test_rotate_an_empty_batch_off_the_quarter_turns(dtype, want):
+    out = hdata.rotate_image(np.zeros((0, 1, 28, 28), dtype), hdata.RotationSpec(30, "bilinear"))
+    assert out.shape == (0, 1, 28, 28) and out.dtype == want
+
+
 def test_rotation_spec_normalization():
     assert hdata.RotationSpec(-90).angle == 270.0
     assert hdata.RotationSpec(720).angle == 0.0
@@ -208,6 +214,12 @@ def test_preprocess_shapes_and_identity():
     assert out.shape == (2, 1, 64, 64)
     same = hdata.preprocess(img, pad=0, upscale_factor=1)
     assert np.array_equal(same, img)
+
+
+@pytest.mark.parametrize("dtype, want", [(np.float32, np.float32), (np.uint8, np.float64)])
+def test_preprocess_an_empty_batch(dtype, want):
+    out = hdata.preprocess(np.zeros((0, 1, 28, 28), dtype), pad=2, upscale_factor=2)
+    assert out.shape == (0, 1, 64, 64) and out.dtype == want
 
 
 def test_preprocess_constant_stays_constant():

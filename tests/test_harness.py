@@ -365,7 +365,7 @@ def test_predict_forwards_each_batch_slice_once_in_order(monkeypatch):
         return real(self, images, *args, **kwargs)
 
     monkeypatch.setattr(hm.Model, "forward", forward)
-    monkeypatch.setattr(hm, "_inference_workers", lambda: 2)
+    monkeypatch.setattr(ct, "_workers", lambda: 2)
     imgs = toy_dataset(37).images
     hz.predict(model, imgs, batch=16)
     assert [len(s) for s in seen] == [16, 16, 5]

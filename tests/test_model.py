@@ -1,6 +1,8 @@
 """Model assembly tests: config validation, deterministic builds, parameter
 counting, and the checkpoint round trip."""
 
+import multiprocessing
+import os
 import threading
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 import harmnet.ctensor as ct
 import harmnet.model as hm
 from harmnet.errors import ConfigError, IntegrityError, ShapeError
+from test_ctensor import spy_split_threads
 
 
 def tiny_config():
@@ -150,7 +153,7 @@ def test_inference_forward_is_its_8_image_chunks(monkeypatch, batch, workers):
     m = hm.build(tiny_config(), seed=0)
     x = ct.make_rng(4).random((batch, 1, 8, 8)).astype(np.float32)
     chunks = np.concatenate([m.forward(x[i:i + 8]).data for i in range(0, batch, 8)])
-    monkeypatch.setattr(hm, "_inference_workers", lambda: workers)
+    monkeypatch.setattr(ct, "_workers", lambda: workers)
     calls = spy_stem_features(monkeypatch)
     logits = m.forward(x).data
     assert logits.dtype == chunks.dtype and logits.tobytes() == chunks.tobytes()
@@ -178,7 +181,7 @@ def test_training_taped_and_small_forwards_are_one_pass(monkeypatch, case):
     leaves = (lambda: m.leaves(ct.GradTape())) if case == "taped" else m.leaves
     ref, rng = leaves(), ct.make_rng(7)
     one_pass = m.classify(m.stem_features(x, ref, train, rng), ref, train, rng).data
-    monkeypatch.setattr(hm, "_inference_workers", lambda: 2)
+    monkeypatch.setattr(ct, "_workers", lambda: 2)
     calls = spy_stem_features(monkeypatch)
     logits = m.forward(x, leaves(), train=train, rng=ct.make_rng(7)).data
     assert [n for n, _ in calls] == [batch]
@@ -200,21 +203,86 @@ def test_a_failing_chunk_reaches_the_caller(monkeypatch):
         return real(self, x, *args)
 
     monkeypatch.setattr(hm.Model, "classify", classify)
-    monkeypatch.setattr(hm, "_inference_workers", lambda: 2)
+    monkeypatch.setattr(ct, "_workers", lambda: 2)
     with pytest.raises(ShapeError, match="chunk failed"):
         m.forward(np.zeros((17, 1, 8, 8)))
 
 
+def conv_config():
+    """tiny_config with 5x5 kernels and two convs of 4 channels: both run
+    through ct.conv2d, the second kernel-first from batch 3 on."""
+    cfg = tiny_config()
+    cfg["stem"].update({"kernel_size": 5, "channels": [4], "convs_per_block": 2})
+    return cfg
+
+
+def test_convs_split_their_blocks_unless_chunks_hold_the_worker(monkeypatch):
+    # F = 12 * 12 = 144 frequencies in blocks of 8 when split.  A one-chunk
+    # forward of 3 images splits every conv's blocks; in a 9-image forward
+    # the two chunks hold the worker, so the 8-image chunk's convs run
+    # inline (and the 1-image chunk's never split); the bits do not move
+    monkeypatch.setattr(ct, "FREQ_BLOCK", 16)
+    m = hm.build(conv_config(), seed=0)
+    x = ct.make_rng(8).random((9, 1, 8, 8)).astype(np.float32)
+    monkeypatch.setattr(ct, "_workers", lambda: 1)
+    want = [m.forward(x[:3]).data, m.forward(x).data]
+    monkeypatch.setattr(ct, "_workers", lambda: 2)
+    calls = spy_split_threads(monkeypatch)
+    assert m.forward(x[:3]).data.tobytes() == want[0].tobytes()
+    (chunk, chunk_threads), *convs = calls    # one chunk: nothing to split
+    assert chunk_threads == {chunk} and len(convs) == 2
+    assert all(len(seen) == 2 for _, seen in convs)
+    calls.clear()
+    assert m.forward(x).data.tobytes() == want[1].tobytes()
+    (_, chunk_threads), *convs = calls
+    assert len(chunk_threads) == 2 and len(convs) == 2
+    assert all(seen == {caller} for caller, seen in convs)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_forked_child_splits_on_its_own_worker(monkeypatch):
+    # the parent has started the worker and holds the lock when it forks;
+    # the child's batch-2 forward still splits, on a worker of its own
+    monkeypatch.setattr(ct, "FREQ_BLOCK", 16)
+    monkeypatch.setattr(ct, "_workers", lambda: 2)
+    m = hm.build(conv_config(), seed=1)
+    x = ct.make_rng(9).random((2, 1, 8, 8)).astype(np.float32)
+    want = m.forward(x).data
+    assert ct._worker is not None
+    calls = spy_split_threads(monkeypatch)
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+
+    def child():
+        send.send((m.forward(x).data, [len(seen) for _, seen in calls[1:]]))
+
+    lock = ct._split_lock
+    lock.acquire()
+    try:
+        proc = ctx.Process(target=child)
+        proc.start()
+        proc.join(timeout=60)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+    finally:
+        lock.release()
+    assert proc.exitcode == 0
+    got, threads = receive.recv()
+    assert got.tobytes() == want.tobytes()
+    assert threads == [2, 2]        # both convs; calls[0] is the one chunk
+
+
 def test_inference_workers_need_two_cpus_and_one_blas_thread(monkeypatch):
     for cpus, blas, want in [({0, 1}, 1, 2), ({0}, 1, 1), ({0, 1}, 2, 1), ({0, 1}, None, 1)]:
-        monkeypatch.setattr(hm.os, "sched_getaffinity", lambda pid: cpus, raising=False)
-        monkeypatch.setattr(hm, "_blas_thread_query",
+        monkeypatch.setattr(ct.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        monkeypatch.setattr(ct, "_blas_thread_query",
                             lambda: None if blas is None else (lambda: blas))
-        assert hm._inference_workers() == want, (cpus, blas)
+        assert ct._workers() == want, (cpus, blas)
 
 
 def test_blas_thread_query_reads_a_positive_count():
-    query = hm._blas_thread_query()
+    query = ct._blas_thread_query()
     assert query is None or query() >= 1
 
 

@@ -1,10 +1,11 @@
 """One train step's forward and gradients in two checkouts, compared.
 
-    python3 tools/compare_step.py PARENT CHANGE [--seed 0]
+    python3 tools/compare_step.py PARENT CHANGE [--seed 0] [--batch 4]
 
 PARENT and CHANGE are two checkouts, each with its own `src/`.  In each,
 a subprocess builds the seeded f32 mnist_config model, draws a seeded batch
-of 4 images and labels, and runs one train step: the taped forward
+of images and labels (4 unless --batch says otherwise; at 8, stem block
+0's second conv contracts kernel-first), and runs one train step: the taped forward
 (train=True, seeded dropout), the cross-entropy loss and `ct.backward`.
 No optimizer step runs.  The tool prints whether the logits are
 byte-identical, then each side's tracemalloc peak over the step (measured
@@ -12,7 +13,9 @@ after an untraced warm-up step in the same subprocess, so imports and
 caches do not count), then each parameter gradient's relative L2 distance
 ||g_change - g_parent|| / ||g_parent||, and last the worst of those.  A
 change to what the tape keeps is sized by the same command that checks
-its gradients.
+its gradients.  The subprocesses inherit the environment: with
+OPENBLAS_NUM_THREADS=1, as perfbench sets it, a batch of more than one
+image contracts each convolution's frequency blocks on two threads.
 
 This is how a change to backward rounding is judged.  The weights after a
 train call are not a usable gate: AdamW turns gradient components at
@@ -31,11 +34,9 @@ from pathlib import Path
 
 import numpy as np
 
-BATCH = 4
 
-
-def setup(seed: int):
-    """The seeded f32 mnist_config model, a batch of 4 images and labels."""
+def setup(seed: int, batch: int):
+    """The seeded f32 mnist_config model, a batch of images and labels."""
     from harmnet import ctensor as ct
     from harmnet import data as hdata
     from harmnet import model as hm
@@ -43,8 +44,8 @@ def setup(seed: int):
     config = hm.mnist_config()
     model = hm.build(config, seed, "f32")
     inp, rng = config["input"], ct.make_rng(seed)
-    raw = rng.random((BATCH, inp["channels"], inp["base_size"], inp["base_size"]))
-    labels = rng.integers(0, config["head"]["classes"], BATCH)
+    raw = rng.random((batch, inp["channels"], inp["base_size"], inp["base_size"]))
+    labels = rng.integers(0, config["head"]["classes"], batch)
     images = hdata.preprocess(raw.astype(np.float32), inp["pad"], inp["upscale_factor"])
     return model, images, labels
 
@@ -61,12 +62,12 @@ def train_step(model, images, labels, seed: int):
     return logits.data, grads
 
 
-def step(out: Path, seed: int) -> None:
-    """One seeded batch-4 f32 train step with the harmnet on sys.path, after
-    an untraced warm-up step on a separate model; writes its logits, its
+def step(out: Path, seed: int, batch: int) -> None:
+    """One seeded f32 train step with the harmnet on sys.path, after an
+    untraced warm-up step on a separate model; writes its logits, its
     tracemalloc peak and every parameter gradient to `out` (.npz)."""
-    train_step(*setup(seed), seed)
-    model, images, labels = setup(seed)
+    train_step(*setup(seed, batch), seed)
+    model, images, labels = setup(seed, batch)
     tracemalloc.start()
     logits, grads = train_step(model, images, labels, seed)
     peak = tracemalloc.get_traced_memory()[1]
@@ -75,10 +76,11 @@ def step(out: Path, seed: int) -> None:
              **{"grad/" + k: g for k, g in grads.items() if g is not None})
 
 
-def run_step(checkout: Path, out: Path, seed: int) -> dict:
+def run_step(checkout: Path, out: Path, seed: int, batch: int) -> dict:
     """`step` in a fresh interpreter that imports harmnet from checkout/src."""
     env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"))
-    cmd = [sys.executable, str(Path(__file__).resolve()), "--step", str(out), "--seed", str(seed)]
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--step", str(out),
+           "--seed", str(seed), "--batch", str(batch)]
     proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout}: train step exited {proc.returncode}:\n{proc.stderr}")
@@ -122,18 +124,21 @@ def main(argv=None) -> int:
     p.add_argument("parent", type=Path, nargs="?", help="checkout of the parent commit")
     p.add_argument("change", type=Path, nargs="?", help="checkout of the change")
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--batch", type=int, default=4, help="images in the step (default 4)")
     p.add_argument("--step", type=Path, help=argparse.SUPPRESS)   # child: run one step
     args = p.parse_args(argv)
     if args.step is not None:
-        step(args.step, args.seed)
+        step(args.step, args.seed, args.batch)
         return 0
     if args.parent is None or args.change is None:
         p.error("PARENT and CHANGE are required")
+    if args.batch < 1:
+        p.error(f"--batch must be at least 1, got {args.batch}")
     for checkout in (args.parent, args.change):
         if not (checkout / "src" / "harmnet").is_dir():
             p.error(f"{checkout} has no src/harmnet")
     with tempfile.TemporaryDirectory() as tmp:
-        sides = [run_step(checkout, Path(tmp) / f"{side}.npz", args.seed)
+        sides = [run_step(checkout, Path(tmp) / f"{side}.npz", args.seed, args.batch)
                  for side, checkout in (("parent", args.parent), ("change", args.change))]
     print("\n".join(compare(*sides)))
     return 0
