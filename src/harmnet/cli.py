@@ -131,10 +131,6 @@ def _data_root(args, environ) -> Path:
     return Path(root)
 
 
-def _precision(args, default: str) -> str:
-    return args.precision or default
-
-
 def _write_invocation(out_dir: Path, record: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     record = {"version": 1, **record}
@@ -172,7 +168,7 @@ def _train_cells(model_cfg, tcfg, splits, out_dir, precision) -> dict:
 
 def cmd_train(args, environ, argv) -> int:
     model_cfg, tcfg = resolve_config(args, environ)
-    precision = _precision(args, "f32")
+    precision = args.precision or "f32"
     splits = hdata.build_benchmark(args.benchmark, _data_root(args, environ),
                                    seed=tcfg["seed"])
     out_dir = Path(args.out)
@@ -193,7 +189,7 @@ def cmd_train(args, environ, argv) -> int:
 
 
 def cmd_eval(args, environ, argv) -> int:
-    precision = _precision(args, "f32")
+    precision = args.precision or "f32"
     model = hm.load(args.checkpoint, precision=precision)
     splits = hdata.build_benchmark(args.benchmark, _data_root(args, environ),
                                    seed=args.seed or 0)
@@ -227,7 +223,7 @@ def _parse_angles(text: str) -> set:
 
 def cmd_verify(args, environ, argv) -> int:
     model_cfg, _ = resolve_config(args, environ)
-    precision = _precision(args, "f64")
+    precision = args.precision or "f64"
     model = None
     if args.checkpoint:
         # checkpoints store f32 payloads; widening is exact, so the f64
@@ -280,7 +276,7 @@ def cmd_verify(args, environ, argv) -> int:
 
 
 def cmd_sweep(args, environ, argv) -> int:
-    precision = _precision(args, "f32")
+    precision = args.precision or "f32"
     model = hm.load(args.checkpoint, precision=precision)
     splits = hdata.build_benchmark(args.benchmark, _data_root(args, environ),
                                    seed=args.seed or 0)
@@ -307,7 +303,7 @@ def _cell_label(settings: dict) -> str:
 
 def cmd_ablate(args, environ, argv) -> int:
     model_cfg, tcfg = resolve_config(args, environ)
-    precision = _precision(args, "f32")
+    precision = args.precision or "f32"
     axes = [tok.strip() for tok in args.grid.split(",") if tok.strip()]
     for axis in axes:
         if axis not in _ABLATE_AXES:

@@ -21,11 +21,11 @@ Every op here, `conv2d` included, follows its operands' dtypes.  A
 complex64 forward would miss the 1e-6 quarter-turn logit bound: the encoder
 amplifies one complex64 rounding of the stem features 4-6x at the first
 layer norm's centering and 2-3x per attention block, and the logits 4-8x
-more, so a complex64 stem, encoder or both gives errors of 1.3-3.9e-6
-(mnist_config, seeds 0-3).  The backward runs in complex64: a tape whose
-parameters are float32/complex64 keeps what its adjoints read, and
-differentiates, at that precision (`GradTape`), as mixed-precision training
-does.
+more, so a complex64 stem, encoder or both gives errors of 0.50-1.5e-6
+(mnist_config, verify-suite images, seeds 0-5).  The backward runs in
+complex64: a tape whose parameters are float32/complex64 keeps what its
+adjoints read, and differentiates, at that precision (`GradTape`), as
+mixed-precision training does.
 """
 
 from __future__ import annotations
@@ -308,9 +308,7 @@ def concat(tensors, axis: int) -> CTensor:
 
 def narrow(a: CTensor, axis: int, start: int, length: int) -> CTensor:
     """Contiguous slice along one axis."""
-    idx = [slice(None)] * a.data.ndim
-    idx[axis] = slice(start, start + length)
-    idx = tuple(idx)
+    idx = (slice(None),) * (axis % a.data.ndim) + (slice(start, start + length),)
     data = a.data[idx]
     sa = a.shape
 
@@ -578,10 +576,9 @@ def _blas_thread_query():
 # ---------------------------------------------------------------------------
 
 # frequencies per block of `_mix`'s contraction (README, "Frequency
-# blocks"); it and the half block a split walks are multiples of 4, the
-# width of OpenBLAS's complex GEMM kernels, so each frequency's sums run as
-# they would in one unblocked GEMM
-FREQ_BLOCK = 512
+# blocks"); a multiple of 4, the width of OpenBLAS's complex GEMM kernels,
+# so each frequency's sums run as they would in one unblocked GEMM
+FREQ_BLOCK = 256
 
 
 def _fft2(x):
@@ -613,11 +610,11 @@ def _basis_products(xt: np.ndarray, spectra: np.ndarray, ps, ins) -> np.ndarray:
     return z.reshape(-1, z.shape[-2] * z.shape[-1])
 
 
-def _frequency_blocks(f: int, width: int) -> list:
-    """Slices of `width` frequencies that cover range(f).  A last block of
-    one frequency joins the block before it: numpy runs a product with one
-    row or column as a matrix-vector call, which sums in another order."""
-    edges = list(range(0, max(f - 1, 1), width)) + [f]
+def _frequency_blocks(f: int) -> list:
+    """Slices of FREQ_BLOCK frequencies that cover range(f).  A last block
+    of one frequency joins the block before it: numpy runs a product with
+    one row or column as a matrix-vector call, which sums in another order."""
+    edges = list(range(0, max(f - 1, 1), FREQ_BLOCK)) + [f]
     return [slice(s, e) for s, e in zip(edges, edges[1:])]
 
 
@@ -639,19 +636,17 @@ def _mix(xh: np.ndarray, coeffs: np.ndarray, spectra: np.ndarray, slots: np.ndar
     (i, o) block and zeros elsewhere, then contracts channels per
     frequency.  An output stream with no connection stays exactly zero.
 
-    A batch of more than one image walks blocks half as wide, shared
-    between two threads by `_map_split` when `_workers()` is 2, so two
-    blocks in flight hold what one FREQ_BLOCK block holds.  Each block
-    writes its own slice of the output with the same numpy calls, so the
-    bytes do not depend on the thread count.
+    Every batch walks the same blocks.  A batch of more than one image
+    hands them to `_map_split`, which may share them between two threads;
+    a batch of one walks them serially.  Each block writes its own slice
+    of the output with the same numpy calls, so the bytes do not depend on
+    the thread count.
     """
     b, n_in, ci, f = xh.shape
     n, co, _, nr = coeffs.shape
     n_out = slots.shape[0]
     out = np.zeros((b, n_out, co, f), dtype=np.result_type(xh, coeffs, spectra))
-    split = b > 1 and _workers() == 2
-    # half a block, rounded down to a multiple of 4 (see FREQ_BLOCK)
-    blocks = _frequency_blocks(f, max(4, FREQ_BLOCK // 8 * 4) if split else FREQ_BLOCK)
+    blocks = _frequency_blocks(f)
     if spectrum_first:
         streams = []
         for o in range(n_out):
@@ -677,7 +672,7 @@ def _mix(xh: np.ndarray, coeffs: np.ndarray, spectra: np.ndarray, slots: np.ndar
             kf = (basis[blk] @ sparse).reshape(-1, n_in * ci, n_out * co)  # kernel spectra
             y = np.matmul(xf[blk], kf)                                  # (f, B, O*Co)
             out[..., blk] = y.transpose(1, 2, 0).reshape(b, n_out, co, -1)
-    if split:
+    if b > 1:
         _map_split(walk, blocks)
     else:
         for blk in blocks:

@@ -233,12 +233,12 @@ class Model:
         no leaf or image on a tape) runs consecutive INFERENCE_CHUNK-image
         chunks through `stem_features` -> `classify` and concatenates their
         logits in input order; with more than one chunk, `ct._map_split`
-        runs every other chunk on its worker thread when `ct._workers()` is
-        2, and the convolutions inside a chunk then run on one thread.  A
-        one-pass forward or a single chunk of more than one image splits
-        its convolutions' frequency blocks instead (`ct._mix`).  Each
-        image's bits depend only on its chunk, never on the thread count;
-        they differ from one unchunked pass by a few 1e-15 relative.
+        may run every other chunk on its worker thread, and the
+        convolutions inside a chunk then run on one thread.  A one-pass
+        forward or one chunk of more than one image may split its convs'
+        frequency blocks instead, `ct.FREQ_BLOCK` wide at any batch (`ct._mix`).
+        Each image's bits depend only on its chunk, never on the thread
+        count; they differ from one unchunked pass by a few 1e-15 relative.
         """
         if leaves is None:
             leaves = self.leaves()
@@ -337,6 +337,14 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def text(self, parse=str):
+        """A length-prefixed UTF-8 string, through `parse`."""
+        raw = self.take(*self.unpack("<I"))
+        try:
+            return parse(raw.decode())
+        except ValueError as e:     # UnicodeDecodeError, json.JSONDecodeError
+            raise IntegrityError(f"malformed text before byte {self.pos}: {e}") from e
+
 
 def load(path, expect_config: dict | None = None, precision: str = "f32") -> Model:
     """Rebuild the model from a checkpoint; verifies the CRC32 trailer, the
@@ -354,29 +362,28 @@ def load(path, expect_config: dict | None = None, precision: str = "f32") -> Mod
     (version,) = r.unpack("<I")
     if version != CHECKPOINT_VERSION:
         raise IntegrityError(f"unsupported checkpoint version {version}")
-    (n,) = r.unpack("<I")
-    cfg_json = r.take(n).decode()
-    (n,) = r.unpack("<I")
-    stored_hash = r.take(n).decode()
-    config = json.loads(cfg_json)
+    config = r.text(json.loads)
+    stored_hash = r.text()
     if config_hash(config) != stored_hash:
         raise IntegrityError("stored config does not match its recorded hash")
     if expect_config is not None and config_hash(validate_config(expect_config)) != stored_hash:
         raise IntegrityError(
             f"checkpoint config hash {stored_hash[:12]}... does not match the requested config")
     seed, epoch = r.unpack("<qI")
-    (n,) = r.unpack("<I")
-    metrics = json.loads(r.take(n).decode())
+    metrics = r.text(json.loads)
     (n_records,) = r.unpack("<I")
     loaded = {}
     for _ in range(n_records):
-        (ln,) = r.unpack("<I")
-        name = r.take(ln).decode()
+        name = r.text()
         kind, role, ndim = r.unpack("<BBB")
         shape = r.unpack(f"<{ndim}I")
         (nbytes,) = r.unpack("<Q")
-        arr = np.frombuffer(r.take(nbytes), dtype="<c8" if kind else "<f4").reshape(shape)
-        loaded[name] = (arr, role)
+        dtype = np.dtype("<c8" if kind else "<f4")
+        if nbytes != dtype.itemsize * np.prod(shape, dtype=object):   # exact, no int64 wrap
+            raise IntegrityError(f"record {name}: {nbytes} bytes for shape {shape}")
+        if name in loaded:
+            raise IntegrityError(f"record {name} appears twice")
+        loaded[name] = (np.frombuffer(r.take(nbytes), dtype).reshape(shape), role)
     if r.pos != len(body):
         raise IntegrityError(f"{len(body) - r.pos} trailing bytes after the last record")
 

@@ -251,14 +251,15 @@ def _tap_gemm(x: ct.CTensor, bank: HarmonicFilterBank, coeffs: ct.CTensor) -> ct
     (O*Co, I*Ci*T) matrix times x's T taps (`ct.shifted_taps`) at every
     pixel.  Block (o, i) of the matrix is connection slots[o, i]'s
     coefficients (Co, Ci, nr) times its atoms' values at the taps (nr, T),
-    and zero where there is no connection.  A 1x1 atom is 1 at filter order
-    0 and exactly 0 at any other, so a 1x1 bank's matrix is its
-    coefficients."""
+    at the coefficients' precision, and zero where there is no connection.
+    A 1x1 atom is 1 at filter order 0 and exactly 0 at any other, so a 1x1
+    bank's matrix is its coefficients."""
     b, n_in, ci, h, w = x.shape
     n_out, co, k = bank.slots.shape[0], bank.c_out, bank.k
     offsets = _taps(k)
     ys, xs = (np.array(offsets) + k // 2).T
     atoms = np.stack([_atoms(k, m_f)[:, ys, xs].T for _, m_f in bank.connections])  # (P, T, nr)
+    atoms = atoms.astype(np.result_type(coeffs.data, np.complex64), copy=False)
     slot = bank.slots[:, None, :, None]                                # (O, 1, I, 1)
     conn = np.maximum(slot, 0)
     table = np.where((slot >= 0)[..., None, None], atoms[conn], 0)     # (O, 1, I, 1, T, nr)

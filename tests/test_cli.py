@@ -15,6 +15,7 @@ import harmnet.data as hdata
 import harmnet.harness as hz
 import harmnet.model as hm
 from harmnet.errors import ConfigError, IntegrityError
+from test_model import malformed_checkpoints
 
 
 def tiny_config():
@@ -372,6 +373,14 @@ def test_verify_trained_checkpoint(workdir, capsys):
     assert report["all_pass"] is True
     expect = hm.load(workdir.checkpoint, precision="f64").config
     assert report["config_hash"] == hm.config_hash(expect)
+
+
+@pytest.mark.parametrize("fault", ["byte count", "duplicate"])
+def test_verify_malformed_checkpoint_exits_2(tmp_path, capsys, fault):
+    # a checkpoint whose CRC holds but whose records do not is a data error
+    rc = cli.main(["verify", "--checkpoint", str(malformed_checkpoints(tmp_path)[fault])])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_verify_stemless_f32_model_passes(capsys):

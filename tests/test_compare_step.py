@@ -34,6 +34,26 @@ def test_compare_names_differing_logits_and_the_worst_gradient(cs):
     assert cs.compare(parent, parent)[0] == "logits: byte-identical"
 
 
+def test_compare_reports_inference_logits_and_the_verify_report_after_the_peak(cs):
+    logits, grad = np.array([[1.0, 2.0]]), {"grad/a": np.array([1.0])}
+    parent = {"logits": logits, "peak_bytes": np.int64(2 ** 20), "inference/1": logits,
+              "inference/16": np.array([[3.0, 4.0]]), "report": np.array('{"all_pass": true}'),
+              **grad}
+    change = dict(parent, peak_bytes=np.int64(2 ** 21), report=np.array('{"all_pass": false}'))
+    change["inference/16"] = np.array([[3.0, 4.0 + 5e-6]])
+    assert cs.compare(parent, change) == [
+        "logits: byte-identical",
+        "step peak (tracemalloc): parent 1.00 MiB, change 2.00 MiB (+1.00 MiB)",
+        "inference logits, batch 1: byte-identical",
+        "inference logits, batch 16: differ (relative L2 1.000e-06)",
+        "verify report (f64): differ",
+        "a: 0.000e+00",
+        "worst gradient: a 0.000e+00"]
+    assert cs.compare(parent, parent)[2:5] == [
+        "inference logits, batch 1: byte-identical", "inference logits, batch 16: byte-identical",
+        "verify report (f64): byte-identical"]
+
+
 def test_two_copies_of_one_checkout_give_identical_steps(cs, tmp_path, capsys):
     for side in ("a", "b"):
         shutil.copytree(ROOT / "src", tmp_path / side / "src",
@@ -44,6 +64,9 @@ def test_two_copies_of_one_checkout_give_identical_steps(cs, tmp_path, capsys):
     peaks = re.fullmatch(r"step peak \(tracemalloc\): parent ([\d.]+) MiB, "
                          r"change ([\d.]+) MiB \([+-][\d.]+ MiB\)", lines[1])
     assert peaks and all(float(v) > 0 for v in peaks.groups()), lines[1]
+    assert lines[2:5] == ["inference logits, batch 1: byte-identical",
+                          "inference logits, batch 16: byte-identical",
+                          "verify report (f64): byte-identical"]
     assert any(line.startswith("stem.b0.conv1.radial: ") for line in lines)
     assert lines[-1].startswith("worst gradient: ") and lines[-1].endswith(" 0.000e+00")
 
@@ -70,6 +93,7 @@ def test_batch_8_steps_run_the_split_kernel_first_conv_identically(cs, tmp_path,
     assert cs.main([str(tmp_path / "a"), str(tmp_path / "b"), "--batch", "8"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "logits: byte-identical"
+    assert all(line.endswith(": byte-identical") for line in lines[2:5])
     assert lines[-1].startswith("worst gradient: ") and lines[-1].endswith(" 0.000e+00")
 
 

@@ -640,16 +640,45 @@ def spy_split_threads(monkeypatch) -> list:
 @pytest.mark.parametrize("order", ["spectrum_first", "kernel_first"])
 @pytest.mark.parametrize("batch", [2, 3, 8])
 def test_conv2d_split_frequency_blocks_match_the_serial_walk(monkeypatch, order, batch):
-    # F = 11 * 13 = 143: blocks of 16 frequencies serially, of 8 (the last
-    # one 7 wide) when split; the forward and both gradients keep their bytes
+    # F = 11 * 13 = 143: blocks of 12 frequencies (the last one 11 wide) on
+    # one thread and on two; the forward and both gradients keep their bytes
     monkeypatch.setattr(ct, "_workers", lambda: 1)
-    serial = _blocked_conv(monkeypatch, 16, order, batch, 9, 11)
+    serial = _blocked_conv(monkeypatch, 12, order, batch, 9, 11)
     monkeypatch.setattr(ct, "_workers", lambda: 2)
     calls = spy_split_threads(monkeypatch)
-    split = _blocked_conv(monkeypatch, 16, order, batch, 9, 11)
+    split = _blocked_conv(monkeypatch, 12, order, batch, 9, 11)
     assert calls and len(calls[0][1]) == 2     # the forward's blocks ran on two threads
     for got, want in zip(split, serial):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class SliceLog(np.ndarray):
+    """An array that logs each frequency block read from it or from a view
+    of it: a slice with a start, alone or last in the index."""
+    log = []
+
+    def __getitem__(self, key):
+        last = key[-1] if isinstance(key, tuple) else key
+        if isinstance(last, slice) and last.start is not None:
+            self.log.append((last.start, last.stop))
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("order", ["spectrum_first", "kernel_first"])
+def test_mix_walks_one_block_width_at_any_batch_and_thread_count(monkeypatch, order):
+    # F = 23 * 29 = 667: blocks of FREQ_BLOCK frequencies, the last one
+    # shorter, whether the batch is split over two threads or not
+    f = 23 * 29
+    width = ct.FREQ_BLOCK
+    want = [(s, min(s + width, f)) for s in range(0, f, width)]
+    assert len(want) > 2 and want[-1][1] - want[-1][0] not in (1, width)
+    for batch in (1, 3):
+        _, xh, coeffs, spectra = _spectrum_first_case(np.complex128, batch)
+        for workers in (1, 2):
+            monkeypatch.setattr(ct, "_workers", lambda: workers)
+            monkeypatch.setattr(SliceLog, "log", [])
+            ct._mix(xh.view(SliceLog), coeffs, spectra, BLOCK_SLOTS, order == "spectrum_first")
+            assert sorted(SliceLog.log) == want, (batch, workers)
 
 
 def test_a_batch_of_one_walks_its_blocks_serially(monkeypatch):

@@ -1,8 +1,11 @@
 """Model assembly tests: config validation, deterministic builds, parameter
 counting, and the checkpoint round trip."""
 
+import binascii
+import json
 import multiprocessing
 import os
+import struct
 import threading
 
 import numpy as np
@@ -217,10 +220,10 @@ def conv_config():
 
 
 def test_convs_split_their_blocks_unless_chunks_hold_the_worker(monkeypatch):
-    # F = 12 * 12 = 144 frequencies in blocks of 8 when split.  A one-chunk
-    # forward of 3 images splits every conv's blocks; in a 9-image forward
-    # the two chunks hold the worker, so the 8-image chunk's convs run
-    # inline (and the 1-image chunk's never split); the bits do not move
+    # F = 12 * 12 = 144 frequencies in 9 blocks of 16.  A one-chunk forward
+    # of 3 images splits every conv's blocks; in a 9-image forward the two
+    # chunks hold the worker, so the 8-image chunk's convs run inline (and
+    # the 1-image chunk's never split); the bits do not move
     monkeypatch.setattr(ct, "FREQ_BLOCK", 16)
     m = hm.build(conv_config(), seed=0)
     x = ct.make_rng(8).random((9, 1, 8, 8)).astype(np.float32)
@@ -342,6 +345,50 @@ def test_checkpoint_rejects_truncation_and_corruption(tmp_path):
     (tmp_path / "n.ckpt").write_bytes(b"PK\x03\x04" + blob[4:])
     with pytest.raises(IntegrityError):
         hm.load(tmp_path / "n.ckpt")
+
+
+def resealed(path, body: bytes):
+    """A checkpoint file of `body` under a valid CRC32 trailer."""
+    path.write_bytes(body + struct.pack("<I", binascii.crc32(body)))
+    return path
+
+
+def malformed_checkpoints(tmp_path) -> dict:
+    """Checkpoints whose CRC holds but whose contents are malformed, by the
+    fault they carry."""
+    m = hm.build(tiny_config(), seed=3)
+    p = tmp_path / "m.ckpt"
+    hm.save(m, p, metrics={"val_acc": 0.5})
+    body = p.read_bytes()[:-4]
+    name = sorted(m.params)[0]
+    record = hm._record_bytes(name, m.params[name], 0)
+    start = body.index(record)                 # the first record, after its count
+    (count,) = struct.unpack("<I", body[start - 4:start])
+    cfg = json.dumps(m.config, sort_keys=True, separators=(",", ":")).encode()
+    # the record's name, kind, role, rank and shape, then its byte count and
+    # payload, here half the bytes the shape holds
+    head = 4 + len(name) + 3 + 4 * m.params[name].ndim
+    (nbytes,) = struct.unpack("<Q", record[head:head + 8])
+    short = record[:head] + struct.pack("<Q", nbytes // 2) + record[head + 8:head + 8 + nbytes // 2]
+    faults = {
+        "byte count": body.replace(record, short),
+        "record name": body.replace(record, record.replace(name.encode(), b"\xff" * len(name), 1)),
+        "config utf-8": body.replace(cfg, b"\xff" + cfg[1:]),
+        "config json": body.replace(cfg, b"[" + cfg[1:]),
+        "metrics json": body.replace(b'{"val_acc":0.5}', b'{"val_acc":0.5]'),
+        "duplicate": body[:start - 4] + struct.pack("<I", count + 1) + record + body[start:],
+    }
+    assert all(v != body for v in faults.values())
+    return {k: resealed(tmp_path / f"{i}.ckpt", v) for i, (k, v) in enumerate(faults.items())}
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("byte count", "bytes for shape"), ("record name", "malformed text"),
+    ("config utf-8", "malformed text"), ("config json", "malformed text"),
+    ("metrics json", "malformed text"), ("duplicate", "appears twice")])
+def test_checkpoint_with_malformed_contents_is_an_integrity_error(tmp_path, fault, message):
+    with pytest.raises(IntegrityError, match=message):
+        hm.load(malformed_checkpoints(tmp_path)[fault])
 
 
 def test_checkpoint_refuses_mismatched_config(tmp_path):

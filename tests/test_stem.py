@@ -374,6 +374,21 @@ def test_direct_bank_of_an_f32_model_outputs_complex128(name):
     assert y.data.dtype == np.complex128
 
 
+@pytest.mark.parametrize("name", ["lift_5", "full_3", "narrowing_1"])
+def test_direct_bank_of_complex64_coefficients_outputs_complex64(name):
+    # the GEMM's atom table follows the coefficients' precision, so complex64
+    # input and coefficients give a complex64 output within complex64
+    # rounding of the complex128 one
+    bank = direct_bank(name)
+    x = rand_sfm(ct.make_rng(55), bank.in_orders, 2, bank.c_in, 5, 6).data
+    coeffs = bank.kernel_block({k: ct.CTensor(v) for k, v in bank.params.items()}).data
+    want = hs._tap_gemm(ct.CTensor(x), bank, ct.CTensor(coeffs)).data
+    got = hs._tap_gemm(ct.CTensor(x.astype(np.complex64)), bank,
+                       ct.CTensor(coeffs.astype(np.complex64))).data
+    assert want.dtype == np.complex128 and got.dtype == np.complex64
+    assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
+
+
 # the batches the benchmark's workloads, their checks and CLI training run,
 # and batch 8, where banks with 8 and 16 output channels part
 ROUTE_BATCHES = (1, 2, 3, 4, 8, 16, 32)

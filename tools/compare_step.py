@@ -1,4 +1,5 @@
-"""One train step's forward and gradients in two checkouts, compared.
+"""One train step's forward and gradients, inference logits and the verify
+report in two checkouts, compared.
 
     python3 tools/compare_step.py PARENT CHANGE [--seed 0] [--batch 4]
 
@@ -7,10 +8,14 @@ a subprocess builds the seeded f32 mnist_config model, draws a seeded batch
 of images and labels (4 unless --batch says otherwise; at 8, stem block
 0's second conv contracts kernel-first), and runs one train step: the taped forward
 (train=True, seeded dropout), the cross-entropy loss and `ct.backward`.
-No optimizer step runs.  The tool prints whether the logits are
-byte-identical, then each side's tracemalloc peak over the step (measured
-after an untraced warm-up step in the same subprocess, so imports and
-caches do not count), then each parameter gradient's relative L2 distance
+No optimizer step runs.  The subprocess then runs inference forwards
+(`Model.forward`) of a fresh seeded model at batches 1 and 16 and the
+seed's f64 verify suite (`report_json(verify_all_lemmas(seed, "f64"))`).
+The tool prints whether the train step's logits are byte-identical, then
+each side's tracemalloc peak over the step (measured after an untraced
+warm-up step in the same subprocess, so imports and caches do not count),
+then whether each inference forward's logits and the verify report are
+byte-identical, then each parameter gradient's relative L2 distance
 ||g_change - g_parent|| / ||g_parent||, and last the worst of those.  A
 change to what the tape keeps is sized by the same command that checks
 its gradients.  The subprocesses inherit the environment: with
@@ -33,6 +38,12 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+
+# images per inference forward compared, and the label of each compared
+# array that is not a gradient, in report order
+INFERENCE_BATCHES = (1, 16)
+IDENTITIES = {f"inference/{n}": f"inference logits, batch {n}" for n in INFERENCE_BATCHES}
+IDENTITIES["report"] = "verify report (f64)"
 
 
 def setup(seed: int, batch: int):
@@ -65,14 +76,21 @@ def train_step(model, images, labels, seed: int):
 def step(out: Path, seed: int, batch: int) -> None:
     """One seeded f32 train step with the harmnet on sys.path, after an
     untraced warm-up step on a separate model; writes its logits, its
-    tracemalloc peak and every parameter gradient to `out` (.npz)."""
+    tracemalloc peak and every parameter gradient to `out` (.npz), with
+    the inference logits of a fresh seeded model at INFERENCE_BATCHES and
+    the seed's f64 verify report."""
+    from harmnet import harness as hz
+
     train_step(*setup(seed, batch), seed)
     model, images, labels = setup(seed, batch)
     tracemalloc.start()
     logits, grads = train_step(model, images, labels, seed)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    np.savez(out, logits=logits, peak_bytes=np.int64(peak),
+    model, images, _ = setup(seed, max(INFERENCE_BATCHES))
+    inference = {f"inference/{n}": model.forward(images[:n]).data for n in INFERENCE_BATCHES}
+    report = np.array(hz.report_json(hz.verify_all_lemmas(seed, "f64")))
+    np.savez(out, logits=logits, peak_bytes=np.int64(peak), report=report, **inference,
              **{"grad/" + k: g for k, g in grads.items() if g is not None})
 
 
@@ -88,20 +106,28 @@ def run_step(checkout: Path, out: Path, seed: int, batch: int) -> dict:
         return {k: f[k] for k in f.files}
 
 
+def identity(label: str, p: np.ndarray, c: np.ndarray) -> str:
+    """Whether p and c are byte-identical, with the relative L2 distance of
+    numeric arrays of one shape that are not."""
+    if p.dtype == c.dtype and p.tobytes() == c.tobytes():
+        return f"{label}: byte-identical"
+    if p.dtype.kind in "fc" and c.dtype.kind in "fc" and p.shape == c.shape:
+        return f"{label}: differ (relative L2 {np.linalg.norm(c - p) / np.linalg.norm(p):.3e})"
+    return f"{label}: differ"
+
+
 def compare(parent: dict, change: dict) -> list:
-    """Report lines: the logits' byte identity, then each side's step peak
-    when both sides measured one, then per gradient (sorted by name) its
-    relative L2 distance, then the worst.  A gradient only one side has is
-    reported as missing."""
-    same = (parent["logits"].dtype == change["logits"].dtype
-            and parent["logits"].tobytes() == change["logits"].tobytes())
-    lines = [f"logits: {'byte-identical' if same else 'differ'}"]
-    if not same:
-        d = np.linalg.norm(change["logits"] - parent["logits"]) / np.linalg.norm(parent["logits"])
-        lines[0] += f" (relative L2 {d:.3e})"
+    """Report lines: the train step logits' byte identity, then each side's
+    step peak when both sides measured one, then the byte identity of each
+    array in IDENTITIES that both sides hold, then per gradient (sorted by
+    name) its relative L2 distance, then the worst.  A gradient only one
+    side has is reported as missing."""
+    lines = [identity("logits", parent["logits"], change["logits"])]
     if "peak_bytes" in parent and "peak_bytes" in change:
         p, c = (int(side["peak_bytes"]) / 2 ** 20 for side in (parent, change))
         lines.append(f"step peak (tracemalloc): parent {p:.2f} MiB, change {c:.2f} MiB ({c - p:+.2f} MiB)")
+    lines += [identity(label, parent[key], change[key]) for key, label in IDENTITIES.items()
+              if key in parent and key in change]
     names = sorted(k for k in set(parent) | set(change) if k.startswith("grad/"))
     worst = (None, -1.0)
     for key in names:
