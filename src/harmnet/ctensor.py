@@ -581,14 +581,16 @@ def _blas_thread_query():
 FREQ_BLOCK = 256
 
 
+# The transforms overwrite their argument: every caller passes a buffer it
+# owns and does not read again, and a complex one is transformed in place
 def _fft2(x):
     from scipy import fft as sfft
-    return sfft.fft2(x, axes=(-2, -1))
+    return sfft.fft2(x, axes=(-2, -1), overwrite_x=True)
 
 
 def _ifft2(x):
     from scipy import fft as sfft
-    return sfft.ifft2(x, axes=(-2, -1))
+    return sfft.ifft2(x, axes=(-2, -1), overwrite_x=True)
 
 
 def _connections(slots: np.ndarray, o: int):
@@ -763,7 +765,10 @@ def conv2d(x: CTensor, coeffs: CTensor, spectra: np.ndarray, slots: np.ndarray,
     contracts in the given `order`, "spectrum_first" or "kernel_first"
     (`stem.conv_plan` chooses it), one block of frequencies at a time into
     a contiguous (B, O, Co, F) spectrum, so the inverse FFT reads
-    unit-stride frequencies.
+    unit-stride frequencies.  Every transform, forward and backward, runs
+    in place on a buffer conv2d owns and does not read again: the padded
+    input, that output spectrum, the padded output gradient and the input
+    adjoint's spectrum.  x, coeffs and spectra are never written.
 
     Backward transforms only the output gradient.  When the coefficients
     are tracked, the node keeps the input spectrum the forward took, not x,

@@ -348,7 +348,9 @@ class _Reader:
 
 def load(path, expect_config: dict | None = None, precision: str = "f32") -> Model:
     """Rebuild the model from a checkpoint; verifies the CRC32 trailer, the
-    stored config hash, and (when given) the caller's expected config."""
+    stored config hash, (when given) the caller's expected config, and that
+    each record's kind (0 real, 1 complex) is that of the array it loads
+    into."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 8:
@@ -378,6 +380,8 @@ def load(path, expect_config: dict | None = None, precision: str = "f32") -> Mod
         kind, role, ndim = r.unpack("<BBB")
         shape = r.unpack(f"<{ndim}I")
         (nbytes,) = r.unpack("<Q")
+        if kind not in (0, 1):
+            raise IntegrityError(f"record {name}: unknown kind {kind}")
         dtype = np.dtype("<c8" if kind else "<f4")
         if nbytes != dtype.itemsize * np.prod(shape, dtype=object):   # exact, no int64 wrap
             raise IntegrityError(f"record {name}: {nbytes} bytes for shape {shape}")
@@ -395,6 +399,8 @@ def load(path, expect_config: dict | None = None, precision: str = "f32") -> Mod
         target = model.params[name] if role == 0 else model.buffers[name]
         if target.shape != arr.shape:
             raise IntegrityError(f"record {name}: shape {arr.shape} != expected {target.shape}")
+        if np.iscomplexobj(arr) != np.iscomplexobj(target):
+            raise IntegrityError(f"record {name}: kind does not match its {target.dtype} array")
         target[...] = arr
     model.last_epoch = epoch
     model.metrics = metrics

@@ -100,7 +100,7 @@ def synthesize_block(radial: np.ndarray, phase: np.ndarray, m: int, k: int) -> n
     `radial` holds values of R at integer radii 0..k//2 (linear interpolation
     in between, zero beyond); `phase` holds the real phase offsets beta.
     With a one-hot profile and zero phase this is a basis atom, whose
-    spectra `basis_spectra` caches for the convolution.
+    spectra `basis_spectra` gives the convolution.
     """
     if k % 2 == 0:
         raise ConfigError(f"kernel size must be odd, got {k}")
@@ -177,13 +177,22 @@ def _atoms(k: int, m: int) -> np.ndarray:
     return (_radial_basis(k).T * _angular_map(k, m)).reshape(n_radii(k), k, k)
 
 
-@lru_cache(maxsize=128)   # bounded: callers may feed any number of image sizes
 def basis_spectra(k: int, m: int, hp: int, wp: int) -> np.ndarray:
     """(n_radii, hp, wp) read-only spectra of the order-m atoms: atom r is
     the kernel `synthesize_block` gives a one-hot radial profile at radius r
     and zero phase, flipped in both axes and zero-padded to its FFT."""
     from scipy import fft as sfft   # deferred: slower to import than the package
     spectra = sfft.fft2(_atoms(k, m)[:, ::-1, ::-1], s=(hp, wp), axes=(-2, -1))
+    spectra.flags.writeable = False
+    return spectra
+
+
+@lru_cache(maxsize=16)   # bounded: callers may feed any number of image sizes
+def _bank_spectra(k: int, filter_orders: tuple, hp: int, wp: int) -> np.ndarray:
+    """(P, n_radii, hp, wp) read-only `basis_spectra` of the filter orders
+    of a bank's P connections, stacked once per geometry: every
+    `harmonic_conv` of a bank with this geometry reads the same array."""
+    spectra = np.stack([basis_spectra(k, m, hp, wp) for m in filter_orders])
     spectra.flags.writeable = False
     return spectra
 
@@ -195,8 +204,10 @@ def harmonic_conv(x: ct.CTensor, bank: HarmonicFilterBank, leaves: dict) -> ct.C
 
     Each kernel W is the bank's coefficients over the basis atoms of its
     filter order, and is never synthesized.  `conv_plan` picks the route:
-    one GEMM over the atoms' nonzero taps (`_tap_gemm`), or `ct.conv2d`
-    against the atoms' cached spectra in the plan's contraction order.
+    one GEMM over the atoms' nonzero taps (`_tap_gemm`), or `ct.conv2d` in
+    the plan's contraction order against the atoms' spectra, stacked once
+    per bank geometry (`_bank_spectra`): every call of a bank passes the
+    same read-only array.
     Convolution convention is cross-correlation (no kernel flip).
     """
     if x.data.ndim != 5 or x.shape[1] != len(bank.in_orders):
@@ -209,8 +220,8 @@ def harmonic_conv(x: ct.CTensor, bank: HarmonicFilterBank, leaves: dict) -> ct.C
     route = conv_plan(bank, b, h, w)["route"]
     if route == "direct":
         return _tap_gemm(x, bank, coeffs)
-    hp, wp = h + bank.k - 1, w + bank.k - 1
-    spectra = np.stack([basis_spectra(bank.k, m_f, hp, wp) for _, m_f in bank.connections])
+    spectra = _bank_spectra(bank.k, tuple(m_f for _, m_f in bank.connections),
+                           h + bank.k - 1, w + bank.k - 1)
     return ct.conv2d(x, coeffs, spectra, bank.slots, route)
 
 

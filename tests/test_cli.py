@@ -375,7 +375,7 @@ def test_verify_trained_checkpoint(workdir, capsys):
     assert report["config_hash"] == hm.config_hash(expect)
 
 
-@pytest.mark.parametrize("fault", ["byte count", "duplicate"])
+@pytest.mark.parametrize("fault", ["byte count", "duplicate", "unknown kind", "kind mismatch"])
 def test_verify_malformed_checkpoint_exits_2(tmp_path, capsys, fault):
     # a checkpoint whose CRC holds but whose records do not is a data error
     rc = cli.main(["verify", "--checkpoint", str(malformed_checkpoints(tmp_path)[fault])])

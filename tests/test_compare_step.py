@@ -37,21 +37,27 @@ def test_compare_names_differing_logits_and_the_worst_gradient(cs):
 def test_compare_reports_inference_logits_and_the_verify_report_after_the_peak(cs):
     logits, grad = np.array([[1.0, 2.0]]), {"grad/a": np.array([1.0])}
     parent = {"logits": logits, "peak_bytes": np.int64(2 ** 20), "inference/1": logits,
+              "inference_peak_bytes": np.int64(3 * 2 ** 20),
               "inference/16": np.array([[3.0, 4.0]]), "report": np.array('{"all_pass": true}'),
               **grad}
-    change = dict(parent, peak_bytes=np.int64(2 ** 21), report=np.array('{"all_pass": false}'))
+    change = dict(parent, peak_bytes=np.int64(2 ** 21), report=np.array('{"all_pass": false}'),
+                  inference_peak_bytes=np.int64(2 ** 20))
     change["inference/16"] = np.array([[3.0, 4.0 + 5e-6]])
     assert cs.compare(parent, change) == [
         "logits: byte-identical",
         "step peak (tracemalloc): parent 1.00 MiB, change 2.00 MiB (+1.00 MiB)",
+        "inference peak, batch 16 (tracemalloc): parent 3.00 MiB, change 1.00 MiB (-2.00 MiB)",
         "inference logits, batch 1: byte-identical",
         "inference logits, batch 16: differ (relative L2 1.000e-06)",
         "verify report (f64): differ",
         "a: 0.000e+00",
         "worst gradient: a 0.000e+00"]
-    assert cs.compare(parent, parent)[2:5] == [
+    assert cs.compare(parent, parent)[3:6] == [
         "inference logits, batch 1: byte-identical", "inference logits, batch 16: byte-identical",
         "verify report (f64): byte-identical"]
+    # a peak only one side measured is not reported
+    del change["inference_peak_bytes"]
+    assert not any(line.startswith("inference peak") for line in cs.compare(parent, change))
 
 
 def test_two_copies_of_one_checkout_give_identical_steps(cs, tmp_path, capsys):
@@ -64,7 +70,10 @@ def test_two_copies_of_one_checkout_give_identical_steps(cs, tmp_path, capsys):
     peaks = re.fullmatch(r"step peak \(tracemalloc\): parent ([\d.]+) MiB, "
                          r"change ([\d.]+) MiB \([+-][\d.]+ MiB\)", lines[1])
     assert peaks and all(float(v) > 0 for v in peaks.groups()), lines[1]
-    assert lines[2:5] == ["inference logits, batch 1: byte-identical",
+    peaks = re.fullmatch(r"inference peak, batch 16 \(tracemalloc\): parent ([\d.]+) MiB, "
+                         r"change ([\d.]+) MiB \([+-][\d.]+ MiB\)", lines[2])
+    assert peaks and all(float(v) > 0 for v in peaks.groups()), lines[2]
+    assert lines[3:6] == ["inference logits, batch 1: byte-identical",
                           "inference logits, batch 16: byte-identical",
                           "verify report (f64): byte-identical"]
     assert any(line.startswith("stem.b0.conv1.radial: ") for line in lines)
@@ -93,7 +102,8 @@ def test_batch_8_steps_run_the_split_kernel_first_conv_identically(cs, tmp_path,
     assert cs.main([str(tmp_path / "a"), str(tmp_path / "b"), "--batch", "8"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "logits: byte-identical"
-    assert all(line.endswith(": byte-identical") for line in lines[2:5])
+    assert lines[2].startswith("inference peak, batch 16 (tracemalloc): ")
+    assert all(line.endswith(": byte-identical") for line in lines[3:6])
     assert lines[-1].startswith("worst gradient: ") and lines[-1].endswith(" 0.000e+00")
 
 

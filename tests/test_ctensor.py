@@ -536,6 +536,70 @@ def test_conv2d_frees_the_input_spectrum_before_the_inverse_transform(monkeypatc
     assert alive == [False]
 
 
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+def test_transforms_run_in_place_on_a_contiguous_complex_input(dtype):
+    # conv2d hands each transform a buffer it owns and does not read again;
+    # the in-place transform gives the out-of-place bytes
+    from scipy import fft as sfft
+    a = crandn(ct.make_rng(48), 2, 3, 8, 9).astype(dtype)
+    for transform, reference in ((ct._fft2, sfft.fft2), (ct._ifft2, sfft.ifft2)):
+        want = reference(a, axes=(-2, -1))
+        buf = a.copy()
+        got = transform(buf)
+        assert np.shares_memory(got, buf)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _conv_outputs(order, tape):
+    """conv2d's output and, on a tape of parameters at `tape` precision
+    (None: untaped), both gradients; its input, coefficients and read-only
+    spectra must come out unchanged."""
+    rng = ct.make_rng(49)
+    b, ci, h, w = 3, 2, 6, 7
+    x, c = crandn(rng, b, 2, ci, h, w), crandn(rng, 3, 4, ci, 3)
+    spectra = crandn(rng, 3, 3, h + 2, w + 2)
+    spectra.flags.writeable = False
+    target = crandn(rng, b, 3, 4, h, w)
+    operands = [a.copy() for a in (x, c)]
+    if tape is None:
+        y = ct.conv2d(ct.CTensor(x), ct.CTensor(c), spectra, BLOCK_SLOTS, order)
+        out = (y.data,)
+    else:
+        t = ct.GradTape()
+        px, pc = (t.parameter(n, a.astype(tape)) for n, a in (("x", x), ("c", c)))
+        y = ct.conv2d(ct.astype(px, np.complex128), ct.astype(pc, np.complex128), spectra,
+                      BLOCK_SLOTS, order)
+        grads = ct.backward(t, l2_to(target)(y))
+        out = (y.data, grads["x"], grads["c"])
+    assert all(a.tobytes() == want.tobytes() for a, want in zip((x, c), operands))
+    return out
+
+
+@pytest.mark.parametrize("order", ["spectrum_first", "kernel_first"])
+@pytest.mark.parametrize("tape", [None, np.complex64, np.complex128],
+                         ids=["untaped", "f32_tape", "f64_tape"])
+def test_conv2d_in_place_transforms_match_out_of_place_ones(monkeypatch, order, tape):
+    from scipy import fft as sfft
+    got = _conv_outputs(order, tape)
+    monkeypatch.setattr(ct, "_fft2", lambda a: sfft.fft2(a.copy(), axes=(-2, -1)))
+    monkeypatch.setattr(ct, "_ifft2", lambda a: sfft.ifft2(a.copy(), axes=(-2, -1)))
+    want = _conv_outputs(order, tape)
+    assert len(got) == (1 if tape is None else 3)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+def test_conv2d_with_unpadded_spectra_leaves_its_input_unchanged():
+    # 1x1 atoms pad nothing, and the in-place forward transform still
+    # runs on a copy of x
+    rng = ct.make_rng(50)
+    x = crandn(rng, 2, 2, 2, 5, 6)
+    kept = x.copy()
+    ct.conv2d(ct.CTensor(x), ct.CTensor(crandn(rng, 3, 4, 2, 1)), crandn(rng, 3, 1, 5, 6),
+              BLOCK_SLOTS, "spectrum_first")
+    assert x.tobytes() == kept.tobytes()
+
+
 def _spectrum_first_case(dtype, batch):
     """Operands of spectrum-first's adjoints over BLOCK_SLOTS (two input
     streams, three output streams, the middle one fed by no connection) at

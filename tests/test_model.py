@@ -370,6 +370,14 @@ def malformed_checkpoints(tmp_path) -> dict:
     head = 4 + len(name) + 3 + 4 * m.params[name].ndim
     (nbytes,) = struct.unpack("<Q", record[head:head + 8])
     short = record[:head] + struct.pack("<Q", nbytes // 2) + record[head + 8:head + 8 + nbytes // 2]
+    # a complex weight's record with kind byte 7, and rewritten as a
+    # consistent real (kind 0) record of its real part
+    w1 = "encoder.blk0.mlp.w1"
+    complex_record = hm._record_bytes(w1, m.params[w1], 0)
+    kind = 4 + len(w1)
+    assert complex_record[kind] == 1 and np.iscomplexobj(m.params[w1])
+    unknown_kind = complex_record[:kind] + b"\x07" + complex_record[kind + 1:]
+    real_record = hm._record_bytes(w1, m.params[w1].real, 0)
     faults = {
         "byte count": body.replace(record, short),
         "record name": body.replace(record, record.replace(name.encode(), b"\xff" * len(name), 1)),
@@ -377,6 +385,8 @@ def malformed_checkpoints(tmp_path) -> dict:
         "config json": body.replace(cfg, b"[" + cfg[1:]),
         "metrics json": body.replace(b'{"val_acc":0.5}', b'{"val_acc":0.5]'),
         "duplicate": body[:start - 4] + struct.pack("<I", count + 1) + record + body[start:],
+        "unknown kind": body.replace(complex_record, unknown_kind),
+        "kind mismatch": body.replace(complex_record, real_record),
     }
     assert all(v != body for v in faults.values())
     return {k: resealed(tmp_path / f"{i}.ckpt", v) for i, (k, v) in enumerate(faults.items())}
@@ -385,7 +395,8 @@ def malformed_checkpoints(tmp_path) -> dict:
 @pytest.mark.parametrize("fault, message", [
     ("byte count", "bytes for shape"), ("record name", "malformed text"),
     ("config utf-8", "malformed text"), ("config json", "malformed text"),
-    ("metrics json", "malformed text"), ("duplicate", "appears twice")])
+    ("metrics json", "malformed text"), ("duplicate", "appears twice"),
+    ("unknown kind", "unknown kind 7"), ("kind mismatch", "kind does not match")])
 def test_checkpoint_with_malformed_contents_is_an_integrity_error(tmp_path, fault, message):
     with pytest.raises(IntegrityError, match=message):
         hm.load(malformed_checkpoints(tmp_path)[fault])

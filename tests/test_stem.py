@@ -206,6 +206,39 @@ def test_harmonic_conv_transforms_only_the_input_and_output(monkeypatch, batch):
     assert calls == [("fft2", (batch, 3, 2, 16, 16)), ("ifft2", (batch, 3, 3, 16, 16))]
 
 
+def test_harmonic_conv_reads_one_read_only_stack_per_geometry(monkeypatch):
+    # each bank geometry's basis spectra are stacked once and every call
+    # passes conv2d that same read-only array, also for another bank of
+    # the same kernel size, filter orders and padded size
+    bank = hs.HarmonicFilterBank("hc", hs.ORDERS, hs.ORDERS, 2, 3, 5, ct.make_rng(0))
+    other = hs.HarmonicFilterBank("ho", hs.ORDERS, hs.ORDERS, 2, 4, 5, ct.make_rng(2))
+    x = rand_sfm(ct.make_rng(1), hs.ORDERS, 1, 2, 12, 12)
+    assert hs.conv_plan(bank, 1, 12, 12)["route"] != "direct"
+    want = np.stack([hs.basis_spectra(5, m_f, 16, 16) for _, m_f in bank.connections])
+    built, seen = [], []
+    basis, conv = hs.basis_spectra, ct.conv2d
+    monkeypatch.setattr(hs, "basis_spectra", lambda *a: built.append(a) or basis(*a))
+    monkeypatch.setattr(ct, "conv2d", lambda x, c, spectra, *a: seen.append(spectra)
+                        or conv(x, c, spectra, *a))
+    hs._bank_spectra.cache_clear()
+    for _ in range(3):
+        hs.harmonic_conv(x, bank, const_leaves(bank.params))
+    hs.harmonic_conv(x, other, const_leaves(other.params))
+    assert len(seen) == 4 and all(s is seen[0] for s in seen)
+    assert not seen[0].flags.writeable
+    assert seen[0].dtype == want.dtype and seen[0].tobytes() == want.tobytes()
+    assert built == [(5, m_f, 16, 16) for _, m_f in bank.connections]
+
+
+def test_bank_spectra_cache_is_bounded():
+    size = hs._bank_spectra.cache_info().maxsize
+    assert size is not None
+    hs._bank_spectra.cache_clear()
+    for hp in range(1, size + 4):
+        hs._bank_spectra(1, (0,), hp, 1)
+    assert hs._bank_spectra.cache_info().currsize == size
+
+
 def conv2d_reference(x, bank, coeffs, order):
     """A bank's convolution through `ct.conv2d` against its basis spectra,
     contracted in `order`."""

@@ -13,14 +13,17 @@ No optimizer step runs.  The subprocess then runs inference forwards
 seed's f64 verify suite (`report_json(verify_all_lemmas(seed, "f64"))`).
 The tool prints whether the train step's logits are byte-identical, then
 each side's tracemalloc peak over the step (measured after an untraced
-warm-up step in the same subprocess, so imports and caches do not count),
-then whether each inference forward's logits and the verify report are
-byte-identical, then each parameter gradient's relative L2 distance
-||g_change - g_parent|| / ||g_parent||, and last the worst of those.  A
-change to what the tape keeps is sized by the same command that checks
-its gradients.  The subprocesses inherit the environment: with
-OPENBLAS_NUM_THREADS=1, as perfbench sets it, a batch of more than one
-image contracts each convolution's frequency blocks on two threads.
+warm-up step in the same subprocess, so imports and caches do not count)
+and over the batch-16 inference forward (after an untraced warm-up
+forward of the same batch), then whether each inference forward's logits
+and the verify report are byte-identical, then each parameter gradient's
+relative L2 distance ||g_change - g_parent|| / ||g_parent||, and last the
+worst of those.  A change to what the tape keeps is sized by the same
+command that checks its gradients, and a change to what an inference
+forward allocates by the same command that checks its logits.  The
+subprocesses inherit the environment: with OPENBLAS_NUM_THREADS=1, as
+perfbench sets it, a batch of more than one image contracts each
+convolution's frequency blocks on two threads.
 
 This is how a change to backward rounding is judged.  The weights after a
 train call are not a usable gate: AdamW turns gradient components at
@@ -44,6 +47,9 @@ import numpy as np
 INFERENCE_BATCHES = (1, 16)
 IDENTITIES = {f"inference/{n}": f"inference logits, batch {n}" for n in INFERENCE_BATCHES}
 IDENTITIES["report"] = "verify report (f64)"
+# each side's tracemalloc peaks, by key and label, in report order
+PEAKS = {"peak_bytes": "step peak",
+         "inference_peak_bytes": f"inference peak, batch {max(INFERENCE_BATCHES)}"}
 
 
 def setup(seed: int, batch: int):
@@ -73,24 +79,33 @@ def train_step(model, images, labels, seed: int):
     return logits.data, grads
 
 
+def traced(fn, *args):
+    """fn(*args) and the tracemalloc peak of the call, in bytes."""
+    tracemalloc.start()
+    out = fn(*args)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return out, np.int64(peak)
+
+
 def step(out: Path, seed: int, batch: int) -> None:
     """One seeded f32 train step with the harmnet on sys.path, after an
     untraced warm-up step on a separate model; writes its logits, its
     tracemalloc peak and every parameter gradient to `out` (.npz), with
-    the inference logits of a fresh seeded model at INFERENCE_BATCHES and
-    the seed's f64 verify report."""
+    the inference logits of a fresh seeded model at INFERENCE_BATCHES, the
+    tracemalloc peak of the largest of those forwards after an untraced
+    warm-up forward of it, and the seed's f64 verify report."""
     from harmnet import harness as hz
 
     train_step(*setup(seed, batch), seed)
-    model, images, labels = setup(seed, batch)
-    tracemalloc.start()
-    logits, grads = train_step(model, images, labels, seed)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
+    (logits, grads), peak = traced(train_step, *setup(seed, batch), seed)
     model, images, _ = setup(seed, max(INFERENCE_BATCHES))
+    model.forward(images)
+    inference_peak = traced(model.forward, images)[1]
     inference = {f"inference/{n}": model.forward(images[:n]).data for n in INFERENCE_BATCHES}
     report = np.array(hz.report_json(hz.verify_all_lemmas(seed, "f64")))
-    np.savez(out, logits=logits, peak_bytes=np.int64(peak), report=report, **inference,
+    np.savez(out, logits=logits, peak_bytes=peak, inference_peak_bytes=inference_peak,
+             report=report, **inference,
              **{"grad/" + k: g for k, g in grads.items() if g is not None})
 
 
@@ -118,14 +133,16 @@ def identity(label: str, p: np.ndarray, c: np.ndarray) -> str:
 
 def compare(parent: dict, change: dict) -> list:
     """Report lines: the train step logits' byte identity, then each side's
-    step peak when both sides measured one, then the byte identity of each
+    peak in PEAKS that both sides measured, then the byte identity of each
     array in IDENTITIES that both sides hold, then per gradient (sorted by
     name) its relative L2 distance, then the worst.  A gradient only one
     side has is reported as missing."""
     lines = [identity("logits", parent["logits"], change["logits"])]
-    if "peak_bytes" in parent and "peak_bytes" in change:
-        p, c = (int(side["peak_bytes"]) / 2 ** 20 for side in (parent, change))
-        lines.append(f"step peak (tracemalloc): parent {p:.2f} MiB, change {c:.2f} MiB ({c - p:+.2f} MiB)")
+    for key, label in PEAKS.items():
+        if key in parent and key in change:
+            p, c = (int(side[key]) / 2 ** 20 for side in (parent, change))
+            lines.append(f"{label} (tracemalloc): parent {p:.2f} MiB, change {c:.2f} MiB "
+                         f"({c - p:+.2f} MiB)")
     lines += [identity(label, parent[key], change[key]) for key, label in IDENTITIES.items()
               if key in parent and key in change]
     names = sorted(k for k in set(parent) | set(change) if k.startswith("grad/"))
