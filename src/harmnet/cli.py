@@ -25,7 +25,6 @@ from . import training as tr
 from .errors import (ConfigError, ContractError, DataNotFoundError,
                      IntegrityError, NumericError, ParseError, ShapeError)
 
-_SECTIONS = ("stem", "encoder", "head", "input", "training")
 _BREAK_NORMS = ("legacy-gamma-negative",)
 _ABLATE_AXES = {
     "norm": ("stem", "norm", hs.NORMS),
@@ -43,7 +42,7 @@ def full_defaults() -> dict:
 
 
 def valid_keys() -> list:
-    return hm.config_keys() + [f"training.{k}" for k in tr.train_defaults()]
+    return [f"{s}.{k}" for s, sec in full_defaults().items() for k in sec]
 
 
 def _unknown_key(key: str):
@@ -117,10 +116,8 @@ def resolve_config(args, environ) -> tuple:
         cfg["training"]["seed"] = args.seed
     if getattr(args, "runs", None) is not None:
         cfg["training"]["runs"] = args.runs
-    model_cfg = hm.validate_config(
-        {s: cfg[s] for s in _SECTIONS if s != "training"})
-    tcfg = tr.validate_train_config(cfg["training"])
-    return model_cfg, tcfg
+    tcfg = cfg.pop("training")
+    return hm.validate_config(cfg), tr.validate_train_config(tcfg)
 
 
 def _data_root(args, environ) -> Path:

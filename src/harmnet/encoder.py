@@ -225,17 +225,6 @@ def crelu_ab(p: ct.CTensor, a: ct.CTensor, b: ct.CTensor) -> ct.CTensor:
     return ct.magnitude_map(p, (a, b), forward, backward)
 
 
-def magnitude_dropout(p: ct.CTensor, rate: float, rng: np.random.Generator,
-                      train: bool) -> ct.CTensor:
-    """Elementwise dropout on magnitudes; one mask shared by all streams."""
-    if not train or rate == 0.0:
-        return p
-    b, _, n, d = p.shape
-    real = np.finfo(p.data.dtype).dtype
-    mask = (rng.random((b, n, d)) >= rate).astype(real) / (1.0 - rate)
-    return ct.mul(p, ct.CTensor(mask.reshape(b, 1, n, d)))
-
-
 # ---------------------------------------------------------------------------
 # encoder blocks
 # ---------------------------------------------------------------------------
@@ -285,17 +274,19 @@ class EncoderBlock:
                 rng: np.random.Generator | None = None) -> ct.CTensor:
         attn = msa_forward(he_layer_norm(p, mode=self.norm_mode), leaves, self.name,
                            self.heads, self.strategy, self.rpe, self.keep_phase)
+        # one magnitude mask per sublayer, shared by every order
+        mask = (p.shape[0], 1, *p.shape[2:])
         if self.dropout > 0.0:
             if rng is None and train:
                 raise ConfigError("dropout requires an rng in train mode")
-            attn = magnitude_dropout(attn, self.dropout, rng, train)
+            attn = hs.order_dropout(attn, self.dropout, mask, rng, train)
         x = ct.add(p, attn)
         h = he_layer_norm(x, mode=self.norm_mode)
         h = equi_linear(h, leaves[f"{self.name}.mlp.w1"])
         h = crelu_ab(h, leaves[f"{self.name}.mlp.a"], leaves[f"{self.name}.mlp.b"])
         h = equi_linear(h, leaves[f"{self.name}.mlp.w2"])
         if self.dropout > 0.0:
-            h = magnitude_dropout(h, self.dropout, rng, train)
+            h = hs.order_dropout(h, self.dropout, mask, rng, train)
         return ct.add(x, h)
 
 

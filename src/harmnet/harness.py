@@ -360,18 +360,12 @@ def stem_continuous_check(seed: int = 0, precision: str = "f64",
     spec = hdata.RotationSpec(angle_deg, "bilinear")
     img = smooth_field(seed, size)
 
-    def rotate_input(x, alpha):
-        return np.stack([hdata.rotate_image(i, spec) for i in x])
-
     def rotate_features(f, alpha):
-        flat = f.reshape(-1, gh, gw)
-        re = np.stack([hdata.rotate_image(c, spec) for c in flat.real])
-        im = np.stack([hdata.rotate_image(c, spec) for c in flat.imag])
-        return (re + 1j * im).reshape(f.shape)
+        return hdata.rotate_image(f.real, spec) + 1j * hdata.rotate_image(f.imag, spec)
 
     errors = {m: err for _, m, err in _order_law(
         lambda x: model.stem_features(ct.CTensor(x), leaves).data, img, (angle_deg,),
-        rotate_input, rotate_features, mask=mask)}
+        lambda x, alpha: hdata.rotate_image(x, spec), rotate_features, mask=mask)}
     return {
         "angle_deg": float(angle_deg),
         "seed": seed,
@@ -431,9 +425,8 @@ def stability_sweep(model: hm.Model, dataset, angle_step: int = 15,
     angles, accuracy = [], []
     for angle in range(0, 360, angle_step):
         spec = hdata.RotationSpec(angle, interpolation)
-        rotated = np.stack([hdata.rotate_image(im, spec) for im in images]) \
-            if len(images) else images
-        prepped = hdata.preprocess(rotated, inp["pad"], inp["upscale_factor"])
+        prepped = hdata.preprocess(hdata.rotate_image(images, spec), inp["pad"],
+                                   inp["upscale_factor"])
         preds = predict(model, prepped, batch)
         angles.append(angle)
         accuracy.append(float(np.mean(preds == labels)) if len(labels) else 0.0)

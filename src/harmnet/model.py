@@ -1,9 +1,12 @@
 """Model assembly: declarative config -> stem + patches + encoder + head.
 
 A config is a plain JSON-compatible dict with four sections (stem, encoder,
-head, input).  Building is a pure function of (config, seed): parameters are
-drawn from per-component generators derived from the seed, so the same pair
-always yields bit-identical weights.
+head, input).  The defaults are the schema: `conform` checks a config's keys
+and value types against `mnist_config()` (and training's against
+`training.train_defaults()`), so adding a key is one edit there.  Building
+is a pure function of (config, seed): parameters are drawn from
+per-component generators derived from the seed, so the same pair always
+yields bit-identical weights.
 
 Checkpoints are single files: little-endian, length-prefixed named records
 (parameters and running statistics as fp32 components) with the full config
@@ -13,7 +16,6 @@ JSON, its hash, and a CRC32 trailer.  load -> save is byte-identical.
 from __future__ import annotations
 
 import binascii
-import copy
 import hashlib
 import json
 import struct
@@ -58,24 +60,8 @@ def shallow_config() -> dict:
     return cfg
 
 
-_SCHEMA = {
-    "stem": {"blocks": int, "convs_per_block": int, "channels": list,
-             "dropout": list, "kernel_size": int, "norm": str},
-    "encoder": {"blocks": int, "heads": int, "patch_dim": int, "dropout": float,
-                "strategy": str, "rpe": bool, "keep_phase": bool,
-                "num_buckets": int, "mlp_ratio": int, "norm_mode": str},
-    "head": {"classes": int},
-    "input": {"channels": int, "base_size": int, "pad": int, "upscale_factor": int},
-}
-
-
-def config_keys() -> list:
-    """All valid dotted config keys (for override validation)."""
-    return [f"{s}.{k}" for s, sec in _SCHEMA.items() for k in sec]
-
-
 def _coerce(label: str, typ, v):
-    """Normalize a field to its schema type so equal configs serialize (and
+    """Normalize a field to its default's type so equal configs serialize (and
     hash) identically regardless of int/float/bool spelling."""
     try:
         if typ is bool:
@@ -102,29 +88,37 @@ def input_size(inp: dict) -> int:
     return (inp["base_size"] + 2 * inp["pad"]) * inp["upscale_factor"]
 
 
+def conform(config, defaults: dict, label: str = "") -> dict:
+    """A new config with exactly the keys of `defaults`, each value coerced
+    to its default's type; nested dicts recurse, and a list's items take the
+    type of the default list's first item.  Raise ConfigError naming the
+    dotted key (under `label`) otherwise."""
+    where = label or "config"
+    if not isinstance(config, dict):
+        raise ConfigError(f"{where} must be an object, got {config!r}")
+    if set(config) != set(defaults):
+        raise ConfigError(f"{where} keys: missing {sorted(set(defaults) - set(config))}, "
+                          f"unknown {sorted(set(config) - set(defaults))}")
+    out = {}
+    for key, default in defaults.items():
+        name, v = f"{label}.{key}" if label else key, config[key]
+        if isinstance(default, dict):
+            out[key] = conform(v, default, name)
+        elif isinstance(default, list):
+            if not isinstance(v, list):
+                raise ConfigError(f"{name} must be a list, got {v!r}")
+            out[key] = [_coerce(f"{name}[{i}]", type(default[0]), x) for i, x in enumerate(v)]
+        else:
+            out[key] = _coerce(name, type(default), v)
+    return out
+
+
 def validate_config(config: dict) -> dict:
-    """Return a normalized deep copy; raise ConfigError naming the violated
-    constraint otherwise."""
-    if set(config) != set(_SCHEMA):
-        raise ConfigError(f"config sections must be {sorted(_SCHEMA)}, got {sorted(config)}")
-    for sec, fields in _SCHEMA.items():
-        unknown = set(config[sec]) - set(fields)
-        if unknown:
-            raise ConfigError(f"unknown keys in '{sec}': {sorted(unknown)}")
-        missing = set(fields) - set(config[sec])
-        if missing:
-            raise ConfigError(f"missing keys in '{sec}': {sorted(missing)}")
-    cfg = copy.deepcopy(config)
-    for sec, fields in _SCHEMA.items():
-        for key, typ in fields.items():
-            if typ is list:
-                if not isinstance(cfg[sec][key], list):
-                    raise ConfigError(f"{sec}.{key} must be a list")
-                elem = int if key == "channels" else float
-                cfg[sec][key] = [_coerce(f"{sec}.{key}[{i}]", elem, v)
-                                 for i, v in enumerate(cfg[sec][key])]
-            else:
-                cfg[sec][key] = _coerce(f"{sec}.{key}", typ, cfg[sec][key])
+    """Return a normalized copy; raise ConfigError naming the violated
+    constraint otherwise.  `mnist_config()` is the schema: a config has its
+    sections and keys, each of its default's type, so adding a key is one
+    edit there."""
+    cfg = conform(config, mnist_config())
     st, en, he, inp = cfg["stem"], cfg["encoder"], cfg["head"], cfg["input"]
     if st["blocks"] != len(st["channels"]):
         raise ConfigError(f"stem.blocks={st['blocks']} but {len(st['channels'])} channel widths")
@@ -135,8 +129,7 @@ def validate_config(config: dict) -> dict:
     if any(c < 1 for c in st["channels"]):
         raise ConfigError("stem.channels must be positive")
     if st["norm"] not in hs.NORMS:
-        raise ConfigError(f"stem.norm must be 'fused', 'legacy' or 'layernorm', "
-                          f"got {st['norm']!r}")
+        raise ConfigError(f"stem.norm must be one of {hs.NORMS}, got {st['norm']!r}")
     for key, lo in (("blocks", 0), ("heads", 1), ("patch_dim", 1),
                     ("num_buckets", 2), ("mlp_ratio", 1)):
         if en[key] < lo:
@@ -144,7 +137,8 @@ def validate_config(config: dict) -> dict:
     if en["strategy"] not in enc.STRATEGIES:
         raise ConfigError(f"encoder.strategy must be one of {enc.STRATEGIES}")
     if en["norm_mode"] not in enc.NORM_MODES:
-        raise ConfigError(f"encoder.norm_mode must be 'std' or 'rms'")
+        raise ConfigError(f"encoder.norm_mode must be one of {enc.NORM_MODES}, "
+                          f"got {en['norm_mode']!r}")
     for name, rate in [("encoder.dropout", en["dropout"])] + [
             (f"stem.dropout[{i}]", r) for i, r in enumerate(st["dropout"])]:
         if not 0.0 <= rate < 1.0:
@@ -300,16 +294,17 @@ def _record_bytes(name: str, arr: np.ndarray, role: int) -> bytes:
     return head + struct.pack("<Q", len(payload)) + payload
 
 
-def save(model: Model, path, epoch: int = 0, metrics: dict | None = None) -> None:
-    """Write the checkpoint file.  Output is a pure function of model state
-    and the given metadata, so load -> save round-trips byte-identically."""
+def save(model: Model, path) -> None:
+    """Write the checkpoint file.  Output is a pure function of model state,
+    its `last_epoch` and `metrics` included, so load -> save round-trips
+    byte-identically."""
     cfg_json = json.dumps(model.config, sort_keys=True, separators=(",", ":"))
     out = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION)]
     for blob in (cfg_json, config_hash(model.config)):
         out.append(struct.pack("<I", len(blob)))
         out.append(blob.encode())
-    out.append(struct.pack("<qI", model.seed, epoch))
-    metrics_json = json.dumps(metrics or {}, sort_keys=True, separators=(",", ":"))
+    out.append(struct.pack("<qI", model.seed, model.last_epoch))
+    metrics_json = json.dumps(model.metrics, sort_keys=True, separators=(",", ":"))
     out.append(struct.pack("<I", len(metrics_json)))
     out.append(metrics_json.encode())
     records = [(n, model.params[n], 0) for n in sorted(model.params)]

@@ -434,15 +434,15 @@ def legacy_crelu(x: ct.CTensor, bias: ct.CTensor) -> ct.CTensor:
 # dropout
 # ---------------------------------------------------------------------------
 
-def channel_dropout(x: ct.CTensor, p: float, rng: np.random.Generator,
-                    train: bool) -> ct.CTensor:
-    """Zero whole channels (same mask for every stream), scaled by 1/(1-p)."""
+def order_dropout(x: ct.CTensor, p: float, shape: tuple, rng: np.random.Generator,
+                  train: bool) -> ct.CTensor:
+    """Dropout scaled by 1/(1-p) under one mask of `shape`, whose size-1
+    order axis shares it across every order stream: (B, 1, C, 1, 1) drops
+    whole channels, (B, 1, n, d) single magnitudes."""
     if not train or p == 0.0:
         return x
-    b, _, c = x.shape[:3]
     real = np.finfo(x.data.dtype).dtype
-    mask = (rng.random((b, c, 1, 1)) >= p).astype(real) / (1.0 - p)
-    return ct.mul(x, ct.CTensor(mask.reshape(b, 1, c, 1, 1)))
+    return ct.mul(x, ct.CTensor((rng.random(shape) >= p).astype(real) / (1.0 - p)))
 
 
 # ---------------------------------------------------------------------------
@@ -523,5 +523,6 @@ class Stem:
             if blk["dropout"] > 0.0 and train:
                 if rng is None:
                     raise ConfigError("dropout requires an rng in train mode")
-                x = channel_dropout(x, blk["dropout"], rng, train)
+                b, _, c = x.shape[:3]
+                x = order_dropout(x, blk["dropout"], (b, 1, c, 1, 1), rng, train)
         return x

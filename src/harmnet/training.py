@@ -42,15 +42,9 @@ def train_defaults() -> dict:
 
 
 def validate_train_config(config: dict) -> dict:
-    """Return a normalized copy; raise ConfigError naming the violation."""
-    ref = train_defaults()
-    if set(config) != set(ref):
-        missing = set(ref) - set(config)
-        extra = set(config) - set(ref)
-        raise ConfigError(f"training config keys: missing {sorted(missing)}, "
-                          f"unknown {sorted(extra)}")
-    cfg = {key: hm._coerce(f"training.{key}", type(default), config[key])
-           for key, default in ref.items()}
+    """Return a normalized copy; raise ConfigError naming the violation.
+    `train_defaults()` is the schema (`model.conform`)."""
+    cfg = hm.conform(config, train_defaults(), "training")
     for key in ("epochs", "batch_size", "runs"):
         if cfg[key] < 1:
             raise ConfigError(f"training.{key} must be >= 1, got {cfg[key]}")
@@ -284,8 +278,7 @@ def train(model: hm.Model, splits: dict, tconfig: dict | None = None,
             if out_dir is not None:
                 model.last_epoch = epoch
                 model.metrics = {"val_error": val_error}
-                hm.save(model, out_dir / "best.ckpt", epoch=epoch,
-                        metrics={"val_error": val_error})
+                hm.save(model, out_dir / "best.ckpt")
         if tconfig["scheduler"] == "plateau":
             plateau.update(val_error)
         if out_dir is not None:

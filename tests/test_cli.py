@@ -14,27 +14,19 @@ import harmnet.cli as cli
 import harmnet.data as hdata
 import harmnet.harness as hz
 import harmnet.model as hm
+import harmnet.training as tr
 from harmnet.errors import ConfigError, IntegrityError
+import configs
 from test_model import malformed_checkpoints
 
 
 def tiny_config():
-    """28px single-block model so AMAT fixtures load unchanged."""
-    return {
-        "stem": {"blocks": 1, "convs_per_block": 1, "channels": [2],
-                 "dropout": [0.0], "kernel_size": 3, "norm": "fused"},
-        "encoder": {"blocks": 1, "heads": 1, "patch_dim": 2, "dropout": 0.0,
-                    "strategy": "harmformer_default", "rpe": True,
-                    "keep_phase": True, "num_buckets": 4, "mlp_ratio": 2,
-                    "norm_mode": "std"},
-        "head": {"classes": 3},
-        "input": {"channels": 1, "base_size": 28, "pad": 0,
-                  "upscale_factor": 1},
-        "training": {"epochs": 1, "batch_size": 5, "learning_rate": 0.01,
-                     "label_smoothing": 0.1, "scheduler": "plateau",
-                     "weight_decay": 0.01, "beta1": 0.9, "beta2": 0.999,
-                     "eps": 1e-8, "seed": 0, "runs": 1},
-    }
+    """The shared tiny model at 28px, so AMAT fixtures load unchanged, with a
+    one-epoch training section."""
+    cfg = configs.tiny_config()
+    cfg["input"]["base_size"] = 28
+    cfg["training"] = dict(tr.train_defaults(), epochs=1, batch_size=5, learning_rate=0.01)
+    return cfg
 
 
 def write_fixture(root, n_train=12, n_test=6, seed=0):
@@ -375,9 +367,11 @@ def test_verify_trained_checkpoint(workdir, capsys):
     assert report["config_hash"] == hm.config_hash(expect)
 
 
-@pytest.mark.parametrize("fault", ["byte count", "duplicate", "unknown kind", "kind mismatch"])
+@pytest.mark.parametrize("fault", ["byte count", "duplicate", "unknown kind", "kind mismatch",
+                                   "config section"])
 def test_verify_malformed_checkpoint_exits_2(tmp_path, capsys, fault):
-    # a checkpoint whose CRC holds but whose records do not is a data error
+    # a checkpoint whose CRC holds but whose records or config do not is a
+    # data error
     rc = cli.main(["verify", "--checkpoint", str(malformed_checkpoints(tmp_path)[fault])])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")

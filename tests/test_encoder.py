@@ -328,6 +328,12 @@ def softmax_layer(bias, keep_phase=True):
     return run, ({"bias": ct.make_rng(60).standard_normal((2, 4, 4))} if bias else {})
 
 
+def magnitude_dropout(p, rng, train=True):
+    """The encoder's dropout at rate 0.5: one mask per image, patch and
+    feature, shared by every order."""
+    return hs.order_dropout(p, 0.5, (p.shape[0], 1, *p.shape[2:]), rng, train)
+
+
 def stack_layer(fn, **params):
     def run(z, leaves):
         return fn(z, leaves)
@@ -359,7 +365,7 @@ def test_fd_fused_encoder_layers(name):
 DTYPE_LAYERS = {
     **FUSED_ENCODER_LAYERS,
     "magnitude_dropout": lambda: stack_layer(
-        lambda p, _: enc.magnitude_dropout(p, 0.5, ct.make_rng(3), True)),
+        lambda p, _: magnitude_dropout(p, ct.make_rng(3))),
 }
 
 
@@ -610,9 +616,9 @@ def test_crelu_ab_keeps_z_r_and_a_only():
 def test_magnitude_dropout_shared_mask():
     rng = ct.make_rng(56)
     p = rand_stack(rng, 2, 2, 2, 4)
-    out = enc.magnitude_dropout(p, 0.5, ct.make_rng(3), train=True)
+    out = magnitude_dropout(p, ct.make_rng(3), train=True)
     ratio0 = out.data[:, 1] / p.data[:, 1]
     for i in range(len(hs.ORDERS)):
         ratio = out.data[:, i] / p.data[:, i]
         assert np.allclose(ratio, ratio0)
-    assert enc.magnitude_dropout(p, 0.5, ct.make_rng(3), train=False) is p
+    assert magnitude_dropout(p, ct.make_rng(3), train=False) is p

@@ -14,21 +14,8 @@ import pytest
 import harmnet.ctensor as ct
 import harmnet.model as hm
 from harmnet.errors import ConfigError, IntegrityError, ShapeError
+from configs import tiny_config
 from test_ctensor import spy_split_threads
-
-
-def tiny_config():
-    """Small enough to forward in milliseconds, same shape constraints."""
-    return {
-        "stem": {"blocks": 1, "convs_per_block": 1, "channels": [2],
-                 "dropout": [0.0], "kernel_size": 3, "norm": "fused"},
-        "encoder": {"blocks": 1, "heads": 1, "patch_dim": 2, "dropout": 0.0,
-                    "strategy": "harmformer_default", "rpe": True,
-                    "keep_phase": True, "num_buckets": 4, "mlp_ratio": 2,
-                    "norm_mode": "std"},
-        "head": {"classes": 3},
-        "input": {"channels": 1, "base_size": 8, "pad": 0, "upscale_factor": 1},
-    }
 
 
 def test_reference_config_builds_and_classifies():
@@ -90,6 +77,7 @@ def test_complex_weight_counts_twice():
     (lambda c: c["encoder"].update(dropout=1.5), "dropout must lie"),
     (lambda c: c["stem"].update(bogus=1), "unknown"),
     (lambda c: c["encoder"].pop("heads"), "missing"),
+    (lambda c: c.update(head=5), "head must be an object, got 5"),
 ])
 def test_validation_names_the_constraint(mutate, fragment):
     cfg = tiny_config()
@@ -107,6 +95,41 @@ def test_config_normalization_stabilizes_hash():
     c = tiny_config()
     c["head"]["classes"] = 4
     assert hm.config_hash(hm.validate_config(a)) != hm.config_hash(hm.validate_config(c))
+
+
+CONFORM_DEFAULTS = {"sec": {"widths": [8, 16], "rates": [0.0], "on": True}, "k": 2}
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"sec": {"widths": 8, "rates": [0.0], "on": True}, "k": 2},
+     r"top\.sec\.widths must be a list, got 8"),
+    ({"sec": {"widths": [8, 1.5], "rates": [0.0], "on": True}, "k": 2},
+     r"top\.sec\.widths\[1\] must be an integer, got 1\.5"),
+    ({"sec": 5, "k": 2}, r"top\.sec must be an object, got 5"),
+    ({"sec": {"widths": [], "rates": [], "on": True, "x": 0}, "k": 2},
+     r"top\.sec keys: missing \[\], unknown \['x'\]"),
+    ({"sec": {"widths": [], "rates": [], "on": 2}, "k": 2}, r"top\.sec\.on must be a bool"),
+    ([1], r"top must be an object"),
+])
+def test_conform_names_the_dotted_key(config, message):
+    with pytest.raises(ConfigError, match=message):
+        hm.conform(config, CONFORM_DEFAULTS, "top")
+
+
+def test_conform_coerces_list_items_by_the_first_default_item():
+    config = {"sec": {"widths": [8.0, 3], "rates": [0, 1], "on": 1}, "k": 2.0}
+    got = hm.conform(config, CONFORM_DEFAULTS, "top")
+    assert got == {"sec": {"widths": [8, 3], "rates": [0.0, 1.0], "on": True}, "k": 2}
+    sec = got["sec"]
+    assert [type(v) for v in sec["widths"] + sec["rates"]] == [int, int, float, float]
+    assert type(got["k"]) is int and sec["on"] is True
+    # a new config: the input keeps its spelling
+    assert config["sec"]["widths"] == [8.0, 3] and type(config["k"]) is float
+    # the model config's lists: stem.channels are ints, stem.dropout floats
+    cfg = tiny_config()
+    cfg["stem"].update(channels=[2.0], dropout=[0])
+    st = hm.validate_config(cfg)["stem"]
+    assert type(st["channels"][0]) is int and type(st["dropout"][0]) is float
 
 
 @pytest.mark.parametrize("precision", ["f32", "f64"])
@@ -303,10 +326,11 @@ def test_checkpoint_round_trip_bytes_and_logits(tmp_path):
     m = hm.build(tiny_config(), seed=3)
     train_step_stats(m, ct.make_rng(0))
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-    hm.save(m, p1, epoch=5, metrics={"val_acc": 0.5})
+    m.last_epoch, m.metrics = 5, {"val_acc": 0.5}
+    hm.save(m, p1)
     loaded = hm.load(p1)
     assert loaded.last_epoch == 5 and loaded.metrics == {"val_acc": 0.5}
-    hm.save(loaded, p2, epoch=loaded.last_epoch, metrics=loaded.metrics)
+    hm.save(loaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
     for k in m.buffers:
         assert np.array_equal(loaded.buffers[k], m.buffers[k]), k
@@ -357,8 +381,9 @@ def malformed_checkpoints(tmp_path) -> dict:
     """Checkpoints whose CRC holds but whose contents are malformed, by the
     fault they carry."""
     m = hm.build(tiny_config(), seed=3)
+    m.metrics = {"val_acc": 0.5}
     p = tmp_path / "m.ckpt"
-    hm.save(m, p, metrics={"val_acc": 0.5})
+    hm.save(m, p)
     body = p.read_bytes()[:-4]
     name = sorted(m.params)[0]
     record = hm._record_bytes(name, m.params[name], 0)
@@ -378,6 +403,13 @@ def malformed_checkpoints(tmp_path) -> dict:
     assert complex_record[kind] == 1 and np.iscomplexobj(m.params[w1])
     unknown_kind = complex_record[:kind] + b"\x07" + complex_record[kind + 1:]
     real_record = hm._record_bytes(w1, m.params[w1].real, 0)
+
+    def header(config):
+        """The length-prefixed config JSON and its hash."""
+        blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
+        digest = hm.config_hash(config).encode()
+        return struct.pack("<I", len(blob)) + blob + struct.pack("<I", len(digest)) + digest
+
     faults = {
         "byte count": body.replace(record, short),
         "record name": body.replace(record, record.replace(name.encode(), b"\xff" * len(name), 1)),
@@ -387,6 +419,8 @@ def malformed_checkpoints(tmp_path) -> dict:
         "duplicate": body[:start - 4] + struct.pack("<I", count + 1) + record + body[start:],
         "unknown kind": body.replace(complex_record, unknown_kind),
         "kind mismatch": body.replace(complex_record, real_record),
+        # a head section that is a number, stored under its own hash
+        "config section": body.replace(header(m.config), header(dict(m.config, head=5))),
     }
     assert all(v != body for v in faults.values())
     return {k: resealed(tmp_path / f"{i}.ckpt", v) for i, (k, v) in enumerate(faults.items())}
@@ -400,6 +434,11 @@ def malformed_checkpoints(tmp_path) -> dict:
 def test_checkpoint_with_malformed_contents_is_an_integrity_error(tmp_path, fault, message):
     with pytest.raises(IntegrityError, match=message):
         hm.load(malformed_checkpoints(tmp_path)[fault])
+
+
+def test_checkpoint_with_a_non_object_config_section_is_a_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="head must be an object, got 5"):
+        hm.load(malformed_checkpoints(tmp_path)["config section"])
 
 
 def test_checkpoint_refuses_mismatched_config(tmp_path):

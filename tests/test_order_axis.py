@@ -108,13 +108,15 @@ LAYERS = {
     "layer_norm_streams": on_map(lambda x: hs.normalize_over(x, (3, 4))),
     "residual_add": on_map(lambda x: ct.add(x, x)),
     "avg_pool_streams": on_map(ct.avg_pool2),
-    "channel_dropout": on_map(lambda x: hs.channel_dropout(x, 0.5, ct.make_rng(3), True)),
+    "channel_dropout": on_map(lambda x: hs.order_dropout(
+        x, 0.5, (x.shape[0], 1, x.shape[2], 1, 1), ct.make_rng(3), True)),
     "patchify": on_map(enc.patchify),
     "equi_linear": equi_linear,
     "he_layer_norm_std": on_stack(enc.he_layer_norm),
     "he_layer_norm_rms": on_stack(lambda p: enc.he_layer_norm(p, mode="rms")),
     "crelu_ab": crelu_ab,
-    "magnitude_dropout": on_stack(lambda p: enc.magnitude_dropout(p, 0.5, ct.make_rng(3), True)),
+    "magnitude_dropout": on_stack(lambda p: hs.order_dropout(
+        p, 0.5, (p.shape[0], 1, *p.shape[2:]), ct.make_rng(3), True)),
     "stack_add": on_stack(lambda p: ct.add(p, p)),
     "invariant_readout": on_stack(hd.invariant_readout),
 }

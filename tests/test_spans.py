@@ -13,7 +13,7 @@ import numpy as np
 import harmnet.ctensor as ct
 import harmnet.model as hm
 import harmnet.training as tr
-from test_training import tiny_config
+from configs import tiny_config
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 

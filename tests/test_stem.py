@@ -809,6 +809,12 @@ def test_fd_normalize_over_and_collapsed_sigma(mode):
         assert np.allclose(g[0, 0, 1], want, rtol=1e-10, atol=0)
 
 
+def channel_dropout(x, rng, train=True):
+    """The stem's dropout at p = 0.5: one mask per image and channel, shared
+    by every order."""
+    return hs.order_dropout(x, 0.5, (x.shape[0], 1, x.shape[2], 1, 1), rng, train)
+
+
 def on_streams(fn):
     return lambda: ((lambda z, _: fn(z)), {})
 
@@ -817,7 +823,7 @@ DTYPE_LAYERS = {
     **FUSED_STEM_LAYERS,
     # the stem's "layernorm" variant: normalize each stream over space
     "layer_norm_streams": on_streams(lambda x: hs.normalize_over(x, (3, 4))),
-    "channel_dropout": on_streams(lambda x: hs.channel_dropout(x, 0.5, ct.make_rng(3), True)),
+    "channel_dropout": on_streams(lambda x: channel_dropout(x, ct.make_rng(3))),
 }
 
 
@@ -867,14 +873,14 @@ def test_avg_pool_streams():
 def test_channel_dropout_consistent_across_streams():
     rng = ct.make_rng(30)
     x = rand_sfm(rng, (-1, 0, 1), 2, 8, 3, 3)
-    out = hs.channel_dropout(x, 0.5, ct.make_rng(7), train=True)
+    out = channel_dropout(x, ct.make_rng(7), train=True)
     ref = out.data[:, 1] / np.where(x.data[:, 1] == 0, 1, x.data[:, 1])
     for i in range(len(hs.ORDERS)):
         ratio = out.data[:, i] / x.data[:, i]
         assert np.allclose(ratio, ref)             # same mask on every stream
         vals = np.unique(np.round(ratio.real, 9))
         assert set(vals).issubset({0.0, 2.0})      # dropped or scaled by 1/(1-p)
-    eval_out = hs.channel_dropout(x, 0.5, ct.make_rng(7), train=False)
+    eval_out = channel_dropout(x, ct.make_rng(7), train=False)
     assert eval_out is x
 
 
@@ -943,7 +949,7 @@ def test_stem_dropout_drops_channels_in_train_mode_only():
     dropped = stem.forward(img, leaves, train=True, rng=ct.make_rng(7))
     stem.blocks[0]["dropout"] = 0.0
     kept = stem.forward(img, leaves, train=True)
-    want = hs.channel_dropout(kept, 0.5, ct.make_rng(7), train=True)
+    want = channel_dropout(kept, ct.make_rng(7), train=True)
     assert np.array_equal(dropped.data, want.data)
     assert not np.array_equal(dropped.data, kept.data)
     stem.blocks[0]["dropout"] = 0.5

@@ -15,20 +15,8 @@ import harmnet.model as hm
 import harmnet.stem as hs
 import harmnet.training as tr
 from harmnet.errors import ConfigError, NumericError, ShapeError
+from configs import tiny_config
 from test_ctensor import _held_arrays
-
-
-def tiny_config():
-    return {
-        "stem": {"blocks": 1, "convs_per_block": 1, "channels": [2],
-                 "dropout": [0.0], "kernel_size": 3, "norm": "fused"},
-        "encoder": {"blocks": 1, "heads": 1, "patch_dim": 2, "dropout": 0.0,
-                    "strategy": "harmformer_default", "rpe": True,
-                    "keep_phase": True, "num_buckets": 4, "mlp_ratio": 2,
-                    "norm_mode": "std"},
-        "head": {"classes": 3},
-        "input": {"channels": 1, "base_size": 8, "pad": 0, "upscale_factor": 1},
-    }
 
 
 def toy_splits(n_train=24, n_eval=9, size=8, seed=0):
@@ -263,6 +251,14 @@ def test_train_writes_metrics_and_best_checkpoint(tmp_path):
     assert loaded.config == model.config
     assert loaded.last_epoch == metrics["best_epoch"]
     assert loaded.metrics == {"val_error": metrics["best_val_error"]}
+
+
+def test_best_checkpoint_load_then_save_is_byte_identical(tmp_path):
+    # save writes the loaded model's own epoch and metrics
+    tr.train(hm.build(tiny_config(), seed=0), toy_splits(), quick_tconfig(), out_dir=tmp_path)
+    best, again = tmp_path / "best.ckpt", tmp_path / "again.ckpt"
+    hm.save(hm.load(best), again)
+    assert again.read_bytes() == best.read_bytes()
 
 
 def test_train_is_deterministic(tmp_path):
